@@ -33,11 +33,11 @@ from .pair import (
     build_pair,
     l1_log_check,
     outer_eval,
+    outer_series,
     pair_from_json,
     pair_to_json,
     step_modulus_from_phi,
     tame_pair,
-    taylor_from_eval,
 )
 from .hb import (
     KernelCombo,
@@ -56,7 +56,6 @@ from .hb import (
 )
 from .series import (
     TaylorSeries,
-    divide_series,
     exp_series,
     triangular_solve_upper_toeplitz,
 )

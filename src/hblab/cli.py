@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 config error, 3 construction inconsistency,
 from __future__ import annotations
 
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -23,6 +22,7 @@ import click
 
 from .experiments import (
     PrecisionExhausted,
+    _params_dict,
     build_divergent_combo,
     default_r_grid,
     divergence_curve,
@@ -62,7 +62,6 @@ _DEFAULTS = {
     "seed": 0,
     "output_dir": ".",
     "formats": ["json", "csv"],
-    "tame_pair": None,
     "j_max": 512,
     "abel_degree": 3072,
     "summability_n_list": [0, 1, 2, 4, 8, 12, 16, 24, 32, 40, 48, 56, 64],
@@ -103,17 +102,14 @@ def params_from_config(cfg) -> ConstructionParams:
     pm = cfg["power_m"]
     if pm != "auto":
         pm = int(pm)
-    try:
-        return ConstructionParams(
-            alpha=float(cfg["alpha"]),
-            beta=float(cfg["beta"]),
-            n_terms=int(cfg["n_terms"]),
-            power_m=pm,
-            precision_bits=int(cfg["precision_bits"]),
-            n_check=int(cfg["n_check"]),
-        )
-    except ParameterError as e:
-        raise ConfigError(str(e))
+    return ConstructionParams(
+        alpha=float(cfg["alpha"]),
+        beta=float(cfg["beta"]),
+        n_terms=int(cfg["n_terms"]),
+        power_m=pm,
+        precision_bits=int(cfg["precision_bits"]),
+        n_check=int(cfg["n_check"]),
+    )
 
 
 def write_report(report: ExperimentReport, cfg: dict):
@@ -161,7 +157,7 @@ def run_command(body, config_path, out_dir, precision_bits, seed, fmt):
         sys.exit(EXIT_CONFIG)
     try:
         code = body(cfg)
-    except ConfigError as e:
+    except (ConfigError, ParameterError) as e:
         click.echo(f"config error: {e}", err=True)
         sys.exit(EXIT_CONFIG)
     except GrowthBoundError as e:
@@ -245,13 +241,7 @@ def verify_outer(config_path, out_dir, precision_bits, seed, fmt):
             name="verify_outer",
             columns=("n", "r", "u", "v", "log_ratio", "log_bound", "pass"),
             rows=rows,
-            params={
-                "alpha": params.alpha,
-                "beta": params.beta,
-                "n_terms": params.n_terms,
-                "power_m": params.power_m,
-                "n_check": params.n_check,
-            },
+            params=_params_dict(params),
             metadata={
                 "code_version": CODE_VERSION,
                 "precision_bits": 53,

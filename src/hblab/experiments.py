@@ -26,11 +26,11 @@ from .hb import (
     kernel_combo_ccond_check,
     partial_sum,
 )
-from .logscalar import LogScalar, log_sum_exp
-from .outer import half_plane_log_modulus_radial, log_delta
-from .pair import Pair, log_outer_series
+from .logscalar import LogScalar, log_add_exp, log_sum_exp
+from .outer import ParameterError, half_plane_log_modulus_radial, log_delta
+from .pair import Pair, outer_series
 from .reports import CODE_VERSION, ExperimentReport
-from .series import TaylorSeries, exp_series
+from .series import TaylorSeries
 
 _LN10 = math.log(10.0)
 
@@ -90,10 +90,9 @@ def interval_radius(params, n: int, s: float) -> Radius:
     if s >= 1.0:
         return Radius.from_log_one_minus(ld_n1)
     # 1 - r = (1-s) d_n + s d_{n+1}
-    a = math.log1p(-s) + ld_n
-    b = math.log(s) + ld_n1
-    hi, lo = (a, b) if a >= b else (b, a)
-    return Radius.from_log_one_minus(hi + math.log1p(math.exp(lo - hi)))
+    return Radius.from_log_one_minus(
+        log_add_exp(math.log1p(-s) + ld_n, math.log(s) + ld_n1)
+    )
 
 
 def default_r_grid(params) -> list:
@@ -245,31 +244,19 @@ def required_bits_for_degree(pair: Pair, degree: int) -> int:
 
 
 def phi_hat_series(pair: Pair, degree: int, precision_bits: int) -> TaylorSeries:
-    """Taylor coefficients of phi via exp of the closed-form log series.
+    """Taylor coefficients 0..degree of phi as real mpmath numbers.
 
-    The log series comes from the exact Fourier coefficients of the step
-    boundary modulus (real by theta-symmetry), so the only approximation is
-    the exp recurrence itself, carried at the requested precision.
+    ``outer_series`` of the phi modulus: exp of the exact Fourier log
+    series (real by theta-symmetry), the exp recurrence carried at
+    ``precision_bits``.  Raises PrecisionExhausted when that is below
+    ``required_bits_for_degree``, which is never less than 64 bits.
     """
     need = required_bits_for_degree(pair, degree)
     if precision_bits < need:
         raise PrecisionExhausted(
             f"degree {degree} needs about {need} bits, configured {precision_bits}"
         )
-    g = log_outer_series(pair.phi_modulus, degree)
-    if precision_bits <= 53:
-        return exp_series(TaylorSeries(tuple(c.real for c in g.coeffs)))
-    from mpmath import mp
-
-    old = mp.prec
-    try:
-        mp.prec = precision_bits
-        gm = TaylorSeries(
-            tuple(mp.mpf(c.real) for c in g.coeffs), precision_bits=precision_bits
-        )
-        return exp_series(gm)
-    finally:
-        mp.prec = old
+    return outer_series(pair.phi_modulus, degree, precision_bits)
 
 
 def abel_fr_plus(
@@ -294,9 +281,7 @@ def abel_fr_plus(
         phi_hat = phi_hat_series(pair, degree, precision_bits)
     degree = phi_hat.truncation_degree
     rad = as_radius(r)
-    old = mp.prec
-    try:
-        mp.prec = max(precision_bits, phi_hat.precision_bits)
+    with mp.workprec(max(precision_bits, phi_hat.precision_bits)):
         r_mp = 1 - mp.exp(mp.mpf(rad.log_one_minus))
         total = mp.mpf(0)
         r_pow = mp.mpf(1)
@@ -315,8 +300,6 @@ def abel_fr_plus(
                 f"tail/total = {mp.nstr(tail_max / abs(total), 5)}"
             )
         return total
-    finally:
-        mp.prec = old
 
 
 def sarason_series_failure(
@@ -330,6 +313,8 @@ def sarason_series_failure(
     grow without ceiling instead."""
     from mpmath import mp
 
+    if j_max < 2:
+        raise ParameterError(f"j_max must be at least 2, got {j_max}")
     phi_hat = phi_hat_series(pair, j_max, precision_bits)
     checkpoints = []
     j = 1
@@ -338,9 +323,7 @@ def sarason_series_failure(
         j *= 2
     checkpoints.append(j_max)
     rows = []
-    old = mp.prec
-    try:
-        mp.prec = max(precision_bits, phi_hat.precision_bits)
+    with mp.workprec(max(precision_bits, phi_hat.precision_bits)):
         total = mp.exp(mp.mpf(f_hat_log(f, 0).log_mag)) * phi_hat.coeffs[0]
         sums = {}
         for j in range(1, j_max + 1):
@@ -358,8 +341,6 @@ def sarason_series_failure(
                 ok = False
         half = sums.get(max(c for c in checkpoints if c <= j_max // 2), None)
         growth = half is not None and sums[j_max] > half
-    finally:
-        mp.prec = old
     meta = _base_metadata(pair, precision_bits)
     meta["ratio_full_to_half"] = float(sums[j_max] / half) if half else float("nan")
     return ExperimentReport(
@@ -370,26 +351,6 @@ def sarason_series_failure(
         metadata=meta,
         passed=ok and growth,
     )
-
-
-def _mp_pair_series(pair: Pair, degree: int, precision_bits: int):
-    """Extended-precision Taylor series of a and b from the exact Fourier
-    coefficients of their step moduli."""
-    from mpmath import mp
-
-    old = mp.prec
-    try:
-        mp.prec = precision_bits
-        out = []
-        for mod in (pair.a_modulus, pair.b_modulus):
-            g = log_outer_series(mod, degree)
-            gm = TaylorSeries(
-                tuple(mp.mpf(c.real) for c in g.coeffs), precision_bits=precision_bits
-            )
-            out.append(exp_series(gm))
-        return out[0], out[1]
-    finally:
-        mp.prec = old
 
 
 def summability_divergence(
@@ -410,19 +371,24 @@ def summability_divergence(
     from mpmath import mp
 
     n_list = sorted(set(int(n) for n in n_list))
-    deg_f = max(n_list)
+    if not n_list or n_list[0] < 0 or n_list[-1] < 8:
+        raise ParameterError(
+            f"summability orders must be >= 0 and include one >= 8, got {n_list}"
+        )
+    deg_f = n_list[-1]
     work_degree = 2 * deg_f + 16
     need = required_bits_for_degree(pair, work_degree)
     if precision_bits < need:
         raise PrecisionExhausted(
             f"degree {work_degree} needs about {need} bits, configured {precision_bits}"
         )
-    a_s, b_s = _mp_pair_series(pair, work_degree, precision_bits)
-    mp_pair = dataclasses.replace(pair, a_series=a_s, b_series=b_s)
-    old = mp.prec
+    mp_pair = dataclasses.replace(
+        pair,
+        a_series=outer_series(pair.a_modulus, work_degree, precision_bits),
+        b_series=outer_series(pair.b_modulus, work_degree, precision_bits),
+    )
     rows = []
-    try:
-        mp.prec = precision_bits
+    with mp.workprec(precision_bits):
         f_series = TaylorSeries(
             tuple(mp.exp(mp.mpf(f_hat_log(f, j).log_mag)) for j in range(deg_f + 1)),
             precision_bits=precision_bits,
@@ -443,8 +409,6 @@ def summability_divergence(
             if lsig > best_s + 1e-9:
                 convex_ok = False
             rows.append((n, ls, lsig))
-    finally:
-        mp.prec = old
     growth_ok = (
         len(rows) >= 2
         and rows[-1][1] > next(ls for n, ls, _ in rows if n >= 8)

@@ -17,16 +17,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .logscalar import LogScalar, log1p_exp, log_sum_exp
+from .logscalar import LogScalar, log1p_exp, log_add_exp, log_sum_exp
 from .pair import Pair
 from .series import TaylorSeries, triangular_solve_upper_toeplitz
-
-
-def _logaddexp(a: float, b: float) -> float:
-    hi, lo = (a, b) if a >= b else (b, a)
-    if lo == float("-inf"):
-        return hi
-    return hi + log1p_exp(lo - hi)
 
 
 @dataclass(frozen=True)
@@ -115,11 +108,6 @@ def toeplitz_coanalytic_apply(h: TaylorSeries, f: TaylorSeries) -> TaylorSeries:
     return TaylorSeries(tuple(out), min(h.precision_bits, f.precision_bits))
 
 
-def toeplitz_analytic_apply(h: TaylorSeries, f: TaylorSeries) -> TaylorSeries:
-    """T_h f = truncation of h * f (multiplication by an analytic symbol)."""
-    return h * f
-
-
 # -- the f+ map and H(b) norms --------------------------------------------
 
 
@@ -190,7 +178,7 @@ def _gram_log_terms(combo: KernelCombo, pair: Pair, with_phi: bool):
         di = math.exp(max(ni.log_one_minus_w, -745.0))
         for j, nj in enumerate(nodes):
             # 1 - w_i w_j = d_i + d_j (1 - d_i), no cancellation
-            log_denom = _logaddexp(
+            log_denom = log_add_exp(
                 ni.log_one_minus_w, nj.log_one_minus_w + math.log1p(-di)
             )
             lm = ni.log_c.log_mag + nj.log_c.log_mag - log_denom
@@ -278,7 +266,7 @@ def dilate(f: HbFunction, r: Union[float, Radius]) -> HbFunction:
         nodes = []
         for nd in f.nodes:
             # 1 - r w = (1-r) + r (1-w)
-            ld = _logaddexp(lr, nd.log_one_minus_w + math.log1p(-one_minus_r))
+            ld = log_add_exp(lr, nd.log_one_minus_w + math.log1p(-one_minus_r))
             nodes.append(KernelNode(nd.log_c, ld))
         return KernelCombo(tuple(nodes))
     out, p = [], 1.0
@@ -290,6 +278,8 @@ def dilate(f: HbFunction, r: Union[float, Radius]) -> HbFunction:
 
 def partial_sum(f: TaylorSeries, n: int) -> TaylorSeries:
     """s_n(f): coefficients 0..n, zero-padded to the original degree."""
+    if n < 0:
+        raise ValueError(f"partial sum order must be >= 0, got {n}")
     if n > f.truncation_degree:
         raise ValueError("partial sum order exceeds truncation degree")
     return TaylorSeries(
@@ -299,6 +289,8 @@ def partial_sum(f: TaylorSeries, n: int) -> TaylorSeries:
 
 def cesaro_mean(f: TaylorSeries, n: int) -> TaylorSeries:
     """sigma_n(f) = mean of s_0..s_n: Fejer weights (n+1-j)/(n+1)."""
+    if n < 0:
+        raise ValueError(f"Cesaro order must be >= 0, got {n}")
     if n > f.truncation_degree:
         raise ValueError("Cesaro order exceeds truncation degree")
     out = []

@@ -9,7 +9,6 @@ with canonical phase 0.  Phases live in (-pi, pi].
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -64,12 +63,6 @@ class LogScalar:
         return LogScalar(math.log(-x), math.pi)
 
     @staticmethod
-    def from_complex(z: complex) -> "LogScalar":
-        if z == 0:
-            return LogScalar.zero()
-        return LogScalar(math.log(abs(z)), cmath.phase(z))
-
-    @staticmethod
     def exp_of(x: float) -> "LogScalar":
         """The positive number e**x, for x of any magnitude."""
         return LogScalar(x)
@@ -109,12 +102,6 @@ class LogScalar:
             return s * math.exp(self.log_mag)
         except OverflowError:
             return s * math.inf
-
-    def to_complex(self) -> complex:
-        if self.is_zero:
-            return 0j
-        mag = math.exp(min(self.log_mag, 709.0))
-        return mag * cmath.exp(1j * self.phase)
 
     def to_mpf(self, ctx):
         """Convert a real LogScalar to an mpmath number under context *ctx*."""
@@ -215,6 +202,14 @@ def log1p_exp(x: float) -> float:
     return math.log1p(math.exp(x))
 
 
+def log_add_exp(a: float, b: float) -> float:
+    """log(e**a + e**b), stable for any a, b; either may be -inf."""
+    hi, lo = (a, b) if a >= b else (b, a)
+    if lo == NEG_INF:
+        return hi
+    return hi + log1p_exp(lo - hi)
+
+
 def log_diff_exp(a: float, b: float) -> float:
     """log(e**a - e**b) for a > b; -inf when equal."""
     if b > a:
@@ -223,3 +218,13 @@ def log_diff_exp(a: float, b: float) -> float:
         return NEG_INF
     d = b - a
     return a + math.log(-math.expm1(d))
+
+
+def clog1p(w: complex) -> complex:
+    """log(1 + w) for complex w off the ray (-inf, -1], without
+    cancellation near w = 0."""
+    re, im = w.real, w.imag
+    return complex(
+        0.5 * math.log1p(2.0 * re + re * re + im * im),
+        math.atan2(im, 1.0 + re),
+    )

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .logscalar import (
-    NEG_INF,
     LogScalar,
+    clog1p,
     log1p_exp,
+    log_add_exp,
     log_diff_exp,
     log_sum_exp,
     log_sum_signed,
@@ -36,7 +37,7 @@ _LNPI = math.log(math.pi)
 
 
 class ParameterError(ValueError):
-    """Invalid construction parameters."""
+    """Invalid construction or experiment parameters."""
 
 
 class GrowthBoundError(RuntimeError):
@@ -217,7 +218,7 @@ def cayley(z):
     return 1j * (1 - z) / (1 + z)
 
 
-def log_Phi_halfplane(z, seq: Sequences, *, use_mp: bool = False):
+def log_Phi_halfplane(z, seq: Sequences):
     """log Phi(z) for Im z > 0, summing the per-interval closed forms.
 
     Each interval [2t, 3t] of height eps/t contributes
@@ -229,69 +230,32 @@ def log_Phi_halfplane(z, seq: Sequences, *, use_mp: bool = False):
     Intervals that are vanishingly small against |z| switch to the first
     order expansion -eps/(pi*i) * (1/z + 5t/(2z^2) + 5t/2) to avoid 0*inf.
     """
-    params = seq.params
-    if use_mp:
-        from mpmath import mp
-
-        z = mp.mpc(z)
-        pi = mp.pi
-        one = mp.mpf(1)
-
-        def lg1p(w):
-            return mp.log(1 + w)
-
-        def t_of(k):
-            d = mp.exp(-mp.mpf(k) ** params.beta)
-            return d * (2 - d) / (1 + (1 - d) ** 2)
-
-        def eps_of(k):
-            kk = mp.mpf(k)
-            return mp.exp((kk + 1) ** params.beta - kk ** params.beta - kk ** params.alpha)
-
-    else:
-        z = complex(z)
-        pi = math.pi
-        one = 1.0
-
-        def lg1p(w):
-            # complex log(1 + w) without cancellation near w = 0
-            re, im = w.real, w.imag
-            return complex(
-                0.5 * math.log1p(2.0 * re + re * re + im * im),
-                math.atan2(im, 1.0 + re),
-            )
-
-        def t_of(k):
-            return seq.t[k]
-
-        def eps_of(k):
-            return math.exp(seq.eps[k].log_mag)
-
-    if not float(z.imag) > 0.0:
+    z = complex(z)
+    if not z.imag > 0.0:
         raise ValueError("log_Phi_halfplane requires Im z > 0")
 
     total = 0
     az = abs(z)
-    for k in range(1, params.n_terms + 1):
-        t = t_of(k)
-        eps = eps_of(k)
+    for k in range(1, seq.params.n_terms + 1):
+        t = seq.t[k]
+        eps = math.exp(seq.eps[k].log_mag)
         if t < 1e-12 * az:
-            term = eps / (pi * 1j) * (-one / z - 2.5 * t / (z * z) - 2.5 * t)
+            term = eps / (math.pi * 1j) * (-1.0 / z - 2.5 * t / (z * z) - 2.5 * t)
         else:
             term = (
                 eps
-                / (pi * 1j * t)
+                / (math.pi * 1j * t)
                 * (
                     # log((3t-z)/(2t-z)) = log1p(t/(2t-z)), stable as t -> 0
-                    lg1p(t / (2 * t - z))
-                    - 0.5 * lg1p(5 * t * t / (4 * t * t + one))
+                    clog1p(t / (2 * t - z))
+                    - 0.5 * clog1p(5 * t * t / (4 * t * t + 1.0))
                 )
             )
         total = total + term
     return total
 
 
-def log_phi_disk(z, params: ConstructionParams, seq: Sequences, *, use_mp: bool = False):
+def log_phi_disk(z, params: ConstructionParams, seq: Sequences):
     """log of the symmetrized disk function raised to the power m.
 
     phi(z) = [Phi(cayley(z)) * conj(Phi(cayley(conj z)))]**m; the result is
@@ -301,8 +265,8 @@ def log_phi_disk(z, params: ConstructionParams, seq: Sequences, *, use_mp: bool 
     m = params.resolved_power()
     if abs(z) >= 1:
         raise ValueError("log_phi_disk requires |z| < 1")
-    a = log_Phi_halfplane(cayley(z), seq, use_mp=use_mp)
-    b = log_Phi_halfplane(cayley(z.conjugate() if hasattr(z, "conjugate") else z), seq, use_mp=use_mp)
+    a = log_Phi_halfplane(cayley(z), seq)
+    b = log_Phi_halfplane(cayley(z.conjugate()), seq)
     return m * (a + b.conjugate())
 
 
@@ -398,9 +362,7 @@ def growth_log_ratio(
     # u = (1 - r w_n)/(1 + r w_n) with 1 - r w_n = (1-r) + r d_n
     log_w_n = math.log(w_n) if w_n > 0.0 else -d_n  # log(1-d) ~ -d
     log_r = math.log(r) if r > 0.0 else -omr
-    a, b = lomr, log_r + ld_n
-    hi, lo = (a, b) if a >= b else (b, a)
-    log_u = hi + log1p_exp(lo - hi) - math.log(denom_u)
+    log_u = log_add_exp(lomr, log_r + ld_n) - math.log(denom_u)
     log_v = ld_n - math.log(denom_v)
     # u - v = 2 (1-r) w_n / ((1 + r w_n)(1 + w_n)); exact, no cancellation
     log_umv = _LN2 + lomr + log_w_n - math.log(denom_u) - math.log(2.0 - d_n)

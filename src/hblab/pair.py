@@ -17,9 +17,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
-from .logscalar import log1p_exp
+from .logscalar import clog1p, log1p_exp
 from .outer import (
     ConstructionParams,
     ParameterError,
@@ -99,16 +99,7 @@ class StepModulus:
         )
 
 
-def _clog1p(w):
-    """log(1 + w) for complex w, |w| < 1, without cancellation near 0."""
-    re, im = w.real, w.imag
-    return complex(
-        0.5 * math.log1p(2.0 * re + re * re + im * im),
-        math.atan2(im, 1.0 + re),
-    )
-
-
-def _cell_schwarz_integral(theta1: float, theta2: float, z, *, use_mp: bool = False):
+def _cell_schwarz_integral(theta1: float, theta2: float, z):
     """integral over [theta1, theta2] of (e^{it}+z)/(e^{it}-z) dt.
 
     The antiderivative is F(t) = -t - 2i log(e^{it} - z); the log increment
@@ -118,24 +109,7 @@ def _cell_schwarz_integral(theta1: float, theta2: float, z, *, use_mp: bool = Fa
     chord e^{i t_b} - e^{i t_a}, so widths down to e^{-k**beta} lose no
     relative precision.
     """
-    if use_mp:
-        from mpmath import mp
-
-        z = mp.mpc(z)
-        sin, cos = mp.sin, mp.cos
-
-        def clog1p(w):
-            return mp.log(1 + w)
-
-        def mkc(a, b):
-            return mp.mpc(a, b)
-
-    else:
-        z = complex(z)
-        sin, cos = math.sin, math.cos
-        clog1p = _clog1p
-        mkc = complex
-
+    z = complex(z)
     az = abs(z)
     if az >= 1:
         raise ValueError("Schwarz integral requires |z| < 1")
@@ -146,35 +120,32 @@ def _cell_schwarz_integral(theta1: float, theta2: float, z, *, use_mp: bool = Fa
     for i in range(n_sub):
         ta = theta1 + i * step
         d = step
-        eia = mkc(cos(ta), sin(ta))
+        eia = complex(math.cos(ta), math.sin(ta))
         # e^{i t_b} - e^{i t_a} = e^{i t_a} (-2 sin^2(d/2) + i sin d)
-        chord = eia * mkc(-2.0 * sin(d / 2.0) ** 2, sin(d))
+        chord = eia * complex(-2.0 * math.sin(d / 2.0) ** 2, math.sin(d))
         w = chord / (eia - z)
         total = total + (-d - 2j * clog1p(w))
     return total
 
 
-def outer_eval(mod: StepModulus, z, *, use_mp: bool = False):
+def outer_eval(mod: StepModulus, z) -> complex:
     """log of the outer function with boundary log-modulus ``mod`` at z.
 
     Schwarz integral (1/2pi) int (e^{it}+z)/(e^{it}-z) log-modulus(t) dt,
-    cell by cell in closed form; the value at 0 is the cell mean, which is
-    real, so the normalization "positive at 0" holds by construction.
+    cell by cell in closed form, in complex floats; the value at 0 is the
+    cell mean, which is real, so the normalization "positive at 0" holds by
+    construction.  The tests keep a 200-bit mpmath evaluation of the same
+    formula as its oracle.
     """
     if abs(z) >= 1:
         raise ValueError("outer_eval requires |z| < 1")
     d = mod.default_log_modulus
-    if use_mp:
-        from mpmath import mp
-
-        total = mp.mpc(d)
-    else:
-        total = complex(d)
+    total = complex(d)
     for c in mod.cells:
         h = c.log_modulus - d
         if h == 0.0:
             continue
-        seg = _cell_schwarz_integral(c.theta_start, c.theta_end, z, use_mp=use_mp)
+        seg = _cell_schwarz_integral(c.theta_start, c.theta_end, z)
         total = total + h * seg / _TWO_PI
     return total
 
@@ -200,6 +171,32 @@ def log_outer_series(mod: StepModulus, degree: int) -> TaylorSeries:
             acc += h * (e1 - e2)
         coeffs.append(acc / (1j * j * math.pi))
     return TaylorSeries(tuple(coeffs))
+
+
+def outer_series(mod: StepModulus, degree: int, precision_bits: int = 53) -> TaylorSeries:
+    """Taylor coefficients 0..degree of the outer function with modulus ``mod``.
+
+    The one route for every step-modulus outer function (a, b and phi):
+    exp of the exact Fourier log series, by the exp_series recurrence.  At
+    53 bits the recurrence runs in complex floats.  Above 53 bits it runs
+    in real mpmath numbers at ``precision_bits``; that needs real log
+    coefficients, so the modulus must be theta-symmetric, and a modulus
+    that is not raises ValueError.  The log series itself is a float
+    closed form at every precision.
+    """
+    g = log_outer_series(mod, degree)
+    if precision_bits <= 53:
+        return exp_series(g)
+    cells = {(c.theta_start, c.theta_end, c.log_modulus) for c in mod.cells}
+    if any((-b, -a, h) not in cells for a, b, h in cells):
+        raise ValueError("extended-precision outer_series needs a theta-symmetric modulus")
+    from mpmath import mp
+
+    with mp.workprec(precision_bits):
+        gm = TaylorSeries(
+            tuple(mp.mpf(c.real) for c in g.coeffs), precision_bits=precision_bits
+        )
+        return exp_series(gm)
 
 
 # -- the constructed pair --------------------------------------------------
@@ -272,9 +269,11 @@ class Pair:
             a = TaylorSeries((0.5, -0.5) + (0.0,) * max(0, degree - 1))
             b = TaylorSeries((0.5, 0.5) + (0.0,) * max(0, degree - 1))
             return replace(self, a_series=a.truncate(degree), b_series=b.truncate(degree))
-        a = exp_series(log_outer_series(self.a_modulus, degree))
-        b = exp_series(log_outer_series(self.b_modulus, degree))
-        return replace(self, a_series=a, b_series=b)
+        return replace(
+            self,
+            a_series=outer_series(self.a_modulus, degree),
+            b_series=outer_series(self.b_modulus, degree),
+        )
 
 
 def tame_pair(degree: int = 64) -> Pair:
@@ -333,50 +332,6 @@ def l1_log_check(pair: Pair) -> float:
     if pair.tag == "tame":
         return 2.0 * math.log(2.0)
     return 2.0 * pair.a_modulus.l1_mean()
-
-
-def taylor_from_eval(
-    evaluator: Callable,
-    degree: int,
-    sample_radius: float,
-    *,
-    use_mp: bool = False,
-) -> TaylorSeries:
-    """Taylor coefficients 0..degree by sampling at scaled roots of unity.
-
-    Samples the evaluator at the 2*degree-th roots of unity scaled by
-    ``sample_radius``, applies discrete Fourier inversion and unscales
-    coefficient j by sample_radius**-j.  Aliasing error is bounded by the
-    series tail at the sample radius.
-    """
-    if not (0.0 < sample_radius < 1.0):
-        raise ValueError("sample_radius must lie in (0, 1)")
-    n_s = max(2, 2 * degree)
-    if degree >= n_s:
-        raise ValueError("requested degree must be below the sample count")
-    if use_mp:
-        from mpmath import mp
-
-        rho = mp.mpf(sample_radius)
-        samples = [
-            evaluator(rho * mp.expjpi(mp.mpf(2 * s) / n_s)) for s in range(n_s)
-        ]
-        coeffs = []
-        for j in range(degree + 1):
-            acc = mp.mpc(0)
-            for s in range(n_s):
-                acc += samples[s] * mp.expjpi(mp.mpf(-2 * j * s) / n_s)
-            coeffs.append(acc / (n_s * rho**j))
-        return TaylorSeries(tuple(coeffs), precision_bits=mp.prec)
-
-    import numpy as np
-
-    rho = sample_radius
-    zs = rho * np.exp(2j * np.pi * np.arange(n_s) / n_s)
-    samples = np.array([evaluator(complex(z)) for z in zs], dtype=complex)
-    hat = np.fft.fft(samples) / n_s
-    coeffs = tuple(complex(hat[j]) / rho**j for j in range(degree + 1))
-    return TaylorSeries(coeffs)
 
 
 # -- serialization ---------------------------------------------------------

@@ -9,9 +9,8 @@ the low thousands, so plain quadratic Cauchy products are used throughout.
 from __future__ import annotations
 
 import cmath
-import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 
 def _is_mp(x) -> bool:
@@ -111,21 +110,6 @@ def exp_series(g: TaylorSeries) -> TaylorSeries:
             acc += k * gc[k] * e[m - k]
         e.append(acc / m)
     return TaylorSeries(tuple(e), g.precision_bits)
-
-
-def divide_series(b: TaylorSeries, a: TaylorSeries, min_leading: float = 0.0) -> TaylorSeries:
-    """Power-series quotient b/a by forward substitution; a_0 must dominate."""
-    n = min(len(b.coeffs), len(a.coeffs))
-    a0 = a.coeffs[0]
-    if abs(a0) <= min_leading:
-        raise ZeroDivisionError("leading coefficient of the divisor is too small")
-    q = []
-    for k in range(n):
-        acc = b.coeffs[k]
-        for j in range(1, k + 1):
-            acc = acc - a.coeffs[j] * q[k - j]
-        q.append(acc / a0)
-    return TaylorSeries(tuple(q), min(a.precision_bits, b.precision_bits))
 
 
 def triangular_solve_upper_toeplitz(

@@ -152,6 +152,26 @@ def test_sarason_and_summability(workdir, runner, tmp_path):
     assert doc["columns"] == ["n", "log10_sn_norm", "log10_sigman_norm"]
 
 
+@pytest.mark.parametrize(
+    "verb,overrides",
+    [
+        ("sarason", {"j_max": 1}),
+        ("sarason", {"j_max": 0}),
+        ("summability", {"summability_n_list": []}),
+        ("summability", {"summability_n_list": [2, 4]}),
+        ("summability", {"summability_n_list": [-1, 8, 16]}),
+    ],
+)
+def test_out_of_range_sizes_exit_config(workdir, runner, verb, overrides):
+    """Sizes the experiments cannot run are config errors, not crashes and
+    not reports with -inf rows."""
+    cfg = write_config(workdir, **overrides)
+    res = runner.invoke(main, [verb, "--config", cfg, "--out", str(workdir)])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert "config error:" in res.output
+    assert not (workdir / f"{verb}.json").exists()
+
+
 def test_norm_crosscheck(tmp_path, runner):
     res = runner.invoke(
         main, ["norm-crosscheck", "--out", str(tmp_path), "--seed", "42"]

@@ -133,18 +133,33 @@ def test_log_Phi_at_i(seq):
     assert val.real == pytest.approx(RE_LOG_PHI_I, rel=1e-13)
 
 
-def test_log_Phi_mp_agreement(seq):
+def log_Phi_mp(z, params):
+    """200-bit reference for log_Phi_halfplane: t_k and eps_k recomputed
+    from alpha and beta, and the per-interval closed form taken exactly,
+    with no small-interval expansion."""
     from mpmath import mp
 
-    old = mp.prec
-    try:
-        mp.prec = 200
-        for z in (0.3 + 0.7j, -1.1 + 0.05j, 2.0 + 1e-6j):
-            a = log_Phi_halfplane(z, seq)
-            b = log_Phi_halfplane(z, seq, use_mp=True)
-            assert abs(a - complex(b)) <= 1e-12 * max(abs(a), 1.0)
-    finally:
-        mp.prec = old
+    with mp.workprec(200):
+        z = mp.mpc(z)
+        total = mp.mpc(0)
+        for k in range(1, params.n_terms + 1):
+            kk = mp.mpf(k)
+            d = mp.exp(-(kk**params.beta))
+            t = d * (2 - d) / (1 + (1 - d) ** 2)
+            eps = mp.exp((kk + 1) ** params.beta - kk**params.beta - kk**params.alpha)
+            bracket = (
+                mp.log((3 * t - z) / (2 * t - z))
+                - mp.log((9 * t * t + 1) / (4 * t * t + 1)) / 2
+            )
+            total += eps / (mp.pi * 1j * t) * bracket
+        return complex(total)
+
+
+def test_log_Phi_mp_agreement(seq):
+    for z in (0.3 + 0.7j, -1.1 + 0.05j, 2.0 + 1e-6j):
+        a = log_Phi_halfplane(z, seq)
+        b = log_Phi_mp(z, seq.params)
+        assert abs(a - b) <= 1e-12 * max(abs(a), 1.0)
 
 
 def test_log_Phi_requires_upper_half(seq):

@@ -1,6 +1,7 @@
 """Tests for step moduli, Schwarz-integral outer evaluation, the pair
-(b, a), Taylor extraction, and serialization."""
+(b, a), the Taylor route outer_series, and serialization."""
 
+import cmath
 import json
 import math
 
@@ -16,12 +17,12 @@ from hblab.pair import (
     l1_log_check,
     log_outer_series,
     outer_eval,
+    outer_series,
     pair_from_json,
     pair_to_json,
     phi_step_modulus,
     step_modulus_from_phi,
     tame_pair,
-    taylor_from_eval,
 )
 from hblab.series import exp_series
 
@@ -74,19 +75,36 @@ def test_outer_eval_at_zero_is_mean():
     )
 
 
-def test_outer_eval_mp_matches_float():
+def outer_eval_mp(mod, z):
+    """200-bit reference for outer_eval: the same sub-arc Schwarz sums,
+    with every trigonometric value and logarithm taken in mpmath."""
     from mpmath import mp
 
+    with mp.workprec(200):
+        z = mp.mpc(z)
+        d = mod.default_log_modulus
+        total = mp.mpc(d)
+        for c in mod.cells:
+            h = c.log_modulus - d
+            width = c.theta_end - c.theta_start
+            n_sub = int(width / (0.5 * (1.0 - abs(complex(z))))) + 1
+            step = mp.mpf(width) / n_sub
+            seg = mp.mpc(0)
+            for i in range(n_sub):
+                ta = c.theta_start + i * step
+                eia = mp.expj(ta)
+                chord = eia * mp.mpc(-2 * mp.sin(step / 2) ** 2, mp.sin(step))
+                seg += -step - 2j * mp.log(1 + chord / (eia - z))
+            total += h * seg / (2 * mp.pi)
+        return complex(total)
+
+
+def test_outer_eval_mp_matches_float():
     m = StepModulus((Cell(0.1, 0.1 + 1e-9, 5.0), Cell(-2.0, -1.0, 1.0)))
-    old = mp.prec
-    try:
-        mp.prec = 200
-        for z in (0.3 + 0.2j, -0.8j, 0.95):
-            a = complex(outer_eval(m, z))
-            b = complex(outer_eval(m, z, use_mp=True))
-            assert abs(a - b) <= 1e-13 * max(abs(b), 1.0)
-    finally:
-        mp.prec = old
+    for z in (0.3 + 0.2j, -0.8j, 0.95):
+        a = outer_eval(m, z)
+        b = outer_eval_mp(m, z)
+        assert abs(a - b) <= 1e-13 * max(abs(b), 1.0)
 
 
 def test_outer_eval_poisson_oracle():
@@ -138,8 +156,6 @@ def test_log_outer_series_fourier_oracle():
 
 def test_log_outer_series_matches_eval():
     """exp of the coefficient series reproduces the Schwarz evaluation."""
-    import cmath
-
     m = StepModulus((Cell(0.5, 1.5, 1.0), Cell(-1.5, -0.5, 1.0)), -0.2)
     f = exp_series(log_outer_series(m, 96))
     for z in (0.3, 0.2 + 0.1j, -0.4j):
@@ -221,8 +237,6 @@ def test_tame_pair_series():
 def test_constructed_series_match_eval(pair):
     """a and b Taylor series from exact Fourier data agree with the Schwarz
     evaluator pointwise."""
-    import cmath
-
     p = pair.with_series(128)
     for z in (0.2, 0.5j, -0.3 + 0.3j):
         ea = cmath.exp(complex(outer_eval(pair.a_modulus, z)))
@@ -231,27 +245,41 @@ def test_constructed_series_match_eval(pair):
         assert complex(p.b_series(z)) == pytest.approx(eb, rel=1e-10)
 
 
-def test_taylor_from_eval_polynomial():
-    coeffs = taylor_from_eval(lambda z: 1.0 + 2.0 * z + 3.0 * z * z, 4, 0.5)
-    assert coeffs.coeffs[:3] == pytest.approx((1.0, 2.0, 3.0), abs=1e-12)
-    assert coeffs.coeffs[3:] == pytest.approx((0.0, 0.0), abs=1e-10)
-    with pytest.raises(ValueError):
-        taylor_from_eval(lambda z: z, 4, 1.5)
-
-
-def test_taylor_from_eval_mp():
+def test_outer_series_b_is_a_times_phi(pair):
+    """The one Taylor route ties the three series together: b = a * phi
+    coefficientwise at 256 bits.  The log moduli are float data (log b and
+    log a + log phi agree only to rounding) and the log series is a float
+    closed form, so each coefficient is held to 1e-13 of the Cauchy-product
+    condition sum, as in test_exp_series_multiplicative."""
     from mpmath import mp
 
-    old = mp.prec
-    try:
-        mp.prec = 150
-        got = taylor_from_eval(lambda z: 1 / (1 - z / 2), 6, 0.5, use_mp=True)
-        # aliasing tail at sample radius 1/2 against the pole at 2 is
-        # (rho * 1/2)**(2*degree) relative, about 6e-8 here
-        for j, c in enumerate(got.coeffs):
-            assert abs(complex(c) - 0.5**j) < 1e-7 * 0.5**j
-    finally:
-        mp.prec = old
+    deg = 64
+    a = outer_series(pair.a_modulus, deg, 256)
+    b = outer_series(pair.b_modulus, deg, 256)
+    phi = outer_series(pair.phi_modulus, deg, 256)
+    assert a.precision_bits == b.precision_bits == phi.precision_bits == 256
+    with mp.workprec(256):
+        ab = a * phi
+        for k in range(deg + 1):
+            cond = sum(abs(a.coeffs[j]) * abs(phi.coeffs[k - j]) for j in range(k + 1))
+            assert abs(b.coeffs[k] - ab.coeffs[k]) <= 1e-13 * (cond + abs(b.coeffs[k]))
+
+
+def test_outer_series_mp_needs_symmetric_modulus():
+    """Off theta-symmetry the log series has imaginary parts, which the
+    real mpmath branch would drop; it refuses instead, while the float
+    branch keeps them.  On symmetric data the two branches agree."""
+    lopsided = StepModulus((Cell(0.2, 0.9, 1.3),))
+    with pytest.raises(ValueError):
+        outer_series(lopsided, 8, 128)
+    z = 0.2 + 0.1j
+    f = outer_series(lopsided, 48)
+    assert complex(f(z)) == pytest.approx(cmath.exp(outer_eval(lopsided, z)), rel=1e-10)
+    symmetric = StepModulus((Cell(0.2, 0.9, 1.3), Cell(-0.9, -0.2, 1.3)), -0.1)
+    lo, hi = outer_series(symmetric, 48), outer_series(symmetric, 48, 128)
+    assert hi.precision_bits == 128
+    for x, y in zip(lo.coeffs, hi.coeffs):
+        assert abs(x - complex(y)) <= 1e-13 * max(abs(x), 1.0)
 
 
 # -- serialization ----------------------------------------------------------

@@ -3,13 +3,13 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hblab.series import (
     TaylorSeries,
-    divide_series,
     exp_series,
     triangular_solve_upper_toeplitz,
 )
@@ -93,25 +93,39 @@ def test_exp_series_mp():
         mp.prec = old
 
 
-def test_divide_series_inverse():
-    a = TaylorSeries((1.0, 0.5, 0.25, 0.125))
-    one = TaylorSeries.constant(1.0, 3)
-    q = divide_series(one, a)
-    assert (a * q).coeffs == pytest.approx((1.0, 0.0, 0.0, 0.0), abs=1e-14)
-
-
-def test_divide_series_small_leading():
-    with pytest.raises(ZeroDivisionError):
-        divide_series(TaylorSeries((1.0,)), TaylorSeries((0.0,)))
+# Constant of the back-substitution bound (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2nd ed., Thm 8.5, with the complex-arithmetic bounds
+# of Lemma 3.5).  Row k of the solve rounds at most n - 1 subtractions (u
+# each), one complex product (sqrt(2) gamma_2, about 2.83 u) and one complex
+# quotient (sqrt(2) gamma_4, about 5.66 u), so |Delta T| <= (n + 7.5) u |T|
+# <= 8.5 n u |T| to first order.  C = 16 leaves room for the second-order
+# terms and for CPython's scaled complex division.
+SOLVE_C = 16.0
+UNIT_ROUNDOFF = 2.0**-53
+# Under gradual underflow each real product or quotient may also commit an
+# absolute error of up to half the smallest subnormal.
+SUBNORMAL_MIN = 2.0**-1074
 
 
 @given(
     st.lists(coeff, min_size=1, max_size=24),
     st.lists(coeff, min_size=1, max_size=24),
 )
+@example(hc=[-2, 1] + [0] * 14, xc=[0] * 15 + [1.5])
 @settings(max_examples=60)
 def test_triangular_solve_roundtrip(hc, xc):
-    """Applying the operator to the solve of its own image is the identity."""
+    """The guarantee of back-substitution, and nothing more.
+
+    The computed x^ solves (T + Delta T) x^ = b with |Delta T| <= g |T|,
+    g = C n u, so the residual obeys |b - T x^| <= g |T| |x^|.  Here b is
+    T x rounded, with an error of the same kind, so the forward error obeys
+    |x^ - x| <= g |T^-1| |T| (|x| + |x^|): Skeel's condition number, formed
+    from the explicit inverse since n <= 24.  The @example is an
+    ill-conditioned T (cond ~ 5e7) whose forward error, 2e-10, is far above
+    u while its residual is at rounding level.
+    """
+    from mpmath import mp
+
     n = min(len(hc), len(xc))
     h = [1.0 + 0.3 * c for c in hc[:n]]  # keep the diagonal away from 0
     x = list(xc[:n])
@@ -119,9 +133,24 @@ def test_triangular_solve_roundtrip(hc, xc):
     for k in range(n):
         rhs.append(sum(h[j].conjugate() * x[k + j] for j in range(n - k)))
     sol = triangular_solve_upper_toeplitz(h, rhs)
-    scale = max(max(abs(v) for v in x), 1.0)
-    for a, b in zip(sol, x):
-        assert abs(a - b) <= 1e-10 * scale
+
+    t = np.zeros((n, n), dtype=complex)
+    for k in range(n):
+        for j in range(n - k):
+            t[k, k + j] = complex(h[j]).conjugate()
+    abs_t, abs_tinv = np.abs(t), np.abs(np.linalg.inv(t))
+    x_arr, sol_arr = np.array(x, dtype=complex), np.array(sol, dtype=complex)
+    g = SOLVE_C * n * UNIT_ROUNDOFF
+    underflow = SOLVE_C * n * SUBNORMAL_MIN * (1.0 + np.abs(t[0]).sum())
+
+    with mp.workprec(200):  # the residual, exact far below u
+        tx = [mp.fsum(mp.mpc(t[k, i]) * sol[i] for i in range(n)) for k in range(n)]
+        res = np.array([abs(complex(mp.mpc(b) - v)) for b, v in zip(rhs, tx)])
+    assert np.all(res <= g * (abs_t @ np.abs(sol_arr)) + underflow)
+
+    skeel = abs_tinv @ (abs_t @ (np.abs(x_arr) + np.abs(sol_arr)))
+    fwd_bound = g * skeel + 2.0 * underflow * abs_tinv.sum(axis=1)
+    assert np.all(np.abs(sol_arr - x_arr) <= fwd_bound)
 
 
 def test_triangular_solve_degenerate_diagonal():
