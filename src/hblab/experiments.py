@@ -246,9 +246,10 @@ def required_bits_for_degree(pair: Pair, degree: int) -> int:
 def phi_hat_series(pair: Pair, degree: int, precision_bits: int) -> TaylorSeries:
     """Taylor coefficients 0..degree of phi as real mpmath numbers.
 
-    ``outer_series`` of the phi modulus: exp of the exact Fourier log
-    series (real by theta-symmetry), the exp recurrence carried at
-    ``precision_bits``.  Raises PrecisionExhausted when that is below
+    ``outer_series`` of the phi modulus (real by theta-symmetry): the
+    pole-accumulator recurrence, accurate to ``precision_bits``, with its
+    low coefficients checked against the O(N^2) exp route.  Raises
+    PrecisionExhausted when ``precision_bits`` is below
     ``required_bits_for_degree``, which is never less than 64 bits.
     """
     need = required_bits_for_degree(pair, degree)
@@ -342,6 +343,7 @@ def sarason_series_failure(
         half = sums.get(max(c for c in checkpoints if c <= j_max // 2), None)
         growth = half is not None and sums[j_max] > half
     meta = _base_metadata(pair, precision_bits)
+    meta["bits_required"] = required_bits_for_degree(pair, j_max)
     meta["ratio_full_to_half"] = float(sums[j_max] / half) if half else float("nan")
     return ExperimentReport(
         name="sarason",
@@ -415,6 +417,7 @@ def summability_divergence(
         and rows[-1][2] > next(lg for n, _, lg in rows if n >= 8)
     )
     meta = _base_metadata(pair, precision_bits)
+    meta["bits_required"] = need
     meta["convexity_ok"] = convex_ok
     return ExperimentReport(
         name="summability",

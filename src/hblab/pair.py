@@ -156,7 +156,9 @@ def log_outer_series(mod: StepModulus, degree: int) -> TaylorSeries:
     Expanding the Schwarz kernel, coefficient j >= 1 is
     (1/pi) int log-modulus(t) e^{-ijt} dt, a closed form over the cells;
     coefficient 0 is the cell mean.  For theta-symmetric data every
-    coefficient is real.
+    coefficient is real.  Computed in floats, so on a narrow arc away from
+    theta = 0, where the two endpoint terms cancel, a coefficient keeps
+    fewer bits; ``_log_series_ulps`` bounds the loss.
     """
     d = mod.default_log_modulus
     coeffs = [complex(mod.mean_log_modulus())]
@@ -173,30 +175,158 @@ def log_outer_series(mod: StepModulus, degree: int) -> TaylorSeries:
     return TaylorSeries(tuple(coeffs))
 
 
+_ORACLE_DEGREE = 32
+
+# Rounding allowance of the check against the O(N^2) oracle, in units of
+# 2^-53 * cond_n: in floats each of F_n and E_n (n <= _ORACLE_DEGREE) is
+# a sum of at most n + 1 rounded products, each carrying a few roundings.
+_ORACLE_ULPS = 4 * (_ORACLE_DEGREE + 1)
+
+
 def outer_series(mod: StepModulus, degree: int, precision_bits: int = 53) -> TaylorSeries:
     """Taylor coefficients 0..degree of the outer function with modulus ``mod``.
 
-    The one route for every step-modulus outer function (a, b and phi):
-    exp of the exact Fourier log series, by the exp_series recurrence.  At
-    53 bits the recurrence runs in complex floats.  Above 53 bits it runs
-    in real mpmath numbers at ``precision_bits``; that needs real log
-    coefficients, so the modulus must be theta-symmetric, and a modulus
-    that is not raises ValueError.  The log series itself is a float
-    closed form at every precision.
+    The one route for every step-modulus outer function (a, b and phi).
+    F = exp(g) with g the Schwarz integral of the steps, so F' = g'F, and
+    each cell [theta_s, theta_e] of height h (above the default) adds
+    (h / i pi) (1/(u_s - z) - 1/(u_e - z)) to g', u = e^{i theta}.  That
+    turns F' = g'F into an O(degree * cells) recurrence: with the pole sums
+    S_u(n) = conj(u) (F_n + S_u(n-1)), (n+1) F_{n+1} is the sum over cells
+    of (h / i pi) (S_s(n) - S_e(n)).  On the narrow, tall arcs of the
+    constructed pair the two pole sums cancel, so each cell carries the
+    divided difference T = (S_s - S_e) / (u_e - u_s) instead, with
+    T(n) = conj(u_s) (S_e(n) + T(n-1)), and contributes
+    (h / i pi) (u_e - u_s) T(n) with the chord u_e - u_s formed as in
+    ``_cell_schwarz_integral``.
+
+    At 53 bits the recurrence runs in floats and returns complex
+    coefficients.  Above 53 bits it runs in mpmath numbers at
+    ``precision_bits`` plus guard bits, from the float cell data taken as
+    exact, and returns real coefficients rounded to ``precision_bits``;
+    a modulus that is not theta-symmetric has complex coefficients and
+    raises ValueError there.  On a theta-symmetric modulus each mirror
+    cell is folded into its partner (twice the real part), so F is real.
+
+    Coefficients 0..min(degree, 32) are recomputed by the O(degree^2)
+    route, ``exp_series`` of the float ``log_outer_series``, in the same
+    number type; a disagreement beyond that route's own float error
+    raises ArithmeticError.
     """
-    g = log_outer_series(mod, degree)
-    if precision_bits <= 53:
-        return exp_series(g)
-    cells = {(c.theta_start, c.theta_end, c.log_modulus) for c in mod.cells}
-    if any((-b, -a, h) not in cells for a, b, h in cells):
-        raise ValueError("extended-precision outer_series needs a theta-symmetric modulus")
     from mpmath import mp
 
+    cells = {(c.theta_start, c.theta_end, c.log_modulus) for c in mod.cells}
+    real = all((-b, -a, h) in cells for a, b, h in cells)
+    if precision_bits <= 53:
+        ctx, num, work_bits = math, float, 53
+    elif not real:
+        raise ValueError("extended-precision outer_series needs a theta-symmetric modulus")
+    else:
+        # Each pole sum gathers up to `degree` rounded steps and the cell
+        # loop up to len(cells) terms per step; rounding errors that add
+        # coherently cost log2 of each count in bits, and 4 more bits
+        # cover the constants of the complex products.
+        ctx, num = mp, mp.mpf
+        work_bits = precision_bits + degree.bit_length() + len(cells).bit_length() + 4
+    zero = num(0)
+    with mp.workprec(work_bits):
+        d = num(mod.default_log_modulus)
+        mean = d
+        poles = []
+        for c in mod.cells:
+            ts, te = num(c.theta_start), num(c.theta_end)
+            h = num(c.log_modulus) - d
+            w = te - ts
+            mean += w * h / (2 * ctx.pi)
+            if h == 0 or (real and c.theta_end <= 0.0):
+                continue  # a flat cell, or the mirror of a folded one
+            # a folded cell stands for itself and its mirror; one that
+            # straddles 0 is its own mirror
+            k = (2 if real and c.theta_start >= 0.0 else 1) * h / ctx.pi
+            cs, ss = ctx.cos(ts), ctx.sin(ts)
+            cr, ci = -2 * ctx.sin(w / 2) ** 2, ctx.sin(w)
+            chord_r, chord_i = cs * cr - ss * ci, cs * ci + ss * cr
+            # conj(u_s), conj(u_e), and (h / i pi) * chord
+            poles.append((cs, -ss, ctx.cos(te), -ctx.sin(te), k * chord_i, -k * chord_r))
+        fr, fi = ctx.exp(mean), zero
+        coeffs = [(fr, fi)]
+        state = [(zero, zero, zero, zero)] * len(poles)
+        for n in range(1, degree + 1):
+            accr = acci = zero
+            nxt = []
+            for (esr, esi, eer, eei, ar, ai), (sr, si, tr, ti) in zip(poles, state):
+                qr, qi = fr + sr, fi + si
+                sr, si = qr * eer - qi * eei, qr * eei + qi * eer
+                qr, qi = sr + tr, si + ti
+                tr, ti = qr * esr - qi * esi, qr * esi + qi * esr
+                accr += ar * tr - ai * ti
+                acci += ar * ti + ai * tr
+                nxt.append((sr, si, tr, ti))
+            state = nxt
+            fr, fi = accr / n, (zero if real else acci / n)
+            coeffs.append((fr, fi))
+        _check_against_exp_series(mod, coeffs, num, real)
+    if precision_bits <= 53:
+        return TaylorSeries(tuple(complex(r, i) for r, i in coeffs))
     with mp.workprec(precision_bits):
-        gm = TaylorSeries(
-            tuple(mp.mpf(c.real) for c in g.coeffs), precision_bits=precision_bits
+        return TaylorSeries(tuple(+r for r, _ in coeffs), precision_bits=precision_bits)
+
+
+def _log_series_ulps(mod: StepModulus, degree: int, real: bool) -> list:
+    """Error bounds on coefficients 0..degree of the float
+    ``log_outer_series``, in units of 2^-53.
+
+    Coefficient j >= 1 sums h (e^{-ij theta_s} - e^{-ij theta_e}) / (i pi j)
+    over the cells.  The product j * theta is rounded, which moves each sine
+    and cosine by up to j |theta|; the sine itself rounds to within 2 of its
+    own size, below 2 j |theta|, and the cosine to within 2.  Real
+    coefficients (theta-symmetric data) take only the sines.  The sum of
+    len(cells) terms, each below |h| j width, and the division round within
+    (len(cells) + 4) of their sizes; the mean (coefficient 0) rounds within
+    4 of each width * height and 1 of the default.
+    """
+    d = mod.default_log_modulus
+    hs = [abs(c.log_modulus - d) for c in mod.cells]
+    mass = sum(h * c.width for h, c in zip(hs, mod.cells)) / math.pi
+    trig = (lambda x: 3.0 * x) if real else (lambda x: 4.0 * x + 2.0)
+    out = [abs(d) + 2.0 * mass]
+    for j in range(1, degree + 1):
+        spread = sum(
+            h * (trig(j * abs(c.theta_start)) + trig(j * abs(c.theta_end)))
+            for h, c in zip(hs, mod.cells)
         )
-        return exp_series(gm)
+        out.append(spread / (math.pi * j) + (len(hs) + 4) * mass)
+    return out
+
+
+def _check_against_exp_series(mod: StepModulus, coeffs, num, real: bool) -> None:
+    """Raise ArithmeticError where the low coefficients of ``outer_series``
+    leave the O(N^2) route by more than that route's own error.
+
+    E = exp_series(g) with g the float ``log_outer_series``.  Its rounding
+    error in floats is held to _ORACLE_ULPS * 2^-53 * cond_n with
+    cond_n = |E_n| + (1/n) sum_j j |g_j| |E_{n-j}|; the error eps_j of g_j
+    reaches E_n as sum_j eps_j |E_{n-j}| to first order (E(1 + delta g)),
+    which is allowed twice over.
+    """
+    k = min(len(coeffs) - 1, _ORACLE_DEGREE)
+    g = log_outer_series(mod, k).coeffs
+    if real:
+        g = tuple(num(c.real) for c in g)
+    e = exp_series(TaylorSeries(g)).coeffs
+    eps = _log_series_ulps(mod, k, real)
+    for n in range(k + 1):
+        cond = abs(e[n])
+        if n:
+            cond += sum(j * abs(g[j]) * abs(e[n - j]) for j in range(1, n + 1)) / n
+        carried = sum(eps[j] * abs(e[n - j]) for j in range(n + 1))
+        tol = 2.0**-53 * (_ORACLE_ULPS * cond + 2 * carried)
+        fr, fi = coeffs[n]
+        err = abs(fr - e[n]) if real else abs(complex(fr, fi) - e[n])
+        if err > tol:
+            raise ArithmeticError(
+                f"outer_series coefficient {n} leaves the exp_series oracle: "
+                f"|difference| = {float(err):.3e} > {float(tol):.3e}"
+            )
 
 
 # -- the constructed pair --------------------------------------------------

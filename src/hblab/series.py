@@ -2,8 +2,10 @@
 
 Coefficients may be ordinary Python complex/float numbers or mpmath numbers;
 all operations are written generically so the same code path serves the
-double-precision and extended-precision experiments.  Truncations stay in
-the low thousands, so plain quadratic Cauchy products are used throughout.
+double-precision and extended-precision experiments.  Products and
+``exp_series`` are plain O(N^2) recurrences; the long outer-function series
+come from the O(N * cells) recurrence of ``hblab.pair.outer_series``, which
+uses ``exp_series`` only as its low-degree oracle.
 """
 
 from __future__ import annotations
@@ -100,7 +102,11 @@ class TaylorSeries:
 
 
 def exp_series(g: TaylorSeries) -> TaylorSeries:
-    """Truncation of exp(g) via the recurrence n*e_n = sum k*g_k*e_{n-k}."""
+    """Truncation of exp(g) via the recurrence n*e_n = sum k*g_k*e_{n-k}.
+
+    O(N^2) multiply-adds (Brent-Kung 1978); ``outer_series`` runs it to
+    degree 32 as the independent check of its pole recurrence.
+    """
     gc = g.coeffs
     n = len(gc)
     e = [_exp(gc[0])]

@@ -169,11 +169,14 @@ def test_phi_hat_series_precision_guard(pair):
 
 
 def test_phi_hat_series_two_precisions_agree(pair):
-    """Results at 150 and 300 bits agree far beyond the guard estimate."""
+    """Results at 150 and 300 bits agree to 140 bits, relative."""
+    from mpmath import mp
+
     a = phi_hat_series(pair, 24, precision_bits=150)
     b = phi_hat_series(pair, 24, precision_bits=300)
-    for x, y in zip(a.coeffs, b.coeffs):
-        assert abs(float(x) - float(y)) <= 1e-14 * max(abs(float(y)), 1.0)
+    with mp.workprec(300):
+        for x, y in zip(a.coeffs, b.coeffs):
+            assert abs(x - y) <= mp.mpf(2) ** -140 * abs(y)
 
 
 def test_phi_hat_matches_phi_value(pair, params):

@@ -24,7 +24,7 @@ from hblab.pair import (
     step_modulus_from_phi,
     tame_pair,
 )
-from hblab.series import exp_series
+from hblab.series import TaylorSeries, exp_series
 
 HALF_LN2 = 0.5 * math.log(2.0)
 
@@ -247,10 +247,11 @@ def test_constructed_series_match_eval(pair):
 
 def test_outer_series_b_is_a_times_phi(pair):
     """The one Taylor route ties the three series together: b = a * phi
-    coefficientwise at 256 bits.  The log moduli are float data (log b and
-    log a + log phi agree only to rounding) and the log series is a float
-    closed form, so each coefficient is held to 1e-13 of the Cauchy-product
-    condition sum, as in test_exp_series_multiplicative."""
+    coefficientwise at 256 bits.  The three log moduli are separately
+    rounded float data (log b and log a + log phi agree only to rounding),
+    so b and a * phi are exact for slightly different data, and each
+    coefficient is held to 1e-13 of the Cauchy-product condition sum, as in
+    test_exp_series_multiplicative."""
     from mpmath import mp
 
     deg = 64
@@ -263,6 +264,82 @@ def test_outer_series_b_is_a_times_phi(pair):
         for k in range(deg + 1):
             cond = sum(abs(a.coeffs[j]) * abs(phi.coeffs[k - j]) for j in range(k + 1))
             assert abs(b.coeffs[k] - ab.coeffs[k]) <= 1e-13 * (cond + abs(b.coeffs[k]))
+
+
+def outer_series_mp(mod, degree, bits):
+    """All-mpmath O(N^2) reference for outer_series on theta-symmetric data:
+    the log series d + mean, sum h (sin j theta_e - sin j theta_s) / (pi j)
+    from the float cell data, then exp_series, both at ``bits``."""
+    from mpmath import mp
+
+    with mp.workprec(bits):
+        d = mp.mpf(mod.default_log_modulus)
+        cells = [
+            (mp.mpf(c.theta_start), mp.mpf(c.theta_end), mp.mpf(c.log_modulus) - d)
+            for c in mod.cells
+        ]
+        g = [d + sum((te - ts) * h for ts, te, h in cells) / (2 * mp.pi)]
+        for j in range(1, degree + 1):
+            g.append(
+                sum(h * (mp.sin(j * te) - mp.sin(j * ts)) for ts, te, h in cells)
+                / (mp.pi * j)
+            )
+        return exp_series(TaylorSeries(tuple(g), bits)).coeffs
+
+
+@pytest.mark.parametrize("name", ["phi_modulus", "a_modulus", "b_modulus"])
+def test_outer_series_matches_all_mp_oracle(pair, name):
+    """At 256 bits every coefficient carries 248 correct bits, relative;
+    in floats a and b carry 1e-14 of the largest coefficient."""
+    from mpmath import mp
+
+    mod = getattr(pair, name)
+    ref = outer_series_mp(mod, 256, 276)
+    got = outer_series(mod, 256, 256).coeffs
+    with mp.workprec(276):
+        for x, y in zip(got, ref):
+            assert abs(x - y) <= mp.mpf(2) ** -248 * abs(y)
+    if name != "phi_modulus":
+        scale = float(max(abs(y) for y in ref))
+        flt = outer_series(mod, 256).coeffs
+        assert max(abs(x - complex(y)) for x, y in zip(flt, ref)) <= 1e-14 * scale
+
+
+def test_outer_series_narrow_arc_off_zero():
+    """A tall arc of width 1e-8 at theta = 2: there sin(j theta_e) and
+    sin(j theta_s) cancel, and the float log series, hence the oracle, keeps
+    only about 26 bits.  The check allows for that error, and the
+    recurrence, built on the chord, stays accurate at both precisions."""
+    from mpmath import mp
+
+    m = StepModulus((Cell(2.0, 2.0 + 1e-8, 1e4), Cell(-2.0 - 1e-8, -2.0, 1e4)), 0.25)
+    ref = outer_series_mp(m, 64, 168)  # 40 bits over 128 cover the same cancellation
+    with mp.workprec(168):
+        for bits, rel in ((53, 1e-13), (128, mp.mpf(2) ** -120)):
+            for x, y in zip(outer_series(m, 64, bits).coeffs, ref):
+                assert abs(mp.mpc(x) - y) <= rel * abs(y)
+
+
+def test_outer_series_guard_fails_loudly(pair, monkeypatch):
+    """A log series off by 1e-9 in one coefficient makes the oracle check
+    raise at both precisions; the true one passes on a, b and phi."""
+    import hblab.pair as pairmod
+
+    mods = (pair.a_modulus, pair.b_modulus, pair.phi_modulus)
+    for mod in mods:
+        for bits in (53, 256):
+            outer_series(mod, 48, bits)
+    true_log_series = pairmod.log_outer_series
+
+    def perturbed(mod, degree):
+        g = true_log_series(mod, degree).coeffs
+        return TaylorSeries(g[:5] + (g[5] * (1 + 1e-9),) + g[6:])
+
+    monkeypatch.setattr(pairmod, "log_outer_series", perturbed)
+    for mod in mods:
+        for bits in (53, 256):
+            with pytest.raises(ArithmeticError):
+                outer_series(mod, 48, bits)
 
 
 def test_outer_series_mp_needs_symmetric_modulus():
