@@ -18,13 +18,14 @@ from .hb import (
     KernelCombo,
     KernelNode,
     Radius,
+    _phi_series_and_gap,
     as_radius,
     cesaro_mean,
     dilate,
-    f_plus_solve,
     hb_norm_sq,
     kernel_combo_ccond_check,
     partial_sum,
+    sarason_f_plus,
 )
 from .logscalar import LogScalar, log_add_exp, log_sum_exp
 from .outer import ParameterError, half_plane_log_modulus_radial, log_delta
@@ -362,11 +363,14 @@ def summability_divergence(
     precision_bits: int = 192,
 ) -> ExperimentReport:
     """||s_n(f)||_{H(b)} and ||sigma_n(f)||_{H(b)} for the Taylor partial
-    sums and Cesaro means, via the f+ solve on polynomial truncations.
+    sums and Cesaro means, with f+ = T_phi-bar p exact on each polynomial p
+    (``sarason_f_plus``) and one phi-hat = b-hat / a-hat shared by all rows.
 
     Reports running maxima (the limsup claim is exhibited as monotone
     growth over the computed range, never asserted as a limit) and the
     convexity sanity ||sigma_n|| <= max_{k<=n} ||s_k|| over computed k.
+    The metadata carries ``phi_series_gap``, the worst relative gap between
+    b-hat / a-hat and the series of the phi modulus, checked against 1e-9.
     """
     import dataclasses
 
@@ -378,27 +382,26 @@ def summability_divergence(
             f"summability orders must be >= 0 and include one >= 8, got {n_list}"
         )
     deg_f = n_list[-1]
-    work_degree = 2 * deg_f + 16
-    need = required_bits_for_degree(pair, work_degree)
+    need = required_bits_for_degree(pair, deg_f)
     if precision_bits < need:
         raise PrecisionExhausted(
-            f"degree {work_degree} needs about {need} bits, configured {precision_bits}"
+            f"degree {deg_f} needs about {need} bits, configured {precision_bits}"
         )
     mp_pair = dataclasses.replace(
         pair,
-        a_series=outer_series(pair.a_modulus, work_degree, precision_bits),
-        b_series=outer_series(pair.b_modulus, work_degree, precision_bits),
+        a_series=outer_series(pair.a_modulus, deg_f, precision_bits),
+        b_series=outer_series(pair.b_modulus, deg_f, precision_bits),
     )
     rows = []
     with mp.workprec(precision_bits):
+        phi_hat, phi_gap = _phi_series_and_gap(mp_pair, deg_f)
         f_series = TaylorSeries(
             tuple(mp.exp(mp.mpf(f_hat_log(f, j).log_mag)) for j in range(deg_f + 1)),
             precision_bits=precision_bits,
         )
 
         def log10_norm(poly):
-            fp = f_plus_solve(poly, mp_pair, degree=work_degree)
-            total = poly.l2_norm_sq() + fp.l2_norm_sq()
+            total = poly.l2_norm_sq() + sarason_f_plus(poly, phi_hat).l2_norm_sq()
             return 0.5 * float(mp.log10(total))
 
         s_norms = {}
@@ -418,6 +421,7 @@ def summability_divergence(
     )
     meta = _base_metadata(pair, precision_bits)
     meta["bits_required"] = need
+    meta["phi_series_gap"] = phi_gap
     meta["convexity_ok"] = convex_ok
     return ExperimentReport(
         name="summability",

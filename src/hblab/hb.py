@@ -2,9 +2,12 @@
 
 Functions in H(b) appear in two representations:
 
-* :class:`~hblab.series.TaylorSeries` -- generic; norms go through the
-  triangular-Toeplitz solve of T_b-bar f = T_a-bar f+ and the coefficient
-  l2 sums of the norm identity ||f||^2 = ||f||_{H^2}^2 + ||f+||_{H^2}^2.
+* :class:`~hblab.series.TaylorSeries` -- generic; norms take f+ as the
+  Toeplitz product T_phi-bar f with phi-hat = b-hat / a-hat
+  (``phi_series``, ``sarason_f_plus``) and the coefficient l2 sums of the
+  norm identity ||f||^2 = ||f||_{H^2}^2 + ||f+||_{H^2}^2.  The
+  triangular-Toeplitz solve of T_b-bar f = T_a-bar f+ (``f_plus_solve``)
+  is kept as the independent oracle.
 * :class:`KernelCombo` -- finite combinations sum_j c_j k_{w_j} of Cauchy
   kernels with positive data, where f+ = sum_j c_j conj(phi(w_j)) k_{w_j}
   gives closed Gram-form norms that survive in log-domain when the phi
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .logscalar import LogScalar, log1p_exp, log_add_exp, log_sum_exp
-from .pair import Pair
+from .pair import Pair, outer_series
 from .series import TaylorSeries, triangular_solve_upper_toeplitz
 
 
@@ -112,13 +115,80 @@ def toeplitz_coanalytic_apply(h: TaylorSeries, f: TaylorSeries) -> TaylorSeries:
 
 
 def _series_pair(pair: Pair, degree: int) -> Pair:
-    if (
-        pair.a_series is None
-        or pair.b_series is None
-        or pair.a_series.truncation_degree < degree
+    """The pair with a and b series reaching ``degree``, re-derived when
+    either is missing or short."""
+    if any(
+        s is None or s.truncation_degree < degree
+        for s in (pair.a_series, pair.b_series)
     ):
         return pair.with_series(degree)
     return pair
+
+
+# Defect bound of phi-hat, in l1, and the largest relative gap allowed
+# between b-hat / a-hat and the series of the phi modulus itself.
+_PHI_TOL = 1e-9
+
+
+def phi_series(pair: Pair, degree: int) -> TaylorSeries:
+    """Taylor coefficients 0..degree of phi = b/a, the symbol of f -> f+.
+
+    Truncated upper-triangular Toeplitz matrices form the algebra
+    C[z]/z^{N+1}, so T_a-bar^{-1} T_b-bar = T_phi-bar at every truncation
+    N, and a polynomial p of degree n has p+ = T_phi-bar p exactly with
+    phi-hat taken to degree n (``sarason_f_plus``).  phi-hat = b-hat / a-hat
+    comes from one forward substitution on the pair's own series, in their
+    number type and precision.
+
+    Raises ArithmeticError when ||a-hat phi-hat - b-hat||_1 over 0..degree
+    exceeds 1e-9, or, for a pair with a phi modulus, when some coefficient
+    leaves ``outer_series`` of that modulus by more than 1e-9 relative.
+    """
+    return _phi_series_and_gap(pair, degree)[0]
+
+
+def _phi_series_and_gap(pair: Pair, degree: int):
+    """phi-hat as in ``phi_series``, with the worst relative gap to the
+    phi-modulus route (None for a pair without a phi modulus)."""
+    from mpmath import mp
+
+    pair = _series_pair(pair, degree)
+    a, b = pair.a_series.coeffs, pair.b_series.coeffs
+    bits = min(pair.a_series.precision_bits, pair.b_series.precision_bits)
+    with mp.workprec(bits):
+        phi = []
+        for n in range(degree + 1):
+            acc = b[n]
+            for j in range(1, n + 1):
+                acc = acc - a[j] * phi[n - j]
+            phi.append(acc / a[0])
+        # ||T_a-bar p+ - T_b-bar p|| = ||T_conj(a phi - b) p|| <= ||a phi - b||_1 ||p||
+        # for p+ = T_phi-bar p, so this one check bounds the defect of every
+        # f+ built from phi-hat as the per-call residual check of
+        # f_plus_solve does (1e-9 ||p||).  The convolution is summed afresh,
+        # so the defect measures its rounding, which grows with |phi-hat|.
+        defect = sum(
+            abs(sum(a[j] * phi[n - j] for j in range(n + 1)) - b[n])
+            for n in range(degree + 1)
+        )
+        if defect > _PHI_TOL:
+            raise ArithmeticError(
+                f"phi-hat defect ||a phi - b||_1 = {float(defect):.3e} "
+                f"exceeds {_PHI_TOL:.0e} at degree {degree}"
+            )
+        gap = None
+        if pair.phi_modulus is not None:
+            # the defect cannot see a or b leaving their moduli, since
+            # forward substitution fits phi-hat to whatever series it gets;
+            # the phi modulus gives phi-hat by an independent route
+            ref = outer_series(pair.phi_modulus, degree, bits).coeffs
+            gap = float(max(abs(x - y) / abs(y) for x, y in zip(phi, ref)))
+            if gap > _PHI_TOL:
+                raise ArithmeticError(
+                    f"b-hat / a-hat leaves the phi-modulus series by {gap:.3e} "
+                    f"relative, above {_PHI_TOL:.0e}"
+                )
+        return TaylorSeries(tuple(phi), bits), gap
 
 
 def f_plus_residual(f: TaylorSeries, f_plus: TaylorSeries, pair: Pair) -> float:
@@ -140,6 +210,8 @@ def f_plus_solve(
     working degree defaulting to 4x the input degree, then truncates back.
     The defect residual ||T_a-bar f+ - T_b-bar f|| is checked against
     tol * ||f||; a violation signals that the truncation is too small.
+    This is the independent oracle for the product route of
+    ``sarason_f_plus`` with ``phi_series``, which the norms use.
     """
     if degree is None:
         degree = max(4 * f.truncation_degree, 16)
@@ -191,22 +263,26 @@ def _gram_log_terms(combo: KernelCombo, pair: Pair, with_phi: bool):
 def hb_norm_sq(f: HbFunction, pair: Pair) -> LogScalar:
     """||f||^2_{H(b)} = ||f||^2_{H^2} + ||f+||^2_{H^2} as a LogScalar.
 
-    TaylorSeries go through f_plus_solve; KernelCombos use the closed Gram
-    forms with f+ = sum c_j conj(phi(w_j)) k_{w_j}, entirely in log-domain.
+    TaylorSeries take f+ = T_phi-bar f (``sarason_f_plus`` with
+    ``phi_series``), exact for the truncated polynomial; KernelCombos use
+    the closed Gram forms with f+ = sum c_j conj(phi(w_j)) k_{w_j},
+    entirely in log-domain.
     """
     if isinstance(f, KernelCombo):
         plain = _gram_log_terms(f, pair, with_phi=False)
         plussed = _gram_log_terms(f, pair, with_phi=True)
         return log_sum_exp(plain + plussed)
-    f_plus = f_plus_solve(f, pair)
+    f_plus = sarason_f_plus(f, phi_series(pair, f.truncation_degree))
     total = f.l2_norm_sq() + f_plus.l2_norm_sq()
     return LogScalar.exp_of(_log_of_positive(total))
 
 
 def hb_inner(f: TaylorSeries, g: TaylorSeries, pair: Pair):
-    """<f, g>_{H(b)} = <f, g>_{H^2} + <f+, g+>_{H^2}."""
-    fp = f_plus_solve(f, pair)
-    gp = f_plus_solve(g, pair)
+    """<f, g>_{H(b)} = <f, g>_{H^2} + <f+, g+>_{H^2}, with f+ and g+ as in
+    ``hb_norm_sq``."""
+    phi_hat = phi_series(pair, max(f.truncation_degree, g.truncation_degree))
+    fp = sarason_f_plus(f, phi_hat)
+    gp = sarason_f_plus(g, phi_hat)
     return f.inner(g) + fp.inner(gp)
 
 
@@ -240,8 +316,9 @@ def sarason_f_plus(f: TaylorSeries, phi_hat: TaylorSeries) -> TaylorSeries:
     """f+ by the coefficient formula f+hat(k) = sum_j fhat(j+k) conj(phihat(j)).
 
     Valid whenever the inner series converges absolutely for each k (always
-    for polynomials); this is the independent cross-check against the
-    triangular-solve route.
+    for polynomials, where it is exact with phi-hat to the degree of f).
+    With phi-hat from ``phi_series`` this is the route of every H(b) norm
+    of a TaylorSeries; ``f_plus_solve`` is its independent oracle.
     """
     nf = len(f.coeffs)
     out = []

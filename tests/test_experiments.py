@@ -8,8 +8,11 @@ internal consistency checks (norm chain, positivity) hold.
 """
 
 import math
+import sys
+from dataclasses import replace
 
 import pytest
+from mpmath import mp
 
 from hblab.experiments import (
     PrecisionExhausted,
@@ -26,7 +29,18 @@ from hblab.experiments import (
     sarason_series_failure,
     summability_divergence,
 )
-from hblab.hb import Radius, dilate, hb_norm_sq
+from hblab.hb import (
+    Radius,
+    cesaro_mean,
+    dilate,
+    f_plus_solve,
+    hb_norm_sq,
+    partial_sum,
+    phi_series,
+    sarason_f_plus,
+)
+from hblab.pair import outer_series
+from hblab.series import TaylorSeries
 from hblab.outer import log_delta, log_phi_radial
 
 
@@ -238,6 +252,47 @@ def test_summability_divergence(pair, combo):
     assert rows[-1][1] > rows[2][1]
     assert rows[-1][2] > rows[2][2]
     assert rep.passed is True
+
+
+def test_summability_matches_solve_oracle(pair, combo, monkeypatch):
+    """The rows come from the Toeplitz product with phi-hat = b-hat / a-hat,
+    never from the triangular solve, and agree with the solve at working
+    degree 2 * 24 + 16 within 2^-150 relative, compared in mpmath."""
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("summability entered the triangular solve")
+
+    solve_names = ("f_plus_solve", "toeplitz_coanalytic_apply", "triangular_solve_upper_toeplitz")
+    for name, module in list(sys.modules.items()):
+        if name == "hblab" or name.startswith("hblab."):
+            for attr in solve_names:
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, no_solve)
+    n_list = [0, 2, 8, 16, 24]
+    rep = summability_divergence(n_list, combo, pair, precision_bits=200)
+    monkeypatch.undo()
+
+    work = 2 * 24 + 16
+    mp_pair = replace(
+        pair,
+        a_series=outer_series(pair.a_modulus, work, 200),
+        b_series=outer_series(pair.b_modulus, work, 200),
+    )
+    with mp.workprec(200):
+        phi_hat = phi_series(mp_pair, 24)
+        f_series = TaylorSeries(
+            tuple(mp.exp(mp.mpf(f_hat_log(combo, j).log_mag)) for j in range(25)), 200
+        )
+        for (n, ls, lsig) in rep.rows:
+            for poly, logged in (
+                (partial_sum(f_series, n), ls),
+                (cesaro_mean(f_series, n), lsig),
+            ):
+                product = poly.l2_norm_sq() + sarason_f_plus(poly, phi_hat).l2_norm_sq()
+                solved = poly.l2_norm_sq() + f_plus_solve(poly, mp_pair, degree=work).l2_norm_sq()
+                assert abs(product - solved) <= mp.mpf(2) ** -150 * solved
+                assert logged == 0.5 * float(mp.log10(product))
+    assert 0.0 <= rep.metadata["phi_series_gap"] <= 1e-9
 
 
 def test_summability_precision_guard(pair, combo):

@@ -3,6 +3,7 @@ summation operators, mostly on the tame pair where everything has closed
 forms: b = (1+z)/2, a = (1-z)/2, phi = (1+z)/(1-z)."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,10 +24,12 @@ from hblab.hb import (
     kernel_combo_ccond_check,
     kernel_hb,
     partial_sum,
+    phi_series,
     sarason_f_plus,
     toeplitz_coanalytic_apply,
 )
 from hblab.logscalar import LogScalar
+from hblab.pair import outer_series, tame_pair
 from hblab.series import TaylorSeries
 
 PHI_HAT_TAME = TaylorSeries((1.0,) + (2.0,) * 160)  # (1+z)/(1-z)
@@ -125,11 +128,55 @@ def test_f_plus_degree_preserved(tame):
     assert all(abs(c) < 1e-12 for c in fp.coeffs[3:])
 
 
+@pytest.mark.parametrize("bits", [53, 256])
+def test_phi_series_guard_fails_loudly(pair, bits):
+    """b-hat / a-hat passes on true series and raises once a leaves its
+    modulus: one coefficient of a off by 1e-6 moves phi-hat by 5e-3
+    relative against the phi-modulus series."""
+    true = replace(
+        pair,
+        a_series=outer_series(pair.a_modulus, 64, bits),
+        b_series=outer_series(pair.b_modulus, 64, bits),
+    )
+    phi_series(true, 64)
+    a = list(true.a_series.coeffs)
+    a[5] += 1e-6
+    bad = replace(true, a_series=TaylorSeries(tuple(a), true.a_series.precision_bits))
+    with pytest.raises(ArithmeticError):
+        phi_series(bad, 64)
+    p = TaylorSeries((1.0, 0.5, -0.25) + (0.0,) * 29)
+    with pytest.raises(ArithmeticError):
+        hb_norm_sq(p, bad)
+
+
+def test_phi_series_defect_guard():
+    """phi-hat of the tame pair is (1, 2, 2, ...) exactly; an a with a zero
+    at |z| = 0.31 makes phi-hat grow like 3.2^n, and the float rounding of
+    a phi - b then exceeds the 1e-9 defect bound."""
+    tame = tame_pair(degree=40)
+    assert phi_series(tame, 40).coeffs == PHI_HAT_TAME.coeffs[:41]
+    grows = replace(tame, a_series=TaylorSeries((0.5, -1.7, 0.3) + (0.0,) * 38))
+    with pytest.raises(ArithmeticError, match="defect"):
+        phi_series(grows, 40)
+
+
+def test_short_b_series_is_rederived():
+    """A pair whose b series is shorter than the degree asked for gets both
+    series re-derived, on the product route and on the solve route."""
+    short_b = replace(tame_pair(degree=64), b_series=TaylorSeries((0.5, 0.5)))
+    assert phi_series(short_b, 16).coeffs == PHI_HAT_TAME.coeffs[:17]
+    p = TaylorSeries((1.0, 2.0, -1.0, 0.5j, 0.25))
+    via_solve = f_plus_solve(p, short_b)
+    via_sarason = sarason_f_plus(p, PHI_HAT_TAME)
+    for j in range(len(p.coeffs)):
+        assert via_solve.coeffs[j] == pytest.approx(via_sarason.coeffs[j], abs=1e-10)
+
+
 def test_hb_inner_consistency(tame):
     rng = np.random.default_rng(3)
     f, g = random_poly(rng, 12), random_poly(rng, 12)
     lhs = hb_inner(f, g, tame)
-    # polarization against hb_norm_sq through the same solve route
+    # polarization against hb_norm_sq through the same product route
     assert hb_inner(f, f, tame).real == pytest.approx(
         hb_norm_sq(f, tame).to_float(), rel=1e-10
     )
