@@ -47,7 +47,6 @@ from .hb import (
     cesaro_mean,
     dilate,
     f_plus_solve,
-    hb_inner,
     hb_norm_sq,
     kernel_combo_ccond_check,
     kernel_hb,

@@ -63,7 +63,6 @@ _DEFAULTS = {
     "output_dir": ".",
     "formats": ["json", "csv"],
     "j_max": 512,
-    "abel_degree": 3072,
     "summability_n_list": [0, 1, 2, 4, 8, 12, 16, 24, 32, 40, 48, 56, 64],
 }
 

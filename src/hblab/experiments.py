@@ -372,8 +372,6 @@ def summability_divergence(
     The metadata carries ``phi_series_gap``, the worst relative gap between
     b-hat / a-hat and the series of the phi modulus, checked against 1e-9.
     """
-    import dataclasses
-
     from mpmath import mp
 
     n_list = sorted(set(int(n) for n in n_list))
@@ -387,11 +385,7 @@ def summability_divergence(
         raise PrecisionExhausted(
             f"degree {deg_f} needs about {need} bits, configured {precision_bits}"
         )
-    mp_pair = dataclasses.replace(
-        pair,
-        a_series=outer_series(pair.a_modulus, deg_f, precision_bits),
-        b_series=outer_series(pair.b_modulus, deg_f, precision_bits),
-    )
+    mp_pair = pair.with_series(deg_f, precision_bits)
     rows = []
     with mp.workprec(precision_bits):
         phi_hat, phi_gap = _phi_series_and_gap(mp_pair, deg_f)

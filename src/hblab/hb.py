@@ -116,13 +116,11 @@ def toeplitz_coanalytic_apply(h: TaylorSeries, f: TaylorSeries) -> TaylorSeries:
 
 def _series_pair(pair: Pair, degree: int) -> Pair:
     """The pair with a and b series reaching ``degree``, re-derived when
-    either is missing or short."""
-    if any(
-        s is None or s.truncation_degree < degree
-        for s in (pair.a_series, pair.b_series)
-    ):
-        return pair.with_series(degree)
-    return pair
+    either is missing or short, at the precision of the series it has."""
+    have = [s for s in (pair.a_series, pair.b_series) if s is not None]
+    if len(have) == 2 and all(s.truncation_degree >= degree for s in have):
+        return pair
+    return pair.with_series(degree, min((s.precision_bits for s in have), default=53))
 
 
 # Defect bound of phi-hat, in l1, and the largest relative gap allowed
@@ -275,15 +273,6 @@ def hb_norm_sq(f: HbFunction, pair: Pair) -> LogScalar:
     f_plus = sarason_f_plus(f, phi_series(pair, f.truncation_degree))
     total = f.l2_norm_sq() + f_plus.l2_norm_sq()
     return LogScalar.exp_of(_log_of_positive(total))
-
-
-def hb_inner(f: TaylorSeries, g: TaylorSeries, pair: Pair):
-    """<f, g>_{H(b)} = <f, g>_{H^2} + <f+, g+>_{H^2}, with f+ and g+ as in
-    ``hb_norm_sq``."""
-    phi_hat = phi_series(pair, max(f.truncation_degree, g.truncation_degree))
-    fp = sarason_f_plus(f, phi_hat)
-    gp = sarason_f_plus(g, phi_hat)
-    return f.inner(g) + fp.inner(gp)
 
 
 def kernel_hb(w: complex, pair: Pair, degree: int) -> TaylorSeries:

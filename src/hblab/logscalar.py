@@ -73,14 +73,6 @@ class LogScalar:
     def is_zero(self) -> bool:
         return self.log_mag == NEG_INF
 
-    @property
-    def is_positive_real(self) -> bool:
-        return self.phase == 0.0 and not self.is_zero
-
-    @property
-    def is_negative_real(self) -> bool:
-        return self.phase == math.pi
-
     def sign(self) -> int:
         """Sign of a real LogScalar (+1, -1 or 0)."""
         if self.is_zero:
@@ -102,13 +94,6 @@ class LogScalar:
             return s * math.exp(self.log_mag)
         except OverflowError:
             return s * math.inf
-
-    def to_mpf(self, ctx):
-        """Convert a real LogScalar to an mpmath number under context *ctx*."""
-        s = self.sign()
-        if s == 0:
-            return ctx.mpf(0)
-        return s * ctx.exp(ctx.mpf(self.log_mag))
 
     # -- arithmetic --------------------------------------------------------
 

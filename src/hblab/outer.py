@@ -570,21 +570,32 @@ def growth_bound_scan(
 
 # -- quadrature cross-check ------------------------------------------------
 
+# Order of the Gauss-Legendre rule applied to every panel of the oracle.
+_GAUSS_ORDER = 30
+
+
+def _two_sum(a: float, b: float):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
 
 def poisson_quad_crosscheck(
     seq: Sequences, n_points: int = 50, seed: int = 0, rtol: float = 1e-8
 ) -> float:
-    """Max relative error of closed-form Re log Phi against scipy quadrature.
+    """Max relative error of closed-form Re log Phi against Poisson quadrature.
 
     Samples points with Im z in [t_N, 1]; the oracle integrates the Poisson
-    kernel against the step datum interval by interval with adaptive
-    quadrature.
+    kernel against the step datum interval by interval, with a fixed
+    30-point Gauss-Legendre rule on each panel of a geometric ladder around
+    the spike, at the exact interval ends 2t - x0 and 3t - x0.
     """
     import numpy as np
-    from scipy.integrate import quad
 
     params = seq.params
     rng = np.random.default_rng(seed)
+    nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
     t_lo = seq.t[params.n_terms]
     worst = 0.0
     for _ in range(n_points):
@@ -592,17 +603,18 @@ def poisson_quad_crosscheck(
         y0 = float(math.exp(rng.uniform(math.log(t_lo), 0.0)))
         z = complex(x0, y0)
         closed = log_Phi_halfplane(z, seq).real
-        total = 0.0
+        terms = []
         for k in range(1, params.n_terms + 1):
             t = seq.t[k]
             h = math.exp(seq.eps[k].log_mag) / t
             # The Poisson kernel is a spike of width y0 at x0, which can be
-            # ten orders of magnitude narrower than the interval; a single
-            # adaptive pass silently misses it.  Integrate in the shifted
-            # variable u = x - x0 (so panel edges near the spike are exactly
-            # representable) over panels cut on a geometric ladder of scales
-            # around the spike, and sum.
-            a, b = 2.0 * t - x0, 3.0 * t - x0
+            # ten orders of magnitude narrower than the interval.  Integrate
+            # in the shifted variable u = x - x0 (so panel edges near the
+            # spike are exactly representable) over panels cut on a
+            # geometric ladder of scales around the spike, and sum.
+            a, da = _two_sum(2.0 * t, -x0)
+            three_t, d3 = _two_sum(2.0 * t, t)
+            b, db = _two_sum(three_t, -x0)
             cuts = {a, b}
             for j in range(16):
                 for u in (-y0 * 10.0**j, y0 * 10.0**j):
@@ -610,19 +622,21 @@ def poisson_quad_crosscheck(
                         cuts.add(u)
             if a < 0.0 < b:
                 cuts.add(0.0)
-            edges = sorted(cuts)
-            val = 0.0
-            for lo, hi in zip(edges[:-1], edges[1:]):
-                part, _err = quad(
-                    lambda u: y0 / (u * u + y0 * y0),
-                    lo,
-                    hi,
-                    epsabs=0.0,
-                    epsrel=1e-12,
-                    limit=200,
-                )
-                val += part
-            total += h * val / math.pi
+            edges = np.array(sorted(cuts))
+            mid = 0.5 * (edges[1:] + edges[:-1])
+            half = 0.5 * (edges[1:] - edges[:-1])
+            u = mid[:, None] + half[:, None] * nodes
+            parts = (half[:, None] * weights) * (y0 / (u * u + y0 * y0))
+            # The kernel has width y0 >= t_N, so rounding a or b by an ulp
+            # of x0 moves the integral by up to 1e-10 relative; add back
+            # kernel(end) * (exact end - rounded end), with the exact ends
+            # a + da and b + (db + d3) from the error-free sums above.
+            ends = (
+                -y0 / (a * a + y0 * y0) * da,
+                y0 / (b * b + y0 * y0) * (db + d3),
+            )
+            terms.append(h * math.fsum([*parts.ravel().tolist(), *ends]) / math.pi)
+        total = math.fsum(terms)
         rel = abs(closed - total) / max(abs(total), 1e-300)
         worst = max(worst, rel)
     if worst > rtol:

@@ -86,12 +86,6 @@ class StepModulus:
         off = _TWO_PI - self.cell_length()
         return (acc + off * abs(self.default_log_modulus)) / _TWO_PI
 
-    def value_at(self, theta: float) -> float:
-        for c in self.cells:
-            if c.theta_start <= theta < c.theta_end:
-                return c.log_modulus
-        return self.default_log_modulus
-
     def scale(self, factor: float) -> "StepModulus":
         return StepModulus(
             tuple(replace(c, log_modulus=factor * c.log_modulus) for c in self.cells),
@@ -393,16 +387,19 @@ class Pair:
             return math.log(2.0 - math.exp(max(ld_x, -700.0))) - ld_x
         return log_phi_radial(ld_x, self.params)
 
-    def with_series(self, degree: int) -> "Pair":
-        """Attach Taylor series for a and b at the given degree."""
+    def with_series(self, degree: int, precision_bits: int = 53) -> "Pair":
+        """Attach Taylor series for a and b to ``degree`` at ``precision_bits``
+        (see ``outer_series``); the tame pair's series are 53-bit floats."""
         if self.tag == "tame":
+            if precision_bits > 53:
+                raise ValueError("the tame pair carries 53-bit float series only")
             a = TaylorSeries((0.5, -0.5) + (0.0,) * max(0, degree - 1))
             b = TaylorSeries((0.5, 0.5) + (0.0,) * max(0, degree - 1))
             return replace(self, a_series=a.truncate(degree), b_series=b.truncate(degree))
         return replace(
             self,
-            a_series=outer_series(self.a_modulus, degree),
-            b_series=outer_series(self.b_modulus, degree),
+            a_series=outer_series(self.a_modulus, degree, precision_bits),
+            b_series=outer_series(self.b_modulus, degree, precision_bits),
         )
 
 

@@ -26,7 +26,6 @@ from hblab import (
     GrowthBoundError,
     build_pair,
     choose_power_m,
-    hb_inner,
     hb_norm_sq,
     make_sequences,
     tame_pair,
@@ -129,7 +128,7 @@ def test_A3_norm_crosscheck(tame):
     )
 
 
-def test_A4_reproducing_kernel(tame):
+def test_A4_reproducing_kernel(tame, hb_inner):
     start = time.monotonic()
     rng = np.random.default_rng(4)
     worst = 0.0

@@ -49,9 +49,15 @@ def test_load_config_precedence(tmp_path):
 
 
 def test_unknown_config_key_rejected(tmp_path, runner):
-    cfg = write_config(tmp_path, alpha=1.2, mystery_knob=3)
-    res = runner.invoke(main, ["construct", "--config", cfg, "--out", str(tmp_path)])
-    assert res.exit_code == EXIT_CONFIG
+    cases = (
+        ({"alpha": 1.2, "mystery_knob": 3}, "mystery_knob"),
+        ({"abel_degree": 3072}, "abel_degree"),  # read by no verb, deleted
+    )
+    for doc, key in cases:
+        cfg = write_config(tmp_path, **doc)
+        res = runner.invoke(main, ["construct", "--config", cfg, "--out", str(tmp_path)])
+        assert res.exit_code == EXIT_CONFIG
+        assert f"unknown config keys: {key}" in res.output
 
 
 def test_invalid_exponents_exit_config(tmp_path, runner):

@@ -19,7 +19,6 @@ from hblab.hb import (
     cesaro_mean,
     dilate,
     f_plus_solve,
-    hb_inner,
     hb_norm_sq,
     kernel_combo_ccond_check,
     kernel_hb,
@@ -172,7 +171,26 @@ def test_short_b_series_is_rederived():
         assert via_solve.coeffs[j] == pytest.approx(via_sarason.coeffs[j], abs=1e-10)
 
 
-def test_hb_inner_consistency(tame):
+def test_short_mp_series_keep_their_precision(pair):
+    """Short series are re-derived at the precision they carry: a pair with
+    200-bit series to degree 24, asked for degree 40, gives the 200-bit
+    phi-hat of a pair built at degree 40, not complex floats."""
+    from mpmath import mp
+
+    short = replace(
+        pair,
+        a_series=outer_series(pair.a_modulus, 24, 200),
+        b_series=outer_series(pair.b_modulus, 24, 200),
+    )
+    phi = phi_series(short, 40)
+    assert phi.precision_bits == 200
+    assert all(isinstance(c, mp.mpf) for c in phi.coeffs)
+    assert phi.coeffs == phi_series(pair.with_series(40, 200), 40).coeffs
+    with pytest.raises(ValueError):
+        tame_pair(8).with_series(8, 200)
+
+
+def test_hb_inner_consistency(tame, hb_inner):
     rng = np.random.default_rng(3)
     f, g = random_poly(rng, 12), random_poly(rng, 12)
     lhs = hb_inner(f, g, tame)
@@ -183,7 +201,7 @@ def test_hb_inner_consistency(tame):
     assert abs(hb_inner(g, f, tame) - lhs.conjugate()) < 1e-10
 
 
-def test_kernel_hb_reproduces(tame):
+def test_kernel_hb_reproduces(tame, hb_inner):
     """<p, k_w^b>_{H(b)} == p(w) for polynomials."""
     rng = np.random.default_rng(5)
     for w in (0.1, 0.4, 0.3 + 0.2j):

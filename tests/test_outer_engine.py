@@ -344,3 +344,70 @@ def test_growth_bound_scan_asymptotic_regime():
 def test_poisson_quad_crosscheck(seq):
     worst = poisson_quad_crosscheck(seq, n_points=20, seed=7)
     assert worst <= 1e-8
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 7])
+def test_quadrature_oracle_exact_endpoints(seq, seed):
+    """The oracle integrates to the exact ends 2t - x0 and 3t - x0.
+
+    Rounding either end to a float moves the integral by up to 2.6e-10
+    relative at these points, since the kernel has width y0 >= t_N.  With
+    the ends exact, the oracle agrees with a 200-bit arctangent sum to
+    7.2e-15 at these seeds, and the closed form to 3.2e-15; the worst gap
+    between the two is 7.4e-15 (seed 3).  The bound 1e-13 (about 450 ulps)
+    leaves a factor 13 over that and sits 2500 times below the rounded-end
+    error.  It is not a bound for every point: the closed form forms
+    2t - z in floats, so a point within about y0 of an interval end can
+    lose more (8.2e-13 among 2000 points at seed 1).
+    """
+    assert poisson_quad_crosscheck(seq, 50, seed) <= 1e-13
+
+
+# Run in a fresh interpreter: import the CLI and run the oracle once, then
+# list every module loaded since start-up whose file lies outside the
+# standard library and the three runtime dependencies.
+_IMPORT_PROBE = """
+import os, sys, sysconfig
+before = set(sys.modules)
+import hblab.cli
+from hblab import ConstructionParams, make_sequences
+from hblab.outer import poisson_quad_crosscheck
+seq = make_sequences(ConstructionParams(alpha=1.2, beta=1.5, power_m=1))
+poisson_quad_crosscheck(seq, 5, 0)
+import click, mpmath, numpy
+def under(dirs):
+    return tuple(os.path.realpath(d) + os.sep for d in dirs)
+paths = sysconfig.get_paths()
+stdlib = under([paths["stdlib"], paths["platstdlib"]])
+installed = under([paths["purelib"], paths["platlib"]])
+deps = under([os.path.dirname(m.__file__) for m in (click, mpmath, numpy, hblab)])
+def allowed(f):
+    f = os.path.realpath(f)
+    return f.startswith(deps) or (f.startswith(stdlib) and not f.startswith(installed))
+stray = sorted(
+    name
+    for name, mod in sys.modules.items()
+    if name not in before and getattr(mod, "__file__", None) and not allowed(mod.__file__)
+)
+print(" ".join(stray))
+"""
+
+
+def test_verify_outer_imports_only_runtime_dependencies():
+    """The CLI and the quadrature oracle load nothing beyond the standard
+    library, numpy, mpmath and click."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import hblab
+
+    src = str(Path(hblab.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    res = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True, env=env
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == []
