@@ -248,8 +248,9 @@ def phi_hat_series(pair: Pair, degree: int, precision_bits: int) -> TaylorSeries
     """Taylor coefficients 0..degree of phi as real mpmath numbers.
 
     ``outer_series`` of the phi modulus (real by theta-symmetry): the
-    pole-accumulator recurrence, accurate to ``precision_bits``, with its
-    low coefficients checked against the O(N^2) exp route.  Raises
+    pole-accumulator recurrence in fixed point, each coefficient within its
+    counted error bound of 2^-precision_bits relative, with its low
+    coefficients checked against the O(N^2) exp route.  Raises
     PrecisionExhausted when ``precision_bits`` is below
     ``required_bits_for_degree``, which is never less than 64 bits.
     """
@@ -312,7 +313,9 @@ def sarason_series_failure(
 ) -> ExperimentReport:
     """Partial sums S_J = sum_{j<=J} fhat(j) phihat(j) of the coefficient
     series at r = 1, which the norm formula would need to converge; they
-    grow without ceiling instead."""
+    grow without ceiling instead.  The metadata carries
+    ``series_error_bound``, the largest counted relative error bound of a
+    coefficient of phi-hat (``outer_series``)."""
     from mpmath import mp
 
     if j_max < 2:
@@ -345,6 +348,7 @@ def sarason_series_failure(
         growth = half is not None and sums[j_max] > half
     meta = _base_metadata(pair, precision_bits)
     meta["bits_required"] = required_bits_for_degree(pair, j_max)
+    meta["series_error_bound"] = phi_hat.error_bound
     meta["ratio_full_to_half"] = float(sums[j_max] / half) if half else float("nan")
     return ExperimentReport(
         name="sarason",
@@ -370,7 +374,9 @@ def summability_divergence(
     growth over the computed range, never asserted as a limit) and the
     convexity sanity ||sigma_n|| <= max_{k<=n} ||s_k|| over computed k.
     The metadata carries ``phi_series_gap``, the worst relative gap between
-    b-hat / a-hat and the series of the phi modulus, checked against 1e-9.
+    b-hat / a-hat and the series of the phi modulus, checked against 1e-9,
+    and ``series_error_bound``, the largest counted relative error bound of
+    a coefficient of a-hat or b-hat (``outer_series``).
     """
     from mpmath import mp
 
@@ -416,6 +422,7 @@ def summability_divergence(
     meta = _base_metadata(pair, precision_bits)
     meta["bits_required"] = need
     meta["phi_series_gap"] = phi_gap
+    meta["series_error_bound"] = max(mp_pair.a_series.error_bound, mp_pair.b_series.error_bound)
     meta["convexity_ok"] = convex_ok
     return ExperimentReport(
         name="summability",

@@ -136,7 +136,9 @@ def phi_series(pair: Pair, degree: int) -> TaylorSeries:
     N, and a polynomial p of degree n has p+ = T_phi-bar p exactly with
     phi-hat taken to degree n (``sarason_f_plus``).  phi-hat = b-hat / a-hat
     comes from one forward substitution on the pair's own series, in their
-    number type and precision.
+    number type and precision; for mpmath series each numerator
+    b-hat_n - sum_j a-hat_j phi-hat_{n-j} is one exact dot product
+    (``mp.fdot``), rounded once.
 
     Raises ArithmeticError when ||a-hat phi-hat - b-hat||_1 over 0..degree
     exceeds 1e-9, or, for a pair with a phi modulus, when some coefficient
@@ -156,9 +158,12 @@ def _phi_series_and_gap(pair: Pair, degree: int):
     with mp.workprec(bits):
         phi = []
         for n in range(degree + 1):
-            acc = b[n]
-            for j in range(1, n + 1):
-                acc = acc - a[j] * phi[n - j]
+            if bits > 53:
+                acc = mp.fdot([(b[n], 1)] + [(a[j], -phi[n - j]) for j in range(1, n + 1)])
+            else:
+                acc = b[n]
+                for j in range(1, n + 1):
+                    acc = acc - a[j] * phi[n - j]
             phi.append(acc / a[0])
         # ||T_a-bar p+ - T_b-bar p|| = ||T_conj(a phi - b) p|| <= ||a phi - b||_1 ||p||
         # for p+ = T_phi-bar p, so this one check bounds the defect of every
@@ -307,16 +312,26 @@ def sarason_f_plus(f: TaylorSeries, phi_hat: TaylorSeries) -> TaylorSeries:
     Valid whenever the inner series converges absolutely for each k (always
     for polynomials, where it is exact with phi-hat to the degree of f).
     With phi-hat from ``phi_series`` this is the route of every H(b) norm
-    of a TaylorSeries; ``f_plus_solve`` is its independent oracle.
+    of a TaylorSeries; ``f_plus_solve`` is its independent oracle.  On
+    mpmath series each output coefficient is one exact dot product
+    (``mp.fdot``) rounded once at the current mpmath precision; floats keep
+    the plain loop.
     """
+    bits = min(f.precision_bits, phi_hat.precision_bits)
+    if bits > 53:
+        from mpmath import mp  # float callers never load mpmath
     nf = len(f.coeffs)
     out = []
     for k in range(nf):
+        m = min(nf - k, len(phi_hat.coeffs))
+        if bits > 53:
+            out.append(mp.fdot(f.coeffs[k : k + m], phi_hat.coeffs[:m], conjugate=True))
+            continue
         acc = 0.0
-        for j in range(min(nf - k, len(phi_hat.coeffs))):
+        for j in range(m):
             acc = acc + f.coeffs[j + k] * phi_hat.coeffs[j].conjugate()
         out.append(acc)
-    return TaylorSeries(tuple(out), min(f.precision_bits, phi_hat.precision_bits))
+    return TaylorSeries(tuple(out), bits)
 
 
 # -- dilation, partial sums, Cesaro means ---------------------------------

@@ -191,78 +191,169 @@ def outer_series(mod: StepModulus, degree: int, precision_bits: int = 53) -> Tay
     divided difference T = (S_s - S_e) / (u_e - u_s) instead, with
     T(n) = conj(u_s) (S_e(n) + T(n-1)), and contributes
     (h / i pi) (u_e - u_s) T(n) with the chord u_e - u_s formed as in
-    ``_cell_schwarz_integral``.
-
-    At 53 bits the recurrence runs in floats and returns complex
-    coefficients.  Above 53 bits it runs in mpmath numbers at
-    ``precision_bits`` plus guard bits, from the float cell data taken as
-    exact, and returns real coefficients rounded to ``precision_bits``;
-    a modulus that is not theta-symmetric has complex coefficients and
-    raises ValueError there.  On a theta-symmetric modulus each mirror
+    ``_cell_schwarz_integral``.  On a theta-symmetric modulus each mirror
     cell is folded into its partner (twice the real part), so F is real.
 
-    Coefficients 0..min(degree, 32) are recomputed by the O(degree^2)
-    route, ``exp_series`` of the float ``log_outer_series``, in the same
-    number type; a disagreement beyond that route's own float error
-    raises ArithmeticError.
+    The recurrence runs at every precision in one fixed-point loop on
+    Python integers scaled by 2^W (as mpmath's own ``exp_basecase``): each
+    complex product is shifted down by W once, the cell sum is exact at
+    2^2W, and F_n is its floor quotient by n 2^W.  mpmath computes the cell
+    data (cosines, sines, F_0 = exp(mean)) at 2W bits from the float cell
+    data taken as exact.  ``_truncation_bound`` counts every floor, at most
+    one unit of 2^-W per real part, and carries it through the recurrence;
+    W is ``precision_bits`` plus the bits by which that bound exceeds the
+    a-priori coefficient scale |F_0| min(1, A) / (n+1)^2 (A the total weight
+    of the cells).  A coefficient whose counted bound exceeds 2^-precision_bits
+    of its size raises ArithmeticError: it is too small for the fixed-point
+    scale to carry its relative precision.  Every returned coefficient is
+    therefore within 2^-precision_bits of its size before the final
+    rounding, and within one unit in its last place after it; the largest
+    counted bound relative to its coefficient is the series'
+    ``error_bound``.
+
+    At 53 bits the result is rounded to complex floats.  Above 53 bits it
+    is rounded to real mpmath numbers at ``precision_bits``; a modulus that
+    is not theta-symmetric has complex coefficients and raises ValueError
+    there.  Coefficients 0..min(degree, 32) are recomputed by the
+    O(degree^2) route, ``exp_series`` of the float ``log_outer_series``, and
+    a disagreement beyond that route's own float error raises
+    ArithmeticError.
     """
     from mpmath import mp
+    from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
     cells = {(c.theta_start, c.theta_end, c.log_modulus) for c in mod.cells}
     real = all((-b, -a, h) in cells for a, b, h in cells)
-    if precision_bits <= 53:
-        ctx, num, work_bits = math, float, 53
-    elif not real:
+    if precision_bits > 53 and not real:
         raise ValueError("extended-precision outer_series needs a theta-symmetric modulus")
-    else:
-        # Each pole sum gathers up to `degree` rounded steps and the cell
-        # loop up to len(cells) terms per step; rounding errors that add
-        # coherently cost log2 of each count in bits, and 4 more bits
-        # cover the constants of the complex products.
-        ctx, num = mp, mp.mpf
-        work_bits = precision_bits + degree.bit_length() + len(cells).bit_length() + 4
-    zero = num(0)
-    with mp.workprec(work_bits):
-        d = num(mod.default_log_modulus)
-        mean = d
-        poles = []
+    d = mod.default_log_modulus
+    # (cell, fold): a folded cell stands for itself and its mirror, one
+    # that straddles 0 is its own mirror; flat cells and the mirrors of
+    # folded ones carry no pole
+    active = [
+        (c, 2 if real and c.theta_start >= 0.0 else 1)
+        for c in mod.cells
+        if c.log_modulus != d and not (real and c.theta_end <= 0.0)
+    ]
+    # A, the sum of the pole weights |fold h chord / pi| after their
+    # rounding to 2^-W, taken from above
+    mass = (1.0 + 2.0**-40) * math.fsum(
+        fold * abs(c.log_modulus - d) / math.pi * 2.0 * math.sin(c.width / 2.0)
+        for c, fold in active
+    ) + len(active) * 2.0 ** (1 - precision_bits)
+    f0 = math.exp(mod.mean_log_modulus())
+    bound = _truncation_bound(mod, active, mass, f0, degree, real, precision_bits)
+    # the a-priori size of F_n; a coefficient below it may raise
+    scale = [f0] + [f0 * min(1.0, mass) / (n + 1) ** 2 for n in range(1, degree + 1)]
+    W = precision_bits + max(
+        0, max(math.ceil(math.log2(e / s)) for e, s in zip(bound, scale) if e > 0.0)
+    )
+    with mp.workprec(2 * W):
+
+        def fixed(x):
+            return to_fixed(x._mpf_, W)
+
+        mean = mp.mpf(d)
         for c in mod.cells:
-            ts, te = num(c.theta_start), num(c.theta_end)
-            h = num(c.log_modulus) - d
-            w = te - ts
-            mean += w * h / (2 * ctx.pi)
-            if h == 0 or (real and c.theta_end <= 0.0):
-                continue  # a flat cell, or the mirror of a folded one
-            # a folded cell stands for itself and its mirror; one that
-            # straddles 0 is its own mirror
-            k = (2 if real and c.theta_start >= 0.0 else 1) * h / ctx.pi
-            cs, ss = ctx.cos(ts), ctx.sin(ts)
-            cr, ci = -2 * ctx.sin(w / 2) ** 2, ctx.sin(w)
+            w, h = mp.mpf(c.theta_end) - c.theta_start, mp.mpf(c.log_modulus) - d
+            mean += w * h / (2 * mp.pi)
+        poles = []
+        for c, fold in active:
+            ts, te = mp.mpf(c.theta_start), mp.mpf(c.theta_end)
+            k = fold * (mp.mpf(c.log_modulus) - d) / mp.pi
+            cs, ss = mp.cos(ts), mp.sin(ts)
+            cr, ci = -2 * mp.sin((te - ts) / 2) ** 2, mp.sin(te - ts)
             chord_r, chord_i = cs * cr - ss * ci, cs * ci + ss * cr
             # conj(u_s), conj(u_e), and (h / i pi) * chord
-            poles.append((cs, -ss, ctx.cos(te), -ctx.sin(te), k * chord_i, -k * chord_r))
-        fr, fi = ctx.exp(mean), zero
-        coeffs = [(fr, fi)]
-        state = [(zero, zero, zero, zero)] * len(poles)
-        for n in range(1, degree + 1):
-            accr = acci = zero
-            nxt = []
-            for (esr, esi, eer, eei, ar, ai), (sr, si, tr, ti) in zip(poles, state):
-                qr, qi = fr + sr, fi + si
-                sr, si = qr * eer - qi * eei, qr * eei + qi * eer
-                qr, qi = sr + tr, si + ti
-                tr, ti = qr * esr - qi * esi, qr * esi + qi * esr
-                accr += ar * tr - ai * ti
-                acci += ar * ti + ai * tr
-                nxt.append((sr, si, tr, ti))
-            state = nxt
-            fr, fi = accr / n, (zero if real else acci / n)
-            coeffs.append((fr, fi))
-        _check_against_exp_series(mod, coeffs, num, real)
+            poles.append(tuple(map(fixed, (
+                cs, -ss, mp.cos(te), -mp.sin(te), k * chord_i, -k * chord_r
+            ))))
+        fr, fi = fixed(mp.exp(mean)), 0
+    coeffs = [(fr, fi)]
+    state = [(0, 0, 0, 0)] * len(poles)
+    for n in range(1, degree + 1):
+        accr = acci = 0
+        nxt = []
+        for (esr, esi, eer, eei, ar, ai), (sr, si, tr, ti) in zip(poles, state):
+            qr, qi = fr + sr, fi + si
+            sr, si = (qr * eer - qi * eei) >> W, (qr * eei + qi * eer) >> W
+            qr, qi = sr + tr, si + ti
+            tr, ti = (qr * esr - qi * esi) >> W, (qr * esi + qi * esr) >> W
+            accr += ar * tr - ai * ti
+            acci += ar * ti + ai * tr
+            nxt.append((sr, si, tr, ti))
+        state = nxt
+        unit = n << W
+        fr, fi = accr // unit, (0 if real else acci // unit)
+        coeffs.append((fr, fi))
+    rel_bound = 0.0
+    for n, ((fr, fi), e) in enumerate(zip(coeffs, bound)):
+        # the claim, in units: |F_n - fixed F_n| <= e <= 2^-P (|fixed F_n| - e)
+        e = math.ceil(e)
+        size_sq = fr * fr + fi * fi
+        if ((e << precision_bits) + e) ** 2 > size_sq:
+            raise ArithmeticError(
+                f"outer_series coefficient {n} is too small for {precision_bits} bits "
+                f"at 2^-{W}: its counted error bound is {e} units"
+            )
+        if e:
+            rel_bound = max(rel_bound, e / math.isqrt(size_sq))
     if precision_bits <= 53:
-        return TaylorSeries(tuple(complex(r, i) for r, i in coeffs))
+        out = tuple(complex(r / (1 << W), i / (1 << W)) for r, i in coeffs)
+        _check_against_exp_series(mod, out, float, real)
+        return TaylorSeries(out, error_bound=rel_bound)
     with mp.workprec(precision_bits):
-        return TaylorSeries(tuple(+r for r, _ in coeffs), precision_bits=precision_bits)
+        out = tuple(
+            mp.make_mpf(from_man_exp(r, -W, precision_bits, round_nearest)) for r, _ in coeffs
+        )
+        _check_against_exp_series(mod, out, mp.mpf, real)
+    return TaylorSeries(out, precision_bits, rel_bound)
+
+
+def _truncation_bound(mod, active, mass, f0, degree, real, bits) -> list:
+    """Bounds, in units of 2^-W for any W >= ``bits``, on |F_n - fixed F_n|
+    for the fixed-point loop of ``outer_series``.
+
+    Each floor errs by less than one unit per real part (sqrt 2 for a
+    complex product), and the errors travel through the recurrence as
+    through the exact one.  |conj u| <= 1 + 2^(4-W) for the rounded poles,
+    so an error in S or T is carried without growth and only accumulates:
+    e_S(n) <= e_F(n-1) + e_S(n-1) + sqrt 2, e_T(n) <= e_S(n) + e_T(n-1) +
+    sqrt 2, and n e_F(n) <= A e_T(n) + n (sqrt 2 when F is complex), with
+    A the sum of |weight * chord| over the cells.  The data add errors of
+    their own: a pole rounded to sqrt 2 (1 + 2^(4-W)) units multiplies
+    |F + S| or |S + T|, and a weight rounded to sqrt 2 (1 + 2^(4-W) |a|)
+    units multiplies |T|, so magnitude majorants m_F, m_S, m_T of the exact
+    recurrence (the same sums without the units, m_F(0) = |F_0|) carry
+    along.  F_0 is off by one unit plus |F_0| 2^-W times the rounding of
+    exp(mean) at 2W bits from the float cell data.  Evaluating the tiny
+    2^-W terms at W = ``bits`` makes the bounds hold for every W above.
+    """
+    r2 = math.sqrt(2.0)
+    tiny = 2.0 ** (4 - bits)
+    grow = 1.0 + tiny
+    eta = r2 * grow
+    weights = len(active) * r2 + mass * r2 * tiny
+    terms = abs(mod.default_log_modulus) + math.fsum(
+        c.width * abs(c.log_modulus - mod.default_log_modulus) for c in mod.cells
+    )
+    floor = (1.0 if real else r2) if active else 0.0
+    ms = mt = es = et = 0.0
+    mf, ef = f0, 1.0 + f0 * (len(mod.cells) + 3) * (1.0 + terms) * tiny
+    out = [ef]
+    for n in range(1, degree + 1):
+        es = grow * (ef + es) + eta * (mf + ms) + r2
+        ms = grow * (mf + ms)
+        et = grow * (es + et) + eta * (ms + mt) + r2
+        mt = grow * (ms + mt)
+        mf = mass * mt / n
+        ef = (mass * et + weights * mt) / n + floor
+        out.append(ef)
+    if not math.isfinite(ef):
+        raise ArithmeticError(
+            f"outer_series: the error bound overflows at degree {degree} (cell weight {mass:.3g})"
+        )
+    return out
 
 
 def _log_series_ulps(mod: StepModulus, degree: int, real: bool) -> list:
@@ -314,8 +405,7 @@ def _check_against_exp_series(mod: StepModulus, coeffs, num, real: bool) -> None
             cond += sum(j * abs(g[j]) * abs(e[n - j]) for j in range(1, n + 1)) / n
         carried = sum(eps[j] * abs(e[n - j]) for j in range(n + 1))
         tol = 2.0**-53 * (_ORACLE_ULPS * cond + 2 * carried)
-        fr, fi = coeffs[n]
-        err = abs(fr - e[n]) if real else abs(complex(fr, fi) - e[n])
+        err = abs(coeffs[n] - e[n])
         if err > tol:
             raise ArithmeticError(
                 f"outer_series coefficient {n} leaves the exp_series oracle: "

@@ -11,8 +11,8 @@ uses ``exp_series`` only as its low-degree oracle.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 
 def _is_mp(x) -> bool:
@@ -29,10 +29,17 @@ def _exp(x):
 
 @dataclass(frozen=True)
 class TaylorSeries:
-    """Coefficients c_0..c_N of a power series truncated at degree N."""
+    """Coefficients c_0..c_N of a power series truncated at degree N.
+
+    ``error_bound``, where known, bounds the error of every coefficient
+    relative to its size before its rounding to ``precision_bits``
+    (``hblab.pair.outer_series`` counts it); series made by any other
+    operation carry None.
+    """
 
     coeffs: tuple
     precision_bits: int = 53
+    error_bound: Optional[float] = field(default=None, compare=False)
 
     def __post_init__(self):
         if len(self.coeffs) == 0:

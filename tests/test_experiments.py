@@ -239,6 +239,7 @@ def test_sarason_series_failure(pair, combo):
     assert all(math.isfinite(v) for v in vals)
     assert vals == sorted(vals)  # positive terms: monotone partial sums
     assert float(rep.metadata["ratio_full_to_half"]) > 1.0
+    assert 0.0 < rep.metadata["series_error_bound"] <= 2.0**-200
     assert rep.passed is True
 
 
@@ -246,6 +247,7 @@ def test_summability_divergence(pair, combo):
     rep = summability_divergence([0, 2, 8, 16, 24], combo, pair, precision_bits=200)
     assert rep.columns == ("n", "log10_sn_norm", "log10_sigman_norm")
     assert rep.metadata["convexity_ok"] is True
+    assert 0.0 < rep.metadata["series_error_bound"] <= 2.0**-200
     rows = rep.rows
     assert rows[0][1] == pytest.approx(rows[0][2])  # sigma_0 == s_0
     # running growth from n = 8 on

@@ -271,11 +271,16 @@ def test_outer_series_b_is_a_times_phi(pair):
 
 
 def outer_series_mp(mod, degree, bits):
-    """All-mpmath O(N^2) reference for outer_series on theta-symmetric data:
-    the log series d + mean, sum h (sin j theta_e - sin j theta_s) / (pi j)
-    from the float cell data, then exp_series, both at ``bits``."""
+    """All-mpmath O(N^2) reference for outer_series: the log series
+    d + mean, sum h ((sin j theta_e - sin j theta_s)
+    + i (cos j theta_e - cos j theta_s)) / (pi j) from the float cell data,
+    then exp_series, both at ``bits``.  On theta-symmetric data the cosine
+    terms cancel, and only the real parts are kept."""
     from mpmath import mp
 
+    symmetric = all(
+        Cell(-c.theta_end, -c.theta_start, c.log_modulus) in mod.cells for c in mod.cells
+    )
     with mp.workprec(bits):
         d = mp.mpf(mod.default_log_modulus)
         cells = [
@@ -284,10 +289,11 @@ def outer_series_mp(mod, degree, bits):
         ]
         g = [d + sum((te - ts) * h for ts, te, h in cells) / (2 * mp.pi)]
         for j in range(1, degree + 1):
-            g.append(
-                sum(h * (mp.sin(j * te) - mp.sin(j * ts)) for ts, te, h in cells)
-                / (mp.pi * j)
-            )
+            re = sum(h * (mp.sin(j * te) - mp.sin(j * ts)) for ts, te, h in cells)
+            im = 0
+            if not symmetric:
+                im = sum(h * (mp.cos(j * te) - mp.cos(j * ts)) for ts, te, h in cells)
+            g.append(mp.mpc(re, im) / (mp.pi * j) if im else re / (mp.pi * j))
         return exp_series(TaylorSeries(tuple(g), bits)).coeffs
 
 
@@ -307,6 +313,43 @@ def test_outer_series_matches_all_mp_oracle(pair, name):
         scale = float(max(abs(y) for y in ref))
         flt = outer_series(mod, 256).coeffs
         assert max(abs(x - complex(y)) for x, y in zip(flt, ref)) <= 1e-14 * scale
+
+
+def nearly_even_modulus(delta):
+    """theta-symmetric cells that repeat after a half turn, the second pair
+    higher by the factor 1 + delta.  At delta = 0 the outer function is even,
+    so its odd coefficients vanish; at small delta they are delta-small."""
+    h, g = 1.3, 1.3 * (1.0 + delta)
+    return StepModulus(
+        (
+            Cell(0.2, 0.9, h),
+            Cell(-0.9, -0.2, h),
+            Cell(math.pi - 0.9, math.pi - 0.2, g),
+            Cell(-math.pi + 0.2, -math.pi + 0.9, g),
+        ),
+        -0.1,
+    )
+
+
+@pytest.mark.parametrize("bits", [53, 128])
+def test_outer_series_within_one_unit_in_last_place(pair, bits):
+    """Each fixed-point coefficient is within 2^-bits of its size, and the
+    final rounding adds at most as much, so every returned coefficient is
+    within 2^(1-bits) (1 + 2^-bits) of the true one, relative.  The
+    all-mpmath reference at bits + 60 loses about 20 of its bits at worst
+    (the constructed a at degree 256), so it adds 2^-40 of the claim; the
+    factor 1 + 2^-30 covers both terms."""
+    from mpmath import mp
+
+    mods = [pair.phi_modulus, pair.a_modulus, pair.b_modulus, nearly_even_modulus(0.5)]
+    if bits == 53:
+        mods.append(StepModulus((Cell(0.2, 0.9, 1.3),)))  # complex coefficients
+    for mod in mods:
+        ref = outer_series_mp(mod, 128, bits + 60)
+        with mp.workprec(bits + 60):
+            tol = mp.mpf(2) ** (1 - bits) * (1 + mp.mpf(2) ** -30)
+            for x, y in zip(outer_series(mod, 128, bits).coeffs, ref):
+                assert abs(mp.mpc(x) - y) <= tol * abs(y)
 
 
 def test_outer_series_narrow_arc_off_zero():
@@ -344,6 +387,35 @@ def test_outer_series_guard_fails_loudly(pair, monkeypatch):
         for bits in (53, 256):
             with pytest.raises(ArithmeticError):
                 outer_series(mod, 48, bits)
+
+
+def test_outer_series_lopsided_matches_all_mp_oracle():
+    """Off theta-symmetry F is complex, and the fixed-point loop carries its
+    imaginary part; in floats it carries 1e-14 of the largest coefficient."""
+    lopsided = StepModulus((Cell(0.2, 0.9, 1.3),))
+    ref = outer_series_mp(lopsided, 64, 120)
+    scale = float(max(abs(y) for y in ref))
+    got = outer_series(lopsided, 64).coeffs
+    assert max(abs(x - complex(y)) for x, y in zip(got, ref)) <= 1e-14 * scale
+    assert max(abs(complex(y).imag) for y in ref) > 0.1 * scale
+
+
+@pytest.mark.parametrize("bits", [128, 384])
+def test_outer_series_guard_raises_below_scale(pair, bits):
+    """The fixed-point scale is derived from the modulus, so it can carry
+    2^-bits relative only down to the a-priori coefficient size
+    |F_0| min(1, A) / (n+1)^2.  Odd coefficients 2^-40 below the even ones
+    fall far under it, and outer_series raises instead of returning them.
+    The constructed a, whose coefficients fall to 2^-12 by degree 256, is
+    inside the scale and keeps its claim."""
+    with pytest.raises(ArithmeticError, match="too small"):
+        outer_series(nearly_even_modulus(2.0**-40), 48, bits)
+    with pytest.raises(ArithmeticError, match="too small"):
+        outer_series(nearly_even_modulus(0.0), 48, bits)
+    assert outer_series(nearly_even_modulus(0.5), 48, bits).error_bound <= 2.0**-bits
+    a = outer_series(pair.a_modulus, 256, bits)
+    assert 0.0 < a.error_bound <= 2.0**-bits
+    assert min(abs(c) for c in a.coeffs) < 2.0**-11
 
 
 def test_outer_series_mp_needs_symmetric_modulus():
