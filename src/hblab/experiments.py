@@ -12,6 +12,8 @@ sum_j r^j fhat(j) phihat(j), at extended precision.
 from __future__ import annotations
 
 import math
+import operator
+from itertools import islice
 from typing import Optional, Sequence, Union
 
 from .hb import (
@@ -22,6 +24,9 @@ from .hb import (
     as_radius,
     cesaro_mean,
     dilate,
+    fixed_dot,
+    fixed_mantissas,
+    fixed_to_mpf,
     hb_norm_sq,
     kernel_combo_ccond_check,
     partial_sum,
@@ -34,6 +39,7 @@ from .reports import CODE_VERSION, ExperimentReport
 from .series import TaylorSeries
 
 _LN10 = math.log(10.0)
+_LN2 = math.log(2.0)
 
 
 class PrecisionExhausted(RuntimeError):
@@ -223,12 +229,164 @@ def growth_envelope(r_grid: Sequence, f: KernelCombo, pair: Pair) -> ExperimentR
 
 
 def f_hat_log(f: KernelCombo, j: int) -> LogScalar:
-    """log-domain Taylor coefficient fhat(j) = sum_m c_m w_m^j (positive)."""
+    """log-domain Taylor coefficient fhat(j) = sum_m c_m w_m^j (positive).
+
+    The float oracle of ``_FhatFixed``, which checks its first and last
+    coefficient against it on every run."""
     terms = []
     for nd in f.nodes:
         log_w = math.log1p(-math.exp(max(nd.log_one_minus_w, -745.0)))
         terms.append(LogScalar.exp_of(nd.log_c.log_mag + j * log_w))
     return log_sum_exp(terms)
+
+
+class _FhatFixed:
+    """r^j fhat(j) = sum_m c_m v_m^j, v_m = r w_m, for j = 0..degree as
+    integers F_j on one fixed-point scale: r^j fhat(j) = F_j 2^exp within
+    a counted relative error.  The one integer kernel behind every
+    extended-precision coefficient sum (``sarason_series_failure``,
+    ``abel_fr_plus``, ``summability_divergence``); iterating it streams
+    F_0..F_degree, and the per-node state is all it stores.
+
+    mpmath computes c_m = exp(log c_m), w_m = 1 - exp(log(1 - w_m)) and
+    r = 1 - exp(log(1 - r)) at 2W bits from the float node data taken as
+    exact.  Each node carries its running term c_m v_m^j as an integer at
+    the common scale 2^-exp: one multiply by V_m = v_m 2^Q_m (floored,
+    Q_m = W + 1 + bits of 1/v_m, so V_m / 2^Q_m is within 2^-W of v_m
+    relative) and one shift by Q_m per j.  exp is placed from the float
+    log-terms so
+    that F_degree, the smallest coefficient (every v_m < 1), still carries
+    W bits.  A node whose log2-term trails the leading one by more than
+    bits + guard, after both are moved by their float error, is dropped
+    for that j; its term is below 2^(1 - bits - guard) of fhat(j).  The
+    kept j of a node form one interval (an intersection of half-lines),
+    and a node entering late starts from c_m v_m^j computed in mpmath.
+
+    The count behind W and the guard, per coefficient: a node s steps
+    past its entry carries at most s + 1 floors of one unit, and its term
+    at most 2 s eta relative from V_m (eta = 2^-Q_m / v_m + 2^-2W <=
+    2^-W + 2^-2W) and 8 (degree + 3) 2^-2W from the mpmath data; at most
+    K = len(nodes) nodes are kept or dropped.  So r^j fhat(j) is within
+        (sum over kept nodes of (s + 1)) / (F_j - that sum)
+        + 2 degree eta + 8 (degree + 3) 2^-2W + drops 2^(1 - bits - guard)
+    relative, and with F_j >= 2^W this is below 2^-bits for
+    W = bits + 1 + bitlen(K (degree + 1) + 2 degree + 1) and
+    guard = 2 + bitlen(K - 1).  The largest such bound is ``error_bound``;
+    a coefficient whose bound misses 2^-bits raises ArithmeticError, and
+    so does a leading log-term that floats cannot place within one bit,
+    since the scale of its coefficient is then unknown.  The first and
+    last coefficients are checked against ``f_hat_log`` (times r^j) within
+    that oracle's own float error.
+    """
+
+    def __init__(self, f: KernelCombo, degree: int, bits: int, radius=None):
+        from mpmath import mp
+
+        self.f, self.degree, self.bits = f, degree, bits
+        self.radius = None if radius is None else as_radius(radius)
+        k = len(f.nodes)
+        self.guard = 2 + (k - 1).bit_length()
+        self.W = W = bits + 1 + (k * (degree + 1) + 2 * degree + 1).bit_length()
+        self.wp = 2 * W
+        with mp.workprec(self.wp):
+            r = 1 if radius is None else -mp.expm1(mp.mpf(self.radius.log_one_minus))
+            self.v = [r * -mp.expm1(mp.mpf(nd.log_one_minus_w)) for nd in f.nodes]
+            self.lv = lv = [float(mp.log(v, 2)) for v in self.v]
+        lc = [nd.log_c.log_mag / _LN2 for nd in f.nodes]
+        # log2 c_m v_m^j +- err, err = 2^-49 (|log2 c_m| + j |log2 v_m|)
+        err = 2.0**-49
+
+        def lower(m, j):
+            return lc[m] + j * lv[m] - err * (abs(lc[m]) + j * abs(lv[m]))
+
+        lead = max(range(k), key=lambda m: lower(m, degree))
+        if err * (abs(lc[lead]) + degree * abs(lv[lead])) > 1.0:
+            raise ArithmeticError(
+                f"fhat({degree}): its leading log2-term {lc[lead] + degree * lv[lead]:.6g} "
+                "cannot be placed within one bit in floats"
+            )
+        self.exp = math.floor(lower(lead, degree)) - W
+        margin = bits + self.guard
+        self.spans = []
+        for m in range(k):
+            lo, hi = 0, degree
+            for n in range(k):
+                # node m is kept at j while a + b j >= 0 for every n
+                a = lc[m] - lc[n] + margin + err * (abs(lc[m]) + abs(lc[n]))
+                b = lv[m] - lv[n] + err * (abs(lv[m]) + abs(lv[n]))
+                if a < 0 and a + b * degree < 0:
+                    lo, hi = degree + 1, degree
+                elif a < 0:
+                    lo = max(lo, math.ceil(-a / b))
+                elif a + b * degree < 0:
+                    hi = min(hi, math.floor(a / -b))
+            if lo <= hi:
+                self.spans.append((lo, hi, m))
+        self.error_bound = 0.0
+        self.drops = 0
+
+    def __iter__(self):
+        from mpmath import mp
+        from mpmath.libmp import to_fixed
+
+        f, degree, bits, W = self.f, self.degree, self.bits, self.W
+        k = len(f.nodes)
+        eta = 2.0**-W + 2.0 ** (1 - self.wp)
+        fixed = 2 * degree * eta + (degree + 3) * 2.0 ** (3 - self.wp)
+        drop = 2.0 ** (1 - bits - self.guard)
+        limit = 2.0**-bits
+        pending = sorted(self.spans, reverse=True)
+        active = []  # [term, V, Q, entry j, last j]
+        for j in range(degree + 1):
+            while pending and pending[-1][0] == j:
+                lo, hi, m = pending.pop()
+                v = self.v[m]
+                with mp.workprec(self.wp):
+                    term = mp.exp(mp.mpf(f.nodes[m].log_c.log_mag)) * v**lo
+                q = W + 1 + max(0, math.ceil(-self.lv[m]))
+                active.append([to_fixed(term._mpf_, -self.exp), to_fixed(v._mpf_, q), q, lo, hi])
+            total = sum(node[0] for node in active)
+            units = sum(j - node[3] + 1 for node in active)
+            drops = k - len(active)
+            self.drops += drops
+            if total <= units:
+                rel = math.inf
+            else:
+                rel = units / (total - units) + fixed + drops * drop
+            if rel > limit:
+                raise ArithmeticError(
+                    f"fhat({j}) cannot be carried to {bits} bits at 2^{self.exp}: "
+                    f"its counted relative error bound is {rel:.3e}"
+                )
+            self.error_bound = max(self.error_bound, rel)
+            if j in (0, degree):
+                self._check_oracle(j, total)
+            yield total
+            active = [
+                [(t * vq) >> q, vq, q, lo, hi] for t, vq, q, lo, hi in active if hi > j
+            ]
+
+    def _check_oracle(self, j: int, total: int) -> None:
+        """Raise ArithmeticError where log(F_j 2^exp) leaves the float
+        ``f_hat_log`` plus j log r by more than that route's float error:
+        each log-term log c + j log1p(-e^(log(1-w))) is off by a few units of
+        2^-53 in |log c| and, through log1p, in j / w, and log r likewise by
+        j / r; 2^-48 times their sum holds all of it with room."""
+        r, log_r = 1.0, 0.0
+        if self.radius is not None:
+            r = self.radius.value
+            log_r = math.log1p(-math.exp(max(self.radius.log_one_minus, -745.0)))
+        tol = 2.0**-48 * (
+            1.0
+            + max(abs(nd.log_c.log_mag) + j / nd.w for nd in self.f.nodes)
+            + j / r
+        )
+        got = math.log(total) + self.exp * _LN2
+        want = f_hat_log(self.f, j).log_mag + j * log_r
+        if abs(got - want) > tol:
+            raise ArithmeticError(
+                f"fhat({j}) leaves the log-domain oracle: log {got!r} against {want!r}"
+            )
 
 
 def required_bits_for_degree(pair: Pair, degree: int) -> int:
@@ -274,35 +432,31 @@ def abel_fr_plus(
     """(f_r)+(0) as the coefficient series sum_j r^j fhat(j) phihat(j).
 
     Independent of the log-domain Gram route: the value is rebuilt from
-    actual Taylor coefficients at extended precision.  Raises
-    PrecisionExhausted if the terms have not decayed below ``tail_rel``
-    times the sum by the end of the truncation.  Returns an mpmath number.
+    actual Taylor coefficients at extended precision.  r is folded into the
+    nodes of ``_FhatFixed``, whose r^j fhat(j) meet 2^-bits relative; the
+    sum with the aligned mantissas of phi-hat is exact (``fixed_dot``) and
+    rounded once to the larger of ``precision_bits`` and phi-hat's
+    precision.  Raises PrecisionExhausted if the exact terms have not
+    decayed below ``tail_rel`` times the sum by the end of the truncation.
+    Returns an mpmath number.
     """
-    from mpmath import mp
-
     if phi_hat is None:
         phi_hat = phi_hat_series(pair, degree, precision_bits)
     degree = phi_hat.truncation_degree
-    rad = as_radius(r)
-    with mp.workprec(max(precision_bits, phi_hat.precision_bits)):
-        r_mp = 1 - mp.exp(mp.mpf(rad.log_one_minus))
-        total = mp.mpf(0)
-        r_pow = mp.mpf(1)
-        tail_max = mp.mpf(0)
-        tail_start = degree - max(degree // 20, 16)
-        for j in range(degree + 1):
-            fh = mp.exp(mp.mpf(f_hat_log(f, j).log_mag))
-            term = r_pow * fh * phi_hat.coeffs[j]
-            total += term
-            if j >= tail_start:
-                tail_max = max(tail_max, abs(term))
-            r_pow *= r_mp
-        if tail_max > tail_rel * abs(total):
-            raise PrecisionExhausted(
-                f"coefficient series not converged at degree {degree}: "
-                f"tail/total = {mp.nstr(tail_max / abs(total), 5)}"
-            )
-        return total
+    bits = max(precision_bits, phi_hat.precision_bits)
+    kernel = _FhatFixed(f, degree, bits, r)
+    fhat = iter(kernel)
+    phis, phi_exp = fixed_mantissas(phi_hat.coeffs)
+    tail_start = max(0, degree - max(degree // 20, 16))
+    total = fixed_dot(islice(fhat, tail_start), phis[:tail_start])
+    tail = list(map(operator.mul, fhat, phis[tail_start:]))
+    total += sum(tail)
+    ratio = max(map(abs, tail)) / abs(total)
+    if ratio > tail_rel:
+        raise PrecisionExhausted(
+            f"coefficient series not converged at degree {degree}: tail/total = {ratio:.5g}"
+        )
+    return fixed_to_mpf(total, kernel.exp + phi_exp, bits)
 
 
 def sarason_series_failure(
@@ -313,14 +467,22 @@ def sarason_series_failure(
 ) -> ExperimentReport:
     """Partial sums S_J = sum_{j<=J} fhat(j) phihat(j) of the coefficient
     series at r = 1, which the norm formula would need to converge; they
-    grow without ceiling instead.  The metadata carries
+    grow without ceiling instead.
+
+    fhat streams from ``_FhatFixed`` and phi-hat's mantissas are aligned
+    once, so the running sum is one exact integer, rounded once at each
+    checkpoint J to ``precision_bits``.  The metadata carries
     ``series_error_bound``, the largest counted relative error bound of a
-    coefficient of phi-hat (``outer_series``)."""
+    coefficient of phi-hat (``outer_series``), and ``fhat_error_bound``,
+    the largest of fhat (``_FhatFixed``)."""
     from mpmath import mp
 
     if j_max < 2:
         raise ParameterError(f"j_max must be at least 2, got {j_max}")
     phi_hat = phi_hat_series(pair, j_max, precision_bits)
+    kernel = _FhatFixed(f, j_max, precision_bits)
+    fhat = iter(kernel)
+    phis, phi_exp = fixed_mantissas(phi_hat.coeffs)
     checkpoints = []
     j = 1
     while j < j_max:
@@ -328,14 +490,13 @@ def sarason_series_failure(
         j *= 2
     checkpoints.append(j_max)
     rows = []
-    with mp.workprec(max(precision_bits, phi_hat.precision_bits)):
-        total = mp.exp(mp.mpf(f_hat_log(f, 0).log_mag)) * phi_hat.coeffs[0]
-        sums = {}
-        for j in range(1, j_max + 1):
-            fh = mp.exp(mp.mpf(f_hat_log(f, j).log_mag))
-            total += fh * phi_hat.coeffs[j]
-            if j in checkpoints or j == j_max:
-                sums[j] = total
+    sums = {}
+    total, done = 0, 0
+    with mp.workprec(precision_bits):
+        for j in checkpoints:
+            total += fixed_dot(islice(fhat, j + 1 - done), phis[done : j + 1])
+            done = j + 1
+            sums[j] = fixed_to_mpf(total, kernel.exp + phi_exp, precision_bits)
         ok = True
         for j in checkpoints:
             s = sums[j]
@@ -349,6 +510,7 @@ def sarason_series_failure(
     meta = _base_metadata(pair, precision_bits)
     meta["bits_required"] = required_bits_for_degree(pair, j_max)
     meta["series_error_bound"] = phi_hat.error_bound
+    meta["fhat_error_bound"] = kernel.error_bound
     meta["ratio_full_to_half"] = float(sums[j_max] / half) if half else float("nan")
     return ExperimentReport(
         name="sarason",
@@ -373,10 +535,12 @@ def summability_divergence(
     Reports running maxima (the limsup claim is exhibited as monotone
     growth over the computed range, never asserted as a limit) and the
     convexity sanity ||sigma_n|| <= max_{k<=n} ||s_k|| over computed k.
+    fhat comes from ``_FhatFixed``, rounded once to ``precision_bits``.
     The metadata carries ``phi_series_gap``, the worst relative gap between
     b-hat / a-hat and the series of the phi modulus, checked against 1e-9,
-    and ``series_error_bound``, the largest counted relative error bound of
-    a coefficient of a-hat or b-hat (``outer_series``).
+    ``series_error_bound``, the largest counted relative error bound of a
+    coefficient of a-hat or b-hat (``outer_series``), and
+    ``fhat_error_bound``, the largest of fhat (``_FhatFixed``).
     """
     from mpmath import mp
 
@@ -395,8 +559,9 @@ def summability_divergence(
     rows = []
     with mp.workprec(precision_bits):
         phi_hat, phi_gap = _phi_series_and_gap(mp_pair, deg_f)
+        kernel = _FhatFixed(f, deg_f, precision_bits)
         f_series = TaylorSeries(
-            tuple(mp.exp(mp.mpf(f_hat_log(f, j).log_mag)) for j in range(deg_f + 1)),
+            tuple(fixed_to_mpf(m, kernel.exp, precision_bits) for m in kernel),
             precision_bits=precision_bits,
         )
 
@@ -423,6 +588,7 @@ def summability_divergence(
     meta["bits_required"] = need
     meta["phi_series_gap"] = phi_gap
     meta["series_error_bound"] = max(mp_pair.a_series.error_bound, mp_pair.b_series.error_bound)
+    meta["fhat_error_bound"] = kernel.error_bound
     meta["convexity_ok"] = convex_ok
     return ExperimentReport(
         name="summability",

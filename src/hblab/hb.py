@@ -17,6 +17,7 @@ Functions in H(b) appear in two representations:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -306,6 +307,42 @@ def kernel_combo_ccond_check(f: KernelCombo, pair: Pair) -> list:
     return out
 
 
+def fixed_mantissas(xs):
+    """Integers m_i and one exponent e with xs[i] = m_i 2^e exactly, for
+    real mpmath numbers, floats and ints: every mantissa aligned to the
+    smallest exponent, so a dot product of two aligned sequences is one
+    integer sum (``fixed_dot``)."""
+    pairs = []
+    for x in xs:
+        if isinstance(x, int):
+            pairs.append((x, 0))
+            continue
+        if isinstance(x, float):
+            m, e = math.frexp(x)
+            pairs.append((int(m * 2.0**53), e - 53))
+            continue
+        sign, man, e, bc = x._mpf_
+        if not man and bc:
+            raise ValueError(f"fixed_mantissas needs finite numbers, got {x}")
+        pairs.append((-man if sign else man, e))
+    low = min((e for m, e in pairs if m), default=0)
+    return [m << (e - low) if m else 0 for m, e in pairs], low
+
+
+def fixed_dot(xs, ys) -> int:
+    """sum_i xs[i] ys[i] over integer mantissas on one scale, exact; zip
+    stops at the shorter sequence, so either may be a stream."""
+    return sum(map(operator.mul, xs, ys))
+
+
+def fixed_to_mpf(man: int, exp: int, bits: int):
+    """man 2^exp as an mpmath number rounded once, to nearest, at ``bits``."""
+    from mpmath import mp
+    from mpmath.libmp import from_man_exp, round_nearest
+
+    return mp.make_mpf(from_man_exp(man, exp, bits, round_nearest))
+
+
 def sarason_f_plus(f: TaylorSeries, phi_hat: TaylorSeries) -> TaylorSeries:
     """f+ by the coefficient formula f+hat(k) = sum_j fhat(j+k) conj(phihat(j)).
 
@@ -313,20 +350,24 @@ def sarason_f_plus(f: TaylorSeries, phi_hat: TaylorSeries) -> TaylorSeries:
     for polynomials, where it is exact with phi-hat to the degree of f).
     With phi-hat from ``phi_series`` this is the route of every H(b) norm
     of a TaylorSeries; ``f_plus_solve`` is its independent oracle.  On
-    mpmath series each output coefficient is one exact dot product
-    (``mp.fdot``) rounded once at the current mpmath precision; floats keep
-    the plain loop.
+    real mpmath series the mantissas of f and of phi-hat are aligned once
+    to one exponent each (``fixed_mantissas``, float zero pads included),
+    so each output coefficient is one exact integer dot product
+    (``fixed_dot``) rounded once at the current mpmath precision; floats
+    keep the plain loop.
     """
     bits = min(f.precision_bits, phi_hat.precision_bits)
+    nf = len(f.coeffs)
     if bits > 53:
         from mpmath import mp  # float callers never load mpmath
-    nf = len(f.coeffs)
+
+        fs, fe = fixed_mantissas(f.coeffs)
+        ps, pe = fixed_mantissas(phi_hat.coeffs)
+        out = [fixed_to_mpf(fixed_dot(fs[k:], ps), fe + pe, mp.prec) for k in range(nf)]
+        return TaylorSeries(tuple(out), bits)
     out = []
     for k in range(nf):
         m = min(nf - k, len(phi_hat.coeffs))
-        if bits > 53:
-            out.append(mp.fdot(f.coeffs[k : k + m], phi_hat.coeffs[:m], conjugate=True))
-            continue
         acc = 0.0
         for j in range(m):
             acc = acc + f.coeffs[j + k] * phi_hat.coeffs[j].conjugate()
@@ -369,12 +410,23 @@ def partial_sum(f: TaylorSeries, n: int) -> TaylorSeries:
 
 
 def cesaro_mean(f: TaylorSeries, n: int) -> TaylorSeries:
-    """sigma_n(f) = mean of s_0..s_n: Fejer weights (n+1-j)/(n+1)."""
+    """sigma_n(f) = mean of s_0..s_n: Fejer weights (n+1-j)/(n+1).
+
+    Each weight is formed in the series' own number type: a float quotient
+    for float series, an mpmath quotient rounded once at the series'
+    precision for mpmath series, so no sigma_n coefficient of an
+    extended-precision series carries a double-rounded weight.
+    """
     if n < 0:
         raise ValueError(f"Cesaro order must be >= 0, got {n}")
     if n > f.truncation_degree:
         raise ValueError("Cesaro order exceeds truncation degree")
-    out = []
-    for j, c in enumerate(f.coeffs):
-        out.append(c * ((n + 1 - j) / (n + 1)) if j <= n else 0.0 * c)
+    if f.precision_bits > 53:
+        from mpmath import mp
+
+        with mp.workprec(f.precision_bits):
+            out = [c * (mp.mpf(n + 1 - j) / (n + 1)) for j, c in enumerate(f.coeffs[: n + 1])]
+    else:
+        out = [c * ((n + 1 - j) / (n + 1)) for j, c in enumerate(f.coeffs[: n + 1])]
+    out += [0.0 * c for c in f.coeffs[n + 1 :]]
     return TaylorSeries(tuple(out), f.precision_bits)

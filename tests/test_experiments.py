@@ -16,6 +16,7 @@ from mpmath import mp
 
 from hblab.experiments import (
     PrecisionExhausted,
+    _FhatFixed,
     abel_fr_plus,
     build_divergent_combo,
     default_r_grid,
@@ -33,12 +34,17 @@ from hblab.hb import (
     Radius,
     cesaro_mean,
     dilate,
+    KernelCombo,
+    KernelNode,
+    as_radius,
     f_plus_solve,
+    fixed_to_mpf,
     hb_norm_sq,
     partial_sum,
     phi_series,
     sarason_f_plus,
 )
+from hblab.logscalar import LogScalar
 from hblab.pair import outer_series
 from hblab.series import TaylorSeries
 from hblab.outer import log_delta, log_phi_radial
@@ -173,6 +179,54 @@ def test_f_hat_log_direct(combo):
         assert f_hat_log(combo, j).to_float() == pytest.approx(expect, rel=1e-12)
 
 
+def fhat_oracle(combo, degree, bits, radius=None):
+    """All-mpmath r^j fhat(j) = fsum_m c_m (r w_m)^j, j = 0..degree, at ``bits``,
+    from the same float node data, each power taken afresh."""
+    with mp.workprec(bits):
+        r = 1 if radius is None else -mp.expm1(mp.mpf(as_radius(radius).log_one_minus))
+        cs = [mp.exp(mp.mpf(nd.log_c.log_mag)) for nd in combo.nodes]
+        vs = [r * -mp.expm1(mp.mpf(nd.log_one_minus_w)) for nd in combo.nodes]
+        return [mp.fsum(c * mp.power(v, j) for c, v in zip(cs, vs)) for j in range(degree + 1)]
+
+
+REF_BITS = 448  # 384 + 64
+
+
+@pytest.fixture(scope="module")
+def fhat_ref(pair, combo):
+    """``fhat_oracle`` to degree 1024 at REF_BITS, at r = 1 and at A7's w_1."""
+    return {r: fhat_oracle(combo, 1024, REF_BITS, r) for r in (None, pair.seq.w[1])}
+
+
+@pytest.mark.parametrize("bits", [128, 384])
+def test_fhat_kernel_matches_mp_oracle(pair, combo, fhat_ref, bits):
+    """Every coefficient of the integer kernel, at r = 1 and at A7's w_1
+    radius, is within its counted bound of the all-mpmath sum at 448 >=
+    bits + 64 bits, and that bound meets 2^-bits."""
+    for radius, ref in fhat_ref.items():
+        kernel = _FhatFixed(combo, 1024, bits, radius)
+        got = list(kernel)
+        assert 0.0 < kernel.error_bound <= 2.0**-bits
+        assert kernel.drops > 0
+        with mp.workprec(REF_BITS):
+            tol = mp.mpf(kernel.error_bound) + mp.mpf(2) ** -(bits + 60)
+            for j, (m, y) in enumerate(zip(got, ref)):
+                assert abs(mp.ldexp(m, kernel.exp) - y) <= tol * y, j
+
+
+def test_fhat_kernel_guard(combo):
+    """The kernel carries every coefficient to 2^-bits with its derived
+    guard bits, and raises where it cannot place a coefficient's scale: a
+    node whose log2-term of about -1.4e17 floats hold only to 2^4 bits."""
+    for bits in (53, 64, 200):
+        kernel = _FhatFixed(combo, 512, bits)
+        assert len(list(kernel)) == 513
+        assert kernel.error_bound <= 2.0**-bits
+    far = KernelCombo((KernelNode(LogScalar.exp_of(-1e17), -1.0),))
+    with pytest.raises(ArithmeticError):
+        _FhatFixed(far, 8, 128)
+
+
 def test_required_bits_monotone(pair):
     assert required_bits_for_degree(pair, 512) < required_bits_for_degree(pair, 4096)
 
@@ -282,9 +336,8 @@ def test_summability_matches_solve_oracle(pair, combo, monkeypatch):
     )
     with mp.workprec(200):
         phi_hat = phi_series(mp_pair, 24)
-        f_series = TaylorSeries(
-            tuple(mp.exp(mp.mpf(f_hat_log(combo, j).log_mag)) for j in range(25)), 200
-        )
+        kernel = _FhatFixed(combo, 24, 200)
+        f_series = TaylorSeries(tuple(fixed_to_mpf(m, kernel.exp, 200) for m in kernel), 200)
         for (n, ls, lsig) in rep.rows:
             for poly, logged in (
                 (partial_sum(f_series, n), ls),
@@ -295,6 +348,91 @@ def test_summability_matches_solve_oracle(pair, combo, monkeypatch):
                 assert abs(product - solved) <= mp.mpf(2) ** -150 * solved
                 assert logged == 0.5 * float(mp.log10(product))
     assert 0.0 <= rep.metadata["phi_series_gap"] <= 1e-9
+
+
+def test_mp_reports_meet_their_precision(pair, combo, fhat_ref, monkeypatch):
+    """``sarason`` (j_max 512), ``summability`` (the CLI orders) and A7's
+    Abel value at w_1 (degree 1024), run at P = 384 bits, agree in mpmath
+    with the same quantities at P + 64 bits built from the all-mpmath fhat
+    (``fhat_oracle``) and exact Cesaro weights.  Comparing two library runs
+    would not do: an error common to both precisions, as a float fhat is,
+    cancels between them.
+
+    The bounds, with u = 2^-P and every sum over positive terms (asserted):
+    fhat is within u (the kernel's counted bound), a phi-hat of
+    ``phi_hat_series`` within u before and u from its rounding, each
+    product and sum of fhat phi-hat is exact and rounded once: S_J and the
+    Abel value are within 4u, so slack = 3 bits.  In ``summability`` a
+    coefficient of s_n is within 2u (kernel, rounding) and one of sigma_n
+    within 4u (weight and product rounded once more); ||p||^2 squares them
+    (u each) and adds m = deg + 1 of them (u each): (m + 8) u.  f+ sums
+    p phi-hat exactly with one rounding, so with e_phi the largest relative
+    gap between phi-hat = b-hat / a-hat at P and at P + 64 bits (forward
+    substitution can lose bits, so e_phi is measured, not assumed),
+    ||f+||^2 is within 2 (4u + e_phi + u) + m u, and the final sum adds u:
+    (m + 11) u + 2 e_phi.  One more u holds the second-order terms and the
+    P + 64 side, which adds below 2^-60 u: tol = (m + 12) u + 2 e_phi.
+    """
+    bits, extra = 384, REF_BITS
+    orders = [0, 1, 2, 4, 8, 12, 16, 24, 32, 40, 48, 56, 64]
+    seen = []
+    log10 = mp.log10
+
+    def spy(x):
+        seen.append(x)
+        return log10(x)
+
+    monkeypatch.setattr(mp, "log10", spy)
+    sarason_series_failure(512, combo, pair, precision_bits=bits)
+    sums, seen[:] = list(seen), []
+    summability_divergence(orders, combo, pair, precision_bits=bits)
+    norms = list(seen)
+    monkeypatch.undo()
+    w1 = pair.seq.w[1]
+    phi_hat = phi_hat_series(pair, 1024, bits)
+    abel = abel_fr_plus(w1, combo, pair, precision_bits=bits, phi_hat=phi_hat)
+
+    def agree(got, ref, slack):
+        with mp.workprec(extra):
+            assert abs(got - ref) <= mp.mpf(2) ** (slack - bits) * abs(ref)
+
+    # sarason: S_J at J = 1, 2, 4, ..., 512
+    phi_ref = phi_hat_series(pair, 512, extra).coeffs
+    f_ref = fhat_ref[None]
+    with mp.workprec(extra):
+        assert min(phi_ref) > 0
+        ref_sums = [
+            mp.fsum(x * y for x, y in zip(f_ref[: j + 1], phi_ref))
+            for j in (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
+        ]
+    assert len(sums) == len(ref_sums)
+    for got, ref in zip(sums, ref_sums):
+        agree(got, ref, 3)
+
+    # Abel at w_1, degree 1024
+    phi_ref = phi_hat_series(pair, 1024, extra).coeffs
+    with mp.workprec(extra):
+        ref = mp.fsum(x * y for x, y in zip(fhat_ref[w1], phi_ref))
+    agree(abel, ref, 3)
+
+    # summability: ||s_n||^2 and ||sigma_n||^2 for each order
+    deg = orders[-1]
+    phi_lo = phi_series(pair.with_series(deg, bits), deg).coeffs
+    phi_hi = phi_series(pair.with_series(deg, extra), deg)
+    f_ref = fhat_ref[None][: deg + 1]
+    with mp.workprec(extra):
+        assert min(phi_hi.coeffs) > 0 and min(f_ref) > 0
+        e_phi = max(abs(x - y) / y for x, y in zip(phi_lo, phi_hi.coeffs))
+        tol = (deg + 13) * mp.mpf(2) ** -bits + 2 * e_phi
+        ref_norms = []
+        for n in orders:
+            for weights in ([1] * (n + 1), [mp.mpf(n + 1 - j) / (n + 1) for j in range(n + 1)]):
+                coeffs = tuple(c * w for c, w in zip(f_ref, weights)) + (0,) * (deg - n)
+                p = TaylorSeries(coeffs, extra)
+                ref_norms.append(p.l2_norm_sq() + sarason_f_plus(p, phi_hi).l2_norm_sq())
+        assert len(norms) == len(ref_norms)
+        for got, ref in zip(norms, ref_norms):
+            assert abs(got - ref) <= tol * ref
 
 
 def test_summability_precision_guard(pair, combo):

@@ -355,6 +355,24 @@ def test_partial_sum_and_cesaro():
         cesaro_mean(f, -1)
 
 
+def test_cesaro_weights_round_once_at_200_bits():
+    """On a 200-bit series each sigma_n coefficient c (n+1-j)/(n+1) is
+    within two roundings at 200 bits (the weight, then the product), not
+    the 2^-53 of a float weight."""
+    from mpmath import mp
+
+    bits = 200
+    with mp.workprec(bits):
+        f = TaylorSeries(tuple(mp.mpf(1) / (j + 3) for j in range(12)), bits)
+    for n in (6, 10):
+        sig = cesaro_mean(f, n)
+        assert sig.precision_bits == bits
+        with mp.workprec(bits + 64):
+            for j, (c, s) in enumerate(zip(f.coeffs, sig.coeffs)):
+                exact = c * (n + 1 - j) / (n + 1) if j <= n else 0
+                assert abs(s - exact) <= 3 * mp.mpf(2) ** -bits * abs(exact)
+
+
 def test_cesaro_is_average_of_partial_sums():
     rng = np.random.default_rng(2)
     f = random_poly(rng, 10).pad(12)
