@@ -24,9 +24,6 @@ from .hb import (
     as_radius,
     cesaro_mean,
     dilate,
-    fixed_dot,
-    fixed_mantissas,
-    fixed_to_mpf,
     hb_norm_sq,
     kernel_combo_ccond_check,
     partial_sum,
@@ -36,7 +33,7 @@ from .logscalar import LogScalar, log_add_exp, log_sum_exp
 from .outer import ParameterError, half_plane_log_modulus_radial, log_delta
 from .pair import Pair, outer_series
 from .reports import CODE_VERSION, ExperimentReport
-from .series import TaylorSeries
+from .series import TaylorSeries, fixed_dot, fixed_mantissas, fixed_to_mpf
 
 _LN10 = math.log(10.0)
 _LN2 = math.log(2.0)
@@ -132,7 +129,7 @@ def _interval_index(params, rad: Radius) -> int:
 # -- experiments ------------------------------------------------------------
 
 
-def _base_metadata(pair: Pair, precision_bits: int) -> dict:
+def _base_metadata(precision_bits: int) -> dict:
     return {
         "code_version": CODE_VERSION,
         "precision_bits": precision_bits,
@@ -183,7 +180,7 @@ def divergence_curve(
             ok = log10_val >= log10_bound
         all_pass = all_pass and ok
         rows.append((rad.value, log10_val, log10_norm, n, log10_bound, ok))
-    meta = _base_metadata(pair, 53)
+    meta = _base_metadata(53)
     meta["norm_chain_ok"] = chain_ok
     return ExperimentReport(
         name="divergence",
@@ -212,7 +209,7 @@ def growth_envelope(r_grid: Sequence, f: KernelCombo, pair: Pair) -> ExperimentR
         trend = half_log * math.exp(lomr)
         rows.append((rad.value, e_r, trend))
         e_values.append(e_r)
-    meta = _base_metadata(pair, 53)
+    meta = _base_metadata(53)
     finite = all(math.isfinite(e) for e in e_values)
     meta["empirical_c"] = min(e_values) if e_values else float("nan")
     return ExperimentReport(
@@ -248,35 +245,26 @@ class _FhatFixed:
     ``abel_fr_plus``, ``summability_divergence``); iterating it streams
     F_0..F_degree, and the per-node state is all it stores.
 
-    mpmath computes c_m = exp(log c_m), w_m = 1 - exp(log(1 - w_m)) and
-    r = 1 - exp(log(1 - r)) at 2W bits from the float node data taken as
-    exact.  Each node carries its running term c_m v_m^j as an integer at
-    the common scale 2^-exp: one multiply by V_m = v_m 2^Q_m (floored,
-    Q_m = W + 1 + bits of 1/v_m, so V_m / 2^Q_m is within 2^-W of v_m
-    relative) and one shift by Q_m per j.  exp is placed from the float
-    log-terms so
-    that F_degree, the smallest coefficient (every v_m < 1), still carries
-    W bits.  A node whose log2-term trails the leading one by more than
-    bits + guard, after both are moved by their float error, is dropped
-    for that j; its term is below 2^(1 - bits - guard) of fhat(j).  The
-    kept j of a node form one interval (an intersection of half-lines),
-    and a node entering late starts from c_m v_m^j computed in mpmath.
+    mpmath computes c_m = exp(log c_m) and v_m = r w_m, with
+    w_m = 1 - exp(log(1 - w_m)) and r = 1 - exp(log(1 - r)), at 2W bits
+    from the float node data taken as exact, and places exp so that the
+    largest term c_m v_m^degree is 2^(W+1) units or more; F_degree, the
+    smallest coefficient (every v_m < 1), is then at least 2^W.  Each node
+    carries its term c_m v_m^j as an integer from j = 0: one multiply by
+    V_m = v_m 2^Q_m (floored, Q_m = W + 1 + bits of 1/v_m, so V_m / 2^Q_m
+    is within 2^-W of v_m relative) and one shift by Q_m per j.
 
-    The count behind W and the guard, per coefficient: a node s steps
-    past its entry carries at most s + 1 floors of one unit, and its term
-    at most 2 s eta relative from V_m (eta = 2^-Q_m / v_m + 2^-2W <=
-    2^-W + 2^-2W) and 8 (degree + 3) 2^-2W from the mpmath data; at most
-    K = len(nodes) nodes are kept or dropped.  So r^j fhat(j) is within
-        (sum over kept nodes of (s + 1)) / (F_j - that sum)
-        + 2 degree eta + 8 (degree + 3) 2^-2W + drops 2^(1 - bits - guard)
+    The count behind W, per coefficient: each of the K = len(nodes) nodes
+    carries at most j + 1 floors of one unit, and its term at most
+    2 j eta relative from V_m (eta = 2^-W + 2^(1 - 2W)) and
+    8 (degree + 3) 2^-2W from the mpmath data.  So r^j fhat(j) is within
+        K (j + 1) / (F_j - K (j + 1)) + 2 degree eta + 8 (degree + 3) 2^-2W
     relative, and with F_j >= 2^W this is below 2^-bits for
-    W = bits + 1 + bitlen(K (degree + 1) + 2 degree + 1) and
-    guard = 2 + bitlen(K - 1).  The largest such bound is ``error_bound``;
-    a coefficient whose bound misses 2^-bits raises ArithmeticError, and
-    so does a leading log-term that floats cannot place within one bit,
-    since the scale of its coefficient is then unknown.  The first and
-    last coefficients are checked against ``f_hat_log`` (times r^j) within
-    that oracle's own float error.
+    W = bits + 1 + bitlen(K (degree + 1) + 2 degree + 1).  The largest
+    such bound is ``error_bound``; a coefficient whose bound misses
+    2^-bits raises ArithmeticError.  The first and last coefficients are
+    checked against ``f_hat_log`` (times r^j) within that oracle's own
+    float error.
     """
 
     def __init__(self, f: KernelCombo, degree: int, bits: int, radius=None):
@@ -285,75 +273,31 @@ class _FhatFixed:
         self.f, self.degree, self.bits = f, degree, bits
         self.radius = None if radius is None else as_radius(radius)
         k = len(f.nodes)
-        self.guard = 2 + (k - 1).bit_length()
         self.W = W = bits + 1 + (k * (degree + 1) + 2 * degree + 1).bit_length()
         self.wp = 2 * W
         with mp.workprec(self.wp):
             r = 1 if radius is None else -mp.expm1(mp.mpf(self.radius.log_one_minus))
+            self.c = [mp.exp(mp.mpf(nd.log_c.log_mag)) for nd in f.nodes]
             self.v = [r * -mp.expm1(mp.mpf(nd.log_one_minus_w)) for nd in f.nodes]
-            self.lv = lv = [float(mp.log(v, 2)) for v in self.v]
-        lc = [nd.log_c.log_mag / _LN2 for nd in f.nodes]
-        # log2 c_m v_m^j +- err, err = 2^-49 (|log2 c_m| + j |log2 v_m|)
-        err = 2.0**-49
-
-        def lower(m, j):
-            return lc[m] + j * lv[m] - err * (abs(lc[m]) + j * abs(lv[m]))
-
-        lead = max(range(k), key=lambda m: lower(m, degree))
-        if err * (abs(lc[lead]) + degree * abs(lv[lead])) > 1.0:
-            raise ArithmeticError(
-                f"fhat({degree}): its leading log2-term {lc[lead] + degree * lv[lead]:.6g} "
-                "cannot be placed within one bit in floats"
-            )
-        self.exp = math.floor(lower(lead, degree)) - W
-        margin = bits + self.guard
-        self.spans = []
-        for m in range(k):
-            lo, hi = 0, degree
-            for n in range(k):
-                # node m is kept at j while a + b j >= 0 for every n
-                a = lc[m] - lc[n] + margin + err * (abs(lc[m]) + abs(lc[n]))
-                b = lv[m] - lv[n] + err * (abs(lv[m]) + abs(lv[n]))
-                if a < 0 and a + b * degree < 0:
-                    lo, hi = degree + 1, degree
-                elif a < 0:
-                    lo = max(lo, math.ceil(-a / b))
-                elif a + b * degree < 0:
-                    hi = min(hi, math.floor(a / -b))
-            if lo <= hi:
-                self.spans.append((lo, hi, m))
+            top = max(c * v**degree for c, v in zip(self.c, self.v))
+        # mag(x) = floor(log2 x) + 1: top is 2^(W+1) units or more
+        self.exp = mp.mag(top) - W - 2
+        self.q = [W + 2 - mp.mag(v) for v in self.v]
         self.error_bound = 0.0
-        self.drops = 0
 
     def __iter__(self):
-        from mpmath import mp
         from mpmath.libmp import to_fixed
 
-        f, degree, bits, W = self.f, self.degree, self.bits, self.W
-        k = len(f.nodes)
+        degree, bits, W = self.degree, self.bits, self.W
+        k = len(self.f.nodes)
         eta = 2.0**-W + 2.0 ** (1 - self.wp)
         fixed = 2 * degree * eta + (degree + 3) * 2.0 ** (3 - self.wp)
-        drop = 2.0 ** (1 - bits - self.guard)
-        limit = 2.0**-bits
-        pending = sorted(self.spans, reverse=True)
-        active = []  # [term, V, Q, entry j, last j]
+        vs = [to_fixed(v._mpf_, q) for v, q in zip(self.v, self.q)]
+        terms = [to_fixed(c._mpf_, -self.exp) for c in self.c]
         for j in range(degree + 1):
-            while pending and pending[-1][0] == j:
-                lo, hi, m = pending.pop()
-                v = self.v[m]
-                with mp.workprec(self.wp):
-                    term = mp.exp(mp.mpf(f.nodes[m].log_c.log_mag)) * v**lo
-                q = W + 1 + max(0, math.ceil(-self.lv[m]))
-                active.append([to_fixed(term._mpf_, -self.exp), to_fixed(v._mpf_, q), q, lo, hi])
-            total = sum(node[0] for node in active)
-            units = sum(j - node[3] + 1 for node in active)
-            drops = k - len(active)
-            self.drops += drops
-            if total <= units:
-                rel = math.inf
-            else:
-                rel = units / (total - units) + fixed + drops * drop
-            if rel > limit:
+            total, units = sum(terms), k * (j + 1)
+            rel = units / (total - units) + fixed if total > units else math.inf
+            if rel > 2.0**-bits:
                 raise ArithmeticError(
                     f"fhat({j}) cannot be carried to {bits} bits at 2^{self.exp}: "
                     f"its counted relative error bound is {rel:.3e}"
@@ -362,9 +306,7 @@ class _FhatFixed:
             if j in (0, degree):
                 self._check_oracle(j, total)
             yield total
-            active = [
-                [(t * vq) >> q, vq, q, lo, hi] for t, vq, q, lo, hi in active if hi > j
-            ]
+            terms = [(t * vq) >> q for t, vq, q in zip(terms, vs, self.q)]
 
     def _check_oracle(self, j: int, total: int) -> None:
         """Raise ArithmeticError where log(F_j 2^exp) leaves the float
@@ -507,7 +449,7 @@ def sarason_series_failure(
                 ok = False
         half = sums.get(max(c for c in checkpoints if c <= j_max // 2), None)
         growth = half is not None and sums[j_max] > half
-    meta = _base_metadata(pair, precision_bits)
+    meta = _base_metadata(precision_bits)
     meta["bits_required"] = required_bits_for_degree(pair, j_max)
     meta["series_error_bound"] = phi_hat.error_bound
     meta["fhat_error_bound"] = kernel.error_bound
@@ -584,7 +526,7 @@ def summability_divergence(
         and rows[-1][1] > next(ls for n, ls, _ in rows if n >= 8)
         and rows[-1][2] > next(lg for n, _, lg in rows if n >= 8)
     )
-    meta = _base_metadata(pair, precision_bits)
+    meta = _base_metadata(precision_bits)
     meta["bits_required"] = need
     meta["phi_series_gap"] = phi_gap
     meta["series_error_bound"] = max(mp_pair.a_series.error_bound, mp_pair.b_series.error_bound)

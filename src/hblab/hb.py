@@ -17,13 +17,18 @@ Functions in H(b) appear in two representations:
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from .logscalar import LogScalar, log1p_exp, log_add_exp, log_sum_exp
 from .pair import Pair, outer_series
-from .series import TaylorSeries, triangular_solve_upper_toeplitz
+from .series import (
+    TaylorSeries,
+    fixed_dot,
+    fixed_mantissas,
+    fixed_to_mpf,
+    triangular_solve_upper_toeplitz,
+)
 
 
 @dataclass(frozen=True)
@@ -305,42 +310,6 @@ def kernel_combo_ccond_check(f: KernelCombo, pair: Pair) -> list:
         lm = nd.log_c.log_mag + log1p_exp(lphi) - 0.5 * nd.log_one_minus_w
         out.append(LogScalar.exp_of(lm))
     return out
-
-
-def fixed_mantissas(xs):
-    """Integers m_i and one exponent e with xs[i] = m_i 2^e exactly, for
-    real mpmath numbers, floats and ints: every mantissa aligned to the
-    smallest exponent, so a dot product of two aligned sequences is one
-    integer sum (``fixed_dot``)."""
-    pairs = []
-    for x in xs:
-        if isinstance(x, int):
-            pairs.append((x, 0))
-            continue
-        if isinstance(x, float):
-            m, e = math.frexp(x)
-            pairs.append((int(m * 2.0**53), e - 53))
-            continue
-        sign, man, e, bc = x._mpf_
-        if not man and bc:
-            raise ValueError(f"fixed_mantissas needs finite numbers, got {x}")
-        pairs.append((-man if sign else man, e))
-    low = min((e for m, e in pairs if m), default=0)
-    return [m << (e - low) if m else 0 for m, e in pairs], low
-
-
-def fixed_dot(xs, ys) -> int:
-    """sum_i xs[i] ys[i] over integer mantissas on one scale, exact; zip
-    stops at the shorter sequence, so either may be a stream."""
-    return sum(map(operator.mul, xs, ys))
-
-
-def fixed_to_mpf(man: int, exp: int, bits: int):
-    """man 2^exp as an mpmath number rounded once, to nearest, at ``bits``."""
-    from mpmath import mp
-    from mpmath.libmp import from_man_exp, round_nearest
-
-    return mp.make_mpf(from_man_exp(man, exp, bits, round_nearest))
 
 
 def sarason_f_plus(f: TaylorSeries, phi_hat: TaylorSeries) -> TaylorSeries:

@@ -28,7 +28,7 @@ from .outer import (
     log_phi_radial,
     make_sequences,
 )
-from .series import TaylorSeries, exp_series
+from .series import TaylorSeries, exp_series, fixed_to_mpf
 
 _TWO_PI = 2.0 * math.pi
 _HALF_LN2 = 0.5 * math.log(2.0)
@@ -220,7 +220,7 @@ def outer_series(mod: StepModulus, degree: int, precision_bits: int = 53) -> Tay
     ArithmeticError.
     """
     from mpmath import mp
-    from mpmath.libmp import from_man_exp, round_nearest, to_fixed
+    from mpmath.libmp import to_fixed
 
     cells = {(c.theta_start, c.theta_end, c.log_modulus) for c in mod.cells}
     real = all((-b, -a, h) in cells for a, b, h in cells)
@@ -303,9 +303,7 @@ def outer_series(mod: StepModulus, degree: int, precision_bits: int = 53) -> Tay
         _check_against_exp_series(mod, out, float, real)
         return TaylorSeries(out, error_bound=rel_bound)
     with mp.workprec(precision_bits):
-        out = tuple(
-            mp.make_mpf(from_man_exp(r, -W, precision_bits, round_nearest)) for r, _ in coeffs
-        )
+        out = tuple(fixed_to_mpf(r, -W, precision_bits) for r, _ in coeffs)
         _check_against_exp_series(mod, out, mp.mpf, real)
     return TaylorSeries(out, precision_bits, rel_bound)
 

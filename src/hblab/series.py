@@ -6,11 +6,17 @@ double-precision and extended-precision experiments.  Products and
 ``exp_series`` are plain O(N^2) recurrences; the long outer-function series
 come from the O(N * cells) recurrence of ``hblab.pair.outer_series``, which
 uses ``exp_series`` only as its low-degree oracle.
+
+The ``fixed_*`` helpers are the one aligned-mantissa format of every exact
+integer sum at extended precision: integers on one scale 2^e, summed
+exactly and rounded to mpmath once.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -153,3 +159,39 @@ def triangular_solve_upper_toeplitz(
             acc = acc - h[j].conjugate() * x[k + j]
         x[k] = acc / d
     return x
+
+
+def fixed_mantissas(xs):
+    """Integers m_i and one exponent e with xs[i] = m_i 2^e exactly, for
+    real mpmath numbers, floats and ints: every mantissa aligned to the
+    smallest exponent, so a dot product of two aligned sequences is one
+    integer sum (``fixed_dot``)."""
+    pairs = []
+    for x in xs:
+        if isinstance(x, int):
+            pairs.append((x, 0))
+            continue
+        if isinstance(x, float):
+            m, e = math.frexp(x)
+            pairs.append((int(m * 2.0**53), e - 53))
+            continue
+        sign, man, e, bc = x._mpf_
+        if not man and bc:
+            raise ValueError(f"fixed_mantissas needs finite numbers, got {x}")
+        pairs.append((-man if sign else man, e))
+    low = min((e for m, e in pairs if m), default=0)
+    return [m << (e - low) if m else 0 for m, e in pairs], low
+
+
+def fixed_dot(xs, ys) -> int:
+    """sum_i xs[i] ys[i] over integer mantissas on one scale, exact; zip
+    stops at the shorter sequence, so either may be a stream."""
+    return sum(map(operator.mul, xs, ys))
+
+
+def fixed_to_mpf(man: int, exp: int, bits: int):
+    """man 2^exp as an mpmath number rounded once, to nearest, at ``bits``."""
+    from mpmath import mp
+    from mpmath.libmp import from_man_exp, round_nearest
+
+    return mp.make_mpf(from_man_exp(man, exp, bits, round_nearest))

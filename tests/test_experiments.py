@@ -14,6 +14,7 @@ from dataclasses import replace
 import pytest
 from mpmath import mp
 
+import hblab.experiments as experiments
 from hblab.experiments import (
     PrecisionExhausted,
     _FhatFixed,
@@ -38,7 +39,6 @@ from hblab.hb import (
     KernelNode,
     as_radius,
     f_plus_solve,
-    fixed_to_mpf,
     hb_norm_sq,
     partial_sum,
     phi_series,
@@ -46,7 +46,7 @@ from hblab.hb import (
 )
 from hblab.logscalar import LogScalar
 from hblab.pair import outer_series
-from hblab.series import TaylorSeries
+from hblab.series import TaylorSeries, fixed_to_mpf
 from hblab.outer import log_delta, log_phi_radial
 
 
@@ -207,7 +207,6 @@ def test_fhat_kernel_matches_mp_oracle(pair, combo, fhat_ref, bits):
         kernel = _FhatFixed(combo, 1024, bits, radius)
         got = list(kernel)
         assert 0.0 < kernel.error_bound <= 2.0**-bits
-        assert kernel.drops > 0
         with mp.workprec(REF_BITS):
             tol = mp.mpf(kernel.error_bound) + mp.mpf(2) ** -(bits + 60)
             for j, (m, y) in enumerate(zip(got, ref)):
@@ -216,15 +215,37 @@ def test_fhat_kernel_matches_mp_oracle(pair, combo, fhat_ref, bits):
 
 def test_fhat_kernel_guard(combo):
     """The kernel carries every coefficient to 2^-bits with its derived
-    guard bits, and raises where it cannot place a coefficient's scale: a
-    node whose log2-term of about -1.4e17 floats hold only to 2^4 bits."""
+    headroom, and carries a node whose log2-term of about -1.4e17 floats
+    hold only to 2^4 bits: its scale is placed in mpmath, so its
+    coefficients meet their counted bound against the all-mpmath sum."""
     for bits in (53, 64, 200):
         kernel = _FhatFixed(combo, 512, bits)
         assert len(list(kernel)) == 513
         assert kernel.error_bound <= 2.0**-bits
     far = KernelCombo((KernelNode(LogScalar.exp_of(-1e17), -1.0),))
-    with pytest.raises(ArithmeticError):
-        _FhatFixed(far, 8, 128)
+    kernel = _FhatFixed(far, 8, 128)
+    got = list(kernel)
+    assert 0.0 < kernel.error_bound <= 2.0**-128
+    ref = fhat_oracle(far, 8, 192)
+    with mp.workprec(192):
+        tol = mp.mpf(kernel.error_bound) + mp.mpf(2) ** -188
+        for j, (m, y) in enumerate(zip(got, ref)):
+            assert abs(mp.ldexp(m, kernel.exp) - y) <= tol * y, j
+
+
+def test_fhat_kernel_oracle_check(combo, monkeypatch):
+    """The first and last coefficients are checked against the log-domain
+    ``f_hat_log``: an oracle off by 1e-6 in log, beyond its tolerance of
+    about 5.2e-10 here (set by node 8's |log c| of about 1.47e5), raises."""
+    assert len(list(_FhatFixed(combo, 64, 128))) == 65
+    true_log = experiments.f_hat_log
+    monkeypatch.setattr(
+        experiments,
+        "f_hat_log",
+        lambda f, j: LogScalar.exp_of(true_log(f, j).log_mag + 1e-6),
+    )
+    with pytest.raises(ArithmeticError, match="log-domain oracle"):
+        list(_FhatFixed(combo, 64, 128))
 
 
 def test_required_bits_monotone(pair):
