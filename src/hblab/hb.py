@@ -129,8 +129,9 @@ def _series_pair(pair: Pair, degree: int) -> Pair:
     return pair.with_series(degree, min((s.precision_bits for s in have), default=53))
 
 
-# Defect bound of phi-hat, in l1, and the largest relative gap allowed
-# between b-hat / a-hat and the series of the phi modulus itself.
+# Bound on the f+ defect, in l1, for a pair without a phi modulus, and the
+# largest relative gap allowed between b-hat / a-hat and the series of the
+# phi modulus itself.
 _PHI_TOL = 1e-9
 
 
@@ -147,8 +148,11 @@ def phi_series(pair: Pair, degree: int) -> TaylorSeries:
     (``mp.fdot``), rounded once.
 
     Raises ArithmeticError when ||a-hat phi-hat - b-hat||_1 over 0..degree
-    exceeds 1e-9, or, for a pair with a phi modulus, when some coefficient
-    leaves ``outer_series`` of that modulus by more than 1e-9 relative.
+    exceeds the rounding of the substitution and of the check's own sums,
+    4 (degree + 2) u sum_n (|b-hat_n| + sum_j |a-hat_j| |phi-hat_{n-j}|) at
+    unit roundoff u; for a pair with a phi modulus, when some coefficient
+    leaves ``outer_series`` of that modulus by more than 1e-9 relative; and
+    for a pair without one, when the defect exceeds 1e-9.
     """
     return _phi_series_and_gap(pair, degree)[0]
 
@@ -171,19 +175,28 @@ def _phi_series_and_gap(pair: Pair, degree: int):
                 for j in range(1, n + 1):
                     acc = acc - a[j] * phi[n - j]
             phi.append(acc / a[0])
-        # ||T_a-bar p+ - T_b-bar p|| = ||T_conj(a phi - b) p|| <= ||a phi - b||_1 ||p||
-        # for p+ = T_phi-bar p, so this one check bounds the defect of every
-        # f+ built from phi-hat as the per-call residual check of
-        # f_plus_solve does (1e-9 ||p||).  The convolution is summed afresh,
-        # so the defect measures its rounding, which grows with |phi-hat|.
-        defect = sum(
-            abs(sum(a[j] * phi[n - j] for j in range(n + 1)) - b[n])
-            for n in range(degree + 1)
-        )
-        if defect > _PHI_TOL:
+        # The substitution and the convolution summed afresh below each
+        # leave at most (n + 4) u scale_n in coefficient n (n + 1 rounded
+        # sums, products within 2 sqrt 2 u), scale_n = |b-hat_n| +
+        # sum_j |a-hat_j| |phi-hat_{n-j}|, u = 2^-bits.  The defect is held
+        # to that rounding, which grows with |phi-hat| at no loss of accuracy.
+        abs_a = [float(abs(x)) for x in a[: degree + 1]]
+        abs_phi = [float(abs(x)) for x in phi]
+        defect = scale = 0
+        for n in range(degree + 1):
+            defect += abs(sum(a[j] * phi[n - j] for j in range(n + 1)) - b[n])
+            scale += float(abs(b[n])) + sum(abs_a[j] * abs_phi[n - j] for j in range(n + 1))
+        tol = 4 * (degree + 2) * 2.0**-bits * scale
+        if pair.phi_modulus is None:
+            # ||T_a-bar p+ - T_b-bar p|| <= ||a phi - b||_1 ||p|| for
+            # p+ = T_phi-bar p: with no second route to phi-hat, the defect
+            # also bounds every f+ built from it, as the residual check of
+            # f_plus_solve does (1e-9 ||p||)
+            tol = min(tol, _PHI_TOL)
+        if defect > tol:
             raise ArithmeticError(
                 f"phi-hat defect ||a phi - b||_1 = {float(defect):.3e} "
-                f"exceeds {_PHI_TOL:.0e} at degree {degree}"
+                f"exceeds {float(tol):.3e} at degree {degree}"
             )
         gap = None
         if pair.phi_modulus is not None:

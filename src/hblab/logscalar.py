@@ -160,16 +160,20 @@ def log_sum_exp(terms: Iterable[LogScalar]) -> LogScalar:
     return LogScalar(m + math.log(acc))
 
 
-def log_sum_signed(terms: Sequence[LogScalar]) -> LogScalar:
-    """Sum of real (possibly negative) LogScalars via max-factoring.
+def log_sum_signed(terms: Sequence) -> LogScalar:
+    """Sum of real (possibly negative) terms via max-factoring.
 
+    A term is a real LogScalar or a (sign, log_mag) pair with sign +-1, the
+    form hot loops pass to skip building a LogScalar per term.  Zero terms
+    drop out; a NaN log_mag raises ValueError, as a LogScalar would.
     Accuracy is limited by cancellation among the leading terms, which is
     inherent to any fixed-precision signed accumulation.
     """
-    live = [(t.sign(), t.log_mag) for t in terms if not t.is_zero]
-    if not live:
+    live = [t if type(t) is tuple else (t.sign(), t.log_mag) for t in terms]
+    m = max((lm for _, lm in live), default=NEG_INF)
+    if m == NEG_INF:
         return LogScalar.zero()
-    m = max(lm for _, lm in live)
+    # a NaN term makes acc NaN, which the result's constructor rejects
     acc = math.fsum(s * math.exp(lm - m) for s, lm in live)
     if acc == 0.0:
         return LogScalar.zero()

@@ -126,6 +126,22 @@ def log_cayley_im(params: ConstructionParams, ld: float) -> float:
     return ld - math.log(2.0 - d)
 
 
+# (alpha, beta) -> ((log t_k, log eps_k) for k = 0, 1, ...); row 0 is padding
+_LOG_T_EPS: dict = {}
+
+
+def _log_t_eps(params: ConstructionParams, n: int) -> tuple:
+    """(log t_k, log eps_k) to k >= n: they depend on k and the exponents
+    alone, so the radial evaluators share one table per (alpha, beta).  A
+    longer table replaces the old one whole; no reader sees a partial one."""
+    key = (params.alpha, params.beta)
+    table = _LOG_T_EPS.get(key, ((math.nan, math.nan),))
+    if len(table) <= n:
+        rows = tuple((log_t(params, k), log_eps(params, k)) for k in range(len(table), n + 1))
+        table = _LOG_T_EPS[key] = table + rows
+    return table
+
+
 @dataclass(frozen=True)
 class Sequences:
     """Float sequences (indices 1..N, plus w_{N+1}) for the construction.
@@ -296,11 +312,8 @@ def half_plane_log_modulus_radial(
     """
     n = n_terms if n_terms is not None else params.n_terms
     terms = []
-    for k in range(1, n + 1):
-        lt = log_t(params, k)
-        terms.append(
-            LogScalar.exp_of(log_eps(params, k) - lt - _LNPI + _log_atan_diff(lt - log_y))
-        )
+    for lt, le in _log_t_eps(params, n)[1 : n + 1]:
+        terms.append(LogScalar.exp_of(le - lt - _LNPI + _log_atan_diff(lt - log_y)))
     return log_sum_exp(terms)
 
 
@@ -325,7 +338,9 @@ def _log_radius_complement(params: ConstructionParams, n: int, s: float) -> floa
     ld_n = log_delta(params, n)
     ld_n1 = log_delta(params, n + 1)
     ratio = math.exp(ld_n1 - ld_n)  # delta_{n+1}/delta_n < 1
-    return ld_n + math.log1p(-s * (1.0 - ratio))
+    x = -s * (1.0 - ratio)
+    # x = -1 only at s = 1 once ratio <= 2^-54; there 1 - r = delta_{n+1}
+    return ld_n1 if x == -1.0 else ld_n + math.log1p(x)
 
 
 def growth_log_ratio(
@@ -342,8 +357,12 @@ def growth_log_ratio(
         atan(3t/u) - atan(3t/v) = atan(3 t (v-u) / (u v + 9 t^2)),
 
     so it stays accurate when u - v is hundreds of orders of magnitude
-    below u, and at indices n where u, v, t underflow floats.  The result
-    is a signed LogScalar (phase 0 or pi).
+    below u, and at indices n where u, v, t underflow floats.  log t_k and
+    log eps_k come from one table per (alpha, beta), shared with
+    ``half_plane_log_modulus_radial``; the terms are summed as (sign, log)
+    pairs.  At s = 1 from n = 623 on (at the default exponents), where
+    delta_{n+1}/delta_n <= 2^-54, log(1 - r) is log delta_{n+1} exactly.
+    The result is a signed LogScalar (phase 0 or pi).
     """
     if not (0.0 <= s <= 1.0):
         raise ValueError("s must lie in [0, 1]")
@@ -368,42 +387,32 @@ def growth_log_ratio(
     log_umv = _LN2 + lomr + log_w_n - math.log(denom_u) - math.log(2.0 - d_n)
     log_uv = log_u + log_v
 
-    terms = []
-    for k in range(1, nt + 1):
-        lt = log_t(params, k)
-        le = log_eps(params, k)
-        la3 = _LN3 + lt + log_umv - log1p_exp(2.0 * _LN3 + 2.0 * lt - log_uv)
-        la2 = _LN2 + lt + log_umv - log1p_exp(2.0 * _LN2 + 2.0 * lt - log_uv)
-        la3 -= log_uv
-        la2 -= log_uv
+    terms = []  # (sign, log|term|)
+    for lt, le in _log_t_eps(params, nt)[1 : nt + 1]:
+        l3 = log1p_exp(2.0 * _LN3 + 2.0 * lt - log_uv)  # log(1 + 9 t^2/(u v))
+        l2 = log1p_exp(2.0 * _LN2 + 2.0 * lt - log_uv)  # log(1 + 4 t^2/(u v))
+        la3 = _LN3 + lt + log_umv - l3 - log_uv
         if la3 > -18.0:
             # atan arguments comfortably inside float range; the 3:2 ratio
             # of the arguments keeps the subtraction well conditioned
+            la2 = _LN2 + lt + log_umv - l2 - log_uv
             bracket = math.atan(math.exp(la2)) - math.atan(math.exp(la3))
             if bracket == 0.0:
                 continue
-            sign = 1.0 if bracket > 0 else -1.0
+            sign = 1 if bracket > 0 else -1
             lb = math.log(abs(bracket))
         else:
             # atan(x) = x to better than double precision; the bracket is
             # (u-v) t (6 t^2 - u v) / ((u v + 9 t^2)(u v + 4 t^2))
             num_hi = _LN6 + 2.0 * lt
-            num_lo = log_uv
-            if num_hi == num_lo:
+            if num_hi == log_uv:
                 continue
-            if num_hi > num_lo:
-                sign, lnum = 1.0, log_diff_exp(num_hi, num_lo)
+            if num_hi > log_uv:
+                sign, lnum = 1, log_diff_exp(num_hi, log_uv)
             else:
-                sign, lnum = -1.0, log_diff_exp(num_lo, num_hi)
-            lb = (
-                log_umv
-                + lt
-                + lnum
-                - (log_uv + log1p_exp(2.0 * _LN3 + 2.0 * lt - log_uv))
-                - (log_uv + log1p_exp(2.0 * _LN2 + 2.0 * lt - log_uv))
-            )
-        phase = 0.0 if sign > 0 else math.pi
-        terms.append(LogScalar(le - lt - _LNPI + lb, phase))
+                sign, lnum = -1, log_diff_exp(log_uv, num_hi)
+            lb = log_umv + lt + lnum - (log_uv + l3) - (log_uv + l2)
+        terms.append((sign, le - lt - _LNPI + lb))
     return log_sum_signed(terms)
 
 
@@ -545,7 +554,10 @@ def growth_bound_scan(
     depends on the sample grid; the closed-interval minimum does not once
     the whole interval is positive.  Truncates the boundary datum at
     n + tail_terms interior intervals per row, which the tail decay makes
-    inconsequential.
+    inconsequential.  Each row extends the shared (log t_k, log eps_k)
+    table of ``growth_log_ratio`` by one k, so a scan computes each once.
+    The right endpoint stays finite at any n: where delta_{n+1}/delta_n
+    falls to 2^-54 its log(1 - r) is log delta_{n+1} exactly.
     """
     rows = []
     for n in range(n_lo, n_hi + 1):

@@ -159,6 +159,25 @@ def test_phi_series_defect_guard():
         phi_series(grows, 40)
 
 
+@pytest.mark.parametrize("deg", [128, 160])
+def test_float_phi_series_of_growing_phi_hat(pair, deg):
+    """phi-hat of the constructed pair grows (|phi-hat| reaches 6e6 by
+    degree 160), and so does the rounding in ||a phi - b||_1: 7.6e-9 at
+    degree 160 in floats.  That defect is held to its own rounding, not to
+    1e-9, so the float H(b) norm at these degrees is taken, and it meets the
+    200-bit route within the 1e-9 relative gap that ``phi_series`` certifies
+    against the phi-modulus series."""
+    from mpmath import mp
+
+    f = TaylorSeries(tuple(0.97**j for j in range(deg + 1)))
+    got = hb_norm_sq(f, pair)
+    phi_hat = phi_series(pair.with_series(deg, 200), deg)
+    with mp.workprec(200):
+        f_mp = TaylorSeries(tuple(mp.mpf(c) for c in f.coeffs), 200)
+        expect = mp.log(f_mp.l2_norm_sq() + sarason_f_plus(f_mp, phi_hat).l2_norm_sq())
+    assert got.log_mag == pytest.approx(float(expect), abs=1e-9)
+
+
 def test_short_b_series_is_rederived():
     """A pair whose b series is shorter than the degree asked for gets both
     series re-derived, on the product route and on the solve route."""

@@ -118,6 +118,23 @@ def test_log_sum_signed_exact_cancellation():
     assert log_sum_signed([x, -x]).is_zero
 
 
+@given(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=12))
+def test_log_sum_signed_pairs_match_logscalars(vals):
+    """(sign, log_mag) pairs sum to the same bits as the LogScalars they
+    stand for, zeros included."""
+    terms = [LogScalar.from_float(v) for v in vals]
+    pairs = [(t.sign(), t.log_mag) for t in terms]
+    assert log_sum_signed(pairs) == log_sum_signed(terms)
+
+
+def test_log_sum_signed_rejects_nan():
+    """A NaN log magnitude raises, as it does when it builds a LogScalar."""
+    with pytest.raises(ValueError):
+        log_sum_signed([(1, math.nan)])
+    with pytest.raises(ValueError):
+        log_sum_signed([(1, 2.0), (-1, math.nan), (1, 0.5)])
+
+
 @given(st.floats(min_value=-1e4, max_value=1e4, allow_nan=False))
 def test_log1p_exp_reference(x):
     if abs(x) < 600:

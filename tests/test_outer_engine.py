@@ -5,7 +5,10 @@ Frozen reference values were produced by an independent 300-bit mpmath
 implementation of the defining formulas.
 """
 
+import importlib.util
+import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +34,8 @@ from hblab.outer import (
     poisson_quad_crosscheck,
     verify_growth_bound,
 )
+
+DATA = Path(__file__).resolve().parent / "data"
 
 # independently computed at 300 bits from the defining formulas
 W1 = 0.63212055882855768
@@ -289,6 +294,74 @@ def test_growth_ratio_matches_mp(n, s):
         assert got.log_mag == pytest.approx(float(mp.log(abs(expect))), abs=1e-10)
 
 
+@pytest.mark.parametrize("n", [100, 150])
+def test_growth_ratio_matches_mp_deep(n):
+    """Deep-n check against a direct mpmath sum, without the two-angle
+    identity: sum_k eps_k/(pi t_k) (atan(3t_k/y) - atan(2t_k/y)) at y = u
+    minus the same at y = v, k <= n + 3.
+
+    Precision.  atan(3q) - atan(2q) loses log2(q) bits, and q = t_k/y stays
+    below e^((n+1)**beta); ceil((n+1)**beta / ln 2) + 128 bits leave the
+    oracle over 100 bits after that and after the u - v difference and the
+    final sum (cond below is at most 100), so its error is negligible.
+
+    Tolerance.  With B = (n + 4)**beta, every |log delta_k|, |log t_k| and
+    power inside log eps_k for k <= n + 3 is at most B, and every float
+    that ``growth_log_ratio`` forms on the way to one term's log magnitude
+    is at most 4B in size, so one rounding costs at most 4B u, u = 2^-53.
+    Weighting each rounding by how often it enters the term (log uv up to
+    6 times, log t_k up to 10) bounds the error of a small-angle term by
+    165 u B.  A term in the atan branch has an argument good to 61 u B in
+    log; the subtraction atan(x2) - atan(x3) amplifies that at most 7-fold
+    while x2/x3 = (2/3)(uv + 9t^2)/(uv + 4t^2) stays off 1, which holds
+    when |log(6 t_k^2/(uv))| >= 2 for every k (asserted here; it also keeps
+    the numerator log(6t^2 - uv) of the small-angle branch well
+    conditioned).  So every term is good to 450 u B relative, and the
+    signed sum moves log|sum| by at most 450 u B cond + 4u with
+    cond = sum |term| / |sum term| taken from the oracle.  s = 1 is left
+    out: there log(1 - r) is rounded from 1 - delta_{n+1}/delta_n and is
+    off by about 1e-16 delta_n/delta_{n+1} (4e-9 at n = 150), an error of
+    the radius itself, not of this evaluator.
+    """
+    from mpmath import mp
+
+    p = ConstructionParams(1.2, 1.5, power_m=1)
+    nt = n + 3
+    big_b = float(n + 4) ** p.beta
+    with mp.workprec(math.ceil((n + 1) ** p.beta / math.log(2.0)) + 128):
+        alpha, beta = mp.mpf(p.alpha), mp.mpf(p.beta)
+
+        def w(k):
+            return 1 - mp.exp(-mp.mpf(k) ** beta)
+
+        ts, eps = [], []
+        for k in range(1, nt + 1):
+            wk, kk = w(k), mp.mpf(k)
+            ts.append((1 - wk**2) / (1 + wk**2))
+            eps.append(mp.exp((kk + 1) ** beta - kk**beta - kk**alpha))
+
+        def brackets(y):
+            return [mp.atan(3 * t / y) - mp.atan(2 * t / y) for t in ts]
+
+        v = (1 - w(n)) / (1 + w(n))
+        at_v = brackets(v)
+        e2 = mp.exp(2)
+        for s in (0.0, 0.25, 0.5, 0.75):
+            r = w(n) + mp.mpf(s) * (w(n + 1) - w(n))
+            u = (1 - r * w(n)) / (1 + r * w(n))
+            assert all(not 1 / e2 < 6 * t * t / (u * v) < e2 for t in ts)
+            terms = [
+                e / (mp.pi * t) * (bu - bv)
+                for t, e, bu, bv in zip(ts, eps, brackets(u), at_v)
+            ]
+            total = mp.fsum(terms)
+            cond = float(mp.fsum(abs(x) for x in terms) / abs(total))
+            got = growth_log_ratio(p, n, s, n_terms=nt)
+            assert got.sign() == mp.sign(total)
+            tol = 450 * 2.0**-53 * big_b * cond + 4 * 2.0**-53
+            assert abs(got.log_mag - float(mp.log(abs(total)))) <= tol
+
+
 # -- bound verification and the power search -------------------------------
 
 
@@ -336,6 +409,32 @@ def test_growth_bound_scan_asymptotic_regime():
     assert high.passes_with_m == 1.0
     assert high.min_log_ratio_interior.log_mag > high.log_bound
     assert high.min_log_ratio.sign() == -1  # right endpoint still negative
+
+
+def test_growth_bound_scan_matches_golden():
+    """The 250-row scan of the benchmark repeats to the last bit:
+    ``tests/data/growth_scan_golden.json`` holds the repr of every field,
+    as written by ``tests/data/make_growth_scan_golden.py``."""
+    spec = importlib.util.spec_from_file_location(
+        "make_growth_scan_golden", DATA / "make_growth_scan_golden.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    expect = json.loads((DATA / "growth_scan_golden.json").read_text())
+    assert script.golden() == expect
+
+
+def test_growth_bound_scan_past_double_ratio():
+    """From n = 623 on the ratio delta_{n+1}/delta_n is at most 2^-54, so at the
+    right endpoint r = w_{n+1} the log1p argument of log(1 - r) rounds to
+    -1; the scan takes log(1 - w_{n+1}) = -(n+1)**beta there and stays
+    finite."""
+    p = ConstructionParams(1.2, 1.5, power_m=1)
+    row = growth_bound_scan(p, 700, 700)[0]
+    for ratio in (row.min_log_ratio, row.min_log_ratio_interior):
+        assert ratio.sign() == 1
+        assert math.isfinite(ratio.log_mag)
+    assert row.interior_positive and row.passes_with_m == 1.0
 
 
 # -- quadrature cross-check -------------------------------------------------
