@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from .logscalar import LogScalar, log1p_exp, log_add_exp, log_sum_exp
 from .pair import Pair, outer_series
@@ -129,9 +129,9 @@ def _series_pair(pair: Pair, degree: int) -> Pair:
     return pair.with_series(degree, min((s.precision_bits for s in have), default=53))
 
 
-# Bound on the f+ defect, in l1, for a pair without a phi modulus, and the
-# largest relative gap allowed between b-hat / a-hat and the series of the
-# phi modulus itself.
+# Bound on the f+ defect, in l1, for a pair without a phi modulus, on the
+# residual of ``f_plus_solve`` relative to ||f||, and the largest relative
+# gap allowed between b-hat / a-hat and the series of the phi modulus itself.
 _PHI_TOL = 1e-9
 
 
@@ -220,37 +220,29 @@ def f_plus_residual(f: TaylorSeries, f_plus: TaylorSeries, pair: Pair) -> float:
     return math.sqrt(abs(float((lhs - rhs).l2_norm_sq())))
 
 
-def f_plus_solve(
-    f: TaylorSeries,
-    pair: Pair,
-    tol: float = 1e-9,
-    degree: Optional[int] = None,
-) -> TaylorSeries:
+def f_plus_solve(f: TaylorSeries, pair: Pair) -> TaylorSeries:
     """The unique f+ with T_b-bar f = T_a-bar f+, on truncated coefficients.
 
-    Solves the upper-triangular Toeplitz system by back-substitution at a
-    working degree defaulting to 4x the input degree, then truncates back.
+    Solves the upper-triangular Toeplitz system by back-substitution at the
+    degree d of f.  T_a-bar maps the polynomials of degree <= d onto
+    themselves, so for a polynomial the truncation at d is exact: a solve
+    at any larger degree gives the same coefficients and exact zeros past d.
     The defect residual ||T_a-bar f+ - T_b-bar f|| is checked against
-    tol * ||f||; a violation signals that the truncation is too small.
-    This is the independent oracle for the product route of
-    ``sarason_f_plus`` with ``phi_series``, which the norms use.
+    1e-9 ||f|| and a violation raises ArithmeticError.  This is the
+    independent oracle for the product route of ``sarason_f_plus`` with
+    ``phi_series``, which the norms use.
     """
-    if degree is None:
-        degree = max(4 * f.truncation_degree, 16)
+    degree = f.truncation_degree
     pair = _series_pair(pair, degree)
     a = pair.a_series.truncate(degree)
     b = pair.b_series.truncate(degree)
-    fx = f.pad(degree).truncate(degree)
-    rhs = toeplitz_coanalytic_apply(b, fx)
+    rhs = toeplitz_coanalytic_apply(b, f)
     x = triangular_solve_upper_toeplitz(a.coeffs, rhs.coeffs)
     f_plus = TaylorSeries(tuple(x), min(a.precision_bits, f.precision_bits))
-    scale = math.sqrt(abs(float(fx.l2_norm_sq()))) or 1.0
-    res = f_plus_residual(fx, f_plus, pair)
-    if res > tol * scale:
-        raise ArithmeticError(
-            f"f+ residual {res:.3e} exceeds {tol:.1e} * ||f||; "
-            "increase the working degree"
-        )
+    scale = math.sqrt(abs(float(f.l2_norm_sq()))) or 1.0
+    res = f_plus_residual(f, f_plus, pair)
+    if res > _PHI_TOL * scale:
+        raise ArithmeticError(f"f+ residual {res:.3e} exceeds {_PHI_TOL:.0e} * ||f||")
     return f_plus
 
 

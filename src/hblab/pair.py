@@ -214,10 +214,10 @@ def outer_series(mod: StepModulus, degree: int, precision_bits: int = 53) -> Tay
     At 53 bits the result is rounded to complex floats.  Above 53 bits it
     is rounded to real mpmath numbers at ``precision_bits``; a modulus that
     is not theta-symmetric has complex coefficients and raises ValueError
-    there.  Coefficients 0..min(degree, 32) are recomputed by the
-    O(degree^2) route, ``exp_series`` of the float ``log_outer_series``, and
-    a disagreement beyond that route's own float error raises
-    ArithmeticError.
+    there.  Coefficients 0..min(degree, 32) are recomputed in floats by the
+    O(degree^2) route, ``exp_series`` of the float ``log_outer_series``, at
+    every precision, and a disagreement beyond that route's own float error
+    raises ArithmeticError.
     """
     from mpmath import mp
     from mpmath.libmp import to_fixed
@@ -299,13 +299,11 @@ def outer_series(mod: StepModulus, degree: int, precision_bits: int = 53) -> Tay
         if e:
             rel_bound = max(rel_bound, e / math.isqrt(size_sq))
     if precision_bits <= 53:
-        out = tuple(complex(r / (1 << W), i / (1 << W)) for r, i in coeffs)
-        _check_against_exp_series(mod, out, float, real)
-        return TaylorSeries(out, error_bound=rel_bound)
-    with mp.workprec(precision_bits):
-        out = tuple(fixed_to_mpf(r, -W, precision_bits) for r, _ in coeffs)
-        _check_against_exp_series(mod, out, mp.mpf, real)
-    return TaylorSeries(out, precision_bits, rel_bound)
+        out, bits = tuple(complex(r / (1 << W), i / (1 << W)) for r, i in coeffs), 53
+    else:
+        out, bits = tuple(fixed_to_mpf(r, -W, precision_bits) for r, _ in coeffs), precision_bits
+    _check_against_exp_series(mod, out, real)
+    return TaylorSeries(out, bits, rel_bound)
 
 
 def _truncation_bound(mod, active, mass, f0, degree, real, bits) -> list:
@@ -381,20 +379,21 @@ def _log_series_ulps(mod: StepModulus, degree: int, real: bool) -> list:
     return out
 
 
-def _check_against_exp_series(mod: StepModulus, coeffs, num, real: bool) -> None:
+def _check_against_exp_series(mod: StepModulus, coeffs, real: bool) -> None:
     """Raise ArithmeticError where the low coefficients of ``outer_series``
     leave the O(N^2) route by more than that route's own error.
 
-    E = exp_series(g) with g the float ``log_outer_series``.  Its rounding
-    error in floats is held to _ORACLE_ULPS * 2^-53 * cond_n with
-    cond_n = |E_n| + (1/n) sum_j j |g_j| |E_{n-j}|; the error eps_j of g_j
-    reaches E_n as sum_j eps_j |E_{n-j}| to first order (E(1 + delta g)),
-    which is allowed twice over.
+    E = exp_series(g) with g the float ``log_outer_series``, evaluated in
+    floats at every precision, and each coefficient is compared as a
+    complex float.  Its rounding error is held to _ORACLE_ULPS * 2^-53 *
+    cond_n with cond_n = |E_n| + (1/n) sum_j j |g_j| |E_{n-j}|; the error
+    eps_j of g_j reaches E_n as sum_j eps_j |E_{n-j}| to first order
+    (E(1 + delta g)), which is allowed twice over.
     """
     k = min(len(coeffs) - 1, _ORACLE_DEGREE)
     g = log_outer_series(mod, k).coeffs
     if real:
-        g = tuple(num(c.real) for c in g)
+        g = tuple(c.real for c in g)
     e = exp_series(TaylorSeries(g)).coeffs
     eps = _log_series_ulps(mod, k, real)
     for n in range(k + 1):
@@ -403,11 +402,11 @@ def _check_against_exp_series(mod: StepModulus, coeffs, num, real: bool) -> None
             cond += sum(j * abs(g[j]) * abs(e[n - j]) for j in range(1, n + 1)) / n
         carried = sum(eps[j] * abs(e[n - j]) for j in range(n + 1))
         tol = 2.0**-53 * (_ORACLE_ULPS * cond + 2 * carried)
-        err = abs(coeffs[n] - e[n])
+        err = abs(complex(coeffs[n]) - e[n])
         if err > tol:
             raise ArithmeticError(
                 f"outer_series coefficient {n} leaves the exp_series oracle: "
-                f"|difference| = {float(err):.3e} > {float(tol):.3e}"
+                f"|difference| = {err:.3e} > {tol:.3e}"
             )
 
 

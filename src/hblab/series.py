@@ -57,10 +57,6 @@ class TaylorSeries:
         return len(self.coeffs) - 1
 
     @staticmethod
-    def zero(degree: int, precision_bits: int = 53) -> "TaylorSeries":
-        return TaylorSeries((0.0,) * (degree + 1), precision_bits)
-
-    @staticmethod
     def constant(c, degree: int, precision_bits: int = 53) -> "TaylorSeries":
         return TaylorSeries((c,) + (0.0,) * degree, precision_bits)
 
@@ -131,26 +127,22 @@ def exp_series(g: TaylorSeries) -> TaylorSeries:
     return TaylorSeries(tuple(e), g.precision_bits)
 
 
-def triangular_solve_upper_toeplitz(
-    diag_and_superdiagonals: Sequence,
-    rhs: Sequence,
-    min_diag: float = 1e-300,
-):
+def triangular_solve_upper_toeplitz(diag_and_superdiagonals: Sequence, rhs: Sequence):
     """Solve sum_j conj(h_j) * x_{k+j} = rhs_k for k = 0..N by back-substitution.
 
     The matrix is upper triangular Toeplitz with (conjugated) first row
     ``diag_and_superdiagonals``; unknowns beyond the truncation are taken as
-    zero, so the solve proceeds from the top index down.  A diagonal whose
-    magnitude falls below ``min_diag`` signals a degenerate system (for a
-    pair it would mean a(0) ~ 0, which cannot happen) and raises.
+    zero, so the solve proceeds from the top index down.  A diagonal of
+    magnitude below 1e-300 signals a degenerate system (for a pair it would
+    mean a(0) ~ 0, which cannot happen) and raises ValueError.
     """
     h = list(diag_and_superdiagonals)
     b = list(rhs)
     if len(h) != len(b):
         raise ValueError("coefficient and right-hand-side lengths differ")
     d = h[0].conjugate()
-    if abs(d) < min_diag:
-        raise ValueError(f"diagonal magnitude {abs(d)} below threshold {min_diag}")
+    if abs(d) < 1e-300:
+        raise ValueError(f"diagonal magnitude {abs(d)} below threshold 1e-300")
     n = len(b)
     x = [0.0] * n
     for k in range(n - 1, -1, -1):

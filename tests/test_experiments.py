@@ -9,7 +9,6 @@ internal consistency checks (norm chain, positivity) hold.
 
 import math
 import sys
-from dataclasses import replace
 
 import pytest
 from mpmath import mp
@@ -45,7 +44,6 @@ from hblab.hb import (
     sarason_f_plus,
 )
 from hblab.logscalar import LogScalar
-from hblab.pair import outer_series
 from hblab.series import TaylorSeries, fixed_to_mpf
 from hblab.outer import log_delta, log_phi_radial
 
@@ -333,8 +331,8 @@ def test_summability_divergence(pair, combo):
 
 def test_summability_matches_solve_oracle(pair, combo, monkeypatch):
     """The rows come from the Toeplitz product with phi-hat = b-hat / a-hat,
-    never from the triangular solve, and agree with the solve at working
-    degree 2 * 24 + 16 within 2^-150 relative, compared in mpmath."""
+    never from the triangular solve, and agree with the solve within
+    2^-150 relative, compared in mpmath."""
 
     def no_solve(*args, **kwargs):
         raise AssertionError("summability entered the triangular solve")
@@ -349,12 +347,7 @@ def test_summability_matches_solve_oracle(pair, combo, monkeypatch):
     rep = summability_divergence(n_list, combo, pair, precision_bits=200)
     monkeypatch.undo()
 
-    work = 2 * 24 + 16
-    mp_pair = replace(
-        pair,
-        a_series=outer_series(pair.a_modulus, work, 200),
-        b_series=outer_series(pair.b_modulus, work, 200),
-    )
+    mp_pair = pair.with_series(24, 200)
     with mp.workprec(200):
         phi_hat = phi_series(mp_pair, 24)
         kernel = _FhatFixed(combo, 24, 200)
@@ -365,7 +358,7 @@ def test_summability_matches_solve_oracle(pair, combo, monkeypatch):
                 (cesaro_mean(f_series, n), lsig),
             ):
                 product = poly.l2_norm_sq() + sarason_f_plus(poly, phi_hat).l2_norm_sq()
-                solved = poly.l2_norm_sq() + f_plus_solve(poly, mp_pair, degree=work).l2_norm_sq()
+                solved = poly.l2_norm_sq() + f_plus_solve(poly, mp_pair).l2_norm_sq()
                 assert abs(product - solved) <= mp.mpf(2) ** -150 * solved
                 assert logged == 0.5 * float(mp.log10(product))
     assert 0.0 <= rep.metadata["phi_series_gap"] <= 1e-9

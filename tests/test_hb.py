@@ -120,11 +120,47 @@ def test_f_plus_solve_vs_sarason(tame):
             )
 
 
-def test_f_plus_degree_preserved(tame):
-    """For a polynomial the solved f+ vanishes beyond the input degree."""
-    p = TaylorSeries((1.0, 2.0, -1.0))
-    fp = f_plus_solve(p, tame)
-    assert all(abs(c) < 1e-12 for c in fp.coeffs[3:])
+def test_f_plus_solve_is_exact_at_input_degree(tame, pair):
+    """T_a-bar maps the polynomials of degree <= d onto themselves, so the
+    solve of a degree-d f zero-padded to max(4d, 16) gives the same
+    coefficients, to the bit, and exact zeros past d: in floats on the tame
+    pair and in 200-bit mpmath on the constructed pair."""
+    from mpmath import mp
+
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        p = random_poly(rng)
+        d = p.truncation_degree
+        fp = f_plus_solve(p, tame)
+        assert fp.truncation_degree == d
+        assert f_plus_solve(p.pad(max(4 * d, 16)), tame) == fp.pad(max(4 * d, 16))
+    mp_pair = pair.with_series(64, 200)
+    with mp.workprec(200):
+        for d in (0, 3, 8, 16):
+            p = TaylorSeries(tuple(mp.mpf(c) for c in rng.uniform(-1, 1, d + 1)), 200)
+            fp = f_plus_solve(p, mp_pair)
+            assert fp.truncation_degree == d
+            assert fp.precision_bits == 200
+            assert f_plus_solve(p.pad(max(4 * d, 16)), mp_pair) == fp.pad(max(4 * d, 16))
+
+
+def test_f_plus_solve_residual_guard(tame, monkeypatch):
+    """One unknown of the back-substitution off by 1e-6 moves
+    T_a-bar f+ - T_b-bar f far past 1e-9 ||f||, and the solve raises."""
+    import hblab.hb as hb
+
+    true_solve = hb.triangular_solve_upper_toeplitz
+
+    def perturbed(h, rhs):
+        x = true_solve(h, rhs)
+        x[2] += 1e-6
+        return x
+
+    p = TaylorSeries((1.0, 2.0, -1.0, 0.5j))
+    f_plus_solve(p, tame)
+    monkeypatch.setattr(hb, "triangular_solve_upper_toeplitz", perturbed)
+    with pytest.raises(ArithmeticError, match="residual"):
+        f_plus_solve(p, tame)
 
 
 @pytest.mark.parametrize("bits", [53, 256])

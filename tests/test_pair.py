@@ -368,13 +368,14 @@ def test_outer_series_narrow_arc_off_zero():
 
 
 def test_outer_series_guard_fails_loudly(pair, monkeypatch):
-    """A log series off by 1e-9 in one coefficient makes the oracle check
-    raise at both precisions; the true one passes on a, b and phi."""
+    """A log series off by 1e-9 in one coefficient makes the float oracle
+    check raise at every precision, the CLI's 384 bits included; the true
+    one passes on a, b and phi."""
     import hblab.pair as pairmod
 
     mods = (pair.a_modulus, pair.b_modulus, pair.phi_modulus)
     for mod in mods:
-        for bits in (53, 256):
+        for bits in (53, 256, 384):
             outer_series(mod, 48, bits)
     true_log_series = pairmod.log_outer_series
 
@@ -384,7 +385,7 @@ def test_outer_series_guard_fails_loudly(pair, monkeypatch):
 
     monkeypatch.setattr(pairmod, "log_outer_series", perturbed)
     for mod in mods:
-        for bits in (53, 256):
+        for bits in (53, 256, 384):
             with pytest.raises(ArithmeticError):
                 outer_series(mod, 48, bits)
 
