@@ -2,7 +2,8 @@
 
 Verbs: construct, verify-outer, divergence, sarason, summability,
 norm-crosscheck.  Configuration is a single JSON document with strict key
-checking; individual flags override file values, which override defaults.
+checking, each value of its default's type; individual flags override file
+values, which override defaults.
 All outputs are deterministic for a fixed (config, seed): numbers are
 emitted as shortest round-trip decimal strings and runtime is logged to
 stderr, never into the report files.
@@ -71,6 +72,18 @@ class ConfigError(ValueError):
     pass
 
 
+def _has_type_of(value, default) -> bool:
+    """Whether a config value has its default's type: an int for an int and
+    a number for a float (a bool for neither), a list of such for a list."""
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_has_type_of(v, default[0]) for v in value)
+    return isinstance(value, type(default))
+
+
 def load_config(config_path, out_dir, precision_bits, seed, fmt) -> dict:
     cfg = dict(_DEFAULTS)
     if config_path is not None:
@@ -78,6 +91,8 @@ def load_config(config_path, out_dir, precision_bits, seed, fmt) -> dict:
             doc = json.loads(Path(config_path).read_text())
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read config: {e}")
+        if not isinstance(doc, dict):
+            raise ConfigError("the config must be a JSON object")
         unknown = sorted(set(doc) - set(_DEFAULTS))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
@@ -90,25 +105,19 @@ def load_config(config_path, out_dir, precision_bits, seed, fmt) -> dict:
         cfg["seed"] = seed
     if fmt is not None:
         cfg["formats"] = ["json", "csv"] if fmt == "both" else [fmt]
-    for key in ("formats",):
-        bad = sorted(set(cfg[key]) - {"json", "csv"})
-        if bad:
-            raise ConfigError(f"unsupported formats: {', '.join(bad)}")
+    for key, default in _DEFAULTS.items():
+        value = cfg[key]
+        if not (_has_type_of(value, default) or (key == "power_m" and value == "auto")):
+            raise ConfigError(
+                f"{key} = {value!r} does not have the type of its default {default!r}"
+            )
+    for key, low in (("r_samples", 2), ("seed", 0)):
+        if cfg[key] < low:
+            raise ConfigError(f"{key} must be at least {low}, got {cfg[key]}")
+    bad = sorted(set(cfg["formats"]) - {"json", "csv"})
+    if bad:
+        raise ConfigError(f"unsupported formats: {', '.join(bad)}")
     return cfg
-
-
-def params_from_config(cfg) -> ConstructionParams:
-    pm = cfg["power_m"]
-    if pm != "auto":
-        pm = int(pm)
-    return ConstructionParams(
-        alpha=float(cfg["alpha"]),
-        beta=float(cfg["beta"]),
-        n_terms=int(cfg["n_terms"]),
-        power_m=pm,
-        precision_bits=int(cfg["precision_bits"]),
-        n_check=int(cfg["n_check"]),
-    )
 
 
 def write_report(report: ExperimentReport, cfg: dict):
@@ -181,10 +190,17 @@ def construct(config_path, out_dir, precision_bits, seed, fmt):
     table, and write pair.json."""
 
     def body(cfg):
-        params = params_from_config(cfg)
+        params = ConstructionParams(
+            alpha=float(cfg["alpha"]),
+            beta=float(cfg["beta"]),
+            n_terms=cfg["n_terms"],
+            power_m=cfg["power_m"],
+            precision_bits=cfg["precision_bits"],
+            n_check=cfg["n_check"],
+        )
         if params.power_m == "auto":
             seq = make_sequences(params)
-            m = choose_power_m(params, seq, r_samples=int(cfg["r_samples"]))
+            m = choose_power_m(params, seq, r_samples=cfg["r_samples"])
             params = params.with_power(m)
         try:
             pair = build_pair(params)
@@ -224,14 +240,14 @@ def verify_outer(config_path, out_dir, precision_bits, seed, fmt):
         rows = []
         all_ok = True
         for n in range(1, params.n_check + 1):
-            for rec in verify_growth_bound(n, int(cfg["r_samples"]), params, seq):
+            for rec in verify_growth_bound(n, cfg["r_samples"], params, seq):
                 rows.append(
                     (rec.n, rec.r, rec.u, rec.v, rec.log_ratio,
                      rec.bound.log_mag, rec.passed)
                 )
                 all_ok = all_ok and rec.passed
         try:
-            quad_err = poisson_quad_crosscheck(seq, n_points=50, seed=int(cfg["seed"]))
+            quad_err = poisson_quad_crosscheck(seq, n_points=50, seed=cfg["seed"])
             quad_ok = True
         except AssertionError as e:
             click.echo(str(e), err=True)
@@ -302,7 +318,7 @@ def sarason(config_path, out_dir, precision_bits, seed, fmt):
 
     def builder(cfg, pair, f):
         return sarason_series_failure(
-            int(cfg["j_max"]), f, pair, precision_bits=int(cfg["precision_bits"])
+            cfg["j_max"], f, pair, precision_bits=cfg["precision_bits"]
         )
 
     run_command(
@@ -318,8 +334,7 @@ def summability(config_path, out_dir, precision_bits, seed, fmt):
 
     def builder(cfg, pair, f):
         return summability_divergence(
-            [int(n) for n in cfg["summability_n_list"]],
-            f, pair, precision_bits=int(cfg["precision_bits"]),
+            cfg["summability_n_list"], f, pair, precision_bits=cfg["precision_bits"]
         )
 
     run_command(
@@ -340,7 +355,7 @@ def norm_crosscheck(config_path, out_dir, precision_bits, seed, fmt):
         max_deg = 32  # the largest drawn degree
         pair = tame_pair(degree=max_deg)
         phi_hat = TaylorSeries((1.0,) + (2.0,) * max_deg)  # (1+z)/(1-z)
-        rng = np.random.default_rng(int(cfg["seed"]))
+        rng = np.random.default_rng(cfg["seed"])
         rows = []
         worst = 0.0
         for i in range(100):

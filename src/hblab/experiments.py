@@ -20,7 +20,6 @@ from .hb import (
     KernelCombo,
     KernelNode,
     Radius,
-    _phi_series_and_gap,
     as_radius,
     cesaro_mean,
     dilate,
@@ -472,17 +471,16 @@ def summability_divergence(
 ) -> ExperimentReport:
     """||s_n(f)||_{H(b)} and ||sigma_n(f)||_{H(b)} for the Taylor partial
     sums and Cesaro means, with f+ = T_phi-bar p exact on each polynomial p
-    (``sarason_f_plus``) and one phi-hat = b-hat / a-hat shared by all rows.
+    (``sarason_f_plus``) and one phi-hat of ``phi_hat_series`` shared by all
+    rows, the phi-hat of ``sarason`` and of the Abel sums.
 
     Reports running maxima (the limsup claim is exhibited as monotone
     growth over the computed range, never asserted as a limit) and the
     convexity sanity ||sigma_n|| <= max_{k<=n} ||s_k|| over computed k.
     fhat comes from ``_FhatFixed``, rounded once to ``precision_bits``.
-    The metadata carries ``phi_series_gap``, the worst relative gap between
-    b-hat / a-hat and the series of the phi modulus, checked against 1e-9,
-    ``series_error_bound``, the largest counted relative error bound of a
-    coefficient of a-hat or b-hat (``outer_series``), and
-    ``fhat_error_bound``, the largest of fhat (``_FhatFixed``).
+    The metadata carries ``series_error_bound``, the largest counted
+    relative error bound of a coefficient of phi-hat (``outer_series``),
+    and ``fhat_error_bound``, the largest of fhat (``_FhatFixed``).
     """
     from mpmath import mp
 
@@ -492,15 +490,9 @@ def summability_divergence(
             f"summability orders must be >= 0 and include one >= 8, got {n_list}"
         )
     deg_f = n_list[-1]
-    need = required_bits_for_degree(pair, deg_f)
-    if precision_bits < need:
-        raise PrecisionExhausted(
-            f"degree {deg_f} needs about {need} bits, configured {precision_bits}"
-        )
-    mp_pair = pair.with_series(deg_f, precision_bits)
+    phi_hat = phi_hat_series(pair, deg_f, precision_bits)
     rows = []
     with mp.workprec(precision_bits):
-        phi_hat, phi_gap = _phi_series_and_gap(mp_pair, deg_f)
         kernel = _FhatFixed(f, deg_f, precision_bits)
         f_series = TaylorSeries(
             tuple(fixed_to_mpf(m, kernel.exp, precision_bits) for m in kernel),
@@ -527,9 +519,8 @@ def summability_divergence(
         and rows[-1][2] > next(lg for n, _, lg in rows if n >= 8)
     )
     meta = _base_metadata(precision_bits)
-    meta["bits_required"] = need
-    meta["phi_series_gap"] = phi_gap
-    meta["series_error_bound"] = max(mp_pair.a_series.error_bound, mp_pair.b_series.error_bound)
+    meta["bits_required"] = required_bits_for_degree(pair, deg_f)
+    meta["series_error_bound"] = phi_hat.error_bound
     meta["fhat_error_bound"] = kernel.error_bound
     meta["convexity_ok"] = convex_ok
     return ExperimentReport(

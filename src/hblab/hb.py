@@ -3,9 +3,9 @@
 Functions in H(b) appear in two representations:
 
 * :class:`~hblab.series.TaylorSeries` -- generic; norms take f+ as the
-  Toeplitz product T_phi-bar f with phi-hat = b-hat / a-hat
-  (``phi_series``, ``sarason_f_plus``) and the coefficient l2 sums of the
-  norm identity ||f||^2 = ||f||_{H^2}^2 + ||f+||_{H^2}^2.  The
+  Toeplitz product T_phi-bar f (``sarason_f_plus``), phi-hat = b-hat / a-hat
+  (``phi_series``) or, in the mpmath reports, the phi-modulus series, and
+  the l2 sums of ||f||^2 = ||f||_{H^2}^2 + ||f+||_{H^2}^2.  The
   triangular-Toeplitz solve of T_b-bar f = T_a-bar f+ (``f_plus_solve``)
   is kept as the independent oracle.
 * :class:`KernelCombo` -- finite combinations sum_j c_j k_{w_j} of Cauchy
@@ -142,10 +142,11 @@ def phi_series(pair: Pair, degree: int) -> TaylorSeries:
     C[z]/z^{N+1}, so T_a-bar^{-1} T_b-bar = T_phi-bar at every truncation
     N, and a polynomial p of degree n has p+ = T_phi-bar p exactly with
     phi-hat taken to degree n (``sarason_f_plus``).  phi-hat = b-hat / a-hat
-    comes from one forward substitution on the pair's own series, in their
-    number type and precision; for mpmath series each numerator
-    b-hat_n - sum_j a-hat_j phi-hat_{n-j} is one exact dot product
-    (``mp.fdot``), rounded once.
+    comes from one forward substitution on the pair's own series, one loop
+    of rounded operations in their number type and at their precision.  It
+    serves ``hb_norm_sq`` on series; the mpmath reports take phi-hat from
+    the phi modulus (``experiments.phi_hat_series``), and the tests keep
+    this quotient as the oracle of that route.
 
     Raises ArithmeticError when ||a-hat phi-hat - b-hat||_1 over 0..degree
     exceeds the rounding of the substitution and of the check's own sums,
@@ -154,12 +155,6 @@ def phi_series(pair: Pair, degree: int) -> TaylorSeries:
     leaves ``outer_series`` of that modulus by more than 1e-9 relative; and
     for a pair without one, when the defect exceeds 1e-9.
     """
-    return _phi_series_and_gap(pair, degree)[0]
-
-
-def _phi_series_and_gap(pair: Pair, degree: int):
-    """phi-hat as in ``phi_series``, with the worst relative gap to the
-    phi-modulus route (None for a pair without a phi modulus)."""
     from mpmath import mp
 
     pair = _series_pair(pair, degree)
@@ -168,12 +163,9 @@ def _phi_series_and_gap(pair: Pair, degree: int):
     with mp.workprec(bits):
         phi = []
         for n in range(degree + 1):
-            if bits > 53:
-                acc = mp.fdot([(b[n], 1)] + [(a[j], -phi[n - j]) for j in range(1, n + 1)])
-            else:
-                acc = b[n]
-                for j in range(1, n + 1):
-                    acc = acc - a[j] * phi[n - j]
+            acc = b[n]
+            for j in range(1, n + 1):
+                acc = acc - a[j] * phi[n - j]
             phi.append(acc / a[0])
         # The substitution and the convolution summed afresh below each
         # leave at most (n + 4) u scale_n in coefficient n (n + 1 rounded
@@ -198,7 +190,6 @@ def _phi_series_and_gap(pair: Pair, degree: int):
                 f"phi-hat defect ||a phi - b||_1 = {float(defect):.3e} "
                 f"exceeds {float(tol):.3e} at degree {degree}"
             )
-        gap = None
         if pair.phi_modulus is not None:
             # the defect cannot see a or b leaving their moduli, since
             # forward substitution fits phi-hat to whatever series it gets;
@@ -210,7 +201,7 @@ def _phi_series_and_gap(pair: Pair, degree: int):
                     f"b-hat / a-hat leaves the phi-modulus series by {gap:.3e} "
                     f"relative, above {_PHI_TOL:.0e}"
                 )
-        return TaylorSeries(tuple(phi), bits), gap
+    return TaylorSeries(tuple(phi), bits)
 
 
 def f_plus_residual(f: TaylorSeries, f_plus: TaylorSeries, pair: Pair) -> float:
@@ -322,7 +313,8 @@ def sarason_f_plus(f: TaylorSeries, phi_hat: TaylorSeries) -> TaylorSeries:
 
     Valid whenever the inner series converges absolutely for each k (always
     for polynomials, where it is exact with phi-hat to the degree of f).
-    With phi-hat from ``phi_series`` this is the route of every H(b) norm
+    With phi-hat from ``phi_series`` or, in the mpmath reports, from
+    ``experiments.phi_hat_series`` this is the route of every H(b) norm
     of a TaylorSeries; ``f_plus_solve`` is its independent oracle.  On
     real mpmath series the mantissas of f and of phi-hat are aligned once
     to one exponent each (``fixed_mantissas``, float zero pads included),

@@ -9,7 +9,9 @@ Stores, as shortest round-trip float reprs, the ``sarason`` rows and
 j_max 1024 / 384 bits, the ``summability`` rows at the CLI defaults
 (384 bits), and log (f_r)+(0) of A7's Abel series at degree 1024 / 384 bits
 at the three radii the benchmark's ``mp`` workload uses.  Regenerate it only
-when a change is meant to move these numbers, and say which moved and why.
+when a change is meant to move these numbers, and say which moved and why:
+before it overwrites the file, the script prints each value that differs
+from the file as it was, as "path: old -> new".
 """
 
 import json
@@ -53,9 +55,25 @@ def golden() -> dict:
     return out
 
 
+def moved(old, new, path="golden"):
+    """Lines "path: old -> new", one for each value of ``new`` that differs
+    from ``old``, the file as it was."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        pairs = [(f"{path}.{k}", old.get(k), new.get(k)) for k in sorted(set(old) | set(new))]
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        pairs = [(f"{path}[{i}]", a, b) for i, (a, b) in enumerate(zip(old, new))]
+    else:
+        return [] if old == new else [f"{path}: {old} -> {new}"]
+    return [line for sub, a, b in pairs for line in moved(a, b, sub)]
+
+
 def main():
     path = Path(__file__).resolve().parent / "mp_golden.json"
-    path.write_text(json.dumps(golden(), indent=1, sort_keys=True) + "\n")
+    new = golden()
+    old = json.loads(path.read_text()) if path.exists() else {}
+    for line in moved(old, new):
+        print(line)
+    path.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
     print(f"wrote {path}")
 
 

@@ -68,9 +68,10 @@ def test_invalid_exponents_exit_config(tmp_path, runner):
 
 def test_malformed_config_file(tmp_path, runner):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    res = runner.invoke(main, ["construct", "--config", str(path)])
-    assert res.exit_code == EXIT_CONFIG
+    for text in ("{not json", "[1, 2]"):
+        path.write_text(text)
+        res = runner.invoke(main, ["construct", "--config", str(path)])
+        assert res.exit_code == EXIT_CONFIG
 
 
 def test_missing_pair_exit_config(tmp_path, runner):
@@ -166,16 +167,29 @@ def test_sarason_and_summability(workdir, runner, tmp_path):
         ("summability", {"summability_n_list": []}),
         ("summability", {"summability_n_list": [2, 4]}),
         ("summability", {"summability_n_list": [-1, 8, 16]}),
+        ("verify-outer", {"r_samples": 1}),
+        ("construct", {"r_samples": 1, "power_m": "auto"}),
+        ("sarason", {"j_max": "abc"}),
+        ("summability", {"summability_n_list": 64}),
+        ("summability", {"summability_n_list": [8, 16.0]}),
+        ("norm-crosscheck", {"seed": "x"}),
+        ("norm-crosscheck", {"seed": -1}),
+        ("construct", {"alpha": "x"}),
+        ("construct", {"n_terms": 8.5}),
+        ("construct", {"n_terms": True}),
+        ("construct", {"power_m": "two"}),
     ],
 )
 def test_out_of_range_sizes_exit_config(workdir, runner, verb, overrides):
-    """Sizes the experiments cannot run are config errors, not crashes and
-    not reports with -inf rows."""
+    """Sizes the experiments cannot run, and values of the wrong type, are
+    config errors, not crashes and not reports with -inf rows; no file in
+    the output directory is written or changed."""
     cfg = write_config(workdir, **overrides)
+    before = {p.name: p.read_bytes() for p in workdir.iterdir()}
     res = runner.invoke(main, [verb, "--config", cfg, "--out", str(workdir)])
     assert res.exit_code == EXIT_CONFIG, res.output
     assert "config error:" in res.output
-    assert not (workdir / f"{verb}.json").exists()
+    assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
 
 
 def test_norm_crosscheck(tmp_path, runner):

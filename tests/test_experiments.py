@@ -46,6 +46,7 @@ from hblab.hb import (
 from hblab.logscalar import LogScalar
 from hblab.series import TaylorSeries, fixed_to_mpf
 from hblab.outer import log_delta, log_phi_radial
+from hblab.pair import Pair
 
 
 # -- the function f ---------------------------------------------------------
@@ -330,26 +331,38 @@ def test_summability_divergence(pair, combo):
 
 
 def test_summability_matches_solve_oracle(pair, combo, monkeypatch):
-    """The rows come from the Toeplitz product with phi-hat = b-hat / a-hat,
-    never from the triangular solve, and agree with the solve within
-    2^-150 relative, compared in mpmath."""
+    """The rows are the Toeplitz product with the phi-hat of
+    ``phi_hat_series``, bit for bit; ``summability`` never enters the
+    triangular solve, ``phi_series`` or ``Pair.with_series``.  The product
+    with phi-hat = b-hat / a-hat stays the oracle of that route: it agrees
+    with the solve within 2^-150 relative, compared in mpmath, and its
+    phi-hat with the phi-modulus series within 1e-9 relative."""
 
-    def no_solve(*args, **kwargs):
-        raise AssertionError("summability entered the triangular solve")
+    def forbidden(*args, **kwargs):
+        raise AssertionError("summability left the phi-modulus product route")
 
-    solve_names = ("f_plus_solve", "toeplitz_coanalytic_apply", "triangular_solve_upper_toeplitz")
+    names = (
+        "f_plus_solve",
+        "toeplitz_coanalytic_apply",
+        "triangular_solve_upper_toeplitz",
+        "phi_series",
+    )
     for name, module in list(sys.modules.items()):
         if name == "hblab" or name.startswith("hblab."):
-            for attr in solve_names:
+            for attr in names:
                 if hasattr(module, attr):
-                    monkeypatch.setattr(module, attr, no_solve)
+                    monkeypatch.setattr(module, attr, forbidden)
+    monkeypatch.setattr(Pair, "with_series", forbidden)
     n_list = [0, 2, 8, 16, 24]
     rep = summability_divergence(n_list, combo, pair, precision_bits=200)
     monkeypatch.undo()
 
+    phi_hat = phi_hat_series(pair, 24, 200)
     mp_pair = pair.with_series(24, 200)
     with mp.workprec(200):
-        phi_hat = phi_series(mp_pair, 24)
+        quotient = phi_series(mp_pair, 24)
+        gap = max(abs(x - y) / abs(y) for x, y in zip(quotient.coeffs, phi_hat.coeffs))
+        assert gap <= 1e-9
         kernel = _FhatFixed(combo, 24, 200)
         f_series = TaylorSeries(tuple(fixed_to_mpf(m, kernel.exp, 200) for m in kernel), 200)
         for (n, ls, lsig) in rep.rows:
@@ -358,10 +371,10 @@ def test_summability_matches_solve_oracle(pair, combo, monkeypatch):
                 (cesaro_mean(f_series, n), lsig),
             ):
                 product = poly.l2_norm_sq() + sarason_f_plus(poly, phi_hat).l2_norm_sq()
-                solved = poly.l2_norm_sq() + f_plus_solve(poly, mp_pair).l2_norm_sq()
-                assert abs(product - solved) <= mp.mpf(2) ** -150 * solved
                 assert logged == 0.5 * float(mp.log10(product))
-    assert 0.0 <= rep.metadata["phi_series_gap"] <= 1e-9
+                oracle = poly.l2_norm_sq() + sarason_f_plus(poly, quotient).l2_norm_sq()
+                solved = poly.l2_norm_sq() + f_plus_solve(poly, mp_pair).l2_norm_sq()
+                assert abs(oracle - solved) <= mp.mpf(2) ** -150 * solved
 
 
 def test_mp_reports_meet_their_precision(pair, combo, fhat_ref, monkeypatch):
@@ -379,13 +392,13 @@ def test_mp_reports_meet_their_precision(pair, combo, fhat_ref, monkeypatch):
     Abel value are within 4u, so slack = 3 bits.  In ``summability`` a
     coefficient of s_n is within 2u (kernel, rounding) and one of sigma_n
     within 4u (weight and product rounded once more); ||p||^2 squares them
-    (u each) and adds m = deg + 1 of them (u each): (m + 8) u.  f+ sums
-    p phi-hat exactly with one rounding, so with e_phi the largest relative
-    gap between phi-hat = b-hat / a-hat at P and at P + 64 bits (forward
-    substitution can lose bits, so e_phi is measured, not assumed),
-    ||f+||^2 is within 2 (4u + e_phi + u) + m u, and the final sum adds u:
-    (m + 11) u + 2 e_phi.  One more u holds the second-order terms and the
-    P + 64 side, which adds below 2^-60 u: tol = (m + 12) u + 2 e_phi.
+    (u each) and adds m = deg + 1 of them (u each): (m + 8) u.  The
+    phi-hat of ``phi_hat_series`` is within e_phi + u, e_phi its counted
+    bound (asserted at most u); f+ sums p phi-hat exactly with one
+    rounding, so ||f+||^2 is within 2 (4u + e_phi + u + u) + m u, and the
+    final sum adds u: (m + 13) u + 2 e_phi.  One more u holds the
+    second-order terms and the P + 64 side, which adds below 2^-60 u:
+    tol = (m + 14) u + 2 e_phi.
     """
     bits, extra = 384, REF_BITS
     orders = [0, 1, 2, 4, 8, 12, 16, 24, 32, 40, 48, 56, 64]
@@ -431,19 +444,19 @@ def test_mp_reports_meet_their_precision(pair, combo, fhat_ref, monkeypatch):
 
     # summability: ||s_n||^2 and ||sigma_n||^2 for each order
     deg = orders[-1]
-    phi_lo = phi_series(pair.with_series(deg, bits), deg).coeffs
-    phi_hi = phi_series(pair.with_series(deg, extra), deg)
+    e_phi = phi_hat_series(pair, deg, bits).error_bound
+    phi_ref = phi_hat_series(pair, deg, extra)
     f_ref = fhat_ref[None][: deg + 1]
+    assert e_phi <= 2.0**-bits
     with mp.workprec(extra):
-        assert min(phi_hi.coeffs) > 0 and min(f_ref) > 0
-        e_phi = max(abs(x - y) / y for x, y in zip(phi_lo, phi_hi.coeffs))
-        tol = (deg + 13) * mp.mpf(2) ** -bits + 2 * e_phi
+        assert min(phi_ref.coeffs) > 0 and min(f_ref) > 0
+        tol = (deg + 15) * mp.mpf(2) ** -bits + 2 * e_phi
         ref_norms = []
         for n in orders:
             for weights in ([1] * (n + 1), [mp.mpf(n + 1 - j) / (n + 1) for j in range(n + 1)]):
                 coeffs = tuple(c * w for c, w in zip(f_ref, weights)) + (0,) * (deg - n)
                 p = TaylorSeries(coeffs, extra)
-                ref_norms.append(p.l2_norm_sq() + sarason_f_plus(p, phi_hi).l2_norm_sq())
+                ref_norms.append(p.l2_norm_sq() + sarason_f_plus(p, phi_ref).l2_norm_sq())
         assert len(norms) == len(ref_norms)
         for got, ref in zip(norms, ref_norms):
             assert abs(got - ref) <= tol * ref
