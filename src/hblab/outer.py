@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from ._pcg64 import Generator
 from .logscalar import (
     LogScalar,
     clog1p,
@@ -582,8 +583,44 @@ def growth_bound_scan(
 
 # -- quadrature cross-check ------------------------------------------------
 
-# Order of the Gauss-Legendre rule applied to every panel of the oracle.
-_GAUSS_ORDER = 30
+# The 30-point Gauss-Legendre rule applied to every panel of the oracle, as
+# (node, weight) pairs each correctly rounded, written by
+# tests/data/make_gauss_legendre.py.
+_GAUSS_LEGENDRE = tuple(
+    (float.fromhex(x), float.fromhex(w))
+    for x, w in (
+        ("-0x1.fe68d29f64696p-1", "0x1.051a0b16f2427p-7"),
+        ("-0x1.f7a35927355b1p-1", "0x1.2e8dfb5e00194p-6"),
+        ("-0x1.eb87fc62f7b5dp-1", "0x1.d79bd0bef65edp-6"),
+        ("-0x1.da36e4828656fp-1", "0x1.3dd7cde654010p-5"),
+        ("-0x1.c3def97bef284p-1", "0x1.8c83c31b159edp-5"),
+        ("-0x1.a8bcd7f6a16eap-1", "0x1.d6fbe3365a0dep-5"),
+        ("-0x1.891a1fa2fe827p-1", "0x1.0e3afe7b90638p-4"),
+        ("-0x1.654ca8f944f8bp-1", "0x1.2e1abeb620f4ep-4"),
+        ("-0x1.3db59b9c8042dp-1", "0x1.4ac6b18f8353bp-4"),
+        ("-0x1.12c0667d07155p-1", "0x1.63f10800ed9cbp-4"),
+        ("-0x1.c9c338717ea9ap-2", "0x1.79557743c7fbdp-4"),
+        ("-0x1.692b6d7532f8fp-2", "0x1.8ab9f1e859c52p-4"),
+        ("-0x1.04bf8ad8faef5p-2", "0x1.97ef454512ac4p-4"),
+        ("-0x1.3b2026364c35ap-3", "0x1.a0d1997eea523p-4"),
+        ("-0x1.a5a8470e14134p-5", "0x1.a548d2c7c13a9p-4"),
+        ("0x1.a5a8470e14134p-5", "0x1.a548d2c7c13a9p-4"),
+        ("0x1.3b2026364c35ap-3", "0x1.a0d1997eea523p-4"),
+        ("0x1.04bf8ad8faef5p-2", "0x1.97ef454512ac4p-4"),
+        ("0x1.692b6d7532f8fp-2", "0x1.8ab9f1e859c52p-4"),
+        ("0x1.c9c338717ea9ap-2", "0x1.79557743c7fbdp-4"),
+        ("0x1.12c0667d07155p-1", "0x1.63f10800ed9cbp-4"),
+        ("0x1.3db59b9c8042dp-1", "0x1.4ac6b18f8353bp-4"),
+        ("0x1.654ca8f944f8bp-1", "0x1.2e1abeb620f4ep-4"),
+        ("0x1.891a1fa2fe827p-1", "0x1.0e3afe7b90638p-4"),
+        ("0x1.a8bcd7f6a16eap-1", "0x1.d6fbe3365a0dep-5"),
+        ("0x1.c3def97bef284p-1", "0x1.8c83c31b159edp-5"),
+        ("0x1.da36e4828656fp-1", "0x1.3dd7cde654010p-5"),
+        ("0x1.eb87fc62f7b5dp-1", "0x1.d79bd0bef65edp-6"),
+        ("0x1.f7a35927355b1p-1", "0x1.2e8dfb5e00194p-6"),
+        ("0x1.fe68d29f64696p-1", "0x1.051a0b16f2427p-7"),
+    )
+)
 
 
 def _two_sum(a: float, b: float):
@@ -603,16 +640,13 @@ def poisson_quad_crosscheck(
     30-point Gauss-Legendre rule on each panel of a geometric ladder around
     the spike, at the exact interval ends 2t - x0 and 3t - x0.
     """
-    import numpy as np
-
     params = seq.params
-    rng = np.random.default_rng(seed)
-    nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
+    rng = Generator(seed)
     t_lo = seq.t[params.n_terms]
     worst = 0.0
     for _ in range(n_points):
-        x0 = float(rng.uniform(-2.0, 2.0))
-        y0 = float(math.exp(rng.uniform(math.log(t_lo), 0.0)))
+        x0 = rng.uniform(-2.0, 2.0)
+        y0 = math.exp(rng.uniform(math.log(t_lo), 0.0))
         z = complex(x0, y0)
         closed = log_Phi_halfplane(z, seq).real
         terms = []
@@ -634,20 +668,20 @@ def poisson_quad_crosscheck(
                         cuts.add(u)
             if a < 0.0 < b:
                 cuts.add(0.0)
-            edges = np.array(sorted(cuts))
-            mid = 0.5 * (edges[1:] + edges[:-1])
-            half = 0.5 * (edges[1:] - edges[:-1])
-            u = mid[:, None] + half[:, None] * nodes
-            parts = (half[:, None] * weights) * (y0 / (u * u + y0 * y0))
+            edges = sorted(cuts)
+            parts = []
+            for lo, hi in zip(edges, edges[1:]):
+                mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+                for x, w in _GAUSS_LEGENDRE:
+                    u = mid + half * x
+                    parts.append((half * w) * (y0 / (u * u + y0 * y0)))
             # The kernel has width y0 >= t_N, so rounding a or b by an ulp
             # of x0 moves the integral by up to 1e-10 relative; add back
             # kernel(end) * (exact end - rounded end), with the exact ends
             # a + da and b + (db + d3) from the error-free sums above.
-            ends = (
-                -y0 / (a * a + y0 * y0) * da,
-                y0 / (b * b + y0 * y0) * (db + d3),
-            )
-            terms.append(h * math.fsum([*parts.ravel().tolist(), *ends]) / math.pi)
+            parts.append(-y0 / (a * a + y0 * y0) * da)
+            parts.append(y0 / (b * b + y0 * y0) * (db + d3))
+            terms.append(h * math.fsum(parts) / math.pi)
         total = math.fsum(terms)
         rel = abs(closed - total) / max(abs(total), 1e-300)
         worst = max(worst, rel)

@@ -178,6 +178,7 @@ def test_sarason_and_summability(workdir, runner, tmp_path):
         ("construct", {"n_terms": 8.5}),
         ("construct", {"n_terms": True}),
         ("construct", {"power_m": "two"}),
+        ("norm-crosscheck", {"formats": []}),
     ],
 )
 def test_out_of_range_sizes_exit_config(workdir, runner, verb, overrides):

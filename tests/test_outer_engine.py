@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hblab import outer
 from hblab.outer import (
     ConstructionParams,
     GrowthBoundError,
@@ -452,9 +453,9 @@ def test_quadrature_oracle_exact_endpoints(seq, seed):
     Rounding either end to a float moves the integral by up to 2.6e-10
     relative at these points, since the kernel has width y0 >= t_N.  With
     the ends exact, the oracle agrees with a 200-bit arctangent sum to
-    7.2e-15 at these seeds, and the closed form to 3.2e-15; the worst gap
-    between the two is 7.4e-15 (seed 3).  The bound 1e-13 (about 450 ulps)
-    leaves a factor 13 over that and sits 2500 times below the rounded-end
+    4.0e-16 at these seeds, and the closed form to 3.2e-15; the worst gap
+    between the two is 3.0e-15 (seed 1).  The bound 1e-13 (about 450 ulps)
+    leaves a factor 34 over that and sits 2500 times below the rounded-end
     error.  It is not a bound for every point: the closed form forms
     2t - z in floats, so a point within about y0 of an interval end can
     lose more (8.2e-13 among 2000 points at seed 1).
@@ -462,24 +463,58 @@ def test_quadrature_oracle_exact_endpoints(seq, seed):
     assert poisson_quad_crosscheck(seq, 50, seed) <= 1e-13
 
 
-# Run in a fresh interpreter: import the CLI and run the oracle once, then
+def test_gauss_legendre_table_matches_its_script():
+    """The oracle's rule is the text ``tests/data/make_gauss_legendre.py``
+    writes: nodes and weights of P_30 from mpmath, each rounded once."""
+    spec = importlib.util.spec_from_file_location(
+        "make_gauss_legendre", DATA / "make_gauss_legendre.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.table_source() in Path(outer.__file__).read_text()
+    assert outer._GAUSS_LEGENDRE == tuple(script.rule())
+
+
+def test_gauss_legendre_integrates_monomials():
+    """The 30-point rule integrates x^k over [-1, 1] for k <= 59 exactly,
+    up to the rounding of its nodes and weights.  With each correctly
+    rounded, a node error of 2^-53 relative moves x^k by k·2^-53; the
+    weight, the power, the product, the sum and the check's own scaling
+    add at most six more.  The worst even case is 1.4e-15 at k = 58;
+    numpy's ``leggauss(30)`` weights, off by up to 3.0e-13, give 1.3e-13
+    there and 4.9e-15 already at k = 2.  Odd powers cancel exactly, since
+    the table is symmetric."""
+    for k in range(60):
+        got = math.fsum(w * x**k for x, w in outer._GAUSS_LEGENDRE)
+        if k % 2:
+            assert got == 0.0, k
+        else:
+            assert abs(got * (k + 1) / 2 - 1) <= (k + 6) * 2.0**-53, k
+
+
+# Run in a fresh interpreter: import the CLI and run every verb once, then
 # list every module loaded since start-up whose file lies outside the
-# standard library and the three runtime dependencies.
+# standard library and the two runtime dependencies.  verify-outer runs
+# the quadrature oracle and norm-crosscheck makes its seeded draws.
 _IMPORT_PROBE = """
-import os, sys, sysconfig
+import os, sys, sysconfig, tempfile
 before = set(sys.modules)
 import hblab.cli
-from hblab import ConstructionParams, make_sequences
-from hblab.outer import poisson_quad_crosscheck
-seq = make_sequences(ConstructionParams(alpha=1.2, beta=1.5, power_m=1))
-poisson_quad_crosscheck(seq, 5, 0)
-import click, mpmath, numpy
+verbs = ["construct", "verify-outer", "divergence", "sarason", "summability",
+         "norm-crosscheck"]
+with tempfile.TemporaryDirectory() as out:
+    for verb in verbs:
+        try:
+            hblab.cli.main([verb, "--out", out], standalone_mode=False)
+        except SystemExit as e:
+            assert e.code in (0, 4), (verb, e.code)  # verify-outer, divergence: 4
+import click, mpmath
 def under(dirs):
     return tuple(os.path.realpath(d) + os.sep for d in dirs)
 paths = sysconfig.get_paths()
 stdlib = under([paths["stdlib"], paths["platstdlib"]])
 installed = under([paths["purelib"], paths["platlib"]])
-deps = under([os.path.dirname(m.__file__) for m in (click, mpmath, numpy, hblab)])
+deps = under([os.path.dirname(m.__file__) for m in (click, mpmath, hblab)])
 def allowed(f):
     f = os.path.realpath(f)
     return f.startswith(deps) or (f.startswith(stdlib) and not f.startswith(installed))
@@ -493,8 +528,8 @@ print(" ".join(stray))
 
 
 def test_verify_outer_imports_only_runtime_dependencies():
-    """The CLI and the quadrature oracle load nothing beyond the standard
-    library, numpy, mpmath and click."""
+    """The CLI and every verb, the quadrature oracle and the seeded draws
+    included, load nothing beyond the standard library, mpmath and click."""
     import os
     import subprocess
     import sys
