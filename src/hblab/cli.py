@@ -355,7 +355,7 @@ def norm_crosscheck(config_path, out_dir, precision_bits, seed, fmt):
     def body(cfg):
         max_deg = 32  # the largest drawn degree
         pair = tame_pair(degree=max_deg)
-        phi_hat = TaylorSeries((1.0,) + (2.0,) * max_deg)  # (1+z)/(1-z)
+        phi_hat = pair.phi_hat(max_deg)
         rng = Generator(cfg["seed"])
         rows = []
         worst = 0.0

@@ -30,7 +30,7 @@ from .hb import (
 )
 from .logscalar import LogScalar, log_add_exp, log_sum_exp
 from .outer import ParameterError, half_plane_log_modulus_radial, log_delta
-from .pair import Pair, outer_series
+from .pair import Pair
 from .reports import CODE_VERSION, ExperimentReport
 from .series import TaylorSeries, fixed_dot, fixed_mantissas, fixed_to_mpf
 
@@ -346,7 +346,8 @@ def required_bits_for_degree(pair: Pair, degree: int) -> int:
 def phi_hat_series(pair: Pair, degree: int, precision_bits: int) -> TaylorSeries:
     """Taylor coefficients 0..degree of phi as real mpmath numbers.
 
-    ``outer_series`` of the phi modulus (real by theta-symmetry): the
+    ``Pair.phi_hat``, the one phi-hat of hblab, behind a precision gate:
+    ``outer_series`` of the phi modulus (real by theta-symmetry), the
     pole-accumulator recurrence in fixed point, each coefficient within its
     counted error bound of 2^-precision_bits relative, with its low
     coefficients checked against the O(N^2) exp route.  Raises
@@ -358,7 +359,7 @@ def phi_hat_series(pair: Pair, degree: int, precision_bits: int) -> TaylorSeries
         raise PrecisionExhausted(
             f"degree {degree} needs about {need} bits, configured {precision_bits}"
         )
-    return outer_series(pair.phi_modulus, degree, precision_bits)
+    return pair.phi_hat(degree, precision_bits)
 
 
 def abel_fr_plus(

@@ -3,11 +3,11 @@
 Functions in H(b) appear in two representations:
 
 * :class:`~hblab.series.TaylorSeries` -- generic; norms take f+ as the
-  Toeplitz product T_phi-bar f (``sarason_f_plus``), phi-hat = b-hat / a-hat
-  (``phi_series``) or, in the mpmath reports, the phi-modulus series, and
-  the l2 sums of ||f||^2 = ||f||_{H^2}^2 + ||f+||_{H^2}^2.  The
-  triangular-Toeplitz solve of T_b-bar f = T_a-bar f+ (``f_plus_solve``)
-  is kept as the independent oracle.
+  Toeplitz product T_phi-bar f (``sarason_f_plus``) with the one phi-hat
+  of ``Pair.phi_hat``, and the l2 sums of
+  ||f||^2 = ||f||_{H^2}^2 + ||f+||_{H^2}^2.  The triangular-Toeplitz solve
+  of T_b-bar f = T_a-bar f+ (``f_plus_solve``) on the series of a and b is
+  kept as the independent oracle.
 * :class:`KernelCombo` -- finite combinations sum_j c_j k_{w_j} of Cauchy
   kernels with positive data, where f+ = sum_j c_j conj(phi(w_j)) k_{w_j}
   gives closed Gram-form norms that survive in log-domain when the phi
@@ -21,9 +21,10 @@ from dataclasses import dataclass
 from typing import Union
 
 from .logscalar import LogScalar, log1p_exp, log_add_exp, log_sum_exp
-from .pair import Pair, outer_series
+from .pair import Pair
 from .series import (
     TaylorSeries,
+    _is_mp,
     fixed_dot,
     fixed_mantissas,
     fixed_to_mpf,
@@ -129,79 +130,8 @@ def _series_pair(pair: Pair, degree: int) -> Pair:
     return pair.with_series(degree, min((s.precision_bits for s in have), default=53))
 
 
-# Bound on the f+ defect, in l1, for a pair without a phi modulus, on the
-# residual of ``f_plus_solve`` relative to ||f||, and the largest relative
-# gap allowed between b-hat / a-hat and the series of the phi modulus itself.
-_PHI_TOL = 1e-9
-
-
-def phi_series(pair: Pair, degree: int) -> TaylorSeries:
-    """Taylor coefficients 0..degree of phi = b/a, the symbol of f -> f+.
-
-    Truncated upper-triangular Toeplitz matrices form the algebra
-    C[z]/z^{N+1}, so T_a-bar^{-1} T_b-bar = T_phi-bar at every truncation
-    N, and a polynomial p of degree n has p+ = T_phi-bar p exactly with
-    phi-hat taken to degree n (``sarason_f_plus``).  phi-hat = b-hat / a-hat
-    comes from one forward substitution on the pair's own series, one loop
-    of rounded operations in their number type and at their precision.  It
-    serves ``hb_norm_sq`` on series; the mpmath reports take phi-hat from
-    the phi modulus (``experiments.phi_hat_series``), and the tests keep
-    this quotient as the oracle of that route.
-
-    Raises ArithmeticError when ||a-hat phi-hat - b-hat||_1 over 0..degree
-    exceeds the rounding of the substitution and of the check's own sums,
-    4 (degree + 2) u sum_n (|b-hat_n| + sum_j |a-hat_j| |phi-hat_{n-j}|) at
-    unit roundoff u; for a pair with a phi modulus, when some coefficient
-    leaves ``outer_series`` of that modulus by more than 1e-9 relative; and
-    for a pair without one, when the defect exceeds 1e-9.
-    """
-    from mpmath import mp
-
-    pair = _series_pair(pair, degree)
-    a, b = pair.a_series.coeffs, pair.b_series.coeffs
-    bits = min(pair.a_series.precision_bits, pair.b_series.precision_bits)
-    with mp.workprec(bits):
-        phi = []
-        for n in range(degree + 1):
-            acc = b[n]
-            for j in range(1, n + 1):
-                acc = acc - a[j] * phi[n - j]
-            phi.append(acc / a[0])
-        # The substitution and the convolution summed afresh below each
-        # leave at most (n + 4) u scale_n in coefficient n (n + 1 rounded
-        # sums, products within 2 sqrt 2 u), scale_n = |b-hat_n| +
-        # sum_j |a-hat_j| |phi-hat_{n-j}|, u = 2^-bits.  The defect is held
-        # to that rounding, which grows with |phi-hat| at no loss of accuracy.
-        abs_a = [float(abs(x)) for x in a[: degree + 1]]
-        abs_phi = [float(abs(x)) for x in phi]
-        defect = scale = 0
-        for n in range(degree + 1):
-            defect += abs(sum(a[j] * phi[n - j] for j in range(n + 1)) - b[n])
-            scale += float(abs(b[n])) + sum(abs_a[j] * abs_phi[n - j] for j in range(n + 1))
-        tol = 4 * (degree + 2) * 2.0**-bits * scale
-        if pair.phi_modulus is None:
-            # ||T_a-bar p+ - T_b-bar p|| <= ||a phi - b||_1 ||p|| for
-            # p+ = T_phi-bar p: with no second route to phi-hat, the defect
-            # also bounds every f+ built from it, as the residual check of
-            # f_plus_solve does (1e-9 ||p||)
-            tol = min(tol, _PHI_TOL)
-        if defect > tol:
-            raise ArithmeticError(
-                f"phi-hat defect ||a phi - b||_1 = {float(defect):.3e} "
-                f"exceeds {float(tol):.3e} at degree {degree}"
-            )
-        if pair.phi_modulus is not None:
-            # the defect cannot see a or b leaving their moduli, since
-            # forward substitution fits phi-hat to whatever series it gets;
-            # the phi modulus gives phi-hat by an independent route
-            ref = outer_series(pair.phi_modulus, degree, bits).coeffs
-            gap = float(max(abs(x - y) / abs(y) for x, y in zip(phi, ref)))
-            if gap > _PHI_TOL:
-                raise ArithmeticError(
-                    f"b-hat / a-hat leaves the phi-modulus series by {gap:.3e} "
-                    f"relative, above {_PHI_TOL:.0e}"
-                )
-    return TaylorSeries(tuple(phi), bits)
+# Bound on the residual of ``f_plus_solve``, relative to ||f||.
+_RESIDUAL_TOL = 1e-9
 
 
 def f_plus_residual(f: TaylorSeries, f_plus: TaylorSeries, pair: Pair) -> float:
@@ -219,9 +149,10 @@ def f_plus_solve(f: TaylorSeries, pair: Pair) -> TaylorSeries:
     themselves, so for a polynomial the truncation at d is exact: a solve
     at any larger degree gives the same coefficients and exact zeros past d.
     The defect residual ||T_a-bar f+ - T_b-bar f|| is checked against
-    1e-9 ||f|| and a violation raises ArithmeticError.  This is the
-    independent oracle for the product route of ``sarason_f_plus`` with
-    ``phi_series``, which the norms use.
+    1e-9 ||f|| and a violation raises ArithmeticError.  It reads a-hat and
+    b-hat, never phi, so it is the one independent oracle of the product
+    route that the norms use, ``sarason_f_plus`` with ``Pair.phi_hat``; for
+    the monomial z^N its output reversed is conj(phi-hat) to degree N.
     """
     degree = f.truncation_degree
     pair = _series_pair(pair, degree)
@@ -232,14 +163,14 @@ def f_plus_solve(f: TaylorSeries, pair: Pair) -> TaylorSeries:
     f_plus = TaylorSeries(tuple(x), min(a.precision_bits, f.precision_bits))
     scale = math.sqrt(abs(float(f.l2_norm_sq()))) or 1.0
     res = f_plus_residual(f, f_plus, pair)
-    if res > _PHI_TOL * scale:
-        raise ArithmeticError(f"f+ residual {res:.3e} exceeds {_PHI_TOL:.0e} * ||f||")
+    if res > _RESIDUAL_TOL * scale:
+        raise ArithmeticError(f"f+ residual {res:.3e} exceeds {_RESIDUAL_TOL:.0e} * ||f||")
     return f_plus
 
 
 def _log_of_positive(x) -> float:
     """Natural log of a positive number that may be float or mpmath."""
-    if type(x).__module__.startswith("mpmath"):
+    if _is_mp(x):
         import mpmath
 
         return float(mpmath.log(x))
@@ -269,15 +200,15 @@ def hb_norm_sq(f: HbFunction, pair: Pair) -> LogScalar:
     """||f||^2_{H(b)} = ||f||^2_{H^2} + ||f+||^2_{H^2} as a LogScalar.
 
     TaylorSeries take f+ = T_phi-bar f (``sarason_f_plus`` with
-    ``phi_series``), exact for the truncated polynomial; KernelCombos use
-    the closed Gram forms with f+ = sum c_j conj(phi(w_j)) k_{w_j},
-    entirely in log-domain.
+    ``Pair.phi_hat`` at the precision of f), exact for the truncated
+    polynomial; KernelCombos use the closed Gram forms with
+    f+ = sum c_j conj(phi(w_j)) k_{w_j}, entirely in log-domain.
     """
     if isinstance(f, KernelCombo):
         plain = _gram_log_terms(f, pair, with_phi=False)
         plussed = _gram_log_terms(f, pair, with_phi=True)
         return log_sum_exp(plain + plussed)
-    f_plus = sarason_f_plus(f, phi_series(pair, f.truncation_degree))
+    f_plus = sarason_f_plus(f, pair.phi_hat(f.truncation_degree, f.precision_bits))
     total = f.l2_norm_sq() + f_plus.l2_norm_sq()
     return LogScalar.exp_of(_log_of_positive(total))
 
@@ -313,8 +244,8 @@ def sarason_f_plus(f: TaylorSeries, phi_hat: TaylorSeries) -> TaylorSeries:
 
     Valid whenever the inner series converges absolutely for each k (always
     for polynomials, where it is exact with phi-hat to the degree of f).
-    With phi-hat from ``phi_series`` or, in the mpmath reports, from
-    ``experiments.phi_hat_series`` this is the route of every H(b) norm
+    With phi-hat from ``Pair.phi_hat`` (in the mpmath reports through
+    ``experiments.phi_hat_series``) this is the route of every H(b) norm
     of a TaylorSeries; ``f_plus_solve`` is its independent oracle.  On
     real mpmath series the mantissas of f and of phi-hat are aligned once
     to one exponent each (``fixed_mantissas``, float zero pads included),

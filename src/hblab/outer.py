@@ -16,6 +16,7 @@ underflow every floating-point format.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -158,10 +159,6 @@ class Sequences:
     t: tuple  # float, t[1..N+1]
     eps: tuple  # LogScalar, eps[1..N]
 
-    @property
-    def n_terms(self) -> int:
-        return self.params.n_terms
-
     def delta(self, n: int) -> float:
         return math.exp(log_delta(self.params, n))
 
@@ -246,6 +243,10 @@ def log_Phi_halfplane(z, seq: Sequences):
     because (3t-z)/(2t-z) stays off the negative real axis for Im z > 0.
     Intervals that are vanishingly small against |z| switch to the first
     order expansion -eps/(pi*i) * (1/z + 5t/(2z^2) + 5t/2) to avoid 0*inf.
+    With lo = 2t - z, log((3t-z)/(2t-z)) is log1p(t/lo) where |t/lo| <= 1/2
+    and log((lo + t)/lo) elsewhere: near either end of the interval the real
+    part of lo or of lo + t is then exact (Sterbenz), so the log keeps its
+    relative precision up to the ends.
     """
     z = complex(z)
     if not z.imag > 0.0:
@@ -259,14 +260,14 @@ def log_Phi_halfplane(z, seq: Sequences):
         if t < 1e-12 * az:
             term = eps / (math.pi * 1j) * (-1.0 / z - 2.5 * t / (z * z) - 2.5 * t)
         else:
+            lo = complex(2 * t - z.real, -z.imag)
+            w = t / lo
+            # log((3t-z)/(2t-z)): log1p(w) is stable as t -> 0
+            ratio = clog1p(w) if abs(w) <= 0.5 else cmath.log(complex(lo.real + t, -z.imag) / lo)
             term = (
                 eps
                 / (math.pi * 1j * t)
-                * (
-                    # log((3t-z)/(2t-z)) = log1p(t/(2t-z)), stable as t -> 0
-                    clog1p(t / (2 * t - z))
-                    - 0.5 * clog1p(5 * t * t / (4 * t * t + 1.0))
-                )
+                * (ratio - 0.5 * clog1p(5 * t * t / (4 * t * t + 1.0)))
             )
         total = total + term
     return total

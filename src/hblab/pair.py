@@ -489,6 +489,16 @@ class Pair:
             b_series=outer_series(self.b_modulus, degree, precision_bits),
         )
 
+    def phi_hat(self, degree: int, precision_bits: int = 53) -> TaylorSeries:
+        """Taylor coefficients 0..degree of phi = b/a, the symbol of f -> f+:
+        ``outer_series`` of the phi modulus, or (1, 2, 2, ...) for the tame
+        pair's (1+z)/(1-z), which carries 53-bit floats only."""
+        if self.tag == "tame":
+            if precision_bits > 53:
+                raise ValueError("the tame pair carries 53-bit float series only")
+            return TaylorSeries((1.0,) + (2.0,) * degree)
+        return outer_series(self.phi_modulus, degree, precision_bits)
+
 
 def tame_pair(degree: int = 64) -> Pair:
     """The analytic test pair b = (1+z)/2, a = (1-z)/2, phi = (1+z)/(1-z)."""

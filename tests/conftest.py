@@ -6,14 +6,14 @@ import pytest
 
 from hblab import ConstructionParams, build_pair, tame_pair
 from hblab.experiments import build_divergent_combo
-from hblab.hb import phi_series, sarason_f_plus
+from hblab.hb import sarason_f_plus
 
 
 def _hb_inner(f, g, pair):
     """<f, g>_{H(b)} = <f, g>_{H^2} + <f+, g+>_{H^2}, with f+ and g+ taken
     by the product route of ``hb_norm_sq`` from one phi-hat at the larger
     degree."""
-    phi_hat = phi_series(pair, max(f.truncation_degree, g.truncation_degree))
+    phi_hat = pair.phi_hat(max(f.truncation_degree, g.truncation_degree))
     return f.inner(g) + sarason_f_plus(f, phi_hat).inner(sarason_f_plus(g, phi_hat))
 
 

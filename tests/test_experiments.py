@@ -40,7 +40,6 @@ from hblab.hb import (
     f_plus_solve,
     hb_norm_sq,
     partial_sum,
-    phi_series,
     sarason_f_plus,
 )
 from hblab.logscalar import LogScalar
@@ -333,10 +332,12 @@ def test_summability_divergence(pair, combo):
 def test_summability_matches_solve_oracle(pair, combo, monkeypatch):
     """The rows are the Toeplitz product with the phi-hat of
     ``phi_hat_series``, bit for bit; ``summability`` never enters the
-    triangular solve, ``phi_series`` or ``Pair.with_series``.  The product
-    with phi-hat = b-hat / a-hat stays the oracle of that route: it agrees
-    with the solve within 2^-150 relative, compared in mpmath, and its
-    phi-hat with the phi-modulus series within 1e-9 relative."""
+    triangular solve or ``Pair.with_series``.  The solve on the 200-bit
+    series of a and b is the oracle of that route.  For z^24 its output
+    reversed is phi-hat itself, within 1e-15 relative of ``phi_hat_series``
+    (measured 1.12e-16), and each product norm is within 1e-15 relative of
+    the solve norm (measured 7.6e-17).  The slack is that of the cell data,
+    where b/a = phi holds only to 2.4e-16."""
 
     def forbidden(*args, **kwargs):
         raise AssertionError("summability left the phi-modulus product route")
@@ -345,7 +346,6 @@ def test_summability_matches_solve_oracle(pair, combo, monkeypatch):
         "f_plus_solve",
         "toeplitz_coanalytic_apply",
         "triangular_solve_upper_toeplitz",
-        "phi_series",
     )
     for name, module in list(sys.modules.items()):
         if name == "hblab" or name.startswith("hblab."):
@@ -360,9 +360,10 @@ def test_summability_matches_solve_oracle(pair, combo, monkeypatch):
     phi_hat = phi_hat_series(pair, 24, 200)
     mp_pair = pair.with_series(24, 200)
     with mp.workprec(200):
-        quotient = phi_series(mp_pair, 24)
-        gap = max(abs(x - y) / abs(y) for x, y in zip(quotient.coeffs, phi_hat.coeffs))
-        assert gap <= 1e-9
+        monomial = TaylorSeries((mp.mpf(0),) * 24 + (mp.mpf(1),), 200)
+        solved_phi = f_plus_solve(monomial, mp_pair).coeffs[::-1]
+        gap = max(abs(x - y) / abs(y) for x, y in zip(solved_phi, phi_hat.coeffs))
+        assert gap <= 1e-15
         kernel = _FhatFixed(combo, 24, 200)
         f_series = TaylorSeries(tuple(fixed_to_mpf(m, kernel.exp, 200) for m in kernel), 200)
         for (n, ls, lsig) in rep.rows:
@@ -372,9 +373,8 @@ def test_summability_matches_solve_oracle(pair, combo, monkeypatch):
             ):
                 product = poly.l2_norm_sq() + sarason_f_plus(poly, phi_hat).l2_norm_sq()
                 assert logged == 0.5 * float(mp.log10(product))
-                oracle = poly.l2_norm_sq() + sarason_f_plus(poly, quotient).l2_norm_sq()
                 solved = poly.l2_norm_sq() + f_plus_solve(poly, mp_pair).l2_norm_sq()
-                assert abs(oracle - solved) <= mp.mpf(2) ** -150 * solved
+                assert abs(product - solved) <= 1e-15 * solved
 
 
 def test_mp_reports_meet_their_precision(pair, combo, fhat_ref, monkeypatch):

@@ -23,7 +23,6 @@ from hblab.hb import (
     kernel_combo_ccond_check,
     kernel_hb,
     partial_sum,
-    phi_series,
     sarason_f_plus,
     toeplitz_coanalytic_apply,
 )
@@ -31,7 +30,7 @@ from hblab.logscalar import LogScalar
 from hblab.pair import outer_series, tame_pair
 from hblab.series import TaylorSeries
 
-PHI_HAT_TAME = TaylorSeries((1.0,) + (2.0,) * 160)  # (1+z)/(1-z)
+PHI_HAT_TAME = tame_pair().phi_hat(160)  # (1+z)/(1-z)
 
 coeff = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
 
@@ -163,62 +162,27 @@ def test_f_plus_solve_residual_guard(tame, monkeypatch):
         f_plus_solve(p, tame)
 
 
-@pytest.mark.parametrize("bits", [53, 256])
-def test_phi_series_guard_fails_loudly(pair, bits):
-    """b-hat / a-hat passes on true series and raises once a leaves its
-    modulus: one coefficient of a off by 1e-6 moves phi-hat by 5e-3
-    relative against the phi-modulus series."""
-    true = replace(
-        pair,
-        a_series=outer_series(pair.a_modulus, 64, bits),
-        b_series=outer_series(pair.b_modulus, 64, bits),
-    )
-    phi_series(true, 64)
-    a = list(true.a_series.coeffs)
-    a[5] += 1e-6
-    bad = replace(true, a_series=TaylorSeries(tuple(a), true.a_series.precision_bits))
-    with pytest.raises(ArithmeticError):
-        phi_series(bad, 64)
-    p = TaylorSeries((1.0, 0.5, -0.25) + (0.0,) * 29)
-    with pytest.raises(ArithmeticError):
-        hb_norm_sq(p, bad)
-
-
-def test_phi_series_defect_guard():
-    """phi-hat of the tame pair is (1, 2, 2, ...) exactly; an a with a zero
-    at |z| = 0.31 makes phi-hat grow like 3.2^n, and the float rounding of
-    a phi - b then exceeds the 1e-9 defect bound."""
-    tame = tame_pair(degree=40)
-    assert phi_series(tame, 40).coeffs == PHI_HAT_TAME.coeffs[:41]
-    grows = replace(tame, a_series=TaylorSeries((0.5, -1.7, 0.3) + (0.0,) * 38))
-    with pytest.raises(ArithmeticError, match="defect"):
-        phi_series(grows, 40)
-
-
 @pytest.mark.parametrize("deg", [128, 160])
-def test_float_phi_series_of_growing_phi_hat(pair, deg):
+def test_float_hb_norm_of_growing_phi_hat(pair, deg):
     """phi-hat of the constructed pair grows (|phi-hat| reaches 6e6 by
-    degree 160), and so does the rounding in ||a phi - b||_1: 7.6e-9 at
-    degree 160 in floats.  That defect is held to its own rounding, not to
-    1e-9, so the float H(b) norm at these degrees is taken, and it meets the
-    200-bit route within the 1e-9 relative gap that ``phi_series`` certifies
-    against the phi-modulus series."""
+    degree 160).  The float H(b) norm takes it in one ``outer_series`` call
+    on the phi modulus, each coefficient within 2^-53 of its size, and meets
+    the 200-bit norm to 1e-12 in log (measured: 0.0 at both degrees)."""
     from mpmath import mp
 
     f = TaylorSeries(tuple(0.97**j for j in range(deg + 1)))
     got = hb_norm_sq(f, pair)
-    phi_hat = phi_series(pair.with_series(deg, 200), deg)
+    phi_hat = pair.phi_hat(deg, 200)
     with mp.workprec(200):
         f_mp = TaylorSeries(tuple(mp.mpf(c) for c in f.coeffs), 200)
         expect = mp.log(f_mp.l2_norm_sq() + sarason_f_plus(f_mp, phi_hat).l2_norm_sq())
-    assert got.log_mag == pytest.approx(float(expect), abs=1e-9)
+    assert got.log_mag == pytest.approx(float(expect), abs=1e-12)
 
 
 def test_short_b_series_is_rederived():
     """A pair whose b series is shorter than the degree asked for gets both
-    series re-derived, on the product route and on the solve route."""
+    series re-derived on the solve route."""
     short_b = replace(tame_pair(degree=64), b_series=TaylorSeries((0.5, 0.5)))
-    assert phi_series(short_b, 16).coeffs == PHI_HAT_TAME.coeffs[:17]
     p = TaylorSeries((1.0, 2.0, -1.0, 0.5j, 0.25))
     via_solve = f_plus_solve(p, short_b)
     via_sarason = sarason_f_plus(p, PHI_HAT_TAME)
@@ -228,8 +192,9 @@ def test_short_b_series_is_rederived():
 
 def test_short_mp_series_keep_their_precision(pair):
     """Short series are re-derived at the precision they carry: a pair with
-    200-bit series to degree 24, asked for degree 40, gives the 200-bit
-    phi-hat of a pair built at degree 40, not complex floats."""
+    200-bit series to degree 24, asked to solve a 200-bit polynomial of
+    degree 40, gives the 200-bit f+ of a pair built at degree 40, not
+    complex floats."""
     from mpmath import mp
 
     short = replace(
@@ -237,10 +202,12 @@ def test_short_mp_series_keep_their_precision(pair):
         a_series=outer_series(pair.a_modulus, 24, 200),
         b_series=outer_series(pair.b_modulus, 24, 200),
     )
-    phi = phi_series(short, 40)
-    assert phi.precision_bits == 200
-    assert all(isinstance(c, mp.mpf) for c in phi.coeffs)
-    assert phi.coeffs == phi_series(pair.with_series(40, 200), 40).coeffs
+    with mp.workprec(200):
+        p = TaylorSeries(tuple(mp.mpf(1) / (j + 1) for j in range(41)), 200)
+        fp = f_plus_solve(p, short)
+        assert fp.coeffs == f_plus_solve(p, pair.with_series(40, 200)).coeffs
+    assert fp.precision_bits == 200
+    assert all(isinstance(c, mp.mpf) for c in fp.coeffs)
     with pytest.raises(ValueError):
         tame_pair(8).with_series(8, 200)
 

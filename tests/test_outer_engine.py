@@ -453,14 +453,21 @@ def test_quadrature_oracle_exact_endpoints(seq, seed):
     Rounding either end to a float moves the integral by up to 2.6e-10
     relative at these points, since the kernel has width y0 >= t_N.  With
     the ends exact, the oracle agrees with a 200-bit arctangent sum to
-    4.0e-16 at these seeds, and the closed form to 3.2e-15; the worst gap
-    between the two is 3.0e-15 (seed 1).  The bound 1e-13 (about 450 ulps)
-    leaves a factor 34 over that and sits 2500 times below the rounded-end
-    error.  It is not a bound for every point: the closed form forms
-    2t - z in floats, so a point within about y0 of an interval end can
-    lose more (8.2e-13 among 2000 points at seed 1).
+    4.0e-16 at these seeds, and the closed form keeps its ends exact too
+    (``test_closed_form_keeps_interval_ends``): the worst gap between the
+    two is 6.4e-16 (seed 3).  The bound 1e-13 (about 450 ulps) sits 2500
+    times below the rounded-end error.
     """
     assert poisson_quad_crosscheck(seq, 50, seed) <= 1e-13
+
+
+def test_closed_form_keeps_interval_ends(seq):
+    """Among 2000 points at seed 1 some lie within about y0 of an interval
+    end, where log((3t - z)/(2t - z)) taken as log1p(t/(2t - z)) sits near
+    log 0 and lost up to 8.2e-13 relative.  ``log_Phi_halfplane`` forms the
+    log there from the quotient of two ends that are exact in floats
+    (Sterbenz), and the closed form meets the oracle to 1.0e-15."""
+    assert poisson_quad_crosscheck(seq, 2000, 1) <= 1e-14
 
 
 def test_gauss_legendre_table_matches_its_script():

@@ -238,6 +238,18 @@ def test_tame_pair_series():
     assert t.log_phi_radial_at(math.log(0.5)) == pytest.approx(math.log(3.0))
 
 
+def test_pair_phi_hat_is_the_one_route(pair, tame):
+    """``Pair.phi_hat``: (1, 2, 2, ...) exactly for the tame pair's
+    (1+z)/(1-z), in floats only; for the constructed pair the phi-modulus
+    series that the mpmath reports take through ``phi_hat_series``."""
+    from hblab.experiments import phi_hat_series
+
+    assert tame.phi_hat(40).coeffs == (1.0,) + (2.0,) * 40
+    with pytest.raises(ValueError):
+        tame.phi_hat(40, 54)
+    assert pair.phi_hat(64, 200) == phi_hat_series(pair, 64, 200)
+
+
 def test_constructed_series_match_eval(pair):
     """a and b Taylor series from exact Fourier data agree with the Schwarz
     evaluator pointwise."""
