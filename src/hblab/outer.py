@@ -128,19 +128,27 @@ def log_cayley_im(params: ConstructionParams, ld: float) -> float:
     return ld - math.log(2.0 - d)
 
 
-# (alpha, beta) -> ((log t_k, log eps_k) for k = 0, 1, ...); row 0 is padding
+# (alpha, beta) -> ((log t_k, log eps_k, D_k) for k = 0, 1, ...); row 0 is padding
 _LOG_T_EPS: dict = {}
 
 
 def _log_t_eps(params: ConstructionParams, n: int) -> tuple:
-    """(log t_k, log eps_k) to k >= n: they depend on k and the exponents
-    alone, so the radial evaluators share one table per (alpha, beta).  A
-    longer table replaces the old one whole; no reader sees a partial one."""
+    """(log t_k, log eps_k, D_k) to k >= n, with the prefix maximum
+    D_k = max_{j <= k} (log eps_j - 2 log t_j) that bounds the terms of
+    ``growth_log_ratio`` from interval k down.  All three depend on k and
+    the exponents alone, so the radial evaluators share one table per
+    (alpha, beta).  A longer table replaces the old one whole; no reader
+    sees a partial one."""
     key = (params.alpha, params.beta)
-    table = _LOG_T_EPS.get(key, ((math.nan, math.nan),))
+    table = _LOG_T_EPS.get(key, ((math.nan, math.nan, -math.inf),))
     if len(table) <= n:
-        rows = tuple((log_t(params, k), log_eps(params, k)) for k in range(len(table), n + 1))
-        table = _LOG_T_EPS[key] = table + rows
+        rows = []
+        d_max = table[-1][2]
+        for k in range(len(table), n + 1):
+            lt, le = log_t(params, k), log_eps(params, k)
+            d_max = max(d_max, le - 2.0 * lt)
+            rows.append((lt, le, d_max))
+        table = _LOG_T_EPS[key] = table + tuple(rows)
     return table
 
 
@@ -314,7 +322,7 @@ def half_plane_log_modulus_radial(
     """
     n = n_terms if n_terms is not None else params.n_terms
     terms = []
-    for lt, le in _log_t_eps(params, n)[1 : n + 1]:
+    for lt, le, _ in _log_t_eps(params, n)[1 : n + 1]:
         terms.append(LogScalar.exp_of(le - lt - _LNPI + _log_atan_diff(lt - log_y)))
     return log_sum_exp(terms)
 
@@ -345,6 +353,66 @@ def _log_radius_complement(params: ConstructionParams, n: int, s: float) -> floa
     return ld_n1 if x == -1.0 else ld_n + math.log1p(x)
 
 
+# exp(x) is 0.0 in doubles below -745.14; the rest is room for the rounding
+# of the term bound and of the terms themselves
+_UNDERFLOW_GAP = 747.0
+
+
+def _growth_logs(params: ConstructionParams, n: int, s: float) -> tuple:
+    """(log(u v), log(u - v)) at r = w_n + s (w_{n+1} - w_n), where
+    u = (1 - r w_n)/(1 + r w_n) and v = (1 - w_n)/(1 + w_n)."""
+    ld_n = log_delta(params, n)
+    lomr = _log_radius_complement(params, n, s)
+
+    # floats for the benign O(1) denominators 1 + r w_n, 1 + w_n, 2 - d
+    d_n = math.exp(ld_n) if ld_n > -700.0 else 0.0
+    omr = math.exp(lomr) if lomr > -700.0 else 0.0
+    w_n = 1.0 - d_n
+    r = 1.0 - omr
+    denom_u = 1.0 + r * w_n
+    denom_v = 2.0 - d_n
+
+    # u = (1 - r w_n)/(1 + r w_n) with 1 - r w_n = (1-r) + r d_n
+    log_w_n = math.log(w_n) if w_n > 0.0 else -d_n  # log(1-d) ~ -d
+    log_r = math.log(r) if r > 0.0 else -omr
+    log_u = log_add_exp(lomr, log_r + ld_n) - math.log(denom_u)
+    log_v = ld_n - math.log(denom_v)
+    # u - v = 2 (1-r) w_n / ((1 + r w_n)(1 + w_n)); exact, no cancellation
+    log_umv = _LN2 + lomr + log_w_n - math.log(denom_u) - math.log(2.0 - d_n)
+    return log_u + log_v, log_umv
+
+
+def _growth_term(lt: float, le: float, log_uv: float, log_umv: float):
+    """Interval k's term (eps_k/(pi t_k)) (atan(3t_k/u) - atan(3t_k/v)
+    - atan(2t_k/u) + atan(2t_k/v)) of ``growth_log_ratio`` as a
+    (sign, log|term|) pair from lt = log t_k and le = log eps_k; None when
+    the term is exactly zero."""
+    l3 = log1p_exp(2.0 * _LN3 + 2.0 * lt - log_uv)  # log(1 + 9 t^2/(u v))
+    l2 = log1p_exp(2.0 * _LN2 + 2.0 * lt - log_uv)  # log(1 + 4 t^2/(u v))
+    la3 = _LN3 + lt + log_umv - l3 - log_uv
+    if la3 > -18.0:
+        # atan arguments comfortably inside float range; the 3:2 ratio
+        # of the arguments keeps the subtraction well conditioned
+        la2 = _LN2 + lt + log_umv - l2 - log_uv
+        bracket = math.atan(math.exp(la2)) - math.atan(math.exp(la3))
+        if bracket == 0.0:
+            return None
+        sign = 1 if bracket > 0 else -1
+        lb = math.log(abs(bracket))
+    else:
+        # atan(x) = x to better than double precision; the bracket is
+        # (u-v) t (6 t^2 - u v) / ((u v + 9 t^2)(u v + 4 t^2))
+        num_hi = _LN6 + 2.0 * lt
+        if num_hi == log_uv:
+            return None
+        if num_hi > log_uv:
+            sign, lnum = 1, log_diff_exp(num_hi, log_uv)
+        else:
+            sign, lnum = -1, log_diff_exp(log_uv, num_hi)
+        lb = log_umv + lt + lnum - (log_uv + l3) - (log_uv + l2)
+    return sign, le - lt - _LNPI + lb
+
+
 def growth_log_ratio(
     params: ConstructionParams,
     n: int,
@@ -365,56 +433,42 @@ def growth_log_ratio(
     pairs.  At s = 1 from n = 623 on (at the default exponents), where
     delta_{n+1}/delta_n <= 2^-54, log(1 - r) is log delta_{n+1} exactly.
     The result is a signed LogScalar (phase 0 or pi).
+
+    Only the terms that can reach the sum are evaluated.  Since
+    log1p_exp(x) >= max(0, x), log_diff_exp(a, b) <= a and
+    0 <= atan x <= x, term k has log magnitude at most
+
+        U_k = c + log eps_k + min(log 6 - log(u v), -2 log t_k)
+            <= c + D_k,   c = log(u - v) - log pi - log 2,
+
+    with D_k the prefix maximum of log eps_j - 2 log t_j over j <= k (the
+    third column of the shared table).  The terms are taken from k =
+    n_terms down, keeping the largest log magnitude m seen so far, and the
+    walk stops at the first k with c + D_k < m - 747.  Every term j <= k is
+    then so small that exp(log|term_j| - m) is exactly 0.0 in doubles
+    (they underflow below -745.14), so neither the maximum nor the
+    correctly rounded fsum inside ``log_sum_signed`` can change: the
+    result is bit for bit that of the sum of all n_terms terms.
     """
     if not (0.0 <= s <= 1.0):
         raise ValueError("s must lie in [0, 1]")
     nt = n_terms if n_terms is not None else params.n_terms
-    ld_n = log_delta(params, n)
-    lomr = _log_radius_complement(params, n, s)
-
-    # floats for the benign O(1) denominators 1 + r w_n, 1 + w_n, 2 - d
-    d_n = math.exp(ld_n) if ld_n > -700.0 else 0.0
-    omr = math.exp(lomr) if lomr > -700.0 else 0.0
-    w_n = 1.0 - d_n
-    r = 1.0 - omr
-    denom_u = 1.0 + r * w_n
-    denom_v = 2.0 - d_n
-
-    # u = (1 - r w_n)/(1 + r w_n) with 1 - r w_n = (1-r) + r d_n
-    log_w_n = math.log(w_n) if w_n > 0.0 else -d_n  # log(1-d) ~ -d
-    log_r = math.log(r) if r > 0.0 else -omr
-    log_u = log_add_exp(lomr, log_r + ld_n) - math.log(denom_u)
-    log_v = ld_n - math.log(denom_v)
-    # u - v = 2 (1-r) w_n / ((1 + r w_n)(1 + w_n)); exact, no cancellation
-    log_umv = _LN2 + lomr + log_w_n - math.log(denom_u) - math.log(2.0 - d_n)
-    log_uv = log_u + log_v
-
+    if n < 1 or nt < 1:
+        raise ValueError(f"need n >= 1 and n_terms >= 1, got n={n}, n_terms={nt}")
+    log_uv, log_umv = _growth_logs(params, n, s)
+    c = log_umv - _LNPI - _LN2
+    table = _log_t_eps(params, nt)
     terms = []  # (sign, log|term|)
-    for lt, le in _log_t_eps(params, nt)[1 : nt + 1]:
-        l3 = log1p_exp(2.0 * _LN3 + 2.0 * lt - log_uv)  # log(1 + 9 t^2/(u v))
-        l2 = log1p_exp(2.0 * _LN2 + 2.0 * lt - log_uv)  # log(1 + 4 t^2/(u v))
-        la3 = _LN3 + lt + log_umv - l3 - log_uv
-        if la3 > -18.0:
-            # atan arguments comfortably inside float range; the 3:2 ratio
-            # of the arguments keeps the subtraction well conditioned
-            la2 = _LN2 + lt + log_umv - l2 - log_uv
-            bracket = math.atan(math.exp(la2)) - math.atan(math.exp(la3))
-            if bracket == 0.0:
-                continue
-            sign = 1 if bracket > 0 else -1
-            lb = math.log(abs(bracket))
-        else:
-            # atan(x) = x to better than double precision; the bracket is
-            # (u-v) t (6 t^2 - u v) / ((u v + 9 t^2)(u v + 4 t^2))
-            num_hi = _LN6 + 2.0 * lt
-            if num_hi == log_uv:
-                continue
-            if num_hi > log_uv:
-                sign, lnum = 1, log_diff_exp(num_hi, log_uv)
-            else:
-                sign, lnum = -1, log_diff_exp(log_uv, num_hi)
-            lb = log_umv + lt + lnum - (log_uv + l3) - (log_uv + l2)
-        terms.append((sign, le - lt - _LNPI + lb))
+    m = -math.inf
+    for k in range(nt, 0, -1):
+        lt, le, d_k = table[k]
+        if c + d_k < m - _UNDERFLOW_GAP:
+            break
+        term = _growth_term(lt, le, log_uv, log_umv)
+        if term is not None:
+            terms.append(term)
+            if term[1] > m:
+                m = term[1]
     return log_sum_signed(terms)
 
 
@@ -556,11 +610,16 @@ def growth_bound_scan(
     depends on the sample grid; the closed-interval minimum does not once
     the whole interval is positive.  Truncates the boundary datum at
     n + tail_terms interior intervals per row, which the tail decay makes
-    inconsequential.  Each row extends the shared (log t_k, log eps_k)
+    inconsequential.  Each row extends the shared (log t_k, log eps_k, D_k)
     table of ``growth_log_ratio`` by one k, so a scan computes each once.
     The right endpoint stays finite at any n: where delta_{n+1}/delta_n
     falls to 2^-54 its log(1 - r) is log delta_{n+1} exactly.
     """
+    if samples < 2 or n_lo < 1 or tail_terms < 0:
+        raise ValueError(
+            "need samples >= 2, n_lo >= 1 and tail_terms >= 0, got "
+            f"samples={samples}, n_lo={n_lo}, tail_terms={tail_terms}"
+        )
     rows = []
     for n in range(n_lo, n_hi + 1):
         nt = n + tail_terms

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hblab import outer
+from hblab.logscalar import log_sum_signed
 from hblab.outer import (
     ConstructionParams,
     GrowthBoundError,
@@ -363,6 +364,46 @@ def test_growth_ratio_matches_mp_deep(n):
             assert abs(got.log_mag - float(mp.log(abs(total)))) <= tol
 
 
+@pytest.mark.parametrize(
+    "alpha, beta", [(1.2, 1.5), (1.1, 1.3), (1.3, 1.6), (1.2, 1.9), (1.05, 1.1)]
+)
+def test_growth_ratio_pruning_is_exact(alpha, beta, monkeypatch):
+    """``growth_log_ratio`` skips the terms that cannot reach the sum; the
+    result must equal, bit for bit, ``log_sum_signed`` of all n_terms
+    terms, each built by the same ``_growth_term``.  Each term must lie
+    under its bound U_k, and at n = 697 fewer than the 700 terms must be
+    evaluated, so the pruning is really exercised (at (1.2, 1.5) it keeps
+    23 of 203 terms at n = 200)."""
+    p = ConstructionParams(alpha, beta, power_m=1)
+    calls = []
+    term = outer._growth_term
+
+    def counted(*args):
+        calls.append(args)
+        return term(*args)
+
+    monkeypatch.setattr(outer, "_growth_term", counted)
+    for n in sorted(set(range(1, 61)) | set(range(17, 701, 17))):
+        for nt in (8, n + 3):
+            table = outer._log_t_eps(p, nt)
+            for i in range(9):
+                s = i / 8
+                log_uv, log_umv = outer._growth_logs(p, n, s)
+                c = log_umv - math.log(math.pi) - math.log(2.0)
+                every = []
+                for lt, le, _ in table[1 : nt + 1]:
+                    t = term(lt, le, log_uv, log_umv)
+                    if t is not None:
+                        every.append(t)
+                        bound = c + le + min(math.log(6.0) - log_uv, -2.0 * lt)
+                        assert t[1] <= bound + 1e-9 * max(1.0, abs(bound))
+                calls.clear()
+                got = growth_log_ratio(p, n, s, n_terms=nt)
+                assert got == log_sum_signed(every)
+                if n == 697 and nt == n + 3:
+                    assert len(calls) < nt  # the pruning fires
+
+
 # -- bound verification and the power search -------------------------------
 
 
@@ -381,6 +422,18 @@ def test_verify_growth_bound_validation(params, seq):
         verify_growth_bound(0, 9, params, seq)
     with pytest.raises(ValueError):
         verify_growth_bound(1, 1, params, seq)
+
+
+def test_growth_ratio_and_scan_validation(params):
+    """Inputs without an interval, a term or a grid raise ValueError."""
+    for n, nt in ((0, 8), (-2, 8), (1, 0), (1, -1)):
+        with pytest.raises(ValueError):
+            growth_log_ratio(params, n, 0.5, n_terms=nt)
+    for kwargs in ({"samples": 1}, {"samples": 0}, {"tail_terms": -1}):
+        with pytest.raises(ValueError):
+            growth_bound_scan(params, 1, 2, **kwargs)
+    with pytest.raises(ValueError):
+        growth_bound_scan(params, 0, 2)
 
 
 def test_choose_power_m_reports_all_intervals(params, seq):
