@@ -14,38 +14,11 @@ Exit codes: 0 success, 2 config error, 3 construction inconsistency,
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 import time
 from pathlib import Path
-
-import click
-
-from ._pcg64 import Generator
-from .experiments import (
-    PrecisionExhausted,
-    _params_dict,
-    build_divergent_combo,
-    default_r_grid,
-    divergence_curve,
-    growth_envelope,
-    sarason_series_failure,
-    summability_divergence,
-)
-from .hb import f_plus_solve, sarason_f_plus
-from .outer import (
-    ConstructionParams,
-    GrowthBoundError,
-    ParameterError,
-    check_rho_condition,
-    choose_power_m,
-    make_sequences,
-    poisson_quad_crosscheck,
-    verify_growth_bound,
-)
-from .pair import build_pair, pair_from_json, pair_to_json, tame_pair
-from .reports import CODE_VERSION, ExperimentReport, config_hash, fmt_number
-from .series import TaylorSeries
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -123,7 +96,9 @@ def load_config(config_path, out_dir, precision_bits, seed, fmt) -> dict:
     return cfg
 
 
-def write_report(report: ExperimentReport, cfg: dict):
+def write_report(report, cfg: dict):
+    from .reports import config_hash
+
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     report.metadata["config_hash"] = config_hash(
@@ -136,171 +111,156 @@ def write_report(report: ExperimentReport, cfg: dict):
 
 
 def load_pair(cfg):
+    from .pair import pair_from_json
+
     path = Path(cfg["output_dir"]) / "pair.json"
     if not path.exists():
         raise ConfigError(f"pair.json not found in {cfg['output_dir']}; run construct first")
     return pair_from_json(path.read_text())
 
 
-_common = [
-    click.option("--config", "config_path", type=click.Path(), default=None),
-    click.option("--out", "out_dir", type=click.Path(), default=None),
-    click.option("--precision-bits", type=int, default=None),
-    click.option("--seed", type=int, default=None),
-    click.option(
-        "--format", "fmt", type=click.Choice(["csv", "json", "both"]), default=None
-    ),
-]
-
-
-def common_options(fn):
-    for opt in reversed(_common):
-        fn = opt(fn)
-    return fn
+def _echo(message):
+    print(message, file=sys.stderr)
 
 
 def run_command(body, config_path, out_dir, precision_bits, seed, fmt):
+    from .outer import GrowthBoundError, ParameterError, PrecisionExhausted
+
     start = time.monotonic()
     try:
         cfg = load_config(config_path, out_dir, precision_bits, seed, fmt)
     except ConfigError as e:
-        click.echo(f"config error: {e}", err=True)
+        _echo(f"config error: {e}")
         sys.exit(EXIT_CONFIG)
     try:
         code = body(cfg)
     except (ConfigError, ParameterError) as e:
-        click.echo(f"config error: {e}", err=True)
+        _echo(f"config error: {e}")
         sys.exit(EXIT_CONFIG)
     except GrowthBoundError as e:
-        click.echo(f"construction inconsistency: {e}", err=True)
+        _echo(f"construction inconsistency: {e}")
         sys.exit(EXIT_CONSTRUCTION)
     except PrecisionExhausted as e:
-        click.echo(f"precision exhausted: {e}", err=True)
+        _echo(f"precision exhausted: {e}")
         sys.exit(EXIT_PRECISION)
-    click.echo(f"runtime: {time.monotonic() - start:.2f} s", err=True)
+    _echo(f"runtime: {time.monotonic() - start:.2f} s")
     sys.exit(code)
 
 
-@click.group()
-def main():
-    """Numerical laboratory for outer functions and H(b) divergence."""
+# -- the verbs: each takes the config, returns an exit code, and imports
+# only the modules it runs
 
 
-@main.command()
-@common_options
-def construct(config_path, out_dir, precision_bits, seed, fmt):
+def construct(cfg):
     """Build the pair (b, a), record the chosen power and the tail-ratio
     table, and write pair.json."""
+    from .outer import ConstructionParams, check_rho_condition, choose_power_m, make_sequences
+    from .pair import build_pair, pair_to_json
+    from .reports import CODE_VERSION, config_hash, fmt_number
 
-    def body(cfg):
-        params = ConstructionParams(
-            alpha=float(cfg["alpha"]),
-            beta=float(cfg["beta"]),
-            n_terms=cfg["n_terms"],
-            power_m=cfg["power_m"],
-            precision_bits=cfg["precision_bits"],
-            n_check=cfg["n_check"],
-        )
-        if params.power_m == "auto":
-            seq = make_sequences(params)
-            m = choose_power_m(params, seq, r_samples=cfg["r_samples"])
-            params = params.with_power(m)
-        try:
-            pair = build_pair(params)
-        except ArithmeticError as e:
-            click.echo(f"construction inconsistency: {e}", err=True)
-            return EXIT_CONSTRUCTION
-        ratios = [
-            [n, fmt_number(check_rho_condition(pair.seq, n))]
-            for n in range(1, params.n_terms)
-        ]
-        extra = {
-            "chosen_power_m": params.power_m,
-            "rho_ratio_table": ratios,
-            "code_version": CODE_VERSION,
-            "config_hash": config_hash(
-                {k: v for k, v in cfg.items() if k != "output_dir"}
-            ),
-        }
-        out = Path(cfg["output_dir"])
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "pair.json").write_text(pair_to_json(pair, extra) + "\n")
-        click.echo(f"pair.json written (power m = {params.power_m})", err=True)
-        return EXIT_OK
-
-    run_command(body, config_path, out_dir, precision_bits, seed, fmt)
+    params = ConstructionParams(
+        alpha=float(cfg["alpha"]),
+        beta=float(cfg["beta"]),
+        n_terms=cfg["n_terms"],
+        power_m=cfg["power_m"],
+        precision_bits=cfg["precision_bits"],
+        n_check=cfg["n_check"],
+    )
+    if params.power_m == "auto":
+        seq = make_sequences(params)
+        m = choose_power_m(params, seq, r_samples=cfg["r_samples"])
+        params = params.with_power(m)
+    try:
+        pair = build_pair(params)
+    except ArithmeticError as e:
+        _echo(f"construction inconsistency: {e}")
+        return EXIT_CONSTRUCTION
+    ratios = [
+        [n, fmt_number(check_rho_condition(pair.seq, n))]
+        for n in range(1, params.n_terms)
+    ]
+    extra = {
+        "chosen_power_m": params.power_m,
+        "rho_ratio_table": ratios,
+        "code_version": CODE_VERSION,
+        "config_hash": config_hash(
+            {k: v for k, v in cfg.items() if k != "output_dir"}
+        ),
+    }
+    out = Path(cfg["output_dir"])
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "pair.json").write_text(pair_to_json(pair, extra) + "\n")
+    _echo(f"pair.json written (power m = {params.power_m})")
+    return EXIT_OK
 
 
-@main.command("verify-outer")
-@common_options
-def verify_outer(config_path, out_dir, precision_bits, seed, fmt):
+def verify_outer(cfg):
     """Sample the radial growth bound on each checked interval and
     cross-check the closed-form Poisson values against quadrature."""
+    from .outer import _params_dict, poisson_quad_crosscheck, verify_growth_bound
+    from .reports import CODE_VERSION, ExperimentReport
 
-    def body(cfg):
-        pair = load_pair(cfg)
-        params, seq = pair.params, pair.seq
-        rows = []
-        all_ok = True
-        for n in range(1, params.n_check + 1):
-            for rec in verify_growth_bound(n, cfg["r_samples"], params, seq):
-                rows.append(
-                    (rec.n, rec.r, rec.u, rec.v, rec.log_ratio,
-                     rec.bound.log_mag, rec.passed)
-                )
-                all_ok = all_ok and rec.passed
-        try:
-            quad_err = poisson_quad_crosscheck(seq, n_points=50, seed=cfg["seed"])
-            quad_ok = True
-        except AssertionError as e:
-            click.echo(str(e), err=True)
-            quad_err, quad_ok = float("nan"), False
-        report = ExperimentReport(
-            name="verify_outer",
-            columns=("n", "r", "u", "v", "log_ratio", "log_bound", "pass"),
-            rows=rows,
-            params=_params_dict(params),
-            metadata={
-                "code_version": CODE_VERSION,
-                "precision_bits": 53,
-                "quadrature_max_rel_err": quad_err,
-            },
-            passed=all_ok and quad_ok,
-        )
-        write_report(report, cfg)
-        if not report.passed:
-            for row in rows:
-                if not row[-1]:
-                    click.echo(f"failing row: {row}", err=True)
-                    break
-            return EXIT_ASSERTION
-        return EXIT_OK
-
-    run_command(body, config_path, out_dir, precision_bits, seed, fmt)
-
-
-def _experiment_command(name, builder):
-    def body(cfg):
-        pair = load_pair(cfg)
-        f = build_divergent_combo(pair.params, pair)
-        report = builder(cfg, pair, f)
-        write_report(report, cfg)
-        if not report.passed:
-            for row in report.rows:
-                click.echo(f"row: {row}", err=True)
-            return EXIT_ASSERTION
-        return EXIT_OK
-
-    return body
+    pair = load_pair(cfg)
+    params, seq = pair.params, pair.seq
+    rows = []
+    all_ok = True
+    for n in range(1, params.n_check + 1):
+        for rec in verify_growth_bound(n, cfg["r_samples"], params, seq):
+            rows.append(
+                (rec.n, rec.r, rec.u, rec.v, rec.log_ratio,
+                 rec.bound.log_mag, rec.passed)
+            )
+            all_ok = all_ok and rec.passed
+    try:
+        quad_err = poisson_quad_crosscheck(seq, n_points=50, seed=cfg["seed"])
+        quad_ok = True
+    except AssertionError as e:
+        _echo(str(e))
+        quad_err, quad_ok = float("nan"), False
+    report = ExperimentReport(
+        name="verify_outer",
+        columns=("n", "r", "u", "v", "log_ratio", "log_bound", "pass"),
+        rows=rows,
+        params=_params_dict(params),
+        metadata={
+            "code_version": CODE_VERSION,
+            "precision_bits": 53,
+            "quadrature_max_rel_err": quad_err,
+        },
+        passed=all_ok and quad_ok,
+    )
+    write_report(report, cfg)
+    if not report.passed:
+        for row in rows:
+            if not row[-1]:
+                _echo(f"failing row: {row}")
+                break
+        return EXIT_ASSERTION
+    return EXIT_OK
 
 
-@main.command()
-@common_options
-def divergence(config_path, out_dir, precision_bits, seed, fmt):
+def _experiment(cfg, make_report):
+    """Run one experiment on the divergent combination f of pair.json;
+    ``make_report(pair, f)`` returns the report to write."""
+    from .experiments import build_divergent_combo
+
+    pair = load_pair(cfg)
+    f = build_divergent_combo(pair.params, pair)
+    report = make_report(pair, f)
+    write_report(report, cfg)
+    if not report.passed:
+        for row in report.rows:
+            _echo(f"row: {row}")
+        return EXIT_ASSERTION
+    return EXIT_OK
+
+
+def divergence(cfg):
     """The blow-up curve of |(f_r)+(0)| and ||f_r||_{H(b)}, plus the
     growth-envelope report."""
+    from .experiments import default_r_grid, divergence_curve, growth_envelope
 
-    def builder(cfg, pair, f):
+    def make_report(pair, f):
         grid = default_r_grid(pair.params)
         envelope = growth_envelope(
             [r for r in grid if r.log_one_minus < -1.0], f, pair
@@ -308,86 +268,117 @@ def divergence(config_path, out_dir, precision_bits, seed, fmt):
         write_report(envelope, cfg)
         return divergence_curve(grid, f, pair)
 
-    run_command(
-        _experiment_command("divergence", builder),
-        config_path, out_dir, precision_bits, seed, fmt,
-    )
+    return _experiment(cfg, make_report)
 
 
-@main.command()
-@common_options
-def sarason(config_path, out_dir, precision_bits, seed, fmt):
+def sarason(cfg):
     """Partial sums of the coefficient series, which grow without ceiling."""
+    from .experiments import sarason_series_failure
 
-    def builder(cfg, pair, f):
+    def make_report(pair, f):
         return sarason_series_failure(
             cfg["j_max"], f, pair, precision_bits=cfg["precision_bits"]
         )
 
-    run_command(
-        _experiment_command("sarason", builder),
-        config_path, out_dir, precision_bits, seed, fmt,
-    )
+    return _experiment(cfg, make_report)
 
 
-@main.command()
-@common_options
-def summability(config_path, out_dir, precision_bits, seed, fmt):
+def summability(cfg):
     """Norms of Taylor partial sums and Cesaro means of f."""
+    from .experiments import summability_divergence
 
-    def builder(cfg, pair, f):
+    def make_report(pair, f):
         return summability_divergence(
             cfg["summability_n_list"], f, pair, precision_bits=cfg["precision_bits"]
         )
 
-    run_command(
-        _experiment_command("summability", builder),
-        config_path, out_dir, precision_bits, seed, fmt,
-    )
+    return _experiment(cfg, make_report)
 
 
-@main.command("norm-crosscheck")
-@common_options
-def norm_crosscheck(config_path, out_dir, precision_bits, seed, fmt):
+def norm_crosscheck(cfg):
     """Coefficient-formula norms against triangular-solve norms on the tame
     pair, over seeded random polynomials."""
+    from ._pcg64 import Generator
+    from .hb import f_plus_solve, sarason_f_plus
+    from .pair import tame_pair
+    from .reports import CODE_VERSION, ExperimentReport
+    from .series import TaylorSeries
 
-    def body(cfg):
-        max_deg = 32  # the largest drawn degree
-        pair = tame_pair(degree=max_deg)
-        phi_hat = pair.phi_hat(max_deg)
-        rng = Generator(cfg["seed"])
-        rows = []
-        worst = 0.0
-        for i in range(100):
-            deg = rng.integers(1, max_deg + 1)
-            xs, ys = rng.uniform(-1, 1, deg + 1), rng.uniform(-1, 1, deg + 1)
-            p = TaylorSeries(tuple(map(complex, xs, ys)))
-            via_solve = p.l2_norm_sq() + f_plus_solve(p, pair).l2_norm_sq()
-            via_sarason = p.l2_norm_sq() + sarason_f_plus(p, phi_hat).l2_norm_sq()
-            rel = abs(via_solve - via_sarason) / abs(via_sarason)
-            worst = max(worst, rel)
-            rows.append((i, deg, rel))
-        one = TaylorSeries((1.0,) + (0.0,) * max_deg)
-        norm_one = one.l2_norm_sq() + f_plus_solve(one, pair).l2_norm_sq()
-        ok = worst <= 1e-9 and abs(norm_one - 2.0) <= 1e-12
-        report = ExperimentReport(
-            name="norm_crosscheck",
-            columns=("i", "degree", "rel_err"),
-            rows=rows,
-            params={"tame_pair": "half-moebius", "seed": cfg["seed"]},
-            metadata={
-                "code_version": CODE_VERSION,
-                "precision_bits": 53,
-                "max_rel_err": worst,
-                "norm_sq_of_one": float(abs(norm_one)),
-            },
-            passed=ok,
-        )
-        write_report(report, cfg)
-        return EXIT_OK if ok else EXIT_ASSERTION
+    max_deg = 32  # the largest drawn degree
+    pair = tame_pair(degree=max_deg)
+    phi_hat = pair.phi_hat(max_deg)
+    rng = Generator(cfg["seed"])
+    rows = []
+    worst = 0.0
+    for i in range(100):
+        deg = rng.integers(1, max_deg + 1)
+        xs, ys = rng.uniform(-1, 1, deg + 1), rng.uniform(-1, 1, deg + 1)
+        p = TaylorSeries(tuple(map(complex, xs, ys)))
+        via_solve = p.l2_norm_sq() + f_plus_solve(p, pair).l2_norm_sq()
+        via_sarason = p.l2_norm_sq() + sarason_f_plus(p, phi_hat).l2_norm_sq()
+        rel = abs(via_solve - via_sarason) / abs(via_sarason)
+        worst = max(worst, rel)
+        rows.append((i, deg, rel))
+    one = TaylorSeries((1.0,) + (0.0,) * max_deg)
+    norm_one = one.l2_norm_sq() + f_plus_solve(one, pair).l2_norm_sq()
+    ok = worst <= 1e-9 and abs(norm_one - 2.0) <= 1e-12
+    report = ExperimentReport(
+        name="norm_crosscheck",
+        columns=("i", "degree", "rel_err"),
+        rows=rows,
+        params={"tame_pair": "half-moebius", "seed": cfg["seed"]},
+        metadata={
+            "code_version": CODE_VERSION,
+            "precision_bits": 53,
+            "max_rel_err": worst,
+            "norm_sq_of_one": float(abs(norm_one)),
+        },
+        passed=ok,
+    )
+    write_report(report, cfg)
+    return EXIT_OK if ok else EXIT_ASSERTION
 
-    run_command(body, config_path, out_dir, precision_bits, seed, fmt)
+
+VERBS = {
+    "construct": construct,
+    "verify-outer": verify_outer,
+    "divergence": divergence,
+    "sarason": sarason,
+    "summability": summability,
+    "norm-crosscheck": norm_crosscheck,
+}
+
+
+def _parser(prog: str) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog=prog,
+        description="Numerical laboratory for outer functions and H(b) divergence.",
+        allow_abbrev=False,
+    )
+    verbs = parser.add_subparsers(dest="verb", metavar="VERB", required=True)
+    for name, body in VERBS.items():
+        doc = " ".join((body.__doc__ or "").split())  # None under python -OO
+        sub = verbs.add_parser(name, help=doc, description=doc, allow_abbrev=False)
+        sub.add_argument("--config", dest="config_path", metavar="PATH",
+                         help="JSON config; its values override the defaults")
+        sub.add_argument("--out", dest="out_dir", metavar="DIR",
+                         help="directory of pair.json and the reports (default .)")
+        sub.add_argument("--precision-bits", type=int, metavar="BITS",
+                         help="mantissa bits of the extended-precision work")
+        sub.add_argument("--seed", type=int, metavar="N",
+                         help="seed of the quadrature and norm-crosscheck draws")
+        sub.add_argument("--format", dest="fmt", choices=("csv", "json", "both"),
+                         help="report formats (default both)")
+    return parser
+
+
+def main(argv=None, prog_name=None):
+    """Run the verb named in ``argv`` (default ``sys.argv[1:]``) and exit
+    with its code; usage errors exit 2."""
+    args = _parser(prog_name or "hblab").parse_args(argv)
+    run_command(
+        VERBS[args.verb], args.config_path, args.out_dir, args.precision_bits, args.seed, args.fmt
+    )
 
 
 if __name__ == "__main__":

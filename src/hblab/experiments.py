@@ -29,17 +29,19 @@ from .hb import (
     sarason_f_plus,
 )
 from .logscalar import LogScalar, log_add_exp, log_sum_exp
-from .outer import ParameterError, half_plane_log_modulus_radial, log_delta
+from .outer import (
+    ParameterError,
+    PrecisionExhausted,
+    _params_dict,
+    half_plane_log_modulus_radial,
+    log_delta,
+)
 from .pair import Pair
 from .reports import CODE_VERSION, ExperimentReport
 from .series import TaylorSeries, fixed_dot, fixed_mantissas, fixed_to_mpf
 
 _LN10 = math.log(10.0)
 _LN2 = math.log(2.0)
-
-
-class PrecisionExhausted(RuntimeError):
-    """The requested computation needs more mantissa bits than configured."""
 
 
 # -- the function f --------------------------------------------------------
@@ -132,16 +134,6 @@ def _base_metadata(precision_bits: int) -> dict:
     return {
         "code_version": CODE_VERSION,
         "precision_bits": precision_bits,
-    }
-
-
-def _params_dict(params) -> dict:
-    return {
-        "alpha": params.alpha,
-        "beta": params.beta,
-        "n_terms": params.n_terms,
-        "power_m": params.power_m,
-        "n_check": params.n_check,
     }
 
 

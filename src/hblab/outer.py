@@ -54,6 +54,10 @@ class GrowthBoundError(RuntimeError):
         self.table = table or []
 
 
+class PrecisionExhausted(RuntimeError):
+    """The requested computation needs more mantissa bits than configured."""
+
+
 @dataclass(frozen=True)
 class ConstructionParams:
     """Parameters of the construction; requires 1 < alpha < beta < alpha + 1."""
@@ -91,6 +95,17 @@ class ConstructionParams:
                 "power_m is 'auto'; resolve it with choose_power_m (or set it explicitly)"
             )
         return self.power_m
+
+
+def _params_dict(params: ConstructionParams) -> dict:
+    """The construction parameters as a report records them."""
+    return {
+        "alpha": params.alpha,
+        "beta": params.beta,
+        "n_terms": params.n_terms,
+        "power_m": params.power_m,
+        "n_check": params.n_check,
+    }
 
 
 # -- log-domain scalar sequences ------------------------------------------
@@ -538,12 +553,7 @@ def choose_power_m(
     """
     worst = []  # (n, min signed ratio as LogScalar, bound log)
     for n in range(1, params.n_check + 1):
-        best: Optional[LogScalar] = None
-        for i in range(r_samples):
-            s = i / (r_samples - 1)
-            ratio = growth_log_ratio(params, n, s)
-            if best is None or _signed_less(ratio, best):
-                best = ratio
+        best, _ = _worst_ratios(params, n, r_samples)
         lb = float(n) ** params.beta - float(n) ** params.alpha
         worst.append((n, best, lb))
 
@@ -580,6 +590,27 @@ def _signed_less(a: LogScalar, b: LogScalar) -> bool:
     if sa >= 0:
         return a.log_mag < b.log_mag
     return a.log_mag > b.log_mag
+
+
+def _worst_ratios(
+    params: ConstructionParams, n: int, samples: int, n_terms: Optional[int] = None
+) -> tuple:
+    """The least signed growth ratio over s = i/(samples - 1), i < samples,
+    on the closed interval [w_n, w_{n+1}] and on its interior: the samples
+    with s < 1, which leave out only the right endpoint."""
+    if samples < 2:
+        raise ValueError(f"need at least two radius samples, got {samples}")
+    last = samples - 1
+    best = None
+    for i in range(last):
+        ratio = growth_log_ratio(params, n, i / last, n_terms=n_terms)
+        if best is None or _signed_less(ratio, best):
+            best = ratio
+    interior = best
+    ratio = growth_log_ratio(params, n, 1.0, n_terms=n_terms)
+    if _signed_less(ratio, best):
+        best = ratio
+    return best, interior
 
 
 @dataclass(frozen=True)
@@ -622,15 +653,7 @@ def growth_bound_scan(
         )
     rows = []
     for n in range(n_lo, n_hi + 1):
-        nt = n + tail_terms
-        best = best_int = None
-        for i in range(samples):
-            s = i / (samples - 1)
-            ratio = growth_log_ratio(params, n, s, n_terms=nt)
-            if best is None or _signed_less(ratio, best):
-                best = ratio
-            if s < 1.0 and (best_int is None or _signed_less(ratio, best_int)):
-                best_int = ratio
+        best, best_int = _worst_ratios(params, n, samples, n_terms=n + tail_terms)
         lb = float(n) ** params.beta - float(n) ** params.alpha
         positive = best_int.sign() > 0
         m_req = None

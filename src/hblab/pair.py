@@ -70,21 +70,12 @@ class StepModulus:
         if not math.isfinite(self.default_log_modulus):
             raise ValueError("default log-modulus must be finite")
 
-    def cell_length(self) -> float:
-        return math.fsum(c.width for c in self.cells)
-
     def mean_log_modulus(self) -> float:
         """(1/2pi) * integral of the log-modulus over the circle."""
         acc = math.fsum(
             c.width * (c.log_modulus - self.default_log_modulus) for c in self.cells
         )
         return self.default_log_modulus + acc / _TWO_PI
-
-    def l1_mean(self) -> float:
-        """(1/2pi) * integral of |log-modulus| over the circle."""
-        acc = math.fsum(c.width * abs(c.log_modulus) for c in self.cells)
-        off = _TWO_PI - self.cell_length()
-        return (acc + off * abs(self.default_log_modulus)) / _TWO_PI
 
     def scale(self, factor: float) -> "StepModulus":
         return StepModulus(
@@ -543,19 +534,6 @@ def build_pair(params: ConstructionParams, check_points: int = 16, tol: float = 
                 f"b/a == phi check failed at x={x}: |difference| = {err:.3e} > {tol}"
             )
     return pair
-
-
-def l1_log_check(pair: Pair) -> float:
-    """(1/2pi) * integral of |log(1 - |b|^2)| over the circle.
-
-    Finiteness certifies numerically that b is non-extreme.  Since
-    1 - |b|^2 = |a|^2, the integrand is |2 log|a||, a closed form over the
-    step cells; for the tame pair |a| = |sin(theta/2)| gives exactly
-    2 log 2.
-    """
-    if pair.tag == "tame":
-        return 2.0 * math.log(2.0)
-    return 2.0 * pair.a_modulus.l1_mean()
 
 
 # -- serialization ---------------------------------------------------------

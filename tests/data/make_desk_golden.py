@@ -7,17 +7,18 @@ Usage (from the root of a checkout): PYTHONPATH=src python3 tests/data/make_desk
 Stores, line by line, the CSV text of ``divergence.csv``, ``envelope.csv``
 (both written by the ``divergence`` verb) and ``norm_crosscheck.csv``
 (``norm-crosscheck --seed 3``), each at the CLI defaults after
-``construct``, run in a fresh directory through click's ``CliRunner``.
+``construct``, run in a fresh directory through ``hblab.cli.main`` in this
+process, with the verbs' stderr discarded.
 Regenerate it only when a change is meant to move these numbers, and say
 which moved and why: before it overwrites the file, the script prints each
 value that differs from the file as it was, as "path: old -> new".
 """
 
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
-
-from click.testing import CliRunner
 
 from hblab.cli import main as cli_main
 
@@ -27,16 +28,26 @@ RUNS = (
 )
 
 
+def run_verb(argv):
+    """(exit code, stderr text) of one CLI verb run in this process."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            cli_main(argv)
+        except SystemExit as e:
+            return e.code, err.getvalue()
+    raise RuntimeError(f"{argv[0]} returned without exiting")
+
+
 def golden() -> dict:
-    runner = CliRunner()
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        res = runner.invoke(cli_main, ["construct", "--out", tmp])
-        if res.exit_code != 0:
-            raise RuntimeError(f"construct exited {res.exit_code}: {res.output}")
+        code, err = run_verb(["construct", "--out", tmp])
+        if code != 0:
+            raise RuntimeError(f"construct exited {code}: {err}")
         for args, names in RUNS:
             # divergence exits 4: its bound rows fail at the default scale
-            runner.invoke(cli_main, args + ["--out", tmp, "--format", "csv"])
+            run_verb(args + ["--out", tmp, "--format", "csv"])
             for name in names:
                 out[name] = (Path(tmp) / f"{name}.csv").read_text().splitlines()
     return out

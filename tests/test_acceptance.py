@@ -19,7 +19,6 @@ import time
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from hblab import (
     ConstructionParams,
@@ -265,21 +264,22 @@ def test_A9_growth_envelope(params, pair, combo):
     )
 
 
+def _cli_exit_code(argv) -> int:
+    """Run one CLI verb in this process; returns its exit code."""
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(argv)
+    return exit_.value.code
+
+
 def test_A10_determinism(tmp_path):
     start = time.monotonic()
-    runner = CliRunner()
     outs = []
     for sub in ("run1", "run2"):
         out = tmp_path / sub
-        assert runner.invoke(cli_main, ["construct", "--out", str(out)]).exit_code == 0
-        runner.invoke(cli_main, ["verify-outer", "--out", str(out)])
-        runner.invoke(cli_main, ["divergence", "--out", str(out)])
-        assert (
-            runner.invoke(
-                cli_main, ["norm-crosscheck", "--out", str(out), "--seed", "3"]
-            ).exit_code
-            == 0
-        )
+        assert _cli_exit_code(["construct", "--out", str(out)]) == 0
+        _cli_exit_code(["verify-outer", "--out", str(out)])
+        _cli_exit_code(["divergence", "--out", str(out)])
+        assert _cli_exit_code(["norm-crosscheck", "--out", str(out), "--seed", "3"]) == 0
         outs.append(out)
     names = (
         "pair.json",

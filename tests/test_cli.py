@@ -2,10 +2,9 @@
 config precedence, and byte-level determinism."""
 
 import json
-from pathlib import Path
+from collections import namedtuple
 
 import pytest
-from click.testing import CliRunner
 
 from hblab.cli import (
     EXIT_ASSERTION,
@@ -17,9 +16,25 @@ from hblab.cli import (
 )
 
 
+Result = namedtuple("Result", "exit_code output")
+
+
+class Runner:
+    """Runs the CLI in this process; ``output`` is what it wrote to stderr."""
+
+    def __init__(self, capsys):
+        self.capsys = capsys
+
+    def invoke(self, cli, argv):
+        self.capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_:
+            cli(argv)
+        return Result(exit_.value.code, self.capsys.readouterr().err)
+
+
 @pytest.fixture()
-def runner():
-    return CliRunner()
+def runner(capsys):
+    return Runner(capsys)
 
 
 @pytest.fixture()

@@ -552,29 +552,43 @@ def test_gauss_legendre_integrates_monomials():
             assert abs(got * (k + 1) / 2 - 1) <= (k + 6) * 2.0**-53, k
 
 
-# Run in a fresh interpreter: import the CLI and run every verb once, then
-# list every module loaded since start-up whose file lies outside the
-# standard library and the two runtime dependencies.  verify-outer runs
-# the quadrature oracle and norm-crosscheck makes its seeded draws.
+# Run in a fresh interpreter: import the package bare, then the CLI, and run
+# every verb once, the cheap ones first; report, as JSON, the submodules a
+# bare import loaded, the modules each verb must not load that are loaded
+# after it ran, whether click was ever loaded, and every module loaded since
+# start-up whose file lies outside the standard library, mpmath and hblab.
+# verify-outer runs the quadrature oracle and norm-crosscheck makes its
+# seeded draws.
 _IMPORT_PROBE = """
-import os, sys, sysconfig, tempfile
+import json, os, sys, sysconfig, tempfile
 before = set(sys.modules)
+import hblab
+bare = sorted(name for name in sys.modules if name.startswith("hblab."))
 import hblab.cli
-verbs = ["construct", "verify-outer", "divergence", "sarason", "summability",
-         "norm-crosscheck"]
+verbs = (
+    ("construct", ("hblab.hb", "hblab.experiments", "mpmath")),
+    ("verify-outer", ("hblab.hb", "hblab.experiments", "mpmath")),
+    ("norm-crosscheck", ("hblab.experiments", "mpmath")),
+    ("divergence", ()),
+    ("sarason", ()),
+    ("summability", ()),
+)
+loaded = {}
 with tempfile.TemporaryDirectory() as out:
-    for verb in verbs:
+    for verb, banned in verbs:
         try:
-            hblab.cli.main([verb, "--out", out], standalone_mode=False)
+            hblab.cli.main([verb, "--out", out])
         except SystemExit as e:
             assert e.code in (0, 4), (verb, e.code)  # verify-outer, divergence: 4
-import click, mpmath
+        loaded[verb] = [name for name in banned if name in sys.modules]
+click = "click" in sys.modules
+import mpmath
 def under(dirs):
     return tuple(os.path.realpath(d) + os.sep for d in dirs)
 paths = sysconfig.get_paths()
 stdlib = under([paths["stdlib"], paths["platstdlib"]])
 installed = under([paths["purelib"], paths["platlib"]])
-deps = under([os.path.dirname(m.__file__) for m in (click, mpmath, hblab)])
+deps = under([os.path.dirname(m.__file__) for m in (mpmath, hblab)])
 def allowed(f):
     f = os.path.realpath(f)
     return f.startswith(deps) or (f.startswith(stdlib) and not f.startswith(installed))
@@ -583,13 +597,16 @@ stray = sorted(
     for name, mod in sys.modules.items()
     if name not in before and getattr(mod, "__file__", None) and not allowed(mod.__file__)
 )
-print(" ".join(stray))
+print(json.dumps({"bare": bare, "loaded": loaded, "click": click, "stray": stray}))
 """
 
 
 def test_verify_outer_imports_only_runtime_dependencies():
     """The CLI and every verb, the quadrature oracle and the seeded draws
-    included, load nothing beyond the standard library, mpmath and click."""
+    included, load nothing beyond the standard library and mpmath, and
+    never click.  A bare ``import hblab`` loads no submodule; ``construct``
+    and ``verify-outer`` load neither ``hb``, ``experiments`` nor mpmath,
+    and ``norm-crosscheck`` loads neither ``experiments`` nor mpmath."""
     import os
     import subprocess
     import sys
@@ -604,4 +621,9 @@ def test_verify_outer_imports_only_runtime_dependencies():
         [sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True, env=env
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == []
+    probe = json.loads(res.stdout)
+    assert probe["bare"] == []
+    assert probe["loaded"] == {verb: [] for verb in probe["loaded"]}
+    assert len(probe["loaded"]) == 6
+    assert probe["click"] is False
+    assert probe["stray"] == []

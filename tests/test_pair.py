@@ -14,7 +14,6 @@ from hblab.pair import (
     Cell,
     StepModulus,
     build_pair,
-    l1_log_check,
     log_outer_series,
     outer_eval,
     outer_series,
@@ -51,10 +50,9 @@ def test_cells_sorted_and_disjoint():
         StepModulus((Cell(0.0, 1.0, math.inf),))
 
 
-def test_mean_and_l1():
+def test_mean_and_value():
     m = StepModulus((Cell(0.0, math.pi, 2.0),), default_log_modulus=-1.0)
     assert m.mean_log_modulus() == pytest.approx(-1.0 + 3.0 / 2.0)
-    assert m.l1_mean() == pytest.approx((2.0 * math.pi + 1.0 * math.pi) / (2 * math.pi))
     assert value_at(m, 0.5) == 2.0
     assert value_at(m, -0.5) == -1.0
 
@@ -221,14 +219,6 @@ def test_build_pair_detects_tampering(params):
     lhs = outer_eval(bad, 0.1) - outer_eval(a_mod, 0.1)
     rhs = log_phi_disk(complex(0.1, 0.0), params, seq)
     assert abs(lhs - rhs) > 1e-8  # the check in build_pair would trip
-
-
-def test_l1_log_check(pair, tame):
-    assert l1_log_check(tame) == pytest.approx(2.0 * math.log(2.0))
-    val = l1_log_check(pair)
-    assert 0.0 < val < math.inf
-    # independently computed at 200 bits from the defining formulas
-    assert val == pytest.approx(3.9911025531089017, rel=1e-13)
 
 
 def test_tame_pair_series():
