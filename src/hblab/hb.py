@@ -17,9 +17,9 @@ Functions in H(b) appear in two representations:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
 
+from ._record import Record, _set
 from .logscalar import LogScalar, log1p_exp, log_add_exp, log_sum_exp
 from .pair import Pair
 from .series import (
@@ -32,13 +32,15 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class Radius:
+class Radius(Record):
     """A radius r in (0, 1] carried together with log(1 - r), so radii
     exponentially close to 1 keep full precision."""
 
-    value: float
-    log_one_minus: float
+    __slots__ = ("value", "log_one_minus")
+
+    def __init__(self, value: float, log_one_minus: float):
+        _set(self, "value", value)
+        _set(self, "log_one_minus", log_one_minus)
 
     @staticmethod
     def from_float(r: float) -> "Radius":
@@ -57,28 +59,30 @@ def as_radius(r: Union[float, Radius]) -> Radius:
     return r if isinstance(r, Radius) else Radius.from_float(float(r))
 
 
-@dataclass(frozen=True)
-class KernelNode:
+class KernelNode(Record):
     """One term c * k_w with positive real c (as LogScalar) and real
     w in (0, 1) stored via log(1 - w)."""
 
-    log_c: LogScalar
-    log_one_minus_w: float
+    __slots__ = ("log_c", "log_one_minus_w")
+
+    def __init__(self, log_c: LogScalar, log_one_minus_w: float):
+        _set(self, "log_c", log_c)
+        _set(self, "log_one_minus_w", log_one_minus_w)
 
     @property
     def w(self) -> float:
         return 1.0 - math.exp(max(self.log_one_minus_w, -745.0))
 
 
-@dataclass(frozen=True)
-class KernelCombo:
+class KernelCombo(Record):
     """f = sum_j c_j k_{w_j} with all-positive data (the construction's
     regime); norms and point values admit closed log-domain forms."""
 
-    nodes: tuple
+    __slots__ = ("nodes",)
 
-    def __post_init__(self):
-        for nd in self.nodes:
+    def __init__(self, nodes: tuple):
+        _set(self, "nodes", nodes)
+        for nd in nodes:
             if nd.log_c.sign() <= 0:
                 raise ValueError(
                     "KernelCombo requires positive real coefficients; "

@@ -10,8 +10,9 @@ with canonical phase 0.  Phases live in (-pi, pi].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+from ._record import Record, _set
 
 _TAU = 2.0 * math.pi
 NEG_INF = float("-inf")
@@ -25,24 +26,27 @@ def wrap_phase(theta: float) -> float:
     return t
 
 
-@dataclass(frozen=True)
-class LogScalar:
+class LogScalar(Record):
     """A number x stored as (log|x|, arg x); immutable.
 
     ``log_mag`` may be -inf (exact zero, phase forced to 0).  Positive reals
     have phase 0, negative reals phase pi.
     """
 
-    log_mag: float
-    phase: float = 0.0
+    __slots__ = ("log_mag", "phase")
+
+    def __init__(self, log_mag: float, phase: float = 0.0):
+        _set(self, "log_mag", log_mag)
+        _set(self, "phase", phase)
+        self.__post_init__()
 
     def __post_init__(self):
         if math.isnan(self.log_mag):
             raise ValueError("log_mag must not be NaN")
         if self.log_mag == NEG_INF:
-            object.__setattr__(self, "phase", 0.0)
+            _set(self, "phase", 0.0)
         else:
-            object.__setattr__(self, "phase", wrap_phase(self.phase))
+            _set(self, "phase", wrap_phase(self.phase))
 
     # -- constructors ------------------------------------------------------
 

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from ._pcg64 import Generator
+from ._record import Record, _set
 from .logscalar import (
     LogScalar,
     clog1p,
@@ -58,18 +58,26 @@ class PrecisionExhausted(RuntimeError):
     """The requested computation needs more mantissa bits than configured."""
 
 
-@dataclass(frozen=True)
-class ConstructionParams:
+class ConstructionParams(Record):
     """Parameters of the construction; requires 1 < alpha < beta < alpha + 1."""
 
-    alpha: float
-    beta: float
-    n_terms: int = 8
-    power_m: "int | str" = "auto"
-    precision_bits: int = 53
-    n_check: int = 5
+    __slots__ = ("alpha", "beta", "n_terms", "power_m", "precision_bits", "n_check")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        alpha: float,
+        beta: float,
+        n_terms: int = 8,
+        power_m: "int | str" = "auto",
+        precision_bits: int = 53,
+        n_check: int = 5,
+    ):
+        _set(self, "alpha", alpha)
+        _set(self, "beta", beta)
+        _set(self, "n_terms", n_terms)
+        _set(self, "power_m", power_m)
+        _set(self, "precision_bits", precision_bits)
+        _set(self, "n_check", n_check)
         if not (1.0 < self.alpha < self.beta < self.alpha + 1.0):
             raise ParameterError(
                 f"need 1 < alpha < beta < alpha+1, got alpha={self.alpha}, beta={self.beta}"
@@ -85,9 +93,7 @@ class ConstructionParams:
             raise ParameterError("precision_bits must be at least 24")
 
     def with_power(self, m: int) -> "ConstructionParams":
-        return ConstructionParams(
-            self.alpha, self.beta, self.n_terms, m, self.precision_bits, self.n_check
-        )
+        return self._replace(power_m=m)
 
     def resolved_power(self) -> int:
         if self.power_m == "auto":
@@ -167,8 +173,7 @@ def _log_t_eps(params: ConstructionParams, n: int) -> tuple:
     return table
 
 
-@dataclass(frozen=True)
-class Sequences:
+class Sequences(Record):
     """Float sequences (indices 1..N, plus w_{N+1}) for the construction.
 
     Underflow-prone members are duplicated in log-domain form; the float
@@ -176,11 +181,21 @@ class Sequences:
     which are only used at desk-scale parameters.
     """
 
-    params: ConstructionParams
-    w: tuple  # w[1..N+1]; w[0] is nan padding
-    rho: tuple  # LogScalar, rho[1..N]
-    t: tuple  # float, t[1..N+1]
-    eps: tuple  # LogScalar, eps[1..N]
+    __slots__ = ("params", "w", "rho", "t", "eps")
+
+    def __init__(
+        self,
+        params: ConstructionParams,
+        w: tuple,  # w[1..N+1]; w[0] is nan padding
+        rho: tuple,  # LogScalar, rho[1..N]
+        t: tuple,  # float, t[1..N+1]
+        eps: tuple,  # LogScalar, eps[1..N]
+    ):
+        _set(self, "params", params)
+        _set(self, "w", w)
+        _set(self, "rho", rho)
+        _set(self, "t", t)
+        _set(self, "eps", eps)
 
     def delta(self, n: int) -> float:
         return math.exp(log_delta(self.params, n))
@@ -490,17 +505,28 @@ def growth_log_ratio(
 # -- growth-bound verification --------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrowthCheckRecord:
+class GrowthCheckRecord(Record):
     """One sampled point r in [w_n, w_{n+1}] of the growth-bound check."""
 
-    n: int
-    r: float
-    u: float
-    v: float
-    log_ratio: float  # log|phi(r w_n)/phi(w_n)| including the power
-    bound: LogScalar  # exp(n**beta - n**alpha)
-    passed: bool
+    __slots__ = ("n", "r", "u", "v", "log_ratio", "bound", "passed")
+
+    def __init__(
+        self,
+        n: int,
+        r: float,
+        u: float,
+        v: float,
+        log_ratio: float,  # log|phi(r w_n)/phi(w_n)| including the power
+        bound: LogScalar,  # exp(n**beta - n**alpha)
+        passed: bool,
+    ):
+        _set(self, "n", n)
+        _set(self, "r", r)
+        _set(self, "u", u)
+        _set(self, "v", v)
+        _set(self, "log_ratio", log_ratio)
+        _set(self, "bound", bound)
+        _set(self, "passed", passed)
 
 
 def verify_growth_bound(
@@ -613,14 +639,31 @@ def _worst_ratios(
     return best, interior
 
 
-@dataclass(frozen=True)
-class GrowthScanRow:
-    n: int
-    min_log_ratio: LogScalar  # over the closed interval, per-power signed
-    min_log_ratio_interior: LogScalar  # excluding the right endpoint
-    log_bound: float  # n**beta - n**alpha
-    interior_positive: bool
-    passes_with_m: Optional[float]  # smallest real m on the interior grid
+class GrowthScanRow(Record):
+    __slots__ = (
+        "n",
+        "min_log_ratio",
+        "min_log_ratio_interior",
+        "log_bound",
+        "interior_positive",
+        "passes_with_m",
+    )
+
+    def __init__(
+        self,
+        n: int,
+        min_log_ratio: LogScalar,  # over the closed interval, per-power signed
+        min_log_ratio_interior: LogScalar,  # excluding the right endpoint
+        log_bound: float,  # n**beta - n**alpha
+        interior_positive: bool,
+        passes_with_m: Optional[float],  # smallest real m on the interior grid
+    ):
+        _set(self, "n", n)
+        _set(self, "min_log_ratio", min_log_ratio)
+        _set(self, "min_log_ratio_interior", min_log_ratio_interior)
+        _set(self, "log_bound", log_bound)
+        _set(self, "interior_positive", interior_positive)
+        _set(self, "passes_with_m", passes_with_m)
 
 
 def growth_bound_scan(

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
 from typing import Optional
 
+from ._record import Record, _set
 from .logscalar import clog1p, log1p_exp
 from .outer import (
     ConstructionParams,
@@ -34,30 +34,31 @@ _TWO_PI = 2.0 * math.pi
 _HALF_LN2 = 0.5 * math.log(2.0)
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(Record):
     """One arc [theta_start, theta_end) carrying a constant log-modulus."""
 
-    theta_start: float
-    theta_end: float
-    log_modulus: float
+    __slots__ = ("theta_start", "theta_end", "log_modulus")
+
+    def __init__(self, theta_start: float, theta_end: float, log_modulus: float):
+        _set(self, "theta_start", theta_start)
+        _set(self, "theta_end", theta_end)
+        _set(self, "log_modulus", log_modulus)
 
     @property
     def width(self) -> float:
         return self.theta_end - self.theta_start
 
 
-@dataclass(frozen=True)
-class StepModulus:
+class StepModulus(Record):
     """A finite family of disjoint arcs in [-pi, pi) with constant
     log-modulus per arc, and a default value off all arcs."""
 
-    cells: tuple
-    default_log_modulus: float = 0.0
+    __slots__ = ("cells", "default_log_modulus")
 
-    def __post_init__(self):
-        cells = tuple(sorted(self.cells, key=lambda c: c.theta_start))
-        object.__setattr__(self, "cells", cells)
+    def __init__(self, cells: tuple, default_log_modulus: float = 0.0):
+        cells = tuple(sorted(cells, key=lambda c: c.theta_start))
+        _set(self, "cells", cells)
+        _set(self, "default_log_modulus", default_log_modulus)
         prev_end = -math.pi
         for c in cells:
             if not (-math.pi <= c.theta_start < c.theta_end <= math.pi):
@@ -79,7 +80,7 @@ class StepModulus:
 
     def scale(self, factor: float) -> "StepModulus":
         return StepModulus(
-            tuple(replace(c, log_modulus=factor * c.log_modulus) for c in self.cells),
+            tuple(c._replace(log_modulus=factor * c.log_modulus) for c in self.cells),
             factor * self.default_log_modulus,
         )
 
@@ -200,7 +201,7 @@ def outer_series(mod: StepModulus, degree: int, precision_bits: int = 53) -> Tay
     therefore within 2^-precision_bits of its size before the final
     rounding, and within one unit in its last place after it; the largest
     counted bound relative to its coefficient is the series'
-    ``error_bound``.
+    ``error_bound``.  The loop itself is ``_pole_recurrence``.
 
     At 53 bits the result is rounded to complex floats.  Above 53 bits it
     is rounded to real mpmath numbers at ``precision_bits``; a modulus that
@@ -259,42 +260,65 @@ def outer_series(mod: StepModulus, degree: int, precision_bits: int = 53) -> Tay
             poles.append(tuple(map(fixed, (
                 cs, -ss, mp.cos(te), -mp.sin(te), k * chord_i, -k * chord_r
             ))))
-        fr, fi = fixed(mp.exp(mean)), 0
-    coeffs = [(fr, fi)]
-    state = [(0, 0, 0, 0)] * len(poles)
-    for n in range(1, degree + 1):
-        accr = acci = 0
-        nxt = []
-        for (esr, esi, eer, eei, ar, ai), (sr, si, tr, ti) in zip(poles, state):
-            qr, qi = fr + sr, fi + si
-            sr, si = (qr * eer - qi * eei) >> W, (qr * eei + qi * eer) >> W
-            qr, qi = sr + tr, si + ti
-            tr, ti = (qr * esr - qi * esi) >> W, (qr * esi + qi * esr) >> W
-            accr += ar * tr - ai * ti
-            acci += ar * ti + ai * tr
-            nxt.append((sr, si, tr, ti))
-        state = nxt
-        unit = n << W
-        fr, fi = accr // unit, (0 if real else acci // unit)
-        coeffs.append((fr, fi))
+        f0_fixed = fixed(mp.exp(mean))
+    coeffs = _pole_recurrence(f0_fixed, poles, degree, W, real)
     rel_bound = 0.0
     for n, ((fr, fi), e) in enumerate(zip(coeffs, bound)):
         # the claim, in units: |F_n - fixed F_n| <= e <= 2^-P (|fixed F_n| - e)
         e = math.ceil(e)
-        size_sq = fr * fr + fi * fi
-        if ((e << precision_bits) + e) ** 2 > size_sq:
+        size = abs(fr) if real else math.isqrt(fr * fr + fi * fi)
+        if (e << precision_bits) + e > size:
             raise ArithmeticError(
                 f"outer_series coefficient {n} is too small for {precision_bits} bits "
                 f"at 2^-{W}: its counted error bound is {e} units"
             )
         if e:
-            rel_bound = max(rel_bound, e / math.isqrt(size_sq))
+            rel_bound = max(rel_bound, e / size)
     if precision_bits <= 53:
         out, bits = tuple(complex(r / (1 << W), i / (1 << W)) for r, i in coeffs), 53
     else:
         out, bits = tuple(fixed_to_mpf(r, -W, precision_bits) for r, _ in coeffs), precision_bits
     _check_against_exp_series(mod, out, real)
     return TaylorSeries(out, bits, rel_bound)
+
+
+def _pole_recurrence(f0: int, poles: list, degree: int, W: int, real: bool) -> list:
+    """F_0..F_degree as (re, im) integers at 2^-W: the fixed-point loop of
+    ``outer_series`` from F_0 = ``f0`` over ``poles``, each the integers
+    (re, im) of conj(u_s), of conj(u_e) and of the weight (h / i pi) chord.
+
+    A pole u enters the loop as (re u, re u + im u, im u - re u), so that
+    q u = re u (qr + qi) - qi (re u + im u)
+          + i (re u (qr + qi) + qr (im u - re u))
+    takes three multiplies, exact in integers.  On ``real`` (theta-symmetric)
+    data only the real part of the cell sum is formed, and every F_n is real.
+    """
+    split = [
+        (esr, esr + esi, esi - esr, eer, eer + eei, eei - eer, ar, ai)
+        for esr, esi, eer, eei, ar, ai in poles
+    ]
+    fr, fi = f0, 0
+    coeffs = [(fr, fi)]
+    state = [(0, 0, 0, 0)] * len(split)
+    for n in range(1, degree + 1):
+        accr = acci = 0
+        nxt = []
+        for (esr, esp, esm, eer, eep, eem, ar, ai), (sr, si, tr, ti) in zip(split, state):
+            qr, qi = fr + sr, fi + si
+            k = eer * (qr + qi)
+            sr, si = (k - qi * eep) >> W, (k + qr * eem) >> W
+            qr, qi = sr + tr, si + ti
+            k = esr * (qr + qi)
+            tr, ti = (k - qi * esp) >> W, (k + qr * esm) >> W
+            accr += ar * tr - ai * ti
+            if not real:
+                acci += ar * ti + ai * tr
+            nxt.append((sr, si, tr, ti))
+        state = nxt
+        unit = n << W
+        fr, fi = accr // unit, acci // unit
+        coeffs.append((fr, fi))
+    return coeffs
 
 
 def _truncation_bound(mod, active, mass, f0, degree, real, bits) -> list:
@@ -443,20 +467,41 @@ def step_modulus_from_phi(seq: Sequences, params: ConstructionParams):
     return a_mod, b_mod
 
 
-@dataclass(frozen=True)
-class Pair:
+class Pair(Record):
     """A pair (b, a): a outer with a(0) > 0, |a|^2 + |b|^2 = 1 a.e., and
     phi = b/a.  Either constructed from ConstructionParams or a tame
     analytic test pair."""
 
-    tag: str  # "constructed" or "tame"
-    a_modulus: Optional[StepModulus]
-    b_modulus: Optional[StepModulus]
-    phi_modulus: Optional[StepModulus]
-    params: Optional[ConstructionParams] = None
-    seq: Optional[Sequences] = None
-    a_series: Optional[TaylorSeries] = None
-    b_series: Optional[TaylorSeries] = None
+    __slots__ = (
+        "tag",
+        "a_modulus",
+        "b_modulus",
+        "phi_modulus",
+        "params",
+        "seq",
+        "a_series",
+        "b_series",
+    )
+
+    def __init__(
+        self,
+        tag: str,  # "constructed" or "tame"
+        a_modulus: Optional[StepModulus],
+        b_modulus: Optional[StepModulus],
+        phi_modulus: Optional[StepModulus],
+        params: Optional[ConstructionParams] = None,
+        seq: Optional[Sequences] = None,
+        a_series: Optional[TaylorSeries] = None,
+        b_series: Optional[TaylorSeries] = None,
+    ):
+        _set(self, "tag", tag)
+        _set(self, "a_modulus", a_modulus)
+        _set(self, "b_modulus", b_modulus)
+        _set(self, "phi_modulus", phi_modulus)
+        _set(self, "params", params)
+        _set(self, "seq", seq)
+        _set(self, "a_series", a_series)
+        _set(self, "b_series", b_series)
 
     def log_phi_radial_at(self, ld_x: float) -> float:
         """log phi(x) at x = 1 - e**ld_x in (0, 1), as a float."""
@@ -473,9 +518,8 @@ class Pair:
                 raise ValueError("the tame pair carries 53-bit float series only")
             a = TaylorSeries((0.5, -0.5) + (0.0,) * max(0, degree - 1))
             b = TaylorSeries((0.5, 0.5) + (0.0,) * max(0, degree - 1))
-            return replace(self, a_series=a.truncate(degree), b_series=b.truncate(degree))
-        return replace(
-            self,
+            return self._replace(a_series=a.truncate(degree), b_series=b.truncate(degree))
+        return self._replace(
             a_series=outer_series(self.a_modulus, degree, precision_bits),
             b_series=outer_series(self.b_modulus, degree, precision_bits),
         )

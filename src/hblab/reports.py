@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+
+from ._record import Record, _set
 
 CODE_VERSION = "0.1.0"
 
@@ -24,16 +25,32 @@ def fmt_number(x) -> str:
     return repr(float(x))
 
 
-@dataclass
-class ExperimentReport:
-    """Rows of one experiment plus enough metadata to reproduce them."""
+class ExperimentReport(Record):
+    """Rows of one experiment plus enough metadata to reproduce them.
 
-    name: str
-    columns: tuple
-    rows: list  # list of tuples aligned with columns
-    params: dict = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
-    passed: bool = True
+    Unlike the other records it may be assigned to, and so has no hash;
+    ``params`` and ``metadata`` default to fresh empty dicts."""
+
+    __slots__ = ("name", "columns", "rows", "params", "metadata", "passed")
+    __setattr__ = _set
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        name: str,
+        columns: tuple,
+        rows: list,  # list of tuples aligned with columns
+        params: dict | None = None,
+        metadata: dict | None = None,
+        passed: bool = True,
+    ):
+        self.name = name
+        self.columns = columns
+        self.rows = rows
+        self.params = {} if params is None else params
+        self.metadata = {} if metadata is None else metadata
+        self.passed = passed
 
     def formatted_rows(self) -> list:
         return [tuple(fmt_number(v) for v in row) for row in self.rows]

@@ -17,8 +17,9 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
+
+from ._record import Record, _set
 
 
 def _is_mp(x) -> bool:
@@ -33,24 +34,28 @@ def _exp(x):
     return cmath.exp(complex(x))
 
 
-@dataclass(frozen=True)
-class TaylorSeries:
+class TaylorSeries(Record):
     """Coefficients c_0..c_N of a power series truncated at degree N.
 
     ``error_bound``, where known, bounds the error of every coefficient
     relative to its size before its rounding to ``precision_bits``
     (``hblab.pair.outer_series`` counts it); series made by any other
-    operation carry None.
+    operation carry None.  Equality and hash leave ``error_bound`` out.
     """
 
-    coeffs: tuple
-    precision_bits: int = 53
-    error_bound: Optional[float] = field(default=None, compare=False)
+    __slots__ = ("coeffs", "precision_bits", "error_bound")
 
-    def __post_init__(self):
-        if len(self.coeffs) == 0:
+    def __init__(
+        self, coeffs: tuple, precision_bits: int = 53, error_bound: Optional[float] = None
+    ):
+        if len(coeffs) == 0:
             raise ValueError("TaylorSeries needs at least the constant term")
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        _set(self, "coeffs", tuple(coeffs))
+        _set(self, "precision_bits", precision_bits)
+        _set(self, "error_bound", error_bound)
+
+    def _key(self) -> tuple:
+        return (self.coeffs, self.precision_bits)
 
     @property
     def truncation_degree(self) -> int:

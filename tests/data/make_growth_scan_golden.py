@@ -11,7 +11,6 @@ scan of the benchmark's ``desk`` workload.  Regenerate it only when a change
 is meant to move these numbers, and say which moved and why.
 """
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -23,7 +22,7 @@ N_HI = 250
 def golden() -> list:
     params = ConstructionParams(1.2, 1.5, power_m=1)
     return [
-        [repr(getattr(row, f.name)) for f in dataclasses.fields(row)]
+        [repr(getattr(row, f)) for f in row.__slots__]
         for row in growth_bound_scan(params, 1, N_HI)
     ]
 

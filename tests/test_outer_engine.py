@@ -563,15 +563,18 @@ _IMPORT_PROBE = """
 import json, os, sys, sysconfig, tempfile
 before = set(sys.modules)
 import hblab
-bare = sorted(name for name in sys.modules if name.startswith("hblab."))
+everywhere = ("dataclasses", "inspect")
+bare = sorted(
+    name for name in sys.modules if name.startswith("hblab.") or name in everywhere
+)
 import hblab.cli
 verbs = (
-    ("construct", ("hblab.hb", "hblab.experiments", "mpmath")),
-    ("verify-outer", ("hblab.hb", "hblab.experiments", "mpmath")),
-    ("norm-crosscheck", ("hblab.experiments", "mpmath")),
-    ("divergence", ()),
-    ("sarason", ()),
-    ("summability", ()),
+    ("construct", ("hblab.hb", "hblab.experiments", "mpmath", *everywhere)),
+    ("verify-outer", ("hblab.hb", "hblab.experiments", "mpmath", *everywhere)),
+    ("norm-crosscheck", ("hblab.experiments", "mpmath", *everywhere)),
+    ("divergence", everywhere),
+    ("sarason", everywhere),
+    ("summability", everywhere),
 )
 loaded = {}
 with tempfile.TemporaryDirectory() as out:
@@ -606,7 +609,9 @@ def test_verify_outer_imports_only_runtime_dependencies():
     included, load nothing beyond the standard library and mpmath, and
     never click.  A bare ``import hblab`` loads no submodule; ``construct``
     and ``verify-outer`` load neither ``hb``, ``experiments`` nor mpmath,
-    and ``norm-crosscheck`` loads neither ``experiments`` nor mpmath."""
+    and ``norm-crosscheck`` loads neither ``experiments`` nor mpmath.
+    Neither the bare import nor any verb loads ``dataclasses`` or
+    ``inspect``."""
     import os
     import subprocess
     import sys

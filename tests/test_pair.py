@@ -202,18 +202,13 @@ def test_pair_phi_quotient(pair, params):
 
 def test_build_pair_detects_tampering(params):
     """A corrupted modulus must fail the construction cross-check."""
-    import dataclasses
-
     from hblab.pair import Pair
     from hblab.outer import make_sequences
 
     seq = make_sequences(params)
     a_mod, b_mod = step_modulus_from_phi(seq, params)
     bad = StepModulus(
-        tuple(
-            dataclasses.replace(c, log_modulus=c.log_modulus + 0.01)
-            for c in b_mod.cells
-        ),
+        tuple(c._replace(log_modulus=c.log_modulus + 0.01) for c in b_mod.cells),
         b_mod.default_log_modulus,
     )
     lhs = outer_eval(bad, 0.1) - outer_eval(a_mod, 0.1)
@@ -436,6 +431,70 @@ def test_outer_series_mp_needs_symmetric_modulus():
     assert hi.precision_bits == 128
     for x, y in zip(lo.coeffs, hi.coeffs):
         assert abs(x - complex(y)) <= 1e-13 * max(abs(x), 1.0)
+
+
+def four_multiply_recurrence(f0, poles, degree, W, real):
+    """The fixed-point loop of ``outer_series`` with every complex product
+    formed in four multiplies and the imaginary cell sum always formed."""
+    fr, fi = f0, 0
+    coeffs = [(fr, fi)]
+    state = [(0, 0, 0, 0)] * len(poles)
+    for n in range(1, degree + 1):
+        accr = acci = 0
+        nxt = []
+        for (esr, esi, eer, eei, ar, ai), (sr, si, tr, ti) in zip(poles, state):
+            qr, qi = fr + sr, fi + si
+            sr, si = (qr * eer - qi * eei) >> W, (qr * eei + qi * eer) >> W
+            qr, qi = sr + tr, si + ti
+            tr, ti = (qr * esr - qi * esi) >> W, (qr * esi + qi * esr) >> W
+            accr += ar * tr - ai * ti
+            acci += ar * ti + ai * tr
+            nxt.append((sr, si, tr, ti))
+        state = nxt
+        unit = n << W
+        fr, fi = accr // unit, (0 if real else acci // unit)
+        coeffs.append((fr, fi))
+    return coeffs
+
+
+@st.composite
+def step_moduli(draw):
+    """(modulus, symmetric): one to three arcs with heights in [-2, 2],
+    mirrored into a theta-symmetric modulus or left anywhere on the circle."""
+    n = draw(st.integers(1, 3))
+    symmetric = draw(st.booleans())
+    lo = 0.05 if symmetric else -3.0
+    ends = st.floats(lo, 3.0, allow_nan=False)
+    ends = sorted(draw(st.lists(ends, min_size=2 * n, max_size=2 * n, unique=True)))
+    heights = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    cells = [Cell(ends[2 * j], ends[2 * j + 1], h) for j, h in enumerate(heights)]
+    if symmetric:
+        cells += [Cell(-c.theta_end, -c.theta_start, c.log_modulus) for c in cells]
+    return StepModulus(tuple(cells), draw(st.floats(-0.5, 0.5))), symmetric
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(step_moduli())
+def test_outer_series_kernel_matches_four_multiplies(drawn):
+    """The three-multiply kernel, which forms no imaginary sum on
+    theta-symmetric data, gives every coefficient and the error bound of
+    the four-multiply loop exactly, or fails with the same message."""
+    import hblab.pair as pairmod
+
+    mod, symmetric = drawn
+
+    def outcome(bits):
+        try:
+            series = outer_series(mod, 40, bits)
+        except ArithmeticError as e:
+            return str(e)
+        return series.coeffs, series.error_bound, series.precision_bits
+
+    for bits in (53, 200) if symmetric else (53,):
+        got = outcome(bits)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pairmod, "_pole_recurrence", four_multiply_recurrence)
+            assert outcome(bits) == got
 
 
 # -- serialization ----------------------------------------------------------
