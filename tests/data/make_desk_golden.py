@@ -4,11 +4,17 @@
 
 Usage (from the root of a checkout): PYTHONPATH=src python3 tests/data/make_desk_golden.py
 
-Stores, line by line, the CSV text of ``divergence.csv``, ``envelope.csv``
-(both written by the ``divergence`` verb) and ``norm_crosscheck.csv``
+Stores, line by line, the CSV text of ``verify_outer.csv``
+(``verify-outer --seed 0``; the seed moves only the quadrature check,
+which the CSV leaves out), ``divergence.csv``, ``envelope.csv`` (both
+written by the ``divergence`` verb) and ``norm_crosscheck.csv``
 (``norm-crosscheck --seed 3``), each at the CLI defaults after
 ``construct``, run in a fresh directory through ``hblab.cli.main`` in this
-process, with the verbs' stderr discarded.
+process, with the verbs' stderr discarded.  It also stores the
+``rho_ratio_table`` of that ``pair.json`` and, on the pair it holds and
+its divergent kernel combination, ``fr_plus_at_zero(r).log_mag`` at the
+three radii of acceptance check A7 and at the three of the benchmark's
+``mp`` workload.
 Regenerate it only when a change is meant to move these numbers, and say
 which moved and why: before it overwrites the file, the script prints each
 value that differs from the file as it was, as "path: old -> new".
@@ -21,8 +27,11 @@ import tempfile
 from pathlib import Path
 
 from hblab.cli import main as cli_main
+from hblab.experiments import build_divergent_combo, fr_plus_at_zero, interval_radius
+from hblab.pair import pair_from_json
 
 RUNS = (
+    (["verify-outer", "--seed", "0"], ("verify_outer",)),
     (["divergence"], ("divergence", "envelope")),
     (["norm-crosscheck", "--seed", "3"], ("norm_crosscheck",)),
 )
@@ -39,6 +48,17 @@ def run_verb(argv):
     raise RuntimeError(f"{argv[0]} returned without exiting")
 
 
+def radii(pair) -> dict:
+    """The radii at which A7 and the ``mp`` workload compare the Gram value
+    (f_r)+(0) with its Abel series."""
+    params = pair.params
+    w1, mid1 = pair.seq.w[1], interval_radius(params, 1, 0.5)
+    return {
+        "A7": (w1, mid1, interval_radius(params, 3, 0.0)),
+        "mp": (w1, mid1, interval_radius(params, 2, 0.0)),
+    }
+
+
 def golden() -> dict:
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -46,10 +66,19 @@ def golden() -> dict:
         if code != 0:
             raise RuntimeError(f"construct exited {code}: {err}")
         for args, names in RUNS:
-            # divergence exits 4: its bound rows fail at the default scale
+            # verify-outer and divergence exit 4: their bound rows fail at
+            # the default scale
             run_verb(args + ["--out", tmp, "--format", "csv"])
             for name in names:
                 out[name] = (Path(tmp) / f"{name}.csv").read_text().splitlines()
+        doc = (Path(tmp) / "pair.json").read_text()
+    out["rho_ratio_table"] = json.loads(doc)["rho_ratio_table"]
+    pair = pair_from_json(doc)
+    combo = build_divergent_combo(pair.params, pair)
+    out["fr_plus_at_zero_log_mag"] = {
+        name: [fr_plus_at_zero(r, combo, pair).log_mag for r in rs]
+        for name, rs in radii(pair).items()
+    }
     return out
 
 
