@@ -73,14 +73,10 @@ def build_divergent_combo(params, pair: Pair) -> KernelCombo:
 
 def fr_plus_at_zero(r: Union[float, Radius], f: KernelCombo, pair: Pair) -> LogScalar:
     """(f_r)+(0) = sum_j c_j phi(r w_j), all terms positive, in log-domain."""
-    combo_r = dilate(f, r)
-    terms = [
-        LogScalar.exp_of(
-            nd.log_c.log_mag + pair.log_phi_radial_at(nd.log_one_minus_w)
-        )
-        for nd in combo_r.nodes
-    ]
-    return log_sum_exp(terms)
+    return log_sum_exp(
+        nd.log_c.log_mag + pair.log_phi_radial_at(nd.log_one_minus_w)
+        for nd in dilate(f, r).nodes
+    )
 
 
 # -- radius grids -----------------------------------------------------------
@@ -221,11 +217,10 @@ def f_hat_log(f: KernelCombo, j: int) -> LogScalar:
 
     The float oracle of ``_FhatFixed``, which checks its first and last
     coefficient against it on every run."""
-    terms = []
-    for nd in f.nodes:
-        log_w = math.log1p(-math.exp(max(nd.log_one_minus_w, -745.0)))
-        terms.append(LogScalar.exp_of(nd.log_c.log_mag + j * log_w))
-    return log_sum_exp(terms)
+    return log_sum_exp(
+        nd.log_c.log_mag + j * math.log1p(-math.exp(max(nd.log_one_minus_w, -745.0)))
+        for nd in f.nodes
+    )
 
 
 class _FhatFixed:

@@ -20,7 +20,7 @@ import math
 from typing import Union
 
 from ._record import Record, _set
-from .logscalar import LogScalar, log1p_exp, log_add_exp, log_sum_exp
+from .logscalar import LogScalar, log1m_product, log1p_exp, log_sum_exp
 from .pair import Pair
 from .series import (
     TaylorSeries,
@@ -181,23 +181,21 @@ def _log_of_positive(x) -> float:
     return math.log(x)
 
 
-def _gram_log_terms(combo: KernelCombo, pair: Pair, with_phi: bool):
-    """Log-domain terms of sum_{i,j} c_i c_j [phi_i phi_j] / (1 - w_i w_j)."""
+def _gram_log_terms(combo: KernelCombo, pair: Pair):
+    """Log magnitudes of the terms of ||f||^2 + ||f+||^2 =
+    sum_{i,j} c_i c_j (1 + phi_i phi_j) / (1 - w_i w_j): one pass over the
+    node pairs yields the plain term and then the one with phi values."""
     nodes = combo.nodes
-    lphi = [pair.log_phi_radial_at(nd.log_one_minus_w) for nd in nodes] if with_phi else None
-    terms = []
-    for i, ni in enumerate(nodes):
-        di = math.exp(max(ni.log_one_minus_w, -745.0))
-        for j, nj in enumerate(nodes):
-            # 1 - w_i w_j = d_i + d_j (1 - d_i), no cancellation
-            log_denom = log_add_exp(
-                ni.log_one_minus_w, nj.log_one_minus_w + math.log1p(-di)
+    lphi = [pair.log_phi_radial_at(nd.log_one_minus_w) for nd in nodes]
+    for ni, lpi in zip(nodes, lphi):
+        for nj, lpj in zip(nodes, lphi):
+            lm = (
+                ni.log_c.log_mag
+                + nj.log_c.log_mag
+                - log1m_product(ni.log_one_minus_w, nj.log_one_minus_w)
             )
-            lm = ni.log_c.log_mag + nj.log_c.log_mag - log_denom
-            if with_phi:
-                lm += lphi[i] + lphi[j]
-            terms.append(LogScalar.exp_of(lm))
-    return terms
+            yield lm
+            yield lm + (lpi + lpj)
 
 
 def hb_norm_sq(f: HbFunction, pair: Pair) -> LogScalar:
@@ -209,9 +207,7 @@ def hb_norm_sq(f: HbFunction, pair: Pair) -> LogScalar:
     f+ = sum c_j conj(phi(w_j)) k_{w_j}, entirely in log-domain.
     """
     if isinstance(f, KernelCombo):
-        plain = _gram_log_terms(f, pair, with_phi=False)
-        plussed = _gram_log_terms(f, pair, with_phi=True)
-        return log_sum_exp(plain + plussed)
+        return log_sum_exp(_gram_log_terms(f, pair))
     f_plus = sarason_f_plus(f, pair.phi_hat(f.truncation_degree, f.precision_bits))
     total = f.l2_norm_sq() + f_plus.l2_norm_sq()
     return LogScalar.exp_of(_log_of_positive(total))
@@ -254,17 +250,16 @@ def sarason_f_plus(f: TaylorSeries, phi_hat: TaylorSeries) -> TaylorSeries:
     real mpmath series the mantissas of f and of phi-hat are aligned once
     to one exponent each (``fixed_mantissas``, float zero pads included),
     so each output coefficient is one exact integer dot product
-    (``fixed_dot``) rounded once at the current mpmath precision; floats
-    keep the plain loop.
+    (``fixed_dot``) rounded once at the result's precision, the smaller of
+    the two series' ``precision_bits``, whatever the ambient mpmath
+    precision; floats keep the plain loop.
     """
     bits = min(f.precision_bits, phi_hat.precision_bits)
     nf = len(f.coeffs)
     if bits > 53:
-        from mpmath import mp  # float callers never load mpmath
-
         fs, fe = fixed_mantissas(f.coeffs)
         ps, pe = fixed_mantissas(phi_hat.coeffs)
-        out = [fixed_to_mpf(fixed_dot(fs[k:], ps), fe + pe, mp.prec) for k in range(nf)]
+        out = [fixed_to_mpf(fixed_dot(fs[k:], ps), fe + pe, bits) for k in range(nf)]
         return TaylorSeries(tuple(out), bits)
     out = []
     for k in range(nf):
@@ -285,13 +280,9 @@ def dilate(f: HbFunction, r: Union[float, Radius]) -> HbFunction:
     rad = as_radius(r)
     if isinstance(f, KernelCombo):
         lr = rad.log_one_minus
-        one_minus_r = math.exp(max(lr, -745.0))
-        nodes = []
-        for nd in f.nodes:
-            # 1 - r w = (1-r) + r (1-w)
-            ld = log_add_exp(lr, nd.log_one_minus_w + math.log1p(-one_minus_r))
-            nodes.append(KernelNode(nd.log_c, ld))
-        return KernelCombo(tuple(nodes))
+        return KernelCombo(
+            tuple(KernelNode(nd.log_c, log1m_product(lr, nd.log_one_minus_w)) for nd in f.nodes)
+        )
     out, p = [], 1.0
     for c in f.coeffs:
         out.append(c * p)

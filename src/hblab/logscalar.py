@@ -128,57 +128,56 @@ class LogScalar(Record):
     def __abs__(self) -> "LogScalar":
         return LogScalar(self.log_mag)
 
-    # Ordering is defined for nonnegative reals only (all the data we order).
-    def _cmp_key(self) -> float:
-        s = self.sign()
-        if s < 0:
-            raise ValueError("ordering defined for nonnegative LogScalars only")
-        return self.log_mag
-
+    # One total order on real LogScalars: by sign, then by magnitude, the
+    # larger magnitude the smaller among negatives; a complex one raises.
     def __lt__(self, other: "LogScalar") -> bool:
-        return self._cmp_key() < other._cmp_key()
+        sa, sb = self.sign(), other.sign()
+        if sa != sb:
+            return sa < sb
+        if sa > 0:
+            return self.log_mag < other.log_mag
+        return other.log_mag < self.log_mag
 
     def __le__(self, other: "LogScalar") -> bool:
-        return self._cmp_key() <= other._cmp_key()
+        return not other < self
 
 
-def log_sum_exp(terms: Iterable[LogScalar]) -> LogScalar:
-    """Sum of nonnegative LogScalars, computed by factoring out the maximum.
+def log_sum_exp(logs: Iterable[float]) -> LogScalar:
+    """The sum of e**x over the float log magnitudes x of ``logs``, by
+    factoring out the maximum.
 
-    Raises ValueError if any term has a nonzero phase; the empty sum is the
-    exact zero.
+    -inf is an exact zero and drops out; a +inf term makes the sum +inf.
+    A NaN term raises ValueError in any position.  The empty sum is the
+    exact zero.  The result is the one LogScalar the sum builds.
     """
-    logs = []
-    for t in terms:
-        if t.is_zero:
-            continue
-        if t.phase != 0.0:
-            raise ValueError("log_sum_exp requires nonnegative terms")
-        logs.append(t.log_mag)
-    if not logs:
-        return LogScalar.zero()
-    m = max(logs)
-    if m == math.inf:
-        return LogScalar(math.inf)
+    logs = list(logs)
+    m = max(logs, default=NEG_INF)
+    if m == math.inf or m == NEG_INF:
+        # max skips a NaN that follows an infinity, so look for it here
+        if any(math.isnan(x) for x in logs):
+            raise ValueError("log_sum_exp term must not be NaN")
+        return LogScalar(m)
+    # a NaN term makes acc NaN, which the result's constructor rejects
     acc = math.fsum(math.exp(x - m) for x in logs)
     return LogScalar(m + math.log(acc))
 
 
-def log_sum_signed(terms: Sequence) -> LogScalar:
-    """Sum of real (possibly negative) terms via max-factoring.
+def log_sum_signed(terms: Sequence[tuple]) -> LogScalar:
+    """Sum of real terms, each a (sign, log_mag) pair with sign +-1, via
+    max-factoring.
 
-    A term is a real LogScalar or a (sign, log_mag) pair with sign +-1, the
-    form hot loops pass to skip building a LogScalar per term.  Zero terms
-    drop out; a NaN log_mag raises ValueError, as a LogScalar would.
-    Accuracy is limited by cancellation among the leading terms, which is
-    inherent to any fixed-precision signed accumulation.
+    A log_mag of -inf is an exact zero and drops out; a NaN log_mag raises
+    ValueError in any position.  Accuracy is limited by cancellation among
+    the leading terms, which is inherent to any fixed-precision signed
+    accumulation.
     """
-    live = [t if type(t) is tuple else (t.sign(), t.log_mag) for t in terms]
-    m = max((lm for _, lm in live), default=NEG_INF)
+    m = max((lm for _, lm in terms), default=NEG_INF)
     if m == NEG_INF:
+        if any(math.isnan(lm) for _, lm in terms):
+            raise ValueError("log_sum_signed term must not be NaN")
         return LogScalar.zero()
     # a NaN term makes acc NaN, which the result's constructor rejects
-    acc = math.fsum(s * math.exp(lm - m) for s, lm in live)
+    acc = math.fsum(s * math.exp(lm - m) for s, lm in terms)
     if acc == 0.0:
         return LogScalar.zero()
     if acc > 0:
@@ -201,6 +200,13 @@ def log_add_exp(a: float, b: float) -> float:
     if lo == NEG_INF:
         return hi
     return hi + log1p_exp(lo - hi)
+
+
+def log1m_product(a: float, b: float) -> float:
+    """log(1 - x y) from a = log(1 - x) and b = log(1 - y), x and y in
+    [0, 1): 1 - x y = (1 - x) + x (1 - y) adds two nonnegative terms, so
+    nothing cancels however close x and y are to 1."""
+    return log_add_exp(a, b + math.log1p(-math.exp(max(a, -745.0))))
 
 
 def log_diff_exp(a: float, b: float) -> float:

@@ -245,7 +245,8 @@ def _check_sequences(seq: Sequences):
 
 
 def check_rho_condition(seq: Sequences, n: int) -> float:
-    """The tail ratio (sum_{k=n+1..N} eps_k) / rho_n, via log-sum-exp.
+    """The tail ratio (sum_{k=n+1..N} eps_k) / rho_n, as a float: the
+    tail is ``log_sum_exp`` of the log eps_k.
 
     The limiting construction wants this to vanish as n grows, but the
     leading tail term alone gives eps_{n+1}/rho_n =
@@ -256,7 +257,7 @@ def check_rho_condition(seq: Sequences, n: int) -> float:
     params = seq.params
     if not (1 <= n < params.n_terms):
         raise ValueError("need 1 <= n < n_terms")
-    tail = log_sum_exp(seq.eps[n + 1 : params.n_terms + 1])
+    tail = log_sum_exp(e.log_mag for e in seq.eps[n + 1 : params.n_terms + 1])
     return math.exp(tail.log_mag - seq.rho[n].log_mag)
 
 
@@ -351,10 +352,10 @@ def half_plane_log_modulus_radial(
     (eps_k / (pi t_k)) * (atan(3 t_k / y) - atan(2 t_k / y)).
     """
     n = n_terms if n_terms is not None else params.n_terms
-    terms = []
-    for lt, le, _ in _log_t_eps(params, n)[1 : n + 1]:
-        terms.append(LogScalar.exp_of(le - lt - _LNPI + _log_atan_diff(lt - log_y)))
-    return log_sum_exp(terms)
+    return log_sum_exp(
+        le - lt - _LNPI + _log_atan_diff(lt - log_y)
+        for lt, le, _ in _log_t_eps(params, n)[1 : n + 1]
+    )
 
 
 def log_phi_radial(
@@ -609,34 +610,18 @@ def choose_power_m(
     return m
 
 
-def _signed_less(a: LogScalar, b: LogScalar) -> bool:
-    sa, sb = a.sign(), b.sign()
-    if sa != sb:
-        return sa < sb
-    if sa >= 0:
-        return a.log_mag < b.log_mag
-    return a.log_mag > b.log_mag
-
-
 def _worst_ratios(
     params: ConstructionParams, n: int, samples: int, n_terms: Optional[int] = None
 ) -> tuple:
     """The least signed growth ratio over s = i/(samples - 1), i < samples,
     on the closed interval [w_n, w_{n+1}] and on its interior: the samples
-    with s < 1, which leave out only the right endpoint."""
+    with s < 1, which leave out only the right endpoint.  Both are ``min``
+    under the signed order of ``LogScalar``."""
     if samples < 2:
         raise ValueError(f"need at least two radius samples, got {samples}")
     last = samples - 1
-    best = None
-    for i in range(last):
-        ratio = growth_log_ratio(params, n, i / last, n_terms=n_terms)
-        if best is None or _signed_less(ratio, best):
-            best = ratio
-    interior = best
-    ratio = growth_log_ratio(params, n, 1.0, n_terms=n_terms)
-    if _signed_less(ratio, best):
-        best = ratio
-    return best, interior
+    interior = min(growth_log_ratio(params, n, i / last, n_terms=n_terms) for i in range(last))
+    return min(interior, growth_log_ratio(params, n, 1.0, n_terms=n_terms)), interior
 
 
 class GrowthScanRow(Record):

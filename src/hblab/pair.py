@@ -193,11 +193,12 @@ def outer_series(mod: StepModulus, degree: int, precision_bits: int = 53) -> Tay
     data (cosines, sines, F_0 = exp(mean)) at 2W bits from the float cell
     data taken as exact.  ``_truncation_bound`` counts every floor, at most
     one unit of 2^-W per real part, and carries it through the recurrence;
-    W is ``precision_bits`` plus the bits by which that bound exceeds the
+    W is ``precision_bits`` plus the least number of bits that lifts the
     a-priori coefficient scale |F_0| min(1, A) / (n+1)^2 (A the total weight
-    of the cells).  A coefficient whose counted bound exceeds 2^-precision_bits
-    of its size raises ArithmeticError: it is too small for the fixed-point
-    scale to carry its relative precision.  Every returned coefficient is
+    of the cells) strictly above the bound's whole units, the count the
+    guard tests.  A coefficient whose counted bound exceeds
+    2^-precision_bits of its size raises ArithmeticError: it is too small
+    for the fixed-point scale to carry its relative precision.  Every returned coefficient is
     therefore within 2^-precision_bits of its size before the final
     rounding, and within one unit in its last place after it; the largest
     counted bound relative to its coefficient is the series'
@@ -235,10 +236,14 @@ def outer_series(mod: StepModulus, degree: int, precision_bits: int = 53) -> Tay
     ) + len(active) * 2.0 ** (1 - precision_bits)
     f0 = math.exp(mod.mean_log_modulus())
     bound = _truncation_bound(mod, active, mass, f0, degree, real, precision_bits)
-    # the a-priori size of F_n; a coefficient below it may raise
+    # the a-priori size of F_n; a coefficient below it may raise.  The guard
+    # tests ceil(e) (2^P + 1) <= |F_n| 2^W, so W - P must exceed
+    # log2(ceil(e) / |F_n|): a constant modulus (e_0 = 1 + tiny, 2 units)
+    # with F_0 = 1 needs W = P + 2
     scale = [f0] + [f0 * min(1.0, mass) / (n + 1) ** 2 for n in range(1, degree + 1)]
     W = precision_bits + max(
-        0, max(math.ceil(math.log2(e / s)) for e, s in zip(bound, scale) if e > 0.0)
+        0,
+        max(math.floor(math.log2(math.ceil(e) / s)) + 1 for e, s in zip(bound, scale) if e > 0.0),
     )
     with mp.workprec(2 * W):
 

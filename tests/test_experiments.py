@@ -44,7 +44,7 @@ from hblab.hb import (
 )
 from hblab.logscalar import LogScalar
 from hblab.series import TaylorSeries, fixed_to_mpf
-from hblab.outer import log_delta, log_phi_radial
+from hblab.outer import half_plane_log_modulus_radial, log_delta, log_phi_radial
 from hblab.pair import Pair
 
 
@@ -175,6 +175,37 @@ def test_f_hat_log_direct(combo):
             for n in combo.nodes
         )
         assert f_hat_log(combo, j).to_float() == pytest.approx(expect, rel=1e-12)
+
+
+def test_log_domain_sums_build_one_log_scalar(params, pair, tame, combo, monkeypatch):
+    """Each log-domain sum builds one LogScalar, its result, counted through
+    the ``__post_init__`` of the class dict, where a tracer counts them.  On
+    the tame pair log phi is a closed-form float; on the constructed pair
+    each of the N node values log phi(r w_j) is one
+    ``half_plane_log_modulus_radial`` sum, one LogScalar more each."""
+    post_init = LogScalar.__dict__["__post_init__"]
+    built = []
+
+    def counted(self):
+        built.append(self.log_mag)
+        post_init(self)
+
+    monkeypatch.setattr(LogScalar, "__post_init__", counted)
+
+    def constructions(fn, *args):
+        built.clear()
+        fn(*args)
+        return len(built)
+
+    n = len(combo.nodes)
+    r = interval_radius(params, 1, 0.5)
+    combo_r = dilate(combo, r)
+    assert constructions(half_plane_log_modulus_radial, -1.0, params) == 1
+    assert constructions(f_hat_log, combo, 5) == 1
+    assert constructions(fr_plus_at_zero, r, combo, tame) == 1
+    assert constructions(hb_norm_sq, combo_r, tame) == 1
+    assert constructions(fr_plus_at_zero, r, combo, pair) == 1 + n
+    assert constructions(hb_norm_sq, combo_r, pair) == 1 + n
 
 
 def fhat_oracle(combo, degree, bits, radius=None):

@@ -238,6 +238,34 @@ def test_mp_dot_products_round_once():
         assert fp.coeffs[k] == rounded_dot(zip(f.coeffs[k:], phi.coeffs[: deg + 1 - k]))
 
 
+def test_sarason_f_plus_rounds_at_its_own_bits():
+    """An mpmath f+ is rounded at the smaller ``precision_bits`` of its two
+    series, whatever the ambient mpmath precision: at the default 53 bits a
+    200-bit result equals the one made inside workprec(200) and carries
+    more than 53 bits, and inside workprec(384) a 200-bit f with a 128-bit
+    phi-hat gives 128-bit coefficients."""
+    from mpmath import mp
+
+    deg = 16
+    with mp.workprec(200):
+        f = TaylorSeries(tuple(mp.mpf(1) / (j + 3) for j in range(deg + 1)), 200)
+        phi = TaylorSeries(tuple(mp.mpf(2) / (2 * j + 5) for j in range(deg + 1)), 200)
+        inside = sarason_f_plus(f, phi)
+    assert mp.prec == 53
+    outside = sarason_f_plus(f, phi)
+    assert outside.precision_bits == 200
+    assert outside.coeffs == inside.coeffs
+    assert max(c._mpf_[3] for c in outside.coeffs) > 53
+    with mp.workprec(128):
+        phi128 = TaylorSeries(tuple(+c for c in phi.coeffs), 128)
+        at128 = sarason_f_plus(f, phi128)
+    with mp.workprec(384):
+        mixed = sarason_f_plus(f, phi128)
+    assert mixed.precision_bits == 128
+    assert mixed.coeffs == at128.coeffs
+    assert all(c._mpf_[3] <= 128 for c in mixed.coeffs)
+
+
 def test_hb_inner_consistency(tame, hb_inner):
     rng = np.random.default_rng(3)
     f, g = random_poly(rng, 12), random_poly(rng, 12)

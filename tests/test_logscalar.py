@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from hblab.logscalar import (
     NEG_INF,
     LogScalar,
+    log1m_product,
     log1p_exp,
+    log_add_exp,
     log_diff_exp,
     log_sum_exp,
     log_sum_signed,
@@ -79,24 +81,66 @@ def test_division_by_zero():
         LogScalar.one() / LogScalar.zero()
 
 
-def test_ordering_nonnegative_only():
-    assert LogScalar.from_float(1.0) < LogScalar.from_float(2.0)
-    assert LogScalar.zero() <= LogScalar.zero()
+def signed_log(v: float) -> tuple:
+    """The (sign, log_mag) pair of a float; zero is (1, -inf)."""
+    return (-1 if v < 0 else 1, math.log(abs(v)) if v else NEG_INF)
+
+
+def test_ordering_is_signed():
+    """Real LogScalars order by sign, then by magnitude: a negative with the
+    larger magnitude is the smaller."""
+    neg2, neg1 = LogScalar.from_float(-2.0), LogScalar.from_float(-1.0)
+    zero, one, two = LogScalar.zero(), LogScalar.one(), LogScalar.from_float(2.0)
+    assert neg2 < neg1 < zero < one < two
+    assert not neg1 < neg2 and not two < one and not zero < zero
+    assert zero <= zero and neg2 <= neg2 and neg2 <= neg1 and not neg1 <= neg2
+    assert neg1 > neg2 and two >= one
+    assert min(one, neg1, zero) is neg1
     with pytest.raises(ValueError):
-        LogScalar.from_float(-1.0) < LogScalar.one()
+        LogScalar(0.0, 1.0) < LogScalar.one()
+
+
+@given(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=12))
+def test_ordering_matches_floats(vals):
+    """Sorting LogScalars sorts the floats they stand for, zeros and ties
+    included, and min picks the least."""
+    xs = [LogScalar.from_float(v) for v in vals]
+    assert [x.to_float() for x in sorted(xs)] == sorted(x.to_float() for x in xs)
+    assert min(xs).to_float() == min(x.to_float() for x in xs)
 
 
 @given(st.lists(st.floats(min_value=-700.0, max_value=700.0), min_size=1, max_size=20))
 def test_log_sum_exp_bounds(logs):
-    """max <= log sum <= max + log(count); tight both ways."""
-    total = log_sum_exp([LogScalar.exp_of(x) for x in logs])
+    """max <= log sum <= max + log(count); tight both ways.  The terms are
+    plain float logs, from a list or a generator alike."""
+    total = log_sum_exp(logs)
     m = max(logs)
     assert m - 1e-12 <= total.log_mag <= m + math.log(len(logs)) + 1e-12
+    assert total.sign() == 1
+    assert log_sum_exp(x for x in logs) == total
 
 
-def test_log_sum_exp_rejects_signed():
-    with pytest.raises(ValueError):
-        log_sum_exp([LogScalar.from_float(-1.0)])
+def test_log_sum_exp_zeros_and_infinity():
+    """-inf is an exact zero and drops out; +inf makes the sum +inf."""
+    assert log_sum_exp([NEG_INF, NEG_INF]).is_zero
+    assert log_sum_exp([NEG_INF, 0.0, NEG_INF]) == LogScalar.one()
+    assert log_sum_exp([1.0, math.inf, NEG_INF]) == LogScalar(math.inf)
+
+
+def test_log_sum_exp_rejects_nan():
+    """A NaN term raises ValueError in any position, next to an infinity
+    (which max would step over) too."""
+    for logs in (
+        [math.nan],
+        [1.0, math.nan],
+        [math.nan, 1.0],
+        [math.inf, math.nan],
+        [math.nan, math.inf],
+        [NEG_INF, math.nan],
+        [NEG_INF, math.nan, NEG_INF],
+    ):
+        with pytest.raises(ValueError):
+            log_sum_exp(logs)
 
 
 def test_log_sum_exp_empty_is_zero():
@@ -105,7 +149,7 @@ def test_log_sum_exp_empty_is_zero():
 
 @given(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=12))
 def test_log_sum_signed_matches_fsum(vals):
-    total = log_sum_signed([LogScalar.from_float(v) for v in vals])
+    total = log_sum_signed([signed_log(v) for v in vals])
     expect = math.fsum(vals)
     if expect == 0.0:
         assert total.is_zero or total.log_mag < max(abs(v) for v in vals) - 20
@@ -114,25 +158,29 @@ def test_log_sum_signed_matches_fsum(vals):
 
 
 def test_log_sum_signed_exact_cancellation():
-    x = LogScalar.from_float(5.0)
-    assert log_sum_signed([x, -x]).is_zero
+    assert log_sum_signed([(1, math.log(5.0)), (-1, math.log(5.0))]).is_zero
 
 
 @given(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=12))
-def test_log_sum_signed_pairs_match_logscalars(vals):
-    """(sign, log_mag) pairs sum to the same bits as the LogScalars they
-    stand for, zeros included."""
-    terms = [LogScalar.from_float(v) for v in vals]
-    pairs = [(t.sign(), t.log_mag) for t in terms]
-    assert log_sum_signed(pairs) == log_sum_signed(terms)
+def test_log_sum_signed_agrees_with_log_sum_exp(vals):
+    """On nonnegative terms, zeros included, the signed sum is log_sum_exp
+    bit for bit; flipping every sign negates the sum."""
+    logs = [signed_log(abs(v))[1] for v in vals]
+    assert log_sum_signed([(1, lm) for lm in logs]) == log_sum_exp(logs)
+    pairs = [signed_log(v) for v in vals]
+    flipped = [(-sgn, lm) for sgn, lm in pairs]
+    assert log_sum_signed(flipped) == -log_sum_signed(pairs)
 
 
 def test_log_sum_signed_rejects_nan():
-    """A NaN log magnitude raises, as it does when it builds a LogScalar."""
+    """A NaN log magnitude raises, as it does when it builds a LogScalar,
+    next to exact zeros too."""
     with pytest.raises(ValueError):
         log_sum_signed([(1, math.nan)])
     with pytest.raises(ValueError):
         log_sum_signed([(1, 2.0), (-1, math.nan), (1, 0.5)])
+    with pytest.raises(ValueError):
+        log_sum_signed([(1, NEG_INF), (-1, math.nan)])
 
 
 @given(st.floats(min_value=-1e4, max_value=1e4, allow_nan=False))
@@ -147,3 +195,21 @@ def test_log_diff_exp():
     assert log_diff_exp(1.0, 1.0) == NEG_INF
     with pytest.raises(ValueError):
         log_diff_exp(0.0, 1.0)
+
+
+@given(
+    st.floats(min_value=-800.0, max_value=-1e-12),
+    st.floats(min_value=-800.0, max_value=-1e-300),
+)
+def test_log1m_product(a, b):
+    """log(1 - x y) from a = log(1 - x) and b = log(1 - y): bit for bit the
+    sum (1 - x) + x (1 - y) written out, and within a few units of
+    max(1, |log|) of 1 - x y = e^a - e^b expm1(a) in 200-bit mpmath.  The
+    draws keep |a| >= 1e-12: near |a| = 2^-53, e^a rounds to 1 and x to 0."""
+    from mpmath import mp
+
+    got = log1m_product(a, b)
+    assert got == log_add_exp(a, b + math.log1p(-math.exp(max(a, -745.0))))
+    with mp.workprec(200):
+        ref = float(mp.log(mp.exp(a) - mp.exp(b) * mp.expm1(a)))
+    assert abs(got - ref) <= 2.0**-50 * max(1.0, abs(ref))

@@ -416,6 +416,26 @@ def test_outer_series_guard_raises_below_scale(pair, bits):
     assert min(abs(c) for c in a.coeffs) < 2.0**-11
 
 
+@pytest.mark.parametrize("bits", [53, 128, 384])
+@pytest.mark.parametrize("d", [0.0, 0.1, -0.1, -5.0, 3.0])
+def test_outer_series_constant_modulus(d, bits):
+    """A constant modulus e^d has the constant outer function e^d: the
+    series is e^d, 0, ..., 0 within its claim.  Its one counted bound is
+    1 + tiny units, so the guard tests 2 units against F_0; the fixed-point
+    scale is placed from that unit count, not from the float bound, or
+    e^d < 2 at 53 bits (d = 0 at any precision) raises."""
+    from mpmath import mp
+
+    s = outer_series(StepModulus((), d), 8, bits)
+    assert s.precision_bits == bits
+    assert all(c == 0 for c in s.coeffs[1:])
+    assert 0.0 < s.error_bound <= 2.0**-bits
+    with mp.workprec(bits + 64):
+        c0, ref = mp.mpmathify(s.coeffs[0]), mp.exp(d)
+        assert c0.imag == 0
+        assert abs(c0.real - ref) <= 2 ** (1 - bits) * ref
+
+
 def test_outer_series_mp_needs_symmetric_modulus():
     """Off theta-symmetry the log series has imaginary parts, which the
     real mpmath branch would drop; it refuses instead, while the float
