@@ -186,9 +186,15 @@ def log_sum_signed(terms: Sequence[tuple]) -> LogScalar:
 
 
 def log1p_exp(x: float) -> float:
-    """log(1 + e**x), stable for any x."""
+    """log(1 + e**x), stable for any x.
+
+    Above 36 the value is x + e**-x, and that sum rounds to x in doubles:
+    e**-36 = 2.3e-16 lies below half an ulp of any x >= 32 (3.6e-15).  So x
+    itself is returned, the same float without the exp, and every caller
+    keeps its bits.
+    """
     if x > 36.0:
-        return x + math.exp(-x)
+        return x
     if x < -36.0:
         return math.exp(x)
     return math.log1p(math.exp(x))
@@ -205,8 +211,13 @@ def log_add_exp(a: float, b: float) -> float:
 def log1m_product(a: float, b: float) -> float:
     """log(1 - x y) from a = log(1 - x) and b = log(1 - y), x and y in
     [0, 1): 1 - x y = (1 - x) + x (1 - y) adds two nonnegative terms, so
-    nothing cancels however close x and y are to 1."""
-    return log_add_exp(a, b + math.log1p(-math.exp(max(a, -745.0))))
+    nothing cancels however close x and y are to 1.  Where e**a rounds to
+    1.0 (a above about -1.1e-16), log x is taken as log(-expm1(a)); a = 0
+    gives x = 0 and the value a."""
+    e = math.exp(max(a, -745.0))
+    if e != 1.0:
+        return log_add_exp(a, b + math.log1p(-e))
+    return a if a == 0.0 else log_add_exp(a, b + math.log(-math.expm1(a)))
 
 
 def log_diff_exp(a: float, b: float) -> float:

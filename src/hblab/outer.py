@@ -20,7 +20,6 @@ import cmath
 import math
 from typing import Optional
 
-from ._pcg64 import Generator
 from ._record import Record, _set
 from .logscalar import (
     LogScalar,
@@ -149,17 +148,18 @@ def log_cayley_im(params: ConstructionParams, ld: float) -> float:
     return ld - math.log(2.0 - d)
 
 
-# (alpha, beta) -> ((log t_k, log eps_k, D_k) for k = 0, 1, ...); row 0 is padding
+# (alpha, beta) -> (row k for k = 0, 1, ...); row 0 is padding
 _LOG_T_EPS: dict = {}
 
 
 def _log_t_eps(params: ConstructionParams, n: int) -> tuple:
-    """(log t_k, log eps_k, D_k) to k >= n, with the prefix maximum
-    D_k = max_{j <= k} (log eps_j - 2 log t_j) that bounds the terms of
-    ``growth_log_ratio`` from interval k down.  All three depend on k and
-    the exponents alone, so the radial evaluators share one table per
-    (alpha, beta).  A longer table replaces the old one whole; no reader
-    sees a partial one."""
+    """Rows (log t_k, log eps_k, D_k, ...) to k >= n, with the prefix
+    maximum D_k = max_{j <= k} (log eps_j - 2 log t_j) that bounds the
+    terms of ``growth_log_ratio`` from interval k down, then their per-k
+    sums 2 log 3 + 2 log t_k, 2 log 2 + 2 log t_k, log 3 + log t_k, log 2 +
+    log t_k, log 6 + 2 log t_k and log eps_k - log t_k - log pi.  Each
+    depends on k and the exponents alone, so the radial evaluators share one
+    table per (alpha, beta); a longer one replaces it whole, never in part."""
     key = (params.alpha, params.beta)
     table = _LOG_T_EPS.get(key, ((math.nan, math.nan, -math.inf),))
     if len(table) <= n:
@@ -168,7 +168,9 @@ def _log_t_eps(params: ConstructionParams, n: int) -> tuple:
         for k in range(len(table), n + 1):
             lt, le = log_t(params, k), log_eps(params, k)
             d_max = max(d_max, le - 2.0 * lt)
-            rows.append((lt, le, d_max))
+            lt2 = 2.0 * lt
+            rows.append((lt, le, d_max, 2.0 * _LN3 + lt2, 2.0 * _LN2 + lt2, _LN3 + lt, _LN2 + lt,
+                         _LN6 + lt2, le - lt - _LNPI))
         table = _LOG_T_EPS[key] = table + tuple(rows)
     return table
 
@@ -353,8 +355,7 @@ def half_plane_log_modulus_radial(
     """
     n = n_terms if n_terms is not None else params.n_terms
     return log_sum_exp(
-        le - lt - _LNPI + _log_atan_diff(lt - log_y)
-        for lt, le, _ in _log_t_eps(params, n)[1 : n + 1]
+        row[8] + _log_atan_diff(row[0] - log_y) for row in _log_t_eps(params, n)[1 : n + 1]
     )
 
 
@@ -413,37 +414,6 @@ def _growth_logs(params: ConstructionParams, n: int, s: float) -> tuple:
     return log_u + log_v, log_umv
 
 
-def _growth_term(lt: float, le: float, log_uv: float, log_umv: float):
-    """Interval k's term (eps_k/(pi t_k)) (atan(3t_k/u) - atan(3t_k/v)
-    - atan(2t_k/u) + atan(2t_k/v)) of ``growth_log_ratio`` as a
-    (sign, log|term|) pair from lt = log t_k and le = log eps_k; None when
-    the term is exactly zero."""
-    l3 = log1p_exp(2.0 * _LN3 + 2.0 * lt - log_uv)  # log(1 + 9 t^2/(u v))
-    l2 = log1p_exp(2.0 * _LN2 + 2.0 * lt - log_uv)  # log(1 + 4 t^2/(u v))
-    la3 = _LN3 + lt + log_umv - l3 - log_uv
-    if la3 > -18.0:
-        # atan arguments comfortably inside float range; the 3:2 ratio
-        # of the arguments keeps the subtraction well conditioned
-        la2 = _LN2 + lt + log_umv - l2 - log_uv
-        bracket = math.atan(math.exp(la2)) - math.atan(math.exp(la3))
-        if bracket == 0.0:
-            return None
-        sign = 1 if bracket > 0 else -1
-        lb = math.log(abs(bracket))
-    else:
-        # atan(x) = x to better than double precision; the bracket is
-        # (u-v) t (6 t^2 - u v) / ((u v + 9 t^2)(u v + 4 t^2))
-        num_hi = _LN6 + 2.0 * lt
-        if num_hi == log_uv:
-            return None
-        if num_hi > log_uv:
-            sign, lnum = 1, log_diff_exp(num_hi, log_uv)
-        else:
-            sign, lnum = -1, log_diff_exp(log_uv, num_hi)
-        lb = log_umv + lt + lnum - (log_uv + l3) - (log_uv + l2)
-    return sign, le - lt - _LNPI + lb
-
-
 def growth_log_ratio(
     params: ConstructionParams,
     n: int,
@@ -458,12 +428,12 @@ def growth_log_ratio(
         atan(3t/u) - atan(3t/v) = atan(3 t (v-u) / (u v + 9 t^2)),
 
     so it stays accurate when u - v is hundreds of orders of magnitude
-    below u, and at indices n where u, v, t underflow floats.  log t_k and
-    log eps_k come from one table per (alpha, beta), shared with
-    ``half_plane_log_modulus_radial``; the terms are summed as (sign, log)
-    pairs.  At s = 1 from n = 623 on (at the default exponents), where
-    delta_{n+1}/delta_n <= 2^-54, log(1 - r) is log delta_{n+1} exactly.
-    The result is a signed LogScalar (phase 0 or pi).
+    below u, and at indices n where u, v, t underflow floats.  Interval k
+    adds (eps_k/(pi t_k)) (atan(3t_k/u) - atan(3t_k/v) - atan(2t_k/u) +
+    atan(2t_k/v)), read from the table of ``_log_t_eps``; the terms are
+    summed as (sign, log) pairs.  At s = 1 from n = 623 on (at the default
+    exponents), where delta_{n+1}/delta_n <= 2^-54, log(1 - r) is
+    log delta_{n+1} exactly.  The result is a signed LogScalar (phase 0 or pi).
 
     Only the terms that can reach the sum are evaluated.  Since
     log1p_exp(x) >= max(0, x), log_diff_exp(a, b) <= a and
@@ -480,6 +450,12 @@ def growth_log_ratio(
     (they underflow below -745.14), so neither the maximum nor the
     correctly rounded fsum inside ``log_sum_signed`` can change: the
     result is bit for bit that of the sum of all n_terms terms.
+
+    Most evaluated terms lie deep in the small-angle branch, where the loop
+    skips three calls that are exact no-ops in doubles: log1p_exp(x) is x
+    for x > 36 (see ``log1p_exp``), and -expm1(d) rounds to 1.0 for
+    d < -37.43, so log_diff_exp(a, b) is a for b - a < -40.  With the per-k
+    sums added in the term formula's order, every term keeps its bits.
     """
     if not (0.0 <= s <= 1.0):
         raise ValueError("s must lie in [0, 1]")
@@ -490,16 +466,38 @@ def growth_log_ratio(
     c = log_umv - _LNPI - _LN2
     table = _log_t_eps(params, nt)
     terms = []  # (sign, log|term|)
-    m = -math.inf
+    append = terms.append
+    m = floor = -math.inf  # the largest log|term| so far, and m - 747
     for k in range(nt, 0, -1):
-        lt, le, d_k = table[k]
-        if c + d_k < m - _UNDERFLOW_GAP:
+        lt, _, d_k, a3, a2, b3, b2, n6, e = table[k]
+        if c + d_k < floor:
             break
-        term = _growth_term(lt, le, log_uv, log_umv)
-        if term is not None:
-            terms.append(term)
-            if term[1] > m:
-                m = term[1]
+        # log(1 + 9 t^2/(u v)) >= log(1 + 4 t^2/(u v)); log1p_exp(x) is x past 36
+        l3, l2 = a3 - log_uv, a2 - log_uv
+        if l2 <= 36.0:
+            l3, l2 = log1p_exp(l3), log1p_exp(l2)
+        la3 = b3 + log_umv - l3 - log_uv
+        if la3 > -18.0:
+            # atan arguments comfortably inside float range; the 3:2 ratio
+            # of the arguments keeps the subtraction well conditioned
+            bracket = math.atan(math.exp(b2 + log_umv - l2 - log_uv)) - math.atan(math.exp(la3))
+            if bracket == 0.0:
+                continue
+            sign, lb = (1 if bracket > 0 else -1), math.log(abs(bracket))
+        else:
+            # atan(x) = x to better than double precision; the bracket is
+            # (u-v) t (6 t^2 - u v) / ((u v + 9 t^2)(u v + 4 t^2))
+            if n6 > log_uv:
+                sign, lnum = 1, n6 if log_uv - n6 < -40.0 else log_diff_exp(n6, log_uv)
+            elif n6 < log_uv:
+                sign, lnum = -1, log_uv if n6 - log_uv < -40.0 else log_diff_exp(log_uv, n6)
+            else:
+                continue
+            lb = log_umv + lt + lnum - (log_uv + l3) - (log_uv + l2)
+        lm = e + lb
+        append((sign, lm))
+        if lm > m:
+            m, floor = lm, lm - _UNDERFLOW_GAP
     return log_sum_signed(terms)
 
 
@@ -751,6 +749,8 @@ def poisson_quad_crosscheck(
     30-point Gauss-Legendre rule on each panel of a geometric ladder around
     the spike, at the exact interval ends 2t - x0 and 3t - x0.
     """
+    from ._pcg64 import Generator
+
     params = seq.params
     rng = Generator(seed)
     t_lo = seq.t[params.n_terms]

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hblab.logscalar import (
@@ -190,6 +190,24 @@ def test_log1p_exp_reference(x):
     assert log1p_exp(x) >= max(x, 0.0)
 
 
+def test_deep_term_float_identities():
+    """The two identities that let ``growth_log_ratio`` skip three calls per
+    deep small-angle term, pinned against this platform's libm: x + e**-x
+    is x for every x > 36 (so ``log1p_exp`` returns x there), and
+    -expm1(d) is 1.0 for d < -37.43 (so log_diff_exp(a, b) is a for
+    b - a < -40).  A libm that broke either would move the growth rows."""
+    sweep = [36.0 + i / 64.0 for i in range(1, 64 * 64)]
+    for x in [math.nextafter(36.0, math.inf), 36.5, 1e3, 1e300, *sweep]:
+        assert x + math.exp(-x) == x
+        assert log1p_exp(x) == x
+    for d in [math.nextafter(-37.43, -math.inf), -40.0, -1e3, -1e300]:
+        assert -math.expm1(d) == 1.0
+    for i in range(4096):
+        d = -40.0 - i / 16.0
+        assert -math.expm1(d) == 1.0
+        assert log_diff_exp(1.5, 1.5 + d) == 1.5
+
+
 def test_log_diff_exp():
     assert log_diff_exp(math.log(5.0), math.log(2.0)) == pytest.approx(math.log(3.0))
     assert log_diff_exp(1.0, 1.0) == NEG_INF
@@ -205,11 +223,53 @@ def test_log1m_product(a, b):
     """log(1 - x y) from a = log(1 - x) and b = log(1 - y): bit for bit the
     sum (1 - x) + x (1 - y) written out, and within a few units of
     max(1, |log|) of 1 - x y = e^a - e^b expm1(a) in 200-bit mpmath.  The
-    draws keep |a| >= 1e-12: near |a| = 2^-53, e^a rounds to 1 and x to 0."""
-    from mpmath import mp
-
+    draws keep |a| >= 1e-12, where e^a stays below 1.0."""
     got = log1m_product(a, b)
     assert got == log_add_exp(a, b + math.log1p(-math.exp(max(a, -745.0))))
+    _assert_log1m_product_accurate(a, b, got)
+
+
+def _assert_log1m_product_accurate(a, b, got):
+    from mpmath import mp
+
     with mp.workprec(200):
         ref = float(mp.log(mp.exp(a) - mp.exp(b) * mp.expm1(a)))
     assert abs(got - ref) <= 2.0**-50 * max(1.0, abs(ref))
+
+
+@given(
+    st.one_of(
+        st.floats(min_value=-1e-12, max_value=0.0),
+        st.floats(min_value=-2.0**-52, max_value=0.0),
+    ),
+    st.floats(min_value=-800.0, max_value=-1e-300),
+)
+@example(-1e-17, -1.0)
+@example(-2.0**-53, -1e-300)
+@example(0.0, -1.0)
+def test_log1m_product_near_zero(a, b):
+    """Near a = 0, where e^a rounds to 1.0 (a above about -1.1e-16), x is
+    taken as -expm1(a) and the value stays within a few units of the
+    200-bit reference; a = 0 (x = 0) gives a."""
+    got = log1m_product(a, b)
+    if a == 0.0:
+        assert got == a
+    else:
+        _assert_log1m_product_accurate(a, b, got)
+
+
+def test_dilate_near_r_zero(pair):
+    """A dilation radius so small that log(1 - r) lies above -1.1e-16: the
+    node's log(1 - r w) matches the 200-bit reference and its Gram norm,
+    whose diagonal log(1 - w^2) lies there too, is finite, where both
+    raised a math domain error."""
+    from mpmath import mp
+
+    from hblab.hb import KernelCombo, KernelNode, dilate, hb_norm_sq
+
+    f = dilate(KernelCombo((KernelNode(LogScalar.one(), -1.0),)), 1e-17)
+    (node,) = f.nodes
+    with mp.workprec(200):
+        ref = float(mp.log(1 - mp.mpf(1e-17) * (1 - mp.exp(-1))))
+    assert abs(node.log_one_minus_w - ref) <= 1e-14 * abs(ref)
+    assert math.isfinite(hb_norm_sq(f, pair).log_mag)

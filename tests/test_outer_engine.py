@@ -11,11 +11,11 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hblab import outer
-from hblab.logscalar import log_sum_signed
+from hblab.logscalar import log1p_exp, log_diff_exp, log_sum_signed
 from hblab.outer import (
     ConstructionParams,
     GrowthBoundError,
@@ -364,44 +364,173 @@ def test_growth_ratio_matches_mp_deep(n):
             assert abs(got.log_mag - float(mp.log(abs(total)))) <= tol
 
 
+_LN2, _LN3, _LN6, _LNPI = (math.log(x) for x in (2.0, 3.0, 6.0, math.pi))
+
+
+def _growth_term(lt: float, le: float, log_uv: float, log_umv: float):
+    """Reference for interval k's term (eps_k/(pi t_k)) (atan(3t_k/u) -
+    atan(3t_k/v) - atan(2t_k/u) + atan(2t_k/v)) of ``growth_log_ratio`` as a
+    (sign, log|term|) pair from lt = log t_k and le = log eps_k, written out
+    with every ``log1p_exp`` and ``log_diff_exp`` call; None when the term
+    is exactly zero."""
+    l3 = log1p_exp(2.0 * _LN3 + 2.0 * lt - log_uv)  # log(1 + 9 t^2/(u v))
+    l2 = log1p_exp(2.0 * _LN2 + 2.0 * lt - log_uv)  # log(1 + 4 t^2/(u v))
+    la3 = _LN3 + lt + log_umv - l3 - log_uv
+    if la3 > -18.0:
+        la2 = _LN2 + lt + log_umv - l2 - log_uv
+        bracket = math.atan(math.exp(la2)) - math.atan(math.exp(la3))
+        if bracket == 0.0:
+            return None
+        sign = 1 if bracket > 0 else -1
+        lb = math.log(abs(bracket))
+    else:
+        num_hi = _LN6 + 2.0 * lt
+        if num_hi == log_uv:
+            return None
+        if num_hi > log_uv:
+            sign, lnum = 1, log_diff_exp(num_hi, log_uv)
+        else:
+            sign, lnum = -1, log_diff_exp(log_uv, num_hi)
+        lb = log_umv + lt + lnum - (log_uv + l3) - (log_uv + l2)
+    return sign, le - lt - _LNPI + lb
+
+
+class _CountedTable(tuple):
+    """A table of ``_log_t_eps`` that counts the rows read from it."""
+
+    reads = 0
+
+    def __getitem__(self, k):
+        self.reads += 1
+        return tuple.__getitem__(self, k)
+
+
 @pytest.mark.parametrize(
     "alpha, beta", [(1.2, 1.5), (1.1, 1.3), (1.3, 1.6), (1.2, 1.9), (1.05, 1.1)]
 )
 def test_growth_ratio_pruning_is_exact(alpha, beta, monkeypatch):
     """``growth_log_ratio`` skips the terms that cannot reach the sum; the
     result must equal, bit for bit, ``log_sum_signed`` of all n_terms
-    terms, each built by the same ``_growth_term``.  Each term must lie
-    under its bound U_k, and at n = 697 fewer than the 700 terms must be
-    evaluated, so the pruning is really exercised (at (1.2, 1.5) it keeps
-    23 of 203 terms at n = 200)."""
+    reference terms.  Each term must lie under its bound U_k, and at n = 697
+    fewer than the 700 table rows must be read, so the pruning is really
+    exercised (at (1.2, 1.5) it keeps 23 of 203 terms at n = 200)."""
     p = ConstructionParams(alpha, beta, power_m=1)
-    calls = []
-    term = outer._growth_term
+    log_t_eps = outer._log_t_eps
+    read = []
 
-    def counted(*args):
-        calls.append(args)
-        return term(*args)
+    def counted(params, n):
+        read.append(_CountedTable(log_t_eps(params, n)))
+        return read[-1]
 
-    monkeypatch.setattr(outer, "_growth_term", counted)
+    monkeypatch.setattr(outer, "_log_t_eps", counted)
     for n in sorted(set(range(1, 61)) | set(range(17, 701, 17))):
         for nt in (8, n + 3):
-            table = outer._log_t_eps(p, nt)
+            table = log_t_eps(p, nt)
             for i in range(9):
                 s = i / 8
                 log_uv, log_umv = outer._growth_logs(p, n, s)
                 c = log_umv - math.log(math.pi) - math.log(2.0)
                 every = []
-                for lt, le, _ in table[1 : nt + 1]:
-                    t = term(lt, le, log_uv, log_umv)
+                for lt, le, *_ in table[1 : nt + 1]:
+                    t = _growth_term(lt, le, log_uv, log_umv)
                     if t is not None:
                         every.append(t)
                         bound = c + le + min(math.log(6.0) - log_uv, -2.0 * lt)
                         assert t[1] <= bound + 1e-9 * max(1.0, abs(bound))
-                calls.clear()
                 got = growth_log_ratio(p, n, s, n_terms=nt)
                 assert got == log_sum_signed(every)
                 if n == 697 and nt == n + 3:
-                    assert len(calls) < nt  # the pruning fires
+                    assert read[-1].reads < nt  # the pruning fires
+
+
+def _assert_kernel_matches_reference(p, n, s, nt):
+    """growth_log_ratio(p, n, s, nt) is, bit for bit, the sum of all nt
+    reference terms, none pruned."""
+    got = growth_log_ratio(p, n, s, n_terms=nt)
+    log_uv, log_umv = outer._growth_logs(p, n, s)
+    terms = (_growth_term(r[0], r[1], log_uv, log_umv) for r in outer._log_t_eps(p, nt)[1 : nt + 1])
+    want = log_sum_signed([t for t in terms if t is not None])
+    assert (got.log_mag, got.phase) == (want.log_mag, want.phase)
+
+
+@given(
+    st.floats(min_value=1.05, max_value=1.3),
+    st.floats(min_value=1.1, max_value=1.9),
+    st.integers(min_value=1, max_value=900),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+    st.sampled_from([1, 2, 8, 0, 3, 10]),
+)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_growth_kernel_matches_reference(alpha, beta, n, s, nt_pick):
+    """The term loop of ``growth_log_ratio``, with its per-k sums read from
+    the table and its skipped ``log1p_exp``/``log_diff_exp`` calls, gives
+    the ratio of the written-out reference terms bit for bit, across the
+    (alpha, beta) box of the parameter-family checks, past n = 623 (where
+    s = 1 takes log delta_{n+1}), and at n_terms 1, 2, 8, n, n + 3 and
+    n + 10 (drawn as 0, 3 and 10 for the last three)."""
+    assume(alpha < beta)
+    p = ConstructionParams(alpha, beta, power_m=1)
+    nt = nt_pick if nt_pick in (1, 2, 8) else n + nt_pick
+    fresh = (alpha, beta) not in outer._LOG_T_EPS
+    try:
+        _assert_kernel_matches_reference(p, n, s, nt)
+    finally:
+        if fresh:  # keep the shared cache from growing one table per draw
+            outer._LOG_T_EPS.pop((alpha, beta), None)
+
+
+def _ulps(x: float, count: int) -> list:
+    """x and its `count` float neighbours on each side."""
+    out = [x]
+    lo = hi = x
+    for _ in range(count):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+@pytest.mark.parametrize("edge", ["log1p_exp", "log_diff_exp", "small_angle"])
+def test_growth_kernel_branch_edges(edge, monkeypatch):
+    """At the kernel's three branch edges the loop and the reference agree
+    bit for bit, on both sides of each edge: x2 = 2 log 2 + 2 log t_k -
+    log(u v) at 36, where ``log1p_exp`` turns into the identity;
+    log(u v) - (log 6 + 2 log t_k) at -40 and at 40 in the small-angle
+    branch, where ``log_diff_exp`` is skipped; and la3 at -18 (itself
+    included), where the atan bracket gives way to the small-angle form.
+    The pair (log(u v), log(u - v)) is set directly, with interval k = 5
+    on the edge."""
+    p = ConstructionParams(1.2, 1.5, power_m=1)
+    nt, k = 10, 5
+    lt = outer._log_t_eps(p, nt)[k][0]
+    n6 = _LN6 + 2.0 * lt
+
+    def la3(log_uv, log_umv):
+        return _LN3 + lt + log_umv - log1p_exp(2.0 * _LN3 + 2.0 * lt - log_uv) - log_uv
+
+    def side(log_uv, log_umv):
+        if edge == "log1p_exp":
+            return 2.0 * _LN2 + 2.0 * lt - log_uv > 36.0
+        if edge == "log_diff_exp":
+            return abs(log_uv - n6) > 40.0
+        return la3(log_uv, log_umv) > -18.0
+
+    if edge == "log1p_exp":
+        pairs = [(uv, 0.5 * uv - 5.0) for uv in _ulps(2.0 * _LN2 + 2.0 * lt - 36.0, 4)]
+    elif edge == "log_diff_exp":
+        pairs = [(uv, 0.5 * uv - 5.0) for d in (-40.0, 40.0) for uv in _ulps(n6 + d, 4)]
+    else:
+        uv = 2.0 * lt - 10.0
+        umv = -18.0 - _LN3 - lt + log1p_exp(2.0 * _LN3 + 2.0 * lt - uv) + uv
+        pairs = [(uv, x) for x in _ulps(umv, 64)]
+        assert any(la3(uv, x) == -18.0 for _, x in pairs)
+    sides = set()
+    for log_uv, log_umv in pairs:
+        monkeypatch.setattr(outer, "_growth_logs", lambda *_, v=(log_uv, log_umv): v)
+        _assert_kernel_matches_reference(p, 7, 0.5, nt)
+        if edge == "log_diff_exp":
+            assert la3(log_uv, log_umv) <= -18.0
+        sides.add(side(log_uv, log_umv))
+    assert sides == {False, True}
 
 
 # -- bound verification and the power search -------------------------------
@@ -569,7 +698,7 @@ bare = sorted(
 )
 import hblab.cli
 verbs = (
-    ("construct", ("hblab.hb", "hblab.experiments", "mpmath", *everywhere)),
+    ("construct", ("hblab.hb", "hblab.experiments", "hblab._pcg64", "mpmath", *everywhere)),
     ("verify-outer", ("hblab.hb", "hblab.experiments", "mpmath", *everywhere)),
     ("norm-crosscheck", ("hblab.experiments", "mpmath", *everywhere)),
     ("divergence", everywhere),
@@ -609,7 +738,8 @@ def test_verify_outer_imports_only_runtime_dependencies():
     included, load nothing beyond the standard library and mpmath, and
     never click.  A bare ``import hblab`` loads no submodule; ``construct``
     and ``verify-outer`` load neither ``hb``, ``experiments`` nor mpmath,
-    and ``norm-crosscheck`` loads neither ``experiments`` nor mpmath.
+    ``construct`` not the seeded generator ``_pcg64`` either, and
+    ``norm-crosscheck`` loads neither ``experiments`` nor mpmath.
     Neither the bare import nor any verb loads ``dataclasses`` or
     ``inspect``."""
     import os
