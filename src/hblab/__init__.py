@@ -46,7 +46,6 @@ _EXPORTS = {
             "StepModulus",
             "build_pair",
             "outer_eval",
-            "outer_series",
             "pair_from_json",
             "pair_to_json",
             "step_modulus_from_phi",
@@ -72,6 +71,7 @@ _EXPORTS = {
         "hb",
     ),
     **dict.fromkeys(("TaylorSeries", "exp_series", "triangular_solve_upper_toeplitz"), "series"),
+    "outer_series": "taylor",
     **dict.fromkeys(
         (
             "abel_fr_plus",

@@ -148,7 +148,8 @@ def log_cayley_im(params: ConstructionParams, ld: float) -> float:
     return ld - math.log(2.0 - d)
 
 
-# (alpha, beta) -> (row k for k = 0, 1, ...); row 0 is padding
+# {(alpha, beta): (row k for k = 0, 1, ...)} for the most recent (alpha,
+# beta) only, so a parameter sweep holds one table; row 0 is padding
 _LOG_T_EPS: dict = {}
 
 
@@ -158,8 +159,10 @@ def _log_t_eps(params: ConstructionParams, n: int) -> tuple:
     terms of ``growth_log_ratio`` from interval k down, then their per-k
     sums 2 log 3 + 2 log t_k, 2 log 2 + 2 log t_k, log 3 + log t_k, log 2 +
     log t_k, log 6 + 2 log t_k and log eps_k - log t_k - log pi.  Each
-    depends on k and the exponents alone, so the radial evaluators share one
-    table per (alpha, beta); a longer one replaces it whole, never in part."""
+    depends on k and the exponents alone, so the radial evaluators share the
+    table of the most recent (alpha, beta); a longer one, or another
+    pair's, replaces it whole, never in part."""
+    global _LOG_T_EPS
     key = (params.alpha, params.beta)
     table = _LOG_T_EPS.get(key, ((math.nan, math.nan, -math.inf),))
     if len(table) <= n:
@@ -171,7 +174,8 @@ def _log_t_eps(params: ConstructionParams, n: int) -> tuple:
             lt2 = 2.0 * lt
             rows.append((lt, le, d_max, 2.0 * _LN3 + lt2, 2.0 * _LN2 + lt2, _LN3 + lt, _LN2 + lt,
                          _LN6 + lt2, le - lt - _LNPI))
-        table = _LOG_T_EPS[key] = table + tuple(rows)
+        table = table + tuple(rows)
+        _LOG_T_EPS = {key: table}
     return table
 
 

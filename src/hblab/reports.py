@@ -8,8 +8,18 @@ the same reason.
 
 from __future__ import annotations
 
-import hashlib
 import json
+
+# hashlib maps OpenSSL's libcrypto on import; the interpreter's built-in
+# sha256 gives the same digest without it (as the standard library's
+# random does for sha512).  CPython 3.12 renamed the module _sha2.
+try:
+    from _sha256 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha2 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 from ._record import Record, _set
 
@@ -76,4 +86,4 @@ class ExperimentReport(Record):
 def config_hash(config: dict) -> str:
     """Stable short hash of a configuration mapping."""
     doc = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(doc.encode()).hexdigest()[:16]
+    return _sha256(doc.encode()).hexdigest()[:16]

@@ -4,7 +4,7 @@ Coefficients may be ordinary Python complex/float numbers or mpmath numbers;
 all operations are written generically so the same code path serves the
 double-precision and extended-precision experiments.  Products and
 ``exp_series`` are plain O(N^2) recurrences; the long outer-function series
-come from the O(N * cells) recurrence of ``hblab.pair.outer_series``, which
+come from the O(N * cells) recurrence of ``hblab.taylor.outer_series``, which
 uses ``exp_series`` only as its low-degree oracle.
 
 The ``fixed_*`` helpers are the one aligned-mantissa format of every exact
@@ -39,7 +39,7 @@ class TaylorSeries(Record):
 
     ``error_bound``, where known, bounds the error of every coefficient
     relative to its size before its rounding to ``precision_bits``
-    (``hblab.pair.outer_series`` counts it); series made by any other
+    (``hblab.taylor.outer_series`` counts it); series made by any other
     operation carry None.  Equality and hash leave ``error_bound`` out.
     """
 

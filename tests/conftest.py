@@ -1,6 +1,12 @@
 """Shared fixtures: the default constructed pair, the tame pair, the
-divergent kernel combination, built once per session, and the H(b) inner
-product of Taylor series."""
+divergent kernel combination, built once per session, the H(b) inner
+product of Taylor series, and a runner of scripts in a fresh interpreter."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +26,23 @@ def _hb_inner(f, g, pair):
 @pytest.fixture(scope="session")
 def hb_inner():
     return _hb_inner
+
+
+def _run_fresh(script: str):
+    """Run ``script`` in a fresh interpreter that imports this hblab and
+    return the JSON document it prints."""
+    import hblab
+
+    src = str(Path(hblab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout)
+
+
+@pytest.fixture(scope="session")
+def run_fresh():
+    return _run_fresh
 
 
 @pytest.fixture(scope="session")

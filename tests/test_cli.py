@@ -63,6 +63,29 @@ def test_load_config_precedence(tmp_path):
     assert cfg["formats"] == ["csv"]
 
 
+def test_config_hash_is_the_sha256_digest():
+    """``config_hash`` is the first 16 hex digits of hashlib's sha256 of the
+    sorted compact JSON, at the CLI defaults and their variants, whatever
+    module supplies sha256 at run time."""
+    import hashlib
+
+    from hblab.cli import _DEFAULTS
+    from hblab.reports import config_hash
+
+    base = {k: v for k, v in _DEFAULTS.items() if k != "output_dir"}
+    variants = (
+        base,
+        {**base, "j_max": 1024},
+        {**base, "precision_bits": 53, "seed": 7},
+        {**base, "power_m": "auto", "formats": ["csv"]},
+        {**base, "alpha": 1.25, "summability_n_list": []},
+        {},
+    )
+    for cfg in variants:
+        doc = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+        assert config_hash(cfg) == hashlib.sha256(doc.encode()).hexdigest()[:16]
+
+
 def test_unknown_config_key_rejected(tmp_path, runner):
     cases = (
         ({"alpha": 1.2, "mystery_knob": 3}, "mystery_knob"),

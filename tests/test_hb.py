@@ -26,7 +26,8 @@ from hblab.hb import (
     toeplitz_coanalytic_apply,
 )
 from hblab.logscalar import LogScalar
-from hblab.pair import outer_series, tame_pair
+from hblab.pair import tame_pair
+from hblab.taylor import outer_series
 from hblab.series import TaylorSeries
 
 PHI_HAT_TAME = tame_pair().phi_hat(160)  # (1+z)/(1-z)

@@ -8,6 +8,7 @@ implementation of the defining formulas.
 import importlib.util
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -471,12 +472,25 @@ def test_growth_kernel_matches_reference(alpha, beta, n, s, nt_pick):
     assume(alpha < beta)
     p = ConstructionParams(alpha, beta, power_m=1)
     nt = nt_pick if nt_pick in (1, 2, 8) else n + nt_pick
-    fresh = (alpha, beta) not in outer._LOG_T_EPS
-    try:
-        _assert_kernel_matches_reference(p, n, s, nt)
-    finally:
-        if fresh:  # keep the shared cache from growing one table per draw
-            outer._LOG_T_EPS.pop((alpha, beta), None)
+    _assert_kernel_matches_reference(p, n, s, nt)
+
+
+def test_log_t_eps_keeps_one_table():
+    """A sweep over 50 (alpha, beta) leaves one table, that of the last
+    pair, and a pair met again gets the rows it had before."""
+    import random
+
+    rng = random.Random(7)
+    first = ConstructionParams(1.2, 1.5, power_m=1)
+    rows = outer._log_t_eps(first, 40)[:41]
+    for _ in range(50):
+        alpha = rng.uniform(1.05, 1.3)
+        last = ConstructionParams(alpha, rng.uniform(alpha + 0.01, 1.9), power_m=1)
+        growth_log_ratio(last, 30, 0.5, n_terms=40)
+    assert list(outer._LOG_T_EPS) == [(last.alpha, last.beta)]
+    assert len(outer._LOG_T_EPS[(last.alpha, last.beta)]) == 41
+    assert outer._log_t_eps(first, 40)[:41] == rows
+    assert list(outer._LOG_T_EPS) == [(first.alpha, first.beta)]
 
 
 def _ulps(x: float, count: int) -> list:
@@ -692,16 +706,17 @@ _IMPORT_PROBE = """
 import json, os, sys, sysconfig, tempfile
 before = set(sys.modules)
 import hblab
-everywhere = ("dataclasses", "inspect")
+everywhere = ("dataclasses", "inspect", "hashlib", "_hashlib")
 bare = sorted(
     name for name in sys.modules if name.startswith("hblab.") or name in everywhere
 )
 import hblab.cli
+no_series = ("hblab.series", "hblab.taylor", *everywhere)
 verbs = (
-    ("construct", ("hblab.hb", "hblab.experiments", "hblab._pcg64", "mpmath", *everywhere)),
-    ("verify-outer", ("hblab.hb", "hblab.experiments", "mpmath", *everywhere)),
-    ("norm-crosscheck", ("hblab.experiments", "mpmath", *everywhere)),
-    ("divergence", everywhere),
+    ("construct", ("hblab.hb", "hblab.experiments", "hblab._pcg64", "mpmath", *no_series)),
+    ("verify-outer", ("hblab.hb", "hblab.experiments", "mpmath", *no_series)),
+    ("norm-crosscheck", ("hblab.experiments", "mpmath", "hblab.taylor", *everywhere)),
+    ("divergence", ("hblab.taylor", *everywhere)),
     ("sarason", everywhere),
     ("summability", everywhere),
 )
@@ -733,30 +748,19 @@ print(json.dumps({"bare": bare, "loaded": loaded, "click": click, "stray": stray
 """
 
 
-def test_verify_outer_imports_only_runtime_dependencies():
+def test_verify_outer_imports_only_runtime_dependencies(run_fresh):
     """The CLI and every verb, the quadrature oracle and the seeded draws
     included, load nothing beyond the standard library and mpmath, and
     never click.  A bare ``import hblab`` loads no submodule; ``construct``
     and ``verify-outer`` load neither ``hb``, ``experiments`` nor mpmath,
     ``construct`` not the seeded generator ``_pcg64`` either, and
     ``norm-crosscheck`` loads neither ``experiments`` nor mpmath.
-    Neither the bare import nor any verb loads ``dataclasses`` or
-    ``inspect``."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import hblab
-
-    src = str(Path(hblab.__file__).resolve().parents[1])
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
-    res = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True, env=env
-    )
-    assert res.returncode == 0, res.stderr
-    probe = json.loads(res.stdout)
+    ``construct`` and ``verify-outer`` load neither ``series`` nor the
+    Taylor engine ``taylor``, and ``norm-crosscheck`` and ``divergence``
+    not ``taylor``.  Neither the bare import nor any verb loads
+    ``dataclasses``, ``inspect`` or ``hashlib`` (with OpenSSL's
+    ``_hashlib``)."""
+    probe = run_fresh(_IMPORT_PROBE)
     assert probe["bare"] == []
     assert probe["loaded"] == {verb: [] for verb in probe["loaded"]}
     assert len(probe["loaded"]) == 6

@@ -16,7 +16,6 @@ from hblab.pair import (
     build_pair,
     log_outer_series,
     outer_eval,
-    outer_series,
     pair_from_json,
     pair_to_json,
     phi_step_modulus,
@@ -24,6 +23,7 @@ from hblab.pair import (
     tame_pair,
 )
 from hblab.series import TaylorSeries, exp_series
+from hblab.taylor import outer_series
 
 HALF_LN2 = 0.5 * math.log(2.0)
 
@@ -499,7 +499,7 @@ def test_outer_series_kernel_matches_four_multiplies(drawn):
     """The three-multiply kernel, which forms no imaginary sum on
     theta-symmetric data, gives every coefficient and the error bound of
     the four-multiply loop exactly, or fails with the same message."""
-    import hblab.pair as pairmod
+    import hblab.taylor as taylor
 
     mod, symmetric = drawn
 
@@ -513,8 +513,58 @@ def test_outer_series_kernel_matches_four_multiplies(drawn):
     for bits in (53, 200) if symmetric else (53,):
         got = outcome(bits)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(pairmod, "_pole_recurrence", four_multiply_recurrence)
+            patch.setattr(taylor, "_pole_recurrence", four_multiply_recurrence)
             assert outcome(bits) == got
+
+
+_TAYLOR_IMPORT_ORDER = """
+import json, sys
+import hblab.pair as pair
+import hblab.series as series
+from hblab.outer import ConstructionParams
+loaded_early = "hblab.taylor" in sys.modules
+originals = pair.log_outer_series, series.exp_series
+calls = dict.fromkeys(("log_outer_series", "exp_series"), 0)
+def counting(fn):
+    def wrapped(*args, **kwargs):
+        calls[fn.__name__] += 1
+        return fn(*args, **kwargs)
+    return wrapped
+pair.log_outer_series = counting(pair.log_outer_series)
+series.exp_series = counting(series.exp_series)
+p = pair.build_pair(ConstructionParams(alpha=1.2, beta=1.5, power_m=1))
+first = p.phi_hat(32, 128)
+wrapped_calls = dict(calls)
+pair.log_outer_series, series.exp_series = originals
+reached = set()
+def profile(frame, event, arg):
+    if event == "call":
+        reached.add(frame.f_code)
+sys.setprofile(profile)
+second = p.phi_hat(32, 128)
+sys.setprofile(None)
+print(json.dumps({
+    "loaded_early": loaded_early,
+    "wrapped_calls": wrapped_calls,
+    "calls_after_restore": calls,
+    "originals_reached": [fn.__code__ in reached for fn in originals],
+    "same": first == second,
+}))
+"""
+
+
+def test_taylor_resolves_the_oracle_at_call_time(run_fresh):
+    """``taylor`` calls ``pair.log_outer_series`` and ``series.exp_series``
+    through their home modules, in a fresh interpreter: wrappers bound
+    there before ``hblab.taylor`` is first imported see ``phi_hat``'s
+    oracle calls, and once the originals are restored a second call
+    reaches them, not a stale binding."""
+    probe = run_fresh(_TAYLOR_IMPORT_ORDER)
+    assert probe["loaded_early"] is False
+    assert probe["wrapped_calls"] == {"log_outer_series": 1, "exp_series": 1}
+    assert probe["calls_after_restore"] == probe["wrapped_calls"]
+    assert probe["originals_reached"] == [True, True]
+    assert probe["same"] is True
 
 
 # -- serialization ----------------------------------------------------------
