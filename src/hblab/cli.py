@@ -154,7 +154,7 @@ def run_command(body, config_path, out_dir, precision_bits, seed, fmt):
 def construct(cfg):
     """Build the pair (b, a), record the chosen power and the tail-ratio
     table, and write pair.json."""
-    from .outer import ConstructionParams, check_rho_condition, choose_power_m, make_sequences
+    from .outer import ConstructionParams, check_rho_condition, choose_power_m
     from .pair import build_pair, pair_to_json
     from .reports import CODE_VERSION, config_hash, fmt_number
 
@@ -167,8 +167,7 @@ def construct(cfg):
         n_check=cfg["n_check"],
     )
     if params.power_m == "auto":
-        seq = make_sequences(params)
-        m = choose_power_m(params, seq, r_samples=cfg["r_samples"])
+        m = choose_power_m(params, r_samples=cfg["r_samples"])
         params = params.with_power(m)
     try:
         pair = build_pair(params)

@@ -83,12 +83,15 @@ def fr_plus_at_zero(r: Union[float, Radius], f: KernelCombo, pair: Pair) -> LogS
 
 
 def interval_radius(params, n: int, s: float) -> Radius:
-    """The radius w_n + s (w_{n+1} - w_n) via log(1 - r), exact near 1."""
+    """The radius w_n + s (w_{n+1} - w_n) via log(1 - r), exact near 1;
+    s outside [0, 1], NaN included, raises ValueError."""
+    if not (0.0 <= s <= 1.0):
+        raise ValueError(f"s must lie in [0, 1], got {s}")
     ld_n = log_delta(params, n)
     ld_n1 = log_delta(params, n + 1)
-    if s <= 0.0:
+    if s == 0.0:
         return Radius.from_log_one_minus(ld_n)
-    if s >= 1.0:
+    if s == 1.0:
         return Radius.from_log_one_minus(ld_n1)
     # 1 - r = (1-s) d_n + s d_{n+1}
     return Radius.from_log_one_minus(

@@ -243,8 +243,9 @@ def sarason_f_plus(f: TaylorSeries, phi_hat: TaylorSeries) -> TaylorSeries:
     """f+ by the coefficient formula f+hat(k) = sum_j fhat(j+k) conj(phihat(j)).
 
     Valid whenever the inner series converges absolutely for each k (always
-    for polynomials, where it is exact with phi-hat to the degree of f).
-    With phi-hat from ``Pair.phi_hat`` (in the mpmath reports through
+    for polynomials, where it is exact with phi-hat to the degree of f); a
+    phi-hat with fewer coefficients than f raises ValueError.  With phi-hat
+    from ``Pair.phi_hat`` (in the mpmath reports through
     ``experiments.phi_hat_series``) this is the route of every H(b) norm
     of a TaylorSeries; ``f_plus_solve`` is its independent oracle.  On
     real mpmath series the mantissas of f and of phi-hat are aligned once
@@ -252,22 +253,19 @@ def sarason_f_plus(f: TaylorSeries, phi_hat: TaylorSeries) -> TaylorSeries:
     so each output coefficient is one exact integer dot product
     (``fixed_dot``) rounded once at the result's precision, the smaller of
     the two series' ``precision_bits``, whatever the ambient mpmath
-    precision; floats keep the plain loop.
+    precision; floats take T_phi-hat-bar f, ``toeplitz_coanalytic_apply``.
     """
-    bits = min(f.precision_bits, phi_hat.precision_bits)
     nf = len(f.coeffs)
-    if bits > 53:
-        fs, fe = fixed_mantissas(f.coeffs)
-        ps, pe = fixed_mantissas(phi_hat.coeffs)
-        out = [fixed_to_mpf(fixed_dot(fs[k:], ps), fe + pe, bits) for k in range(nf)]
-        return TaylorSeries(tuple(out), bits)
-    out = []
-    for k in range(nf):
-        m = min(nf - k, len(phi_hat.coeffs))
-        acc = 0.0
-        for j in range(m):
-            acc = acc + f.coeffs[j + k] * phi_hat.coeffs[j].conjugate()
-        out.append(acc)
+    if len(phi_hat.coeffs) < nf:
+        raise ValueError(
+            f"phi-hat has {len(phi_hat.coeffs)} coefficients, fewer than the {nf} of f"
+        )
+    bits = min(f.precision_bits, phi_hat.precision_bits)
+    if bits <= 53:
+        return toeplitz_coanalytic_apply(phi_hat, f)
+    fs, fe = fixed_mantissas(f.coeffs)
+    ps, pe = fixed_mantissas(phi_hat.coeffs)
+    out = [fixed_to_mpf(fixed_dot(fs[k:], ps), fe + pe, bits) for k in range(nf)]
     return TaylorSeries(tuple(out), bits)
 
 

@@ -1,10 +1,10 @@
-"""Overflow-safe scalars stored as natural-log magnitude plus a phase.
+"""Overflow-safe real scalars stored as natural-log magnitude plus a sign.
 
 The construction manipulates quantities like exp(exp(n**1.5 - n**1.2)) that
 blow past any floating-point range long before the interesting regime is
 reached, so every magnitude-carrying value in the library is a
-:class:`LogScalar`: the pair (log|x|, arg x).  Exact zero is log_mag = -inf
-with canonical phase 0.  Phases live in (-pi, pi].
+:class:`LogScalar`: the pair (log|x|, arg x) of a real x, whose phase is 0
+for x >= 0 and pi for x < 0.  Exact zero is log_mag = -inf with phase 0.
 """
 
 from __future__ import annotations
@@ -14,23 +14,15 @@ from typing import Iterable, Sequence
 
 from ._record import Record, _set
 
-_TAU = 2.0 * math.pi
 NEG_INF = float("-inf")
 
 
-def wrap_phase(theta: float) -> float:
-    """Wrap an angle to the canonical interval (-pi, pi]."""
-    t = math.remainder(theta, _TAU)
-    if t <= -math.pi:
-        t += _TAU
-    return t
-
-
 class LogScalar(Record):
-    """A number x stored as (log|x|, arg x); immutable.
+    """A real number x stored as (log|x|, arg x); immutable.
 
     ``log_mag`` may be -inf (exact zero, phase forced to 0).  Positive reals
-    have phase 0, negative reals phase pi.
+    have phase 0, negative reals phase pi; any other phase raises
+    ValueError.
     """
 
     __slots__ = ("log_mag", "phase")
@@ -43,10 +35,10 @@ class LogScalar(Record):
     def __post_init__(self):
         if math.isnan(self.log_mag):
             raise ValueError("log_mag must not be NaN")
+        if self.phase != 0.0 and self.phase != math.pi:
+            raise ValueError(f"a LogScalar is real: phase must be 0 or pi, got {self.phase!r}")
         if self.log_mag == NEG_INF:
             _set(self, "phase", 0.0)
-        else:
-            _set(self, "phase", wrap_phase(self.phase))
 
     # -- constructors ------------------------------------------------------
 
@@ -81,11 +73,7 @@ class LogScalar(Record):
         """Sign of a real LogScalar (+1, -1 or 0)."""
         if self.is_zero:
             return 0
-        if self.phase == 0.0:
-            return 1
-        if self.phase == math.pi:
-            return -1
-        raise ValueError(f"not a real LogScalar (phase={self.phase})")
+        return 1 if self.phase == 0.0 else -1
 
     # -- conversions -------------------------------------------------------
 
@@ -99,37 +87,8 @@ class LogScalar(Record):
         except OverflowError:
             return s * math.inf
 
-    # -- arithmetic --------------------------------------------------------
-
-    def __mul__(self, other: "LogScalar") -> "LogScalar":
-        if self.is_zero or other.is_zero:
-            return LogScalar.zero()
-        return LogScalar(self.log_mag + other.log_mag, self.phase + other.phase)
-
-    def __truediv__(self, other: "LogScalar") -> "LogScalar":
-        if other.is_zero:
-            raise ZeroDivisionError("LogScalar division by zero")
-        if self.is_zero:
-            return LogScalar.zero()
-        return LogScalar(self.log_mag - other.log_mag, self.phase - other.phase)
-
-    def __pow__(self, k: float) -> "LogScalar":
-        if self.is_zero:
-            if k <= 0:
-                raise ZeroDivisionError("0 ** nonpositive power")
-            return LogScalar.zero()
-        return LogScalar(k * self.log_mag, k * self.phase)
-
-    def __neg__(self) -> "LogScalar":
-        if self.is_zero:
-            return self
-        return LogScalar(self.log_mag, self.phase + math.pi)
-
-    def __abs__(self) -> "LogScalar":
-        return LogScalar(self.log_mag)
-
-    # One total order on real LogScalars: by sign, then by magnitude, the
-    # larger magnitude the smaller among negatives; a complex one raises.
+    # One total order: by sign, then by magnitude, the larger magnitude the
+    # smaller among negatives.
     def __lt__(self, other: "LogScalar") -> bool:
         sa, sb = self.sign(), other.sign()
         if sa != sb:

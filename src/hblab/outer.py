@@ -140,7 +140,7 @@ def log_t(params: ConstructionParams, n: int) -> float:
     return ld + math.log(2.0 - d) - math.log(1.0 + (1.0 - d) ** 2)
 
 
-def log_cayley_im(params: ConstructionParams, ld: float) -> float:
+def log_cayley_im(ld: float) -> float:
     """log of (1-x)/(1+x) for x = 1 - exp(ld) in (0, 1)."""
     if ld < -700.0:
         return ld - _LN2
@@ -211,14 +211,21 @@ class Sequences(Record):
         return d / (2.0 - d)
 
 
-def make_sequences(params: ConstructionParams) -> Sequences:
-    """Populate w, rho, t, eps for indices 1..N in log-domain arithmetic."""
-    n_top = params.n_terms + 1
-    if float(n_top) ** params.beta > 700.0:
+def _check_float_range(params: ConstructionParams):
+    """Raise ParameterError unless (N+1)**beta <= 700, so that the float
+    sequences of a pair keep delta_{N+1} = exp(-(N+1)**beta) a normal
+    float."""
+    if float(params.n_terms + 1) ** params.beta > 700.0:
         raise ParameterError(
             "n_terms too large for float-range sequences; "
             "use the log-domain asymptotic evaluators instead"
         )
+
+
+def make_sequences(params: ConstructionParams) -> Sequences:
+    """Populate w, rho, t, eps for indices 1..N in log-domain arithmetic."""
+    _check_float_range(params)
+    n_top = params.n_terms + 1
     nan = float("nan")
     w = [nan]
     t = [nan]
@@ -349,30 +356,26 @@ def _log_atan_diff(log_q: float) -> float:
     return log_arg
 
 
-def half_plane_log_modulus_radial(
-    log_y: float, params: ConstructionParams, n_terms: Optional[int] = None
-) -> LogScalar:
+def half_plane_log_modulus_radial(log_y: float, params: ConstructionParams) -> LogScalar:
     """Re log Phi(i y) with y = e**log_y > 0, as a LogScalar.
 
-    Valid for any magnitude of y; each interval contributes
+    Valid for any magnitude of y; each of the n_terms intervals contributes
     (eps_k / (pi t_k)) * (atan(3 t_k / y) - atan(2 t_k / y)).
     """
-    n = n_terms if n_terms is not None else params.n_terms
+    n = params.n_terms
     return log_sum_exp(
         row[8] + _log_atan_diff(row[0] - log_y) for row in _log_t_eps(params, n)[1 : n + 1]
     )
 
 
-def log_phi_radial(
-    ld_x: float, params: ConstructionParams, n_terms: Optional[int] = None
-) -> float:
+def log_phi_radial(ld_x: float, params: ConstructionParams) -> float:
     """log phi(x) at the point x = 1 - e**ld_x of (0, 1), as a float.
 
     Combines the Cayley image of x with the symmetrized power; raises if
     the value exceeds float range (use the asymptotic scan in that regime).
     """
     m = params.resolved_power()
-    f = half_plane_log_modulus_radial(log_cayley_im(params, ld_x), params, n_terms)
+    f = half_plane_log_modulus_radial(log_cayley_im(ld_x), params)
     val = f.to_float()
     if math.isinf(val):
         raise OverflowError("log phi exceeds float range; use log-domain scans")
@@ -571,15 +574,21 @@ def verify_growth_bound(
     return records
 
 
-def choose_power_m(
-    params: ConstructionParams, seq: Sequences, r_samples: int = 33, m_max: int = 10**6
-) -> int:
+# the largest power choose_power_m tries
+_M_MAX = 10**6
+
+
+def choose_power_m(params: ConstructionParams, r_samples: int = 33) -> int:
     """Smallest power m making the growth bound hold for n = 1..n_check.
 
     The per-power ratio scales linearly in m, so the linear search from
     m = 1 reduces to one worst-case ratio per interval; a nonpositive
-    ratio anywhere means no power works and raises GrowthBoundError.
+    ratio anywhere means no power works, and no power up to 10**6 working
+    means none is taken: both raise GrowthBoundError.  The power is that of
+    a pair, so n_terms past float range raises ParameterError first, as
+    ``make_sequences`` does.
     """
+    _check_float_range(params)
     worst = []  # (n, min signed ratio as LogScalar, bound log)
     for n in range(1, params.n_check + 1):
         best, _ = _worst_ratios(params, n, r_samples)
@@ -603,10 +612,10 @@ def choose_power_m(
     # closed form for the linear search from m = 1
     need = max(lb - rat.log_mag - _LN2 for _, rat, lb in worst)
     m = 1 if need <= 0.0 else int(math.ceil(math.exp(need) * (1 - 1e-15)))
-    while m <= m_max and not works(m):
+    while m <= _M_MAX and not works(m):
         m += 1
-    if m > m_max:
-        raise GrowthBoundError(f"no power m <= {m_max} satisfies the bound", table=worst)
+    if m > _M_MAX:
+        raise GrowthBoundError(f"no power m <= {_M_MAX} satisfies the bound", table=worst)
     if m > 1 and works(m - 1):
         m -= 1  # guard against ceiling overshoot; preserves minimality
     return m
@@ -653,12 +662,12 @@ class GrowthScanRow(Record):
         _set(self, "passes_with_m", passes_with_m)
 
 
+# growth_bound_scan truncates the boundary datum at n + 3 intervals in row n
+_SCAN_TAIL_TERMS = 3
+
+
 def growth_bound_scan(
-    params: ConstructionParams,
-    n_lo: int,
-    n_hi: int,
-    samples: int = 9,
-    tail_terms: int = 3,
+    params: ConstructionParams, n_lo: int, n_hi: int, samples: int = 9
 ) -> list:
     """Log-domain scan of the growth ratio over arbitrary interval indices.
 
@@ -670,20 +679,17 @@ def growth_bound_scan(
     (see check_rho_condition).  The reported interior minimum therefore
     depends on the sample grid; the closed-interval minimum does not once
     the whole interval is positive.  Truncates the boundary datum at
-    n + tail_terms interior intervals per row, which the tail decay makes
+    n + 3 interior intervals per row, which the tail decay makes
     inconsequential.  Each row extends the shared (log t_k, log eps_k, D_k)
     table of ``growth_log_ratio`` by one k, so a scan computes each once.
     The right endpoint stays finite at any n: where delta_{n+1}/delta_n
     falls to 2^-54 its log(1 - r) is log delta_{n+1} exactly.
     """
-    if samples < 2 or n_lo < 1 or tail_terms < 0:
-        raise ValueError(
-            "need samples >= 2, n_lo >= 1 and tail_terms >= 0, got "
-            f"samples={samples}, n_lo={n_lo}, tail_terms={tail_terms}"
-        )
+    if samples < 2 or n_lo < 1:
+        raise ValueError(f"need samples >= 2 and n_lo >= 1, got samples={samples}, n_lo={n_lo}")
     rows = []
     for n in range(n_lo, n_hi + 1):
-        best, best_int = _worst_ratios(params, n, samples, n_terms=n + tail_terms)
+        best, best_int = _worst_ratios(params, n, samples, n_terms=n + _SCAN_TAIL_TERMS)
         lb = float(n) ** params.beta - float(n) ** params.alpha
         positive = best_int.sign() > 0
         m_req = None
@@ -743,10 +749,13 @@ def _two_sum(a: float, b: float):
     return s, (a - (s - bb)) + (b - bb)
 
 
-def poisson_quad_crosscheck(
-    seq: Sequences, n_points: int = 50, seed: int = 0, rtol: float = 1e-8
-) -> float:
-    """Max relative error of closed-form Re log Phi against Poisson quadrature.
+# the largest relative error poisson_quad_crosscheck accepts
+_QUAD_RTOL = 1e-8
+
+
+def poisson_quad_crosscheck(seq: Sequences, n_points: int = 50, seed: int = 0) -> float:
+    """Max relative error of closed-form Re log Phi against Poisson quadrature;
+    above 1e-8 it raises AssertionError.
 
     Samples points with Im z in [t_N, 1]; the oracle integrates the Poisson
     kernel against the step datum interval by interval, with a fixed
@@ -800,6 +809,6 @@ def poisson_quad_crosscheck(
         total = math.fsum(terms)
         rel = abs(closed - total) / max(abs(total), 1e-300)
         worst = max(worst, rel)
-    if worst > rtol:
-        raise AssertionError(f"quadrature cross-check failed: rel err {worst} > {rtol}")
+    if worst > _QUAD_RTOL:
+        raise AssertionError(f"quadrature cross-check failed: rel err {worst} > {_QUAD_RTOL}")
     return worst

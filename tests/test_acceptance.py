@@ -149,7 +149,7 @@ def test_A5_growth_bound_and_quadrature():
     params = ConstructionParams(alpha=1.2, beta=1.5, n_check=5)
     seq = make_sequences(params)
     try:
-        m = choose_power_m(params, seq, r_samples=33)
+        m = choose_power_m(params, r_samples=33)
         params = params.with_power(m)
         bound_ok = all(
             rec.passed

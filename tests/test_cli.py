@@ -217,6 +217,7 @@ def test_sarason_and_summability(workdir, runner, tmp_path):
         ("construct", {"n_terms": True}),
         ("construct", {"power_m": "two"}),
         ("norm-crosscheck", {"formats": []}),
+        ("construct", {"n_terms": 200, "power_m": "auto"}),
     ],
 )
 def test_out_of_range_sizes_exit_config(workdir, runner, verb, overrides):

@@ -89,6 +89,14 @@ def test_fr_plus_at_zero_oracle(params, pair, combo):
 # -- radius grids -----------------------------------------------------------
 
 
+def test_interval_radius_rejects_s_outside_unit_interval(params):
+    """s outside [0, 1], NaN included, raises instead of clamping to an
+    endpoint or returning a NaN radius."""
+    for s in (-0.5, -1e-300, 1.0 + 2.0**-52, 2.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="s must lie"):
+            interval_radius(params, 2, s)
+
+
 def test_interval_radius_endpoints(params):
     r0 = interval_radius(params, 2, 0.0)
     r1 = interval_radius(params, 2, 1.0)

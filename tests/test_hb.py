@@ -267,6 +267,23 @@ def test_sarason_f_plus_rounds_at_its_own_bits():
     assert all(c._mpf_[3] <= 128 for c in mixed.coeffs)
 
 
+def test_sarason_f_plus_rejects_short_phi_hat():
+    """A phi-hat with fewer coefficients than f raises, in floats and in
+    200-bit mpmath, rather than truncating the inner sums to a wrong f+;
+    one of exactly the length of f is enough."""
+    from mpmath import mp
+
+    f = TaylorSeries((1.0, 0.5, -0.25, 0.125))
+    with pytest.raises(ValueError, match="fewer than the 4"):
+        sarason_f_plus(f, PHI_HAT_TAME.truncate(2))
+    assert sarason_f_plus(f, PHI_HAT_TAME.truncate(3)) == sarason_f_plus(f, PHI_HAT_TAME)
+    with mp.workprec(200):
+        f200 = TaylorSeries(tuple(mp.mpf(1) / (j + 1) for j in range(9)), 200)
+        phi200 = TaylorSeries(tuple(mp.mpf(2 * j + 1) for j in range(8)), 200)
+    with pytest.raises(ValueError, match="fewer than the 9"):
+        sarason_f_plus(f200, phi200)
+
+
 def test_hb_inner_consistency(tame, hb_inner):
     rng = np.random.default_rng(3)
     f, g = random_poly(rng, 12), random_poly(rng, 12)

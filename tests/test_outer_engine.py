@@ -572,18 +572,18 @@ def test_growth_ratio_and_scan_validation(params):
     for n, nt in ((0, 8), (-2, 8), (1, 0), (1, -1)):
         with pytest.raises(ValueError):
             growth_log_ratio(params, n, 0.5, n_terms=nt)
-    for kwargs in ({"samples": 1}, {"samples": 0}, {"tail_terms": -1}):
+    for samples in (1, 0):
         with pytest.raises(ValueError):
-            growth_bound_scan(params, 1, 2, **kwargs)
+            growth_bound_scan(params, 1, 2, samples=samples)
     with pytest.raises(ValueError):
         growth_bound_scan(params, 0, 2)
 
 
-def test_choose_power_m_reports_all_intervals(params, seq):
+def test_choose_power_m_reports_all_intervals(params):
     """No positive power works at these exponents; the error must name every
     checked interval and carry the measured table."""
     with pytest.raises(GrowthBoundError) as exc:
-        choose_power_m(params, seq)
+        choose_power_m(params)
     msg = str(exc.value)
     for n in range(1, params.n_check + 1):
         assert f"[w_{n}, w_{n + 1}]" in msg
@@ -640,6 +640,21 @@ def test_growth_bound_scan_past_double_ratio():
 def test_poisson_quad_crosscheck(seq):
     worst = poisson_quad_crosscheck(seq, n_points=20, seed=7)
     assert worst <= 1e-8
+
+
+@pytest.mark.parametrize("delta, raises", [(5e-9, False), (2e-8, True)])
+def test_poisson_quad_crosscheck_tolerance_threshold(seq, monkeypatch, delta, raises):
+    """The cross-check accepts a relative error up to 1e-8 and raises
+    above it.  Unperturbed it reads 5.0e-16 at 50 points and seed 0, so a
+    closed form scaled by 1 + delta reads about delta: 5e-9 passes and
+    2e-8 raises."""
+    exact = outer.log_Phi_halfplane
+    monkeypatch.setattr(outer, "log_Phi_halfplane", lambda z, s: (1.0 + delta) * exact(z, s))
+    if raises:
+        with pytest.raises(AssertionError, match="quadrature cross-check failed"):
+            poisson_quad_crosscheck(seq, 50, 0)
+    else:
+        assert poisson_quad_crosscheck(seq, 50, 0) == pytest.approx(delta, rel=1e-6)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 3, 7])

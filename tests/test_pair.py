@@ -216,6 +216,25 @@ def test_build_pair_detects_tampering(params):
     assert abs(lhs - rhs) > 1e-8  # the check in build_pair would trip
 
 
+@pytest.mark.parametrize("delta, raises", [(5e-9, False), (2e-8, True)])
+def test_build_pair_tolerance_threshold(params, monkeypatch, delta, raises):
+    """``build_pair`` accepts a log difference of b/a against phi up to
+    1e-8 and raises above it.  Its worst difference at the default
+    parameters is 1.8e-15, so a half-plane route moved by delta reads
+    about delta: 5e-9 passes and 2e-8 raises."""
+    import hblab.pair as pairmod
+
+    exact = pairmod.log_phi_disk
+    monkeypatch.setattr(
+        pairmod, "log_phi_disk", lambda z, prm, seq: exact(z, prm, seq) + delta
+    )
+    if raises:
+        with pytest.raises(ArithmeticError, match="b/a == phi"):
+            build_pair(params)
+    else:
+        assert build_pair(params).tag == "constructed"
+
+
 def test_tame_pair_series():
     t = tame_pair(degree=8)
     assert t.a_series.coeffs[:2] == (0.5, -0.5)

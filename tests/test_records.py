@@ -2,6 +2,8 @@
 equality and hash, immutability, the ``Name(field=value, ...)`` repr and
 the field-replacing copy ``_replace``."""
 
+import math
+
 import pytest
 
 from hblab.hb import KernelCombo, KernelNode, Radius
@@ -182,7 +184,9 @@ def test_replace_runs_the_checks():
         StepModulus((Cell(0.1, 0.3, 1.0),))._replace(
             cells=(Cell(0.1, 0.3, 1.0), Cell(0.2, 0.4, 1.0))
         )
-    assert LogScalar(1.0, 7.0)._replace(log_mag=float("-inf")).phase == 0.0
+    assert LogScalar(1.0, math.pi)._replace(log_mag=float("-inf")).phase == 0.0
+    with pytest.raises(ValueError, match="phase"):
+        LogScalar(1.0)._replace(phase=7.0)
 
 
 def test_log_scalar_counts_through_post_init(monkeypatch):
@@ -196,6 +200,7 @@ def test_log_scalar_counts_through_post_init(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(LogScalar, "__post_init__", counted)
-    x = LogScalar(1.0) * LogScalar(2.0, 7.0)
-    x._replace(phase=0.5)
-    assert calls == [1.0, 2.0, 3.0, 3.0]
+    x = LogScalar.exp_of(1.0)
+    LogScalar(2.0, math.pi)
+    x._replace(phase=math.pi)
+    assert calls == [1.0, 2.0, 1.0]
