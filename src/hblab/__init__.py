@@ -59,13 +59,11 @@ _EXPORTS = {
             "KernelNode",
             "Radius",
             "cauchy_kernel",
-            "cesaro_mean",
             "dilate",
             "f_plus_solve",
             "hb_norm_sq",
             "kernel_combo_ccond_check",
             "kernel_hb",
-            "partial_sum",
             "toeplitz_coanalytic_apply",
         ),
         "hb",

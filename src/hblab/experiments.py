@@ -21,12 +21,9 @@ from .hb import (
     KernelNode,
     Radius,
     as_radius,
-    cesaro_mean,
     dilate,
     hb_norm_sq,
     kernel_combo_ccond_check,
-    partial_sum,
-    sarason_f_plus,
 )
 from .logscalar import LogScalar, log_add_exp, log_sum_exp
 from .outer import (
@@ -231,8 +228,10 @@ class _FhatFixed:
     integers F_j on one fixed-point scale: r^j fhat(j) = F_j 2^exp within
     a counted relative error.  The one integer kernel behind every
     extended-precision coefficient sum (``sarason_series_failure``,
-    ``abel_fr_plus``, ``summability_divergence``); iterating it streams
-    F_0..F_degree, and the per-node state is all it stores.
+    ``abel_fr_plus``, and ``summability_divergence``, which rounds each
+    F_j once to ``bits`` and sums the aligned mantissas as exact squares
+    and f+ dot products); iterating it streams F_0..F_degree, and the
+    per-node state is all it stores.
 
     mpmath computes c_m = exp(log c_m) and v_m = r w_m, with
     w_m = 1 - exp(log(1 - w_m)) and r = 1 - exp(log(1 - r)), at 2W bits
@@ -461,19 +460,25 @@ def summability_divergence(
     precision_bits: int = 192,
 ) -> ExperimentReport:
     """||s_n(f)||_{H(b)} and ||sigma_n(f)||_{H(b)} for the Taylor partial
-    sums and Cesaro means, with f+ = T_phi-bar p exact on each polynomial p
-    (``sarason_f_plus``) and one phi-hat of ``phi_hat_series`` shared by all
-    rows, the phi-hat of ``sarason`` and of the Abel sums.
+    sums and Cesaro means, each ||p||^2 + ||T_phi-bar p||^2 one exact
+    integer sum rounded once, with the one phi-hat of ``phi_hat_series``
+    shared by all rows, the phi-hat of ``sarason`` and of the Abel sums.
 
-    Reports running maxima (the limsup claim is exhibited as monotone
-    growth over the computed range, never asserted as a limit) and the
-    convexity sanity ||sigma_n|| <= max_{k<=n} ||s_k|| over computed k.
-    fhat comes from ``_FhatFixed``, rounded once to ``precision_bits``.
-    The metadata carries ``series_error_bound``, the largest counted
-    relative error bound of a coefficient of phi-hat (``outer_series``),
-    and ``fhat_error_bound``, the largest of fhat (``_FhatFixed``).
+    fhat comes from ``_FhatFixed``, rounded once to ``precision_bits``;
+    its mantissas and phi-hat's are aligned once each (``fixed_mantissas``).
+    s_n is a prefix of fhat's mantissas and sigma_n that prefix times the
+    integer Fejer weights n + 1 - j, its factor 1/(n+1)^2 taken in the one
+    final rounding; each coefficient of f+ = T_phi-bar p is one
+    ``fixed_dot``, exact on the polynomial p.  Reports running maxima (the
+    limsup claim is exhibited as monotone growth over the computed range,
+    never asserted as a limit) and the convexity sanity
+    ||sigma_n|| <= max_{k<=n} ||s_k|| over computed k.  The metadata
+    carries ``series_error_bound``, the largest counted relative error
+    bound of a coefficient of phi-hat (``outer_series``), and
+    ``fhat_error_bound``, the largest of fhat (``_FhatFixed``).
     """
     from mpmath import mp
+    from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
 
     n_list = sorted(set(int(n) for n in n_list))
     if not n_list or n_list[0] < 0 or n_list[-1] < 8:
@@ -482,23 +487,28 @@ def summability_divergence(
         )
     deg_f = n_list[-1]
     phi_hat = phi_hat_series(pair, deg_f, precision_bits)
+    kernel = _FhatFixed(f, deg_f, precision_bits)
+    fs, fe = fixed_mantissas(fixed_to_mpf(m, kernel.exp, precision_bits) for m in kernel)
+    ps, pe = fixed_mantissas(phi_hat.coeffs)
+    # ||p||^2 is on the scale 2^(2 fe), ||f+||^2 on 2^(2 fe + 2 pe)
+    low = 2 * fe + min(0, 2 * pe)
+    shift_p, shift_plus = 2 * fe - low, 2 * fe + 2 * pe - low
+
+    def log10_norm(ms, den):
+        """(1/2) log10 of (||p||^2 + ||T_phi-bar p||^2) / den for the
+        polynomial p with mantissas ``ms``, rounded once."""
+        plus = sum(fixed_dot(ms[k:], ps) ** 2 for k in range(len(ms)))
+        total = (fixed_dot(ms, ms) << shift_p) + (plus << shift_plus)
+        norm_sq = mpf_div(from_man_exp(total, low), from_int(den), precision_bits, round_nearest)
+        return 0.5 * float(mp.log10(mp.make_mpf(norm_sq)))
+
     rows = []
+    s_norms = {}
+    convex_ok = True
     with mp.workprec(precision_bits):
-        kernel = _FhatFixed(f, deg_f, precision_bits)
-        f_series = TaylorSeries(
-            tuple(fixed_to_mpf(m, kernel.exp, precision_bits) for m in kernel),
-            precision_bits=precision_bits,
-        )
-
-        def log10_norm(poly):
-            total = poly.l2_norm_sq() + sarason_f_plus(poly, phi_hat).l2_norm_sq()
-            return 0.5 * float(mp.log10(total))
-
-        s_norms = {}
-        convex_ok = True
         for n in n_list:
-            ls = log10_norm(partial_sum(f_series, n))
-            lsig = log10_norm(cesaro_mean(f_series, n))
+            ls = log10_norm(fs[: n + 1], 1)
+            lsig = log10_norm([m * (n + 1 - j) for j, m in enumerate(fs[: n + 1])], (n + 1) ** 2)
             s_norms[n] = ls
             best_s = max(s_norms[k] for k in s_norms if k <= n)
             if lsig > best_s + 1e-9:

@@ -110,14 +110,19 @@ def cauchy_kernel(w: complex, degree: int) -> TaylorSeries:
 
 
 def toeplitz_coanalytic_apply(h: TaylorSeries, f: TaylorSeries) -> TaylorSeries:
-    """T_h-bar f: output coefficient k is sum_j conj(h_j) f_{k+j}."""
-    n = min(len(h.coeffs), len(f.coeffs))
-    hc, fc = h.coeffs, f.coeffs
+    """T_h-bar f: output coefficient k is sum_j conj(h_j) f_{k+j}, exact on
+    the polynomial f when h reaches its degree; an h with fewer
+    coefficients than f raises ValueError."""
+    n = len(f.coeffs)
+    if len(h.coeffs) < n:
+        raise ValueError(f"symbol has {len(h.coeffs)} coefficients, fewer than the {n} of f")
+    hc = [c.conjugate() for c in h.coeffs[:n]]
+    fc = f.coeffs
     out = []
     for k in range(n):
         acc = 0.0
         for j in range(n - k):
-            acc = acc + hc[j].conjugate() * fc[k + j]
+            acc = acc + hc[j] * fc[k + j]
         out.append(acc)
     return TaylorSeries(tuple(out), min(h.precision_bits, f.precision_bits))
 
@@ -245,9 +250,10 @@ def sarason_f_plus(f: TaylorSeries, phi_hat: TaylorSeries) -> TaylorSeries:
     Valid whenever the inner series converges absolutely for each k (always
     for polynomials, where it is exact with phi-hat to the degree of f); a
     phi-hat with fewer coefficients than f raises ValueError.  With phi-hat
-    from ``Pair.phi_hat`` (in the mpmath reports through
-    ``experiments.phi_hat_series``) this is the route of every H(b) norm
-    of a TaylorSeries; ``f_plus_solve`` is its independent oracle.  On
+    from ``Pair.phi_hat`` this is the route of ``hb_norm_sq`` on a
+    TaylorSeries (``experiments.summability_divergence`` sums the same
+    products as exact integers itself); ``f_plus_solve`` is its
+    independent oracle.  On
     real mpmath series the mantissas of f and of phi-hat are aligned once
     to one exponent each (``fixed_mantissas``, float zero pads included),
     so each output coefficient is one exact integer dot product
@@ -269,7 +275,7 @@ def sarason_f_plus(f: TaylorSeries, phi_hat: TaylorSeries) -> TaylorSeries:
     return TaylorSeries(tuple(out), bits)
 
 
-# -- dilation, partial sums, Cesaro means ---------------------------------
+# -- dilation ---------------------------------------------------------------
 
 
 def dilate(f: HbFunction, r: Union[float, Radius]) -> HbFunction:
@@ -285,38 +291,4 @@ def dilate(f: HbFunction, r: Union[float, Radius]) -> HbFunction:
     for c in f.coeffs:
         out.append(c * p)
         p *= rad.value
-    return TaylorSeries(tuple(out), f.precision_bits)
-
-
-def partial_sum(f: TaylorSeries, n: int) -> TaylorSeries:
-    """s_n(f): coefficients 0..n, zero-padded to the original degree."""
-    if n < 0:
-        raise ValueError(f"partial sum order must be >= 0, got {n}")
-    if n > f.truncation_degree:
-        raise ValueError("partial sum order exceeds truncation degree")
-    return TaylorSeries(
-        f.coeffs[: n + 1] + (0.0,) * (f.truncation_degree - n), f.precision_bits
-    )
-
-
-def cesaro_mean(f: TaylorSeries, n: int) -> TaylorSeries:
-    """sigma_n(f) = mean of s_0..s_n: Fejer weights (n+1-j)/(n+1).
-
-    Each weight is formed in the series' own number type: a float quotient
-    for float series, an mpmath quotient rounded once at the series'
-    precision for mpmath series, so no sigma_n coefficient of an
-    extended-precision series carries a double-rounded weight.
-    """
-    if n < 0:
-        raise ValueError(f"Cesaro order must be >= 0, got {n}")
-    if n > f.truncation_degree:
-        raise ValueError("Cesaro order exceeds truncation degree")
-    if f.precision_bits > 53:
-        from mpmath import mp
-
-        with mp.workprec(f.precision_bits):
-            out = [c * (mp.mpf(n + 1 - j) / (n + 1)) for j, c in enumerate(f.coeffs[: n + 1])]
-    else:
-        out = [c * ((n + 1 - j) / (n + 1)) for j, c in enumerate(f.coeffs[: n + 1])]
-    out += [0.0 * c for c in f.coeffs[n + 1 :]]
     return TaylorSeries(tuple(out), f.precision_bits)

@@ -141,11 +141,11 @@ def triangular_solve_upper_toeplitz(diag_and_superdiagonals: Sequence, rhs: Sequ
     magnitude below 1e-300 signals a degenerate system (for a pair it would
     mean a(0) ~ 0, which cannot happen) and raises ValueError.
     """
-    h = list(diag_and_superdiagonals)
+    h = [c.conjugate() for c in diag_and_superdiagonals]
     b = list(rhs)
     if len(h) != len(b):
         raise ValueError("coefficient and right-hand-side lengths differ")
-    d = h[0].conjugate()
+    d = h[0]
     if abs(d) < 1e-300:
         raise ValueError(f"diagonal magnitude {abs(d)} below threshold 1e-300")
     n = len(b)
@@ -153,7 +153,7 @@ def triangular_solve_upper_toeplitz(diag_and_superdiagonals: Sequence, rhs: Sequ
     for k in range(n - 1, -1, -1):
         acc = b[k]
         for j in range(1, n - k):
-            acc = acc - h[j].conjugate() * x[k + j]
+            acc = acc - h[j] * x[k + j]
         x[k] = acc / d
     return x
 

@@ -7,8 +7,9 @@ Usage (from the root of a checkout): PYTHONPATH=src python3 tests/data/make_mp_g
 Stores, as shortest round-trip float reprs, the ``sarason`` rows and
 ``ratio_full_to_half`` at the CLI defaults (j_max 512, 384 bits) and at
 j_max 1024 / 384 bits, the ``summability`` rows at the CLI defaults
-(384 bits), and log (f_r)+(0) of A7's Abel series at degree 1024 / 384 bits
-at the three radii the benchmark's ``mp`` workload uses.  Regenerate it only
+(384 bits) and at 192 bits (the library default, A8's precision), and
+log (f_r)+(0) of A7's Abel series at degree 1024 / 384 bits at the three
+radii the benchmark's ``mp`` workload uses.  Regenerate it only
 when a change is meant to move these numbers, and say which moved and why:
 before it overwrites the file, the script prints each value that differs
 from the file as it was, as "path: old -> new".
@@ -44,8 +45,9 @@ def golden() -> dict:
             "rows": [[j, repr(v)] for j, v in rep.rows],
             "ratio_full_to_half": repr(rep.metadata["ratio_full_to_half"]),
         }
-    rep = summability_divergence(SUMMABILITY_ORDERS, combo, pair, precision_bits=BITS)
-    out["summability"] = {"rows": [[n, repr(s), repr(c)] for n, s, c in rep.rows]}
+    for bits, key in ((BITS, "summability"), (192, "summability_192")):
+        rep = summability_divergence(SUMMABILITY_ORDERS, combo, pair, precision_bits=bits)
+        out[key] = {"rows": [[n, repr(s), repr(c)] for n, s, c in rep.rows]}
     phi_hat = phi_hat_series(pair, 1024, BITS)
     radii = (pair.seq.w[1], interval_radius(params, 1, 0.5), interval_radius(params, 2, 0.0))
     out["abel_log_1024"] = [

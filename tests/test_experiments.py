@@ -32,14 +32,12 @@ from hblab.experiments import (
 )
 from hblab.hb import (
     Radius,
-    cesaro_mean,
     dilate,
     KernelCombo,
     KernelNode,
     as_radius,
     f_plus_solve,
     hb_norm_sq,
-    partial_sum,
     sarason_f_plus,
 )
 from hblab.logscalar import LogScalar
@@ -235,6 +233,32 @@ def fhat_ref(pair, combo):
     return {r: fhat_oracle(combo, 1024, REF_BITS, r) for r in (None, pair.seq.w[1])}
 
 
+def test_fhat_kernel_error_bound_is_its_count():
+    """``error_bound`` is the count of the ``_FhatFixed`` docstring, written
+    out term by term in exact rationals on a three-node kernel: the
+    largest over j of
+        K (j + 1) / (F_j - K (j + 1))   (the floors, one unit each)
+      + 2 degree (2^-W + 2^(1 - 2W))     (the multipliers V_m)
+      + 8 (degree + 3) 2^-2W             (the mpmath node data),
+    with W = bits + 1 + bitlen(K (degree + 1) + 2 degree + 1)."""
+    from fractions import Fraction
+
+    nodes = tuple(KernelNode(LogScalar.exp_of(-k), k * math.log(0.5)) for k in (1, 2, 3))
+    k, degree, bits = len(nodes), 8, 64
+    kernel = _FhatFixed(KernelCombo(nodes), degree, bits)
+    totals = list(kernel)
+    w = bits + 1 + (k * (degree + 1) + 2 * degree + 1).bit_length()
+    assert kernel.W == w
+    multipliers = 2 * degree * (Fraction(1, 2**w) + Fraction(2, 2 ** (2 * w)))
+    data = Fraction(8 * (degree + 3), 2 ** (2 * w))
+    count = max(
+        Fraction(k * (j + 1), total - k * (j + 1)) + multipliers + data
+        for j, total in enumerate(totals)
+    )
+    assert kernel.error_bound == pytest.approx(float(count), rel=1e-12, abs=0.0)
+    assert kernel.error_bound <= 2.0**-bits
+
+
 @pytest.mark.parametrize("bits", [128, 384])
 def test_fhat_kernel_matches_mp_oracle(pair, combo, fhat_ref, bits):
     """Every coefficient of the integer kernel, at r = 1 and at A7's w_1
@@ -369,20 +393,36 @@ def test_summability_divergence(pair, combo):
 
 
 def test_summability_matches_solve_oracle(pair, combo, monkeypatch):
-    """The rows are the Toeplitz product with the phi-hat of
-    ``phi_hat_series``, bit for bit; ``summability`` never enters the
-    triangular solve or ``Pair.with_series``.  The solve on the 200-bit
-    series of a and b is the oracle of that route.  For z^24 its output
-    reversed is phi-hat itself, within 1e-15 relative of ``phi_hat_series``
-    (measured 1.12e-16), and each product norm is within 1e-15 relative of
-    the solve norm (measured 7.6e-17).  The slack is that of the cell data,
-    where b/a = phi holds only to 2.4e-16."""
+    """The rows are exact integer sums: ``summability`` never enters
+    ``sarason_f_plus``, ``TaylorSeries.l2_norm_sq``, the triangular solve
+    or ``Pair.with_series``.  Its oracle is the mpf route, written out
+    here at P = 200 bits: s_n is the fhat of ``_FhatFixed`` rounded to
+    P bits and cut at n, sigma_n the mean of s_0..s_n, f+ comes from
+    ``sarason_f_plus`` with the phi-hat of ``phi_hat_series``, and
+    ``l2_norm_sq`` sums the squares.
+
+    With u = 2^-P and every term positive, a sigma_n coefficient of the
+    oracle is within 2u (the exact column sum and the division, each
+    rounded once), so one square is within 5u and ||p||^2, a sum of at
+    most m = 25 of them, within (m + 4) u; an f+ coefficient is within 3u
+    (one more rounding) and ||f+||^2 within (m + 6) u.  The report's norm
+    is rounded once from the exact sum: (m + 8) u in all, and one more u
+    holds the second-order terms.  The rows are the logs of the norms
+    bit for bit.
+
+    The solve on the 200-bit series of a and b is the oracle of the
+    product route.  For z^24 its output reversed is phi-hat itself,
+    within 1e-15 relative of ``phi_hat_series`` (measured 1.12e-16), and
+    each product norm is within 1e-15 relative of the solve norm
+    (measured 7.6e-17).  The slack is that of the cell data, where
+    b/a = phi holds only to 2.4e-16."""
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("summability left the phi-modulus product route")
+        raise AssertionError("summability left the exact integer route")
 
     names = (
         "f_plus_solve",
+        "sarason_f_plus",
         "toeplitz_coanalytic_apply",
         "triangular_solve_upper_toeplitz",
     )
@@ -392,25 +432,39 @@ def test_summability_matches_solve_oracle(pair, combo, monkeypatch):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, forbidden)
     monkeypatch.setattr(Pair, "with_series", forbidden)
-    n_list = [0, 2, 8, 16, 24]
-    rep = summability_divergence(n_list, combo, pair, precision_bits=200)
-    monkeypatch.undo()
+    monkeypatch.setattr(TaylorSeries, "l2_norm_sq", forbidden)
+    norms = []
+    log10 = mp.log10
 
-    phi_hat = phi_hat_series(pair, 24, 200)
-    mp_pair = pair.with_series(24, 200)
-    with mp.workprec(200):
-        monomial = TaylorSeries((mp.mpf(0),) * 24 + (mp.mpf(1),), 200)
+    def spy(x):
+        norms.append(x)
+        return log10(x)
+
+    monkeypatch.setattr(mp, "log10", spy)
+    n_list = [0, 2, 8, 16, 24]
+    bits, deg = 200, n_list[-1]
+    rep = summability_divergence(n_list, combo, pair, precision_bits=bits)
+    monkeypatch.undo()
+    assert len(norms) == 2 * len(n_list)
+
+    phi_hat = phi_hat_series(pair, deg, bits)
+    mp_pair = pair.with_series(deg, bits)
+    with mp.workprec(bits):
+        monomial = TaylorSeries((mp.mpf(0),) * deg + (mp.mpf(1),), bits)
         solved_phi = f_plus_solve(monomial, mp_pair).coeffs[::-1]
         gap = max(abs(x - y) / abs(y) for x, y in zip(solved_phi, phi_hat.coeffs))
         assert gap <= 1e-15
-        kernel = _FhatFixed(combo, 24, 200)
-        f_series = TaylorSeries(tuple(fixed_to_mpf(m, kernel.exp, 200) for m in kernel), 200)
+        kernel = _FhatFixed(combo, deg, bits)
+        fhat = tuple(fixed_to_mpf(m, kernel.exp, bits) for m in kernel)
+        partial = [TaylorSeries(fhat[: k + 1] + (0,) * (deg - k), bits) for k in range(deg + 1)]
+        tol = (deg + 10) * mp.mpf(2) ** -bits
+        got = iter(norms)
         for (n, ls, lsig) in rep.rows:
-            for poly, logged in (
-                (partial_sum(f_series, n), ls),
-                (cesaro_mean(f_series, n), lsig),
-            ):
+            columns = zip(*(s.coeffs for s in partial[: n + 1]))
+            mean = TaylorSeries(tuple(mp.fsum(col) / (n + 1) for col in columns), bits)
+            for poly, logged in ((partial[n], ls), (mean, lsig)):
                 product = poly.l2_norm_sq() + sarason_f_plus(poly, phi_hat).l2_norm_sq()
+                assert abs(next(got) - product) <= tol * product
                 assert logged == 0.5 * float(mp.log10(product))
                 solved = poly.l2_norm_sq() + f_plus_solve(poly, mp_pair).l2_norm_sq()
                 assert abs(product - solved) <= 1e-15 * solved
@@ -429,15 +483,14 @@ def test_mp_reports_meet_their_precision(pair, combo, fhat_ref, monkeypatch):
     ``phi_hat_series`` within u before and u from its rounding, each
     product and sum of fhat phi-hat is exact and rounded once: S_J and the
     Abel value are within 4u, so slack = 3 bits.  In ``summability`` a
-    coefficient of s_n is within 2u (kernel, rounding) and one of sigma_n
-    within 4u (weight and product rounded once more); ||p||^2 squares them
-    (u each) and adds m = deg + 1 of them (u each): (m + 8) u.  The
-    phi-hat of ``phi_hat_series`` is within e_phi + u, e_phi its counted
-    bound (asserted at most u); f+ sums p phi-hat exactly with one
-    rounding, so ||f+||^2 is within 2 (4u + e_phi + u + u) + m u, and the
-    final sum adds u: (m + 13) u + 2 e_phi.  One more u holds the
-    second-order terms and the P + 64 side, which adds below 2^-60 u:
-    tol = (m + 14) u + 2 e_phi.
+    coefficient of s_n or sigma_n is within 2u (kernel, rounding; the
+    Fejer weights are exact integers), so ||p||^2, an exact sum of their
+    squares, is within 4u.  The phi-hat of ``phi_hat_series`` is within
+    e_phi + u, e_phi its counted bound (asserted at most u); each f+
+    coefficient sums p phi-hat exactly, within 3u + e_phi, so ||f+||^2 is
+    within 6u + 2 e_phi, and the one rounding of the exact total adds u:
+    7u + 2 e_phi.  One more u holds the second-order terms and the P + 64
+    side, which adds below 2^-50 u: tol = 8u + 2 e_phi.
     """
     bits, extra = 384, REF_BITS
     orders = [0, 1, 2, 4, 8, 12, 16, 24, 32, 40, 48, 56, 64]
@@ -489,7 +542,7 @@ def test_mp_reports_meet_their_precision(pair, combo, fhat_ref, monkeypatch):
     assert e_phi <= 2.0**-bits
     with mp.workprec(extra):
         assert min(phi_ref.coeffs) > 0 and min(f_ref) > 0
-        tol = (deg + 15) * mp.mpf(2) ** -bits + 2 * e_phi
+        tol = 8 * mp.mpf(2) ** -bits + 2 * e_phi
         ref_norms = []
         for n in orders:
             for weights in ([1] * (n + 1), [mp.mpf(n + 1 - j) / (n + 1) for j in range(n + 1)]):

@@ -1,6 +1,6 @@
-"""Tests for Toeplitz operators, the f+ map, norms, kernels, dilation and
-summation operators, mostly on the tame pair where everything has closed
-forms: b = (1+z)/2, a = (1-z)/2, phi = (1+z)/(1-z)."""
+"""Tests for Toeplitz operators, the f+ map, norms, kernels and dilation,
+mostly on the tame pair where everything has closed forms: b = (1+z)/2,
+a = (1-z)/2, phi = (1+z)/(1-z)."""
 
 import math
 
@@ -15,13 +15,11 @@ from hblab.hb import (
     Radius,
     as_radius,
     cauchy_kernel,
-    cesaro_mean,
     dilate,
     f_plus_solve,
     hb_norm_sq,
     kernel_combo_ccond_check,
     kernel_hb,
-    partial_sum,
     sarason_f_plus,
     toeplitz_coanalytic_apply,
 )
@@ -91,6 +89,17 @@ def test_coanalytic_kernel_eigenvector():
     lam = complex(h(w)).conjugate()
     for j in range(30):  # away from the truncation edge
         assert got.coeffs[j] == pytest.approx(lam * k.coeffs[j], abs=1e-10)
+
+
+def test_toeplitz_coanalytic_apply_rejects_short_symbol():
+    """T_1-bar f = f for a symbol reaching the degree of f; a symbol with
+    fewer coefficients than f raises rather than truncating the output and
+    its inner sums to a wrong T_h-bar f."""
+    f = TaylorSeries((1.0, 2.0, 3.0))
+    for degree in (2, 5):
+        assert toeplitz_coanalytic_apply(TaylorSeries.constant(1.0, degree), f) == f
+    with pytest.raises(ValueError, match="fewer than the 3"):
+        toeplitz_coanalytic_apply(TaylorSeries((1.0,)), f)
 
 
 # -- f+ and norms on the tame pair -----------------------------------------
@@ -394,50 +403,3 @@ def test_dilate_combo_deep_radius():
     (node,) = fr.nodes
     # 1 - r w = (1-r) + r(1-w) ~ (1-w) when 1-r << 1-w
     assert node.log_one_minus_w == pytest.approx(-50.0, abs=1e-12)
-
-
-def test_partial_sum_and_cesaro():
-    f = TaylorSeries((1.0, 2.0, 3.0, 4.0))
-    s2 = partial_sum(f, 2)
-    assert s2.coeffs == (1.0, 2.0, 3.0, 0.0)
-    sig2 = cesaro_mean(f, 2)
-    assert sig2.coeffs == (1.0, 2.0 * 2 / 3, 3.0 * 1 / 3, 0.0)
-    with pytest.raises(ValueError):
-        partial_sum(f, 9)
-    with pytest.raises(ValueError):
-        cesaro_mean(f, 9)
-    with pytest.raises(ValueError):
-        partial_sum(f, -1)
-    with pytest.raises(ValueError):
-        cesaro_mean(f, -1)
-
-
-def test_cesaro_weights_round_once_at_200_bits():
-    """On a 200-bit series each sigma_n coefficient c (n+1-j)/(n+1) is
-    within two roundings at 200 bits (the weight, then the product), not
-    the 2^-53 of a float weight."""
-    from mpmath import mp
-
-    bits = 200
-    with mp.workprec(bits):
-        f = TaylorSeries(tuple(mp.mpf(1) / (j + 3) for j in range(12)), bits)
-    for n in (6, 10):
-        sig = cesaro_mean(f, n)
-        assert sig.precision_bits == bits
-        with mp.workprec(bits + 64):
-            for j, (c, s) in enumerate(zip(f.coeffs, sig.coeffs)):
-                exact = c * (n + 1 - j) / (n + 1) if j <= n else 0
-                assert abs(s - exact) <= 3 * mp.mpf(2) ** -bits * abs(exact)
-
-
-def test_cesaro_is_average_of_partial_sums():
-    rng = np.random.default_rng(2)
-    f = random_poly(rng, 10).pad(12)
-    n = 7
-    avg = [0.0] * len(f.coeffs)
-    for k in range(n + 1):
-        sk = partial_sum(f, k)
-        avg = [a + c / (n + 1) for a, c in zip(avg, sk.coeffs)]
-    sig = cesaro_mean(f, n)
-    for a, c in zip(avg, sig.coeffs):
-        assert abs(a - c) < 1e-12
