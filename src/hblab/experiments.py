@@ -336,8 +336,8 @@ def phi_hat_series(pair: Pair, degree: int, precision_bits: int) -> TaylorSeries
     """Taylor coefficients 0..degree of phi as real mpmath numbers.
 
     ``Pair.phi_hat``, the one phi-hat of hblab, behind a precision gate:
-    ``outer_series`` of the phi modulus (real by theta-symmetry), the
-    pole-accumulator recurrence in fixed point, each coefficient within its
+    ``outer_series`` of the theta-symmetric phi modulus, one real
+    recurrence per arc in fixed point, each coefficient within its
     counted error bound of 2^-precision_bits relative, with its low
     coefficients checked against the O(N^2) exp route.  Raises
     PrecisionExhausted when ``precision_bits`` is below

@@ -252,9 +252,11 @@ class Pair(Record):
         return log_phi_radial(ld_x, self.params)
 
     def with_series(self, degree: int, precision_bits: int = 53) -> "Pair":
-        """Attach Taylor series for a and b to ``degree`` at ``precision_bits``
-        (see ``taylor.outer_series``); the tame pair's series are 53-bit
-        floats."""
+        """Attach Taylor series for a and b to ``degree`` at ``precision_bits``:
+        ``taylor.outer_series`` of the a and b moduli, which mirror the
+        theta-symmetric phi arcs, so their coefficients are real floats at
+        53 bits and real mpmath numbers above; the tame pair's series are
+        53-bit floats."""
         if self.tag == "tame":
             from .series import TaylorSeries
 
@@ -272,8 +274,10 @@ class Pair(Record):
 
     def phi_hat(self, degree: int, precision_bits: int = 53) -> TaylorSeries:
         """Taylor coefficients 0..degree of phi = b/a, the symbol of f -> f+:
-        ``taylor.outer_series`` of the phi modulus, or (1, 2, 2, ...) for the
-        tame pair's (1+z)/(1-z), which carries 53-bit floats only."""
+        ``taylor.outer_series`` of the theta-symmetric phi modulus (arcs
+        +-[2 atan 2t_k, 2 atan 3t_k]), real floats at 53 bits and real mpmath
+        numbers above, or (1, 2, 2, ...) for the tame pair's (1+z)/(1-z),
+        which carries 53-bit floats only."""
         if self.tag == "tame":
             from .series import TaylorSeries
 

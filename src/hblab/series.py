@@ -119,7 +119,7 @@ def exp_series(g: TaylorSeries) -> TaylorSeries:
     """Truncation of exp(g) via the recurrence n*e_n = sum k*g_k*e_{n-k}.
 
     O(N^2) multiply-adds (Brent-Kung 1978); ``outer_series`` runs it to
-    degree 32 as the independent check of its pole recurrence.
+    degree 32 as the independent check of its arc recurrence.
     """
     gc = g.coeffs
     n = len(gc)

@@ -1,19 +1,22 @@
-"""The Taylor engine: coefficients of a step-modulus outer function.
+"""The Taylor engine: coefficients of a theta-symmetric step-modulus outer
+function.
 
-``outer_series`` is the one Taylor route for a, b and phi: an O(N * cells)
-pole recurrence for F' = g'F in one fixed-point loop on Python integers,
-with a counted bound on its truncations and, at every precision, a check of
-its low coefficients against the O(N^2) route ``exp_series`` of the float
-``log_outer_series``.  ``Pair.with_series`` and ``Pair.phi_hat`` import
-this module on first use, so a process that never asks for Taylor
-coefficients never loads it.  The O(N^2) route is called through its home
-modules (``pair.log_outer_series``, ``series.exp_series``), so a rebinding
-there reaches this module whatever the import order.
+``outer_series`` is the one Taylor route for a, b and phi, whose moduli are
+mirrored arc by arc, so every coefficient is real: one real second-order
+recurrence per arc (the Goertzel / Clenshaw form) in one fixed-point loop
+on Python integers, with a counted bound on its truncations and, at every
+precision, a check of its low coefficients against the O(N^2) route
+``exp_series`` of the float ``log_outer_series``.  ``Pair.with_series`` and
+``Pair.phi_hat`` import this module on first use, so a process that never
+asks for Taylor coefficients never loads it.  The O(N^2) route is called
+through its home modules (``pair.log_outer_series``, ``series.exp_series``),
+so a rebinding there reaches this module whatever the import order.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 from . import pair, series
 from .series import TaylorSeries, fixed_to_mpf
@@ -29,70 +32,67 @@ _ORACLE_ULPS = 4 * (_ORACLE_DEGREE + 1)
 def outer_series(mod: pair.StepModulus, degree: int, precision_bits: int = 53) -> TaylorSeries:
     """Taylor coefficients 0..degree of the outer function with modulus ``mod``.
 
-    The one route for every step-modulus outer function (a, b and phi).
-    F = exp(g) with g the Schwarz integral of the steps, so F' = g'F, and
-    each cell [theta_s, theta_e] of height h (above the default) adds
-    (h / i pi) (1/(u_s - z) - 1/(u_e - z)) to g', u = e^{i theta}.  That
-    turns F' = g'F into an O(degree * cells) recurrence: with the pole sums
-    S_u(n) = conj(u) (F_n + S_u(n-1)), (n+1) F_{n+1} is the sum over cells
-    of (h / i pi) (S_s(n) - S_e(n)).  On the narrow, tall arcs of the
-    constructed pair the two pole sums cancel, so each cell carries the
-    divided difference T = (S_s - S_e) / (u_e - u_s) instead, with
-    T(n) = conj(u_s) (S_e(n) + T(n-1)), and contributes
-    (h / i pi) (u_e - u_s) T(n) with the chord u_e - u_s formed as in
-    ``pair._cell_schwarz_integral``.  On a theta-symmetric modulus each mirror
-    cell is folded into its partner (twice the real part), so F is real.
+    The one route for every step-modulus outer function (a, b and phi); the
+    modulus must be theta-symmetric (each cell's mirror [-theta_e, -theta_s]
+    a cell of the same height), or ValueError is raised.  F = exp(g) with g
+    the Schwarz integral of the steps, so (n+1) F_{n+1} = sum_{j<=n}
+    (m+1) g_{m+1} F_j, m = n - j.  Each mirrored arc [theta_s, theta_e]
+    (0 <= theta_s < theta_e <= pi; a self-mirror cell [-t, t] counts as
+    [0, t]) of height h above the default adds k (sin (m+1) theta_e -
+    sin (m+1) theta_s) to (m+1) g_{m+1}, k = 2h / pi.  With sin (m+1) theta
+    = sin theta U_m(cos theta), each arc keeps two states:
+    Q(n) = (2 - d_e) Q(n-1) - Q(n-2) + F_n, which is sum_j U_{n-j}(cos
+    theta_e) F_j, and D(n) = (2 - d_s) D(n-1) - D(n-2) + 2 Q(n-1), the
+    divided difference (Q_s - Q_e) / (cos theta_s - cos theta_e), where
+    d = 4 sin^2(theta / 2).  Then (n+1) F_{n+1} = sum over arcs of
+    alpha Q(n) + beta D(n), with alpha = 2k cos mu sin w, beta = -2k
+    sin theta_s sin mu sin w, mu and w the half sum and half width of the
+    arc: a narrow arc anywhere on the circle loses no bits to cancellation.
 
     The recurrence runs at every precision in one fixed-point loop on
-    Python integers scaled by 2^W (as mpmath's own ``exp_basecase``): each
-    complex product is shifted down by W once, the cell sum is exact at
-    2^2W, and F_n is its floor quotient by n 2^W.  mpmath computes the cell
-    data (cosines, sines, F_0 = exp(mean)) at 2W bits from the float cell
-    data taken as exact.  ``_truncation_bound`` counts every floor, at most
-    one unit of 2^-W per real part, and carries it through the recurrence;
-    W is ``precision_bits`` plus the least number of bits that lifts the
-    a-priori coefficient scale |F_0| min(1, A) / (n+1)^2 (A the total weight
-    of the cells) strictly above the bound's whole units, the count the
-    guard tests.  A coefficient whose counted bound exceeds
-    2^-precision_bits of its size raises ArithmeticError: it is too small
-    for the fixed-point scale to carry its relative precision.  Every returned coefficient is
-    therefore within 2^-precision_bits of its size before the final
-    rounding, and within one unit in its last place after it; the largest
-    counted bound relative to its coefficient is the series'
-    ``error_bound``.  The loop itself is ``_pole_recurrence``.
+    Python integers at 2^-W (as mpmath's own ``exp_basecase``).  Each d is
+    stored with W significant bits on its own scale, alpha and beta on one
+    shared scale 2^-(W + G), so the arc sum is one exact integer and F_{n+1}
+    is its one floor quotient; G = 2 bitlen(degree) extra bits, as |D| may
+    exceed |Q| by (degree+1)^2.  mpmath computes the arc data (d, alpha,
+    beta, F_0 = exp(mean)) at 2W bits from the float cells taken as exact.
+    ``_truncation_bound`` counts every floor and every rounded datum and
+    carries them through the recurrence; W is ``precision_bits`` plus the
+    least number of bits that lifts the a-priori coefficient scale
+    |F_0| min(1, A) / (n+1)^2 (A the total arc weight) strictly above the
+    bound's whole units, the count the guard tests.  A coefficient whose
+    counted bound exceeds 2^-precision_bits of its size raises
+    ArithmeticError: it is too small for the fixed-point scale to carry its
+    relative precision.  Every returned coefficient is therefore within
+    2^-precision_bits of its size before the final rounding, and within one
+    unit in its last place after it; the largest counted bound relative to
+    its coefficient is the series' ``error_bound``.
 
-    At 53 bits the result is rounded to complex floats.  Above 53 bits it
-    is rounded to real mpmath numbers at ``precision_bits``; a modulus that
-    is not theta-symmetric has complex coefficients and raises ValueError
-    there.  Coefficients 0..min(degree, 32) are recomputed in floats by the
-    O(degree^2) route, ``exp_series`` of the float ``log_outer_series``, at
-    every precision, and a disagreement beyond that route's own float error
-    raises ArithmeticError.
+    At 53 bits the result is rounded to real floats, above it to real
+    mpmath numbers at ``precision_bits``.  Coefficients 0..min(degree, 32)
+    are recomputed in floats by the O(degree^2) route, ``exp_series`` of
+    the float ``log_outer_series``, at every precision, and a disagreement
+    beyond that route's own float error raises ArithmeticError.
     """
     from mpmath import mp
     from mpmath.libmp import to_fixed
 
     cells = {(c.theta_start, c.theta_end, c.log_modulus) for c in mod.cells}
-    real = all((-b, -a, h) in cells for a, b, h in cells)
-    if precision_bits > 53 and not real:
-        raise ValueError("extended-precision outer_series needs a theta-symmetric modulus")
+    if not all((-b, -a, h) in cells for a, b, h in cells):
+        raise ValueError("outer_series needs a theta-symmetric modulus")
     d = mod.default_log_modulus
-    # (cell, fold): a folded cell stands for itself and its mirror, one
-    # that straddles 0 is its own mirror; flat cells and the mirrors of
-    # folded ones carry no pole
-    active = [
-        (c, 2 if real and c.theta_start >= 0.0 else 1)
+    # (theta_s, theta_e, log-modulus) of each arc that carries a step; a
+    # mirror cell (theta_e <= 0) is folded into its partner
+    arcs = [
+        (max(c.theta_start, 0.0), c.theta_end, c.log_modulus)
         for c in mod.cells
-        if c.log_modulus != d and not (real and c.theta_end <= 0.0)
+        if c.log_modulus != d and c.theta_end > 0.0
     ]
-    # A, the sum of the pole weights |fold h chord / pi| after their
-    # rounding to 2^-W, taken from above
-    mass = (1.0 + 2.0**-40) * math.fsum(
-        fold * abs(c.log_modulus - d) / math.pi * 2.0 * math.sin(c.width / 2.0)
-        for c, fold in active
-    ) + len(active) * 2.0 ** (1 - precision_bits)
+    # G: |D| may exceed |Q| by (degree+1)^2 (U'_m(1) = m(m+1)(m+2)/3), so with
+    # G more bits on alpha and beta their rounding costs D what it costs Q
+    extra = 2 * degree.bit_length()
     f0 = math.exp(mod.mean_log_modulus())
-    bound = _truncation_bound(mod, active, mass, f0, degree, real, precision_bits)
+    mass, bound = _truncation_bound(mod, arcs, f0, degree, precision_bits, extra)
     # the a-priori size of F_n; a coefficient below it may raise.  The guard
     # tests ceil(e) (2^P + 1) <= |F_n| 2^W, so W - P must exceed
     # log2(ceil(e) / |F_n|): a constant modulus (e_0 = 1 + tiny, 2 units)
@@ -104,182 +104,211 @@ def outer_series(mod: pair.StepModulus, degree: int, precision_bits: int = 53) -
     )
     with mp.workprec(2 * W):
 
-        def fixed(x):
-            return to_fixed(x._mpf_, W)
+        def own_scale(x):
+            # x >= 0 to W significant bits: (integer, shift)
+            shift = W - x._mpf_[2] - x._mpf_[3]
+            return to_fixed(x._mpf_, shift), shift
 
         mean = mp.mpf(d)
         for c in mod.cells:
             w, h = mp.mpf(c.theta_end) - c.theta_start, mp.mpf(c.log_modulus) - d
             mean += w * h / (2 * mp.pi)
-        poles = []
-        for c, fold in active:
-            ts, te = mp.mpf(c.theta_start), mp.mpf(c.theta_end)
-            k = fold * (mp.mpf(c.log_modulus) - d) / mp.pi
-            cs, ss = mp.cos(ts), mp.sin(ts)
-            cr, ci = -2 * mp.sin((te - ts) / 2) ** 2, mp.sin(te - ts)
-            chord_r, chord_i = cs * cr - ss * ci, cs * ci + ss * cr
-            # conj(u_s), conj(u_e), and (h / i pi) * chord
-            poles.append(tuple(map(fixed, (
-                cs, -ss, mp.cos(te), -mp.sin(te), k * chord_i, -k * chord_r
-            ))))
-        f0_fixed = fixed(mp.exp(mean))
-    coeffs = _pole_recurrence(f0_fixed, poles, degree, W, real)
+        data = []
+        for ts, te, lm in arcs:
+            ts, te = mp.mpf(ts), mp.mpf(te)
+            k = 2 * (mp.mpf(lm) - d) / mp.pi
+            sin_w, mu = mp.sin((te - ts) / 2), (te + ts) / 2
+            alpha, beta = 2 * k * mp.cos(mu) * sin_w, -2 * k * mp.sin(ts) * mp.sin(mu) * sin_w
+            data.append(
+                own_scale(4 * mp.sin(te / 2) ** 2)
+                + own_scale(4 * mp.sin(ts / 2) ** 2)
+                + (to_fixed(alpha._mpf_, W + extra), to_fixed(beta._mpf_, W + extra))
+            )
+        f0_fixed = to_fixed(mp.exp(mean)._mpf_, W)
+    coeffs = _arc_recurrence(f0_fixed, data, degree, W + extra)
     rel_bound = 0.0
-    for n, ((fr, fi), e) in enumerate(zip(coeffs, bound)):
+    for n, (f, e) in enumerate(zip(coeffs, bound)):
         # the claim, in units: |F_n - fixed F_n| <= e <= 2^-P (|fixed F_n| - e)
         e = math.ceil(e)
-        size = abs(fr) if real else math.isqrt(fr * fr + fi * fi)
-        if (e << precision_bits) + e > size:
+        if (e << precision_bits) + e > abs(f):
             raise ArithmeticError(
                 f"outer_series coefficient {n} is too small for {precision_bits} bits "
                 f"at 2^-{W}: its counted error bound is {e} units"
             )
         if e:
-            rel_bound = max(rel_bound, e / size)
+            rel_bound = max(rel_bound, e / abs(f))
     if precision_bits <= 53:
-        out, bits = tuple(complex(r / (1 << W), i / (1 << W)) for r, i in coeffs), 53
+        out, bits = tuple(f / (1 << W) for f in coeffs), 53
     else:
-        out, bits = tuple(fixed_to_mpf(r, -W, precision_bits) for r, _ in coeffs), precision_bits
-    _check_against_exp_series(mod, out, real)
+        out, bits = tuple(fixed_to_mpf(f, -W, precision_bits) for f in coeffs), precision_bits
+    _check_against_exp_series(mod, out)
     return TaylorSeries(out, bits, rel_bound)
 
 
-def _pole_recurrence(f0: int, poles: list, degree: int, W: int, real: bool) -> list:
-    """F_0..F_degree as (re, im) integers at 2^-W: the fixed-point loop of
-    ``outer_series`` from F_0 = ``f0`` over ``poles``, each the integers
-    (re, im) of conj(u_s), of conj(u_e) and of the weight (h / i pi) chord.
-
-    A pole u enters the loop as (re u, re u + im u, im u - re u), so that
-    q u = re u (qr + qi) - qi (re u + im u)
-          + i (re u (qr + qi) + qr (im u - re u))
-    takes three multiplies, exact in integers.  On ``real`` (theta-symmetric)
-    data only the real part of the cell sum is formed, and every F_n is real.
-    """
-    split = [
-        (esr, esr + esi, esi - esr, eer, eer + eei, eei - eer, ar, ai)
-        for esr, esi, eer, eei, ar, ai in poles
-    ]
-    fr, fi = f0, 0
-    coeffs = [(fr, fi)]
-    state = [(0, 0, 0, 0)] * len(split)
+def _arc_recurrence(f0: int, data: list, degree: int, shift: int) -> list:
+    """F_0..F_degree as integers at 2^-W: the fixed-point loop of
+    ``outer_series`` from F_0 = ``f0`` over ``data``, each arc's
+    (d_e, its shift, d_s, its shift, alpha, beta) with alpha and beta at
+    2^-``shift``.  Four integer multiplies per arc and step."""
+    f = f0
+    coeffs = [f]
+    state = [(0, 0, 0, 0)] * len(data)
     for n in range(1, degree + 1):
-        accr = acci = 0
+        acc = 0
         nxt = []
-        for (esr, esp, esm, eer, eep, eem, ar, ai), (sr, si, tr, ti) in zip(split, state):
-            qr, qi = fr + sr, fi + si
-            k = eer * (qr + qi)
-            sr, si = (k - qi * eep) >> W, (k + qr * eem) >> W
-            qr, qi = sr + tr, si + ti
-            k = esr * (qr + qi)
-            tr, ti = (k - qi * esp) >> W, (k + qr * esm) >> W
-            accr += ar * tr - ai * ti
-            if not real:
-                acci += ar * ti + ai * tr
-            nxt.append((sr, si, tr, ti))
+        for (de, se, ds, ss, alpha, beta), (q1, q2, d1, d2) in zip(data, state):
+            q = 2 * q1 - q2 + f - ((de * q1) >> se)
+            dd = 2 * (d1 + q1) - d2 - ((ds * d1) >> ss)
+            acc += alpha * q + beta * dd
+            nxt.append((q, q1, dd, d1))
         state = nxt
-        unit = n << W
-        fr, fi = accr // unit, acci // unit
-        coeffs.append((fr, fi))
+        f = acc // (n << shift)
+        coeffs.append(f)
     return coeffs
 
 
-def _truncation_bound(mod, active, mass, f0, degree, real, bits) -> list:
-    """Bounds, in units of 2^-W for any W >= ``bits``, on |F_n - fixed F_n|
-    for the fixed-point loop of ``outer_series``.
+def _truncation_bound(mod, arcs, f0, degree, bits, extra) -> tuple:
+    """(A, bounds): the total arc weight A, and bounds, in units of 2^-W for
+    any W >= ``bits``, on |F_n - fixed F_n| for the fixed-point loop of
+    ``outer_series``, whose alpha and beta lie on 2^-(W + ``extra``).
 
-    Each floor errs by less than one unit per real part (sqrt 2 for a
-    complex product), and the errors travel through the recurrence as
-    through the exact one.  |conj u| <= 1 + 2^(4-W) for the rounded poles,
-    so an error in S or T is carried without growth and only accumulates:
-    e_S(n) <= e_F(n-1) + e_S(n-1) + sqrt 2, e_T(n) <= e_S(n) + e_T(n-1) +
-    sqrt 2, and n e_F(n) <= A e_T(n) + n (sqrt 2 when F is complex), with
-    A the sum of |weight * chord| over the cells.  The data add errors of
-    their own: a pole rounded to sqrt 2 (1 + 2^(4-W)) units multiplies
-    |F + S| or |S + T|, and a weight rounded to sqrt 2 (1 + 2^(4-W) |a|)
-    units multiplies |T|, so magnitude majorants m_F, m_S, m_T of the exact
-    recurrence (the same sums without the units, m_F(0) = |F_0|) carry
-    along.  F_0 is off by one unit plus |F_0| 2^-W times the rounding of
-    exp(mean) at 2W bits from the float cell data.  Evaluating the tiny
-    2^-W terms at W = ``bits`` makes the bounds hold for every W above.
+    Exact data.  An arc's share of (m+1) g_{m+1} is K(m) = 2k cos((m+1) mu)
+    sin((m+1) w), and |sin((m+1) w)| <= (m+1) sin w, so |K(m)| <= a (m+1)
+    with a = 2|k| sin w, and A = sum a.  Hence |F_n| <= m_n with m_0 = |F_0|
+    and m_{n+1} = A sum_{j<=n} (n-j+1) m_j / (n+1).
+
+    Errors, by linearity through the exact recurrence.  Whatever enters an
+    arc's Q at step j enters it as F_j does, so it reaches (n+1) F_{n+1}
+    through that arc's K(n-j), at most a (n-j+1) per unit: the error e_j of
+    F_j, one floor unit, and the rounding of d_e (to W bits, relative
+    2^(1-W) (1 + tiny), tiny = 2^(4-bits)), 2 (1 + tiny) d_e |Q(j-1)| units.
+    What enters D at step j reaches it through beta U_{n-j}(cos theta_s),
+    and |beta U_m(cos theta_s)| <= |beta| / sin theta_s = b = 2|k| sin mu
+    sin w <= a: D's floor unit is counted as a second floor of Q, and the
+    rounding of d_s, 2 (1 + tiny) d_s |D(j-1)| units, with weight b (an arc
+    from theta_s = 0 has beta = b = 0 exactly, and no D term at all).  The
+    roundings of alpha and beta, 2^-extra + tiny |alpha| units each (tiny
+    |beta| for the 2W-bit data), multiply |Q(n)| and |D(n)|, and the floor
+    quotient adds one unit.  With X, Y bounds on |Q|, |D| (value units):
+      (n+1) e_{n+1} <= sum_{j<=n} (n-j+1) r_j
+                       + sum_arcs 2 (1 + tiny) b d_s sum_{j<=n} Y(j-1)
+                       + sum_arcs ((2^-extra + tiny |alpha|) X(n)
+                                   + (2^-extra + tiny |beta|) Y(n)) + (n+1),
+      r_j = A (e_j + 2) + sum_arcs 2 (1 + tiny) a d_e X(j-1),
+    with X(-1) = Y(-1) = 0, and e_0 = 1 + |F_0| (cells + 3) (1 + sum |d| +
+    width |h|) tiny: one floor and the rounding of exp(mean) at 2W bits from
+    the float cells.  A modulus with no arc has F_n = 0 exactly for n >= 1.
+
+    Sizes of the computed states.  The loop runs the recurrence of the
+    rounded d exactly on F_n plus its floors, so with z_j = m_j +
+    2^-bits (e_j + 1) and u_m >= |U_m| at the rounded angle,
+    |Q(n)| <= X(n) = sum_{j<=n} u_{n-j} z_j, and, as X grows by at least
+    2^-bits a step, |D(n)| <= Y(n) = 2 sum_{j<=n} u_{n-j} X(j).
+    |U_m(cos theta)| <= min(m+1, 1/|sin theta|), and a d rounded to W bits
+    moves sin^2 theta by at most 2^(5-bits), so each arc end takes
+    u_m = c = 1 / sqrt(sin^2 theta - 2^(5-bits)) where c <= degree + 1, and
+    u_m = m+1 elsewhere: the smaller of the two at the top degree.  With
+    S_0(n) = sum_{j<=n} z_j and S_{o+1}(n) = sum_{j<=n} S_o(j), so that
+    sum_{j<=n} (n-j+1) z_j = S_1(n): X = c_e S_0 or S_1, Y = 2 c_s c_e S_1
+    up to 2 S_3, and sum_{j<=n} Y(j-1) the same one order up at n-1.  Each
+    arc's terms are thus its weights times shared running sums, O(degree)
+    in all.  Float data carry a factor 1 + 2^-40, and the tiny terms,
+    evaluated at W = ``bits``, make the bounds hold for every W above.
     """
-    r2 = math.sqrt(2.0)
-    tiny = 2.0 ** (4 - bits)
-    grow = 1.0 + tiny
-    eta = r2 * grow
-    weights = len(active) * r2 + mass * r2 * tiny
-    terms = abs(mod.default_log_modulus) + math.fsum(
-        c.width * abs(c.log_modulus - mod.default_log_modulus) for c in mod.cells
-    )
-    floor = (1.0 if real else r2) if active else 0.0
-    ms = mt = es = et = 0.0
-    mf, ef = f0, 1.0 + f0 * (len(mod.cells) + 3) * (1.0 + terms) * tiny
-    out = [ef]
-    for n in range(1, degree + 1):
-        es = grow * (ef + es) + eta * (mf + ms) + r2
-        ms = grow * (mf + ms)
-        et = grow * (es + et) + eta * (ms + mt) + r2
-        mt = grow * (ms + mt)
-        mf = mass * mt / n
-        ef = (mass * et + weights * mt) / n + floor
-        out.append(ef)
-    if not math.isfinite(ef):
+    unit, tiny, wide = 2.0**-bits, 2.0 ** (4 - bits), 1.0 + 2.0**-40
+    d = mod.default_log_modulus
+    # weights on S_0..S_4: wq at n-1 into r_n, wo at n and wd at n-1 into e_{n+1}
+    wq, wo, wd = [0.0] * 5, [0.0] * 5, [0.0] * 5
+    mass = 0.0
+    for ts, te, lm in arcs:
+        k, sin_w, mu = 2.0 * abs(lm - d) / math.pi, math.sin((te - ts) / 2.0), (te + ts) / 2.0
+        a, b = 2.0 * k * sin_w, 2.0 * k * math.sin(mu) * sin_w if ts > 0.0 else 0.0
+        (ce, pe), (cs, ps) = (_u_bound(t, degree, bits) for t in (te, ts))
+        d_e, d_s = (4.0 * math.sin(t / 2.0) ** 2 for t in (te, ts))
+        mass += a
+        wq[pe] += 2.0 * (1.0 + tiny) * a * d_e * ce
+        wo[pe] += (2.0**-extra + tiny * a * abs(math.cos(mu))) * ce
+        if b:
+            wo[1 + pe + ps] += 2.0 * (2.0**-extra + tiny * b * math.sin(ts)) * cs * ce
+            wd[2 + pe + ps] += 2.0 * (1.0 + tiny) * b * d_s * 2.0 * cs * ce
+    mass, wq, wo, wd = wide * mass, *([wide * x for x in w] for w in (wq, wo, wd))
+    terms = abs(d) + math.fsum(c.width * abs(c.log_modulus - d) for c in mod.cells)
+    out = [1.0 + f0 * (len(mod.cells) + 3) * (1.0 + terms) * tiny]
+    (q0, q1, *_), (o0, o1, o2, o3, _), (_, _, d2, d3, d4) = wq, wo, wd
+    m, s0, s1, s2, s3, s4 = wide * f0, 0.0, 0.0, 0.0, 0.0, 0.0
+    m0 = m1 = r0 = r1 = 0.0
+    floor = 1.0 if arcs else 0.0  # no arc: F_n = 0 exactly for n >= 1
+    for n in range(degree):
+        e, p0, p1, p2, p3, p4 = out[n], s0, s1, s2, s3, s4
+        s0, s1, s2, s3, s4 = accumulate((s0 + m + unit * (e + 1.0), s1, s2, s3, s4))
+        r0 += mass * (e + 2.0) + q0 * p0 + q1 * p1
+        r1 += r0
+        m0 += m
+        m1 += m0
+        m = mass * m1 / (n + 1)
+        local = o0 * s0 + o1 * s1 + o2 * s2 + o3 * s3 + d2 * p2 + d3 * p3 + d4 * p4
+        out.append((r1 + local) / (n + 1) + floor)
+    if not math.isfinite(out[-1]):
         raise ArithmeticError(
-            f"outer_series: the error bound overflows at degree {degree} (cell weight {mass:.3g})"
+            f"outer_series: the error bound overflows at degree {degree} (arc weight {mass:.3g})"
         )
-    return out
+    return mass, out
 
 
-def _log_series_ulps(mod: pair.StepModulus, degree: int, real: bool) -> list:
+def _u_bound(theta: float, degree: int, bits: int) -> tuple:
+    """(c, 0) when |U_m| <= c = 1 / sqrt(sin^2 theta - 2^(5-bits)) <= degree + 1
+    at the rounded angle, else (1.0, 1) for |U_m| <= m + 1."""
+    s2 = math.sin(theta) ** 2 - 2.0 ** (5 - bits)
+    return (1.0 / math.sqrt(s2), 0) if s2 * (degree + 1) ** 2 >= 1.0 else (1.0, 1)
+
+
+def _log_series_ulps(mod: pair.StepModulus, degree: int) -> list:
     """Error bounds on coefficients 0..degree of the float
     ``log_outer_series``, in units of 2^-53.
 
     Coefficient j >= 1 sums h (e^{-ij theta_s} - e^{-ij theta_e}) / (i pi j)
-    over the cells.  The product j * theta is rounded, which moves each sine
-    and cosine by up to j |theta|; the sine itself rounds to within 2 of its
-    own size, below 2 j |theta|, and the cosine to within 2.  Real
-    coefficients (theta-symmetric data) take only the sines.  The sum of
-    len(cells) terms, each below |h| j width, and the division round within
-    (len(cells) + 4) of their sizes; the mean (coefficient 0) rounds within
-    4 of each width * height and 1 of the default.
+    over the cells, and on theta-symmetric data only its real part, the
+    sines, is kept.  The product j * theta is rounded, which moves each sine
+    by up to j |theta|; the sine itself rounds to within 2 of its own size,
+    below 2 j |theta|.  The sum of len(cells) terms, each below |h| j width,
+    and the division round within (len(cells) + 4) of their sizes; the mean
+    (coefficient 0) rounds within 4 of each width * height and 1 of the
+    default.
     """
     d = mod.default_log_modulus
     hs = [abs(c.log_modulus - d) for c in mod.cells]
     mass = sum(h * c.width for h, c in zip(hs, mod.cells)) / math.pi
-    trig = (lambda x: 3.0 * x) if real else (lambda x: 4.0 * x + 2.0)
     out = [abs(d) + 2.0 * mass]
     for j in range(1, degree + 1):
         spread = sum(
-            h * (trig(j * abs(c.theta_start)) + trig(j * abs(c.theta_end)))
-            for h, c in zip(hs, mod.cells)
+            h * 3.0 * j * (abs(c.theta_start) + abs(c.theta_end)) for h, c in zip(hs, mod.cells)
         )
         out.append(spread / (math.pi * j) + (len(hs) + 4) * mass)
     return out
 
 
-def _check_against_exp_series(mod: pair.StepModulus, coeffs, real: bool) -> None:
+def _check_against_exp_series(mod: pair.StepModulus, coeffs) -> None:
     """Raise ArithmeticError where the low coefficients of ``outer_series``
     leave the O(N^2) route by more than that route's own error.
 
-    E = exp_series(g) with g the float ``log_outer_series``, evaluated in
-    floats at every precision, and each coefficient is compared as a
-    complex float.  Its rounding error is held to _ORACLE_ULPS * 2^-53 *
-    cond_n with cond_n = |E_n| + (1/n) sum_j j |g_j| |E_{n-j}|; the error
-    eps_j of g_j reaches E_n as sum_j eps_j |E_{n-j}| to first order
-    (E(1 + delta g)), which is allowed twice over.
+    E = exp_series(g) with g the real part of the float
+    ``log_outer_series``, evaluated in floats at every precision, and each
+    coefficient is compared as a float.  Its rounding error is held to
+    _ORACLE_ULPS * 2^-53 * cond_n with cond_n = |E_n| + (1/n) sum_j j |g_j|
+    |E_{n-j}|; the error eps_j of g_j reaches E_n as sum_j eps_j |E_{n-j}|
+    to first order (E(1 + delta g)), which is allowed twice over.
     """
     k = min(len(coeffs) - 1, _ORACLE_DEGREE)
-    g = pair.log_outer_series(mod, k).coeffs
-    if real:
-        g = tuple(c.real for c in g)
+    g = tuple(c.real for c in pair.log_outer_series(mod, k).coeffs)
     e = series.exp_series(TaylorSeries(g)).coeffs
-    eps = _log_series_ulps(mod, k, real)
+    eps = _log_series_ulps(mod, k)
     for n in range(k + 1):
         cond = abs(e[n])
         if n:
             cond += sum(j * abs(g[j]) * abs(e[n - j]) for j in range(1, n + 1)) / n
         carried = sum(eps[j] * abs(e[n - j]) for j in range(n + 1))
         tol = 2.0**-53 * (_ORACLE_ULPS * cond + 2 * carried)
-        err = abs(complex(coeffs[n]) - e[n])
+        err = abs(float(coeffs[n]) - e[n])
         if err > tol:
             raise ArithmeticError(
                 f"outer_series coefficient {n} leaves the exp_series oracle: "

@@ -9,7 +9,9 @@ Stores, as shortest round-trip float reprs, the ``sarason`` rows and
 j_max 1024 / 384 bits, the ``summability`` rows at the CLI defaults
 (384 bits) and at 192 bits (the library default, A8's precision), and
 log (f_r)+(0) of A7's Abel series at degree 1024 / 384 bits at the three
-radii the benchmark's ``mp`` workload uses.  Regenerate it only
+radii the benchmark's ``mp`` workload uses.  Each ``sarason`` and
+``summability`` block also holds its counted bounds, ``series_error_bound``
+and ``fhat_error_bound``, so that a change to a counted bound shows here.  Regenerate it only
 when a change is meant to move these numbers, and say which moved and why:
 before it overwrites the file, the script prints each value that differs
 from the file as it was, as "path: old -> new".
@@ -34,6 +36,10 @@ BITS = 384
 SUMMABILITY_ORDERS = [0, 1, 2, 4, 8, 12, 16, 24, 32, 40, 48, 56, 64]
 
 
+def counted_bounds(rep) -> dict:
+    return {k: repr(rep.metadata[k]) for k in ("series_error_bound", "fhat_error_bound")}
+
+
 def golden() -> dict:
     params = ConstructionParams(alpha=1.2, beta=1.5, power_m=1)
     pair = build_pair(params)
@@ -44,10 +50,11 @@ def golden() -> dict:
         out[f"sarason_{j_max}"] = {
             "rows": [[j, repr(v)] for j, v in rep.rows],
             "ratio_full_to_half": repr(rep.metadata["ratio_full_to_half"]),
+            **counted_bounds(rep),
         }
     for bits, key in ((BITS, "summability"), (192, "summability_192")):
         rep = summability_divergence(SUMMABILITY_ORDERS, combo, pair, precision_bits=bits)
-        out[key] = {"rows": [[n, repr(s), repr(c)] for n, s, c in rep.rows]}
+        out[key] = {"rows": [[n, repr(s), repr(c)] for n, s, c in rep.rows], **counted_bounds(rep)}
     phi_hat = phi_hat_series(pair, 1024, BITS)
     radii = (pair.seq.w[1], interval_radius(params, 1, 0.5), interval_radius(params, 2, 0.0))
     out["abel_log_1024"] = [

@@ -180,7 +180,7 @@ def test_f_hat_log_direct(combo):
             math.exp(n.log_c.log_mag) * (1.0 - math.exp(n.log_one_minus_w)) ** j
             for n in combo.nodes
         )
-        assert f_hat_log(combo, j).to_float() == pytest.approx(expect, rel=1e-12)
+        assert f_hat_log(combo, j).to_float() == pytest.approx(expect, rel=1e-12, abs=0.0)
 
 
 def test_log_domain_sums_build_one_log_scalar(params, pair, tame, combo, monkeypatch):

@@ -203,7 +203,7 @@ def test_short_mp_series_keep_their_precision(pair):
     """Short series are re-derived at the precision they carry: a pair with
     200-bit series to degree 24, asked to solve a 200-bit polynomial of
     degree 40, gives the 200-bit f+ of a pair built at degree 40, not
-    complex floats."""
+    floats."""
     from mpmath import mp
 
     short = pair._replace(

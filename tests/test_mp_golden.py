@@ -2,10 +2,10 @@
 
 ``tests/data/mp_golden.json`` holds the ``sarason`` rows (CLI defaults and
 j_max 1024 at 384 bits), the ``summability`` rows at the CLI defaults and
-at 192 bits, and A7's Abel values at degree 1024, as written by
-``tests/data/make_mp_golden.py``.  A change to the Taylor engines or the f+
-layer that moves any of them must regenerate the file and say which values
-moved and why.
+at 192 bits, with the counted bounds of each, and A7's Abel values at
+degree 1024, as written by ``tests/data/make_mp_golden.py``.  A change to
+the Taylor engines or the f+ layer that moves any of them must regenerate
+the file and say which values moved and why.
 """
 
 import importlib.util

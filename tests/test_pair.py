@@ -4,6 +4,7 @@
 import cmath
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -287,16 +288,12 @@ def test_outer_series_b_is_a_times_phi(pair):
 
 
 def outer_series_mp(mod, degree, bits):
-    """All-mpmath O(N^2) reference for outer_series: the log series
-    d + mean, sum h ((sin j theta_e - sin j theta_s)
-    + i (cos j theta_e - cos j theta_s)) / (pi j) from the float cell data,
-    then exp_series, both at ``bits``.  On theta-symmetric data the cosine
-    terms cancel, and only the real parts are kept."""
+    """All-mpmath O(N^2) reference for outer_series on theta-symmetric
+    data: the log series d + mean, sum h (sin j theta_e - sin j theta_s)
+    / (pi j) from the float cell data (the cosine terms cancel between
+    mirror cells), then exp_series, both at ``bits``."""
     from mpmath import mp
 
-    symmetric = all(
-        Cell(-c.theta_end, -c.theta_start, c.log_modulus) in mod.cells for c in mod.cells
-    )
     with mp.workprec(bits):
         d = mp.mpf(mod.default_log_modulus)
         cells = [
@@ -305,11 +302,8 @@ def outer_series_mp(mod, degree, bits):
         ]
         g = [d + sum((te - ts) * h for ts, te, h in cells) / (2 * mp.pi)]
         for j in range(1, degree + 1):
-            re = sum(h * (mp.sin(j * te) - mp.sin(j * ts)) for ts, te, h in cells)
-            im = 0
-            if not symmetric:
-                im = sum(h * (mp.cos(j * te) - mp.cos(j * ts)) for ts, te, h in cells)
-            g.append(mp.mpc(re, im) / (mp.pi * j) if im else re / (mp.pi * j))
+            sines = sum(h * (mp.sin(j * te) - mp.sin(j * ts)) for ts, te, h in cells)
+            g.append(sines / (mp.pi * j))
         return exp_series(TaylorSeries(tuple(g), bits)).coeffs
 
 
@@ -357,10 +351,7 @@ def test_outer_series_within_one_unit_in_last_place(pair, bits):
     factor 1 + 2^-30 covers both terms."""
     from mpmath import mp
 
-    mods = [pair.phi_modulus, pair.a_modulus, pair.b_modulus, nearly_even_modulus(0.5)]
-    if bits == 53:
-        mods.append(StepModulus((Cell(0.2, 0.9, 1.3),)))  # complex coefficients
-    for mod in mods:
+    for mod in (pair.phi_modulus, pair.a_modulus, pair.b_modulus, nearly_even_modulus(0.5)):
         ref = outer_series_mp(mod, 128, bits + 60)
         with mp.workprec(bits + 60):
             tol = mp.mpf(2) ** (1 - bits) * (1 + mp.mpf(2) ** -30)
@@ -406,17 +397,6 @@ def test_outer_series_guard_fails_loudly(pair, monkeypatch):
                 outer_series(mod, 48, bits)
 
 
-def test_outer_series_lopsided_matches_all_mp_oracle():
-    """Off theta-symmetry F is complex, and the fixed-point loop carries its
-    imaginary part; in floats it carries 1e-14 of the largest coefficient."""
-    lopsided = StepModulus((Cell(0.2, 0.9, 1.3),))
-    ref = outer_series_mp(lopsided, 64, 120)
-    scale = float(max(abs(y) for y in ref))
-    got = outer_series(lopsided, 64).coeffs
-    assert max(abs(x - complex(y)) for x, y in zip(got, ref)) <= 1e-14 * scale
-    assert max(abs(complex(y).imag) for y in ref) > 0.1 * scale
-
-
 @pytest.mark.parametrize("bits", [128, 384])
 def test_outer_series_guard_raises_below_scale(pair, bits):
     """The fixed-point scale is derived from the modulus, so it can carry
@@ -456,84 +436,165 @@ def test_outer_series_constant_modulus(d, bits):
 
 
 def test_outer_series_mp_needs_symmetric_modulus():
-    """Off theta-symmetry the log series has imaginary parts, which the
-    real mpmath branch would drop; it refuses instead, while the float
-    branch keeps them.  On symmetric data the two branches agree."""
+    """Off theta-symmetry the coefficients are complex, and outer_series
+    refuses at every precision; on symmetric data the float and the
+    128-bit series agree."""
     lopsided = StepModulus((Cell(0.2, 0.9, 1.3),))
-    with pytest.raises(ValueError):
-        outer_series(lopsided, 8, 128)
-    z = 0.2 + 0.1j
-    f = outer_series(lopsided, 48)
-    assert complex(f(z)) == pytest.approx(cmath.exp(outer_eval(lopsided, z)), rel=1e-10)
+    for bits in (53, 128):
+        with pytest.raises(ValueError, match="theta-symmetric"):
+            outer_series(lopsided, 8, bits)
     symmetric = StepModulus((Cell(0.2, 0.9, 1.3), Cell(-0.9, -0.2, 1.3)), -0.1)
     lo, hi = outer_series(symmetric, 48), outer_series(symmetric, 48, 128)
     assert hi.precision_bits == 128
+    assert all(isinstance(x, float) for x in lo.coeffs)
     for x, y in zip(lo.coeffs, hi.coeffs):
-        assert abs(x - complex(y)) <= 1e-13 * max(abs(x), 1.0)
-
-
-def four_multiply_recurrence(f0, poles, degree, W, real):
-    """The fixed-point loop of ``outer_series`` with every complex product
-    formed in four multiplies and the imaginary cell sum always formed."""
-    fr, fi = f0, 0
-    coeffs = [(fr, fi)]
-    state = [(0, 0, 0, 0)] * len(poles)
-    for n in range(1, degree + 1):
-        accr = acci = 0
-        nxt = []
-        for (esr, esi, eer, eei, ar, ai), (sr, si, tr, ti) in zip(poles, state):
-            qr, qi = fr + sr, fi + si
-            sr, si = (qr * eer - qi * eei) >> W, (qr * eei + qi * eer) >> W
-            qr, qi = sr + tr, si + ti
-            tr, ti = (qr * esr - qi * esi) >> W, (qr * esi + qi * esr) >> W
-            accr += ar * tr - ai * ti
-            acci += ar * ti + ai * tr
-            nxt.append((sr, si, tr, ti))
-        state = nxt
-        unit = n << W
-        fr, fi = accr // unit, (0 if real else acci // unit)
-        coeffs.append((fr, fi))
-    return coeffs
+        assert abs(x - y) <= 1e-13 * max(abs(x), 1.0)
 
 
 @st.composite
-def step_moduli(draw):
-    """(modulus, symmetric): one to three arcs with heights in [-2, 2],
-    mirrored into a theta-symmetric modulus or left anywhere on the circle."""
+def symmetric_moduli(draw):
+    """(modulus, symmetric): one to three mirrored arcs, each at least 0.01
+    wide, with heights in [-2, 2]; the first may start at 0 (one
+    self-mirror cell), the last may end at pi, and one may be cut to its
+    last 1e-8 or so with a height of 1e3 to 1e4, a tall arc away from 0.
+    Off ``symmetric`` one mirror cell is dropped or the self-mirror cell cut."""
     n = draw(st.integers(1, 3))
-    symmetric = draw(st.booleans())
-    lo = 0.05 if symmetric else -3.0
-    ends = st.floats(lo, 3.0, allow_nan=False)
-    ends = sorted(draw(st.lists(ends, min_size=2 * n, max_size=2 * n, unique=True)))
+    gaps = draw(st.lists(st.floats(0.01, 0.45), min_size=2 * n, max_size=2 * n))
+    ends = [0.05 + sum(gaps[: i + 1]) for i in range(2 * n)]
     heights = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
-    cells = [Cell(ends[2 * j], ends[2 * j + 1], h) for j, h in enumerate(heights)]
-    if symmetric:
-        cells += [Cell(-c.theta_end, -c.theta_start, c.log_modulus) for c in cells]
+    arcs = [[ends[2 * j], ends[2 * j + 1], h] for j, h in enumerate(heights)]
+    if draw(st.booleans()):
+        arcs[0][0] = 0.0
+    if draw(st.booleans()):
+        arcs[-1][1] = math.pi
+    if draw(st.booleans()):
+        tall = draw(st.integers(0, n - 1))
+        te = arcs[tall][1]
+        arcs[tall] = [te - draw(st.floats(0.5e-8, 2e-8)), te, draw(st.floats(1e3, 1e4))]
+    cells = []
+    for ts, te, h in arcs:
+        cells += [Cell(-te, te, h)] if ts == 0.0 else [Cell(ts, te, h), Cell(-te, -ts, h)]
+    symmetric = draw(st.integers(0, 4)) != 3
+    if not symmetric:
+        c = cells.pop()
+        if c.theta_start == -c.theta_end:
+            cells.append(Cell(c.theta_start / 2, c.theta_end, c.log_modulus))
     return StepModulus(tuple(cells), draw(st.floats(-0.5, 0.5))), symmetric
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(step_moduli())
-def test_outer_series_kernel_matches_four_multiplies(drawn):
-    """The three-multiply kernel, which forms no imaginary sum on
-    theta-symmetric data, gives every coefficient and the error bound of
-    the four-multiply loop exactly, or fails with the same message."""
-    import hblab.taylor as taylor
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(symmetric_moduli())
+def test_outer_series_within_its_bound_across_symmetric_moduli(drawn):
+    """Across theta-symmetric moduli each coefficient of outer_series at P
+    bits is within its counted ``error_bound`` plus the final rounding of
+    the all-mpmath oracle at P + 64 bits: |x - y| <= (error_bound + 2^-P)
+    (1 + 2^-P) |x|.  The oracle loses up to about 27 of its 64 extra bits
+    on a tall arc of width 1e-8 (sin j theta_e - sin j theta_s cancels) and
+    a few more in exp_series, allowed as 2^-(P+16) |y|.  A coefficient too
+    small for the fixed-point scale may raise instead; an asymmetric
+    modulus raises ValueError at every precision."""
+    from mpmath import mp
 
     mod, symmetric = drawn
-
-    def outcome(bits):
+    for bits in (53, 128, 256):
+        if not symmetric:
+            with pytest.raises(ValueError, match="theta-symmetric"):
+                outer_series(mod, 24, bits)
+            continue
         try:
-            series = outer_series(mod, 40, bits)
+            got = outer_series(mod, 24, bits)
         except ArithmeticError as e:
-            return str(e)
-        return series.coeffs, series.error_bound, series.precision_bits
+            assert "too small" in str(e)
+            continue
+        ref = outer_series_mp(mod, 24, bits + 64)
+        with mp.workprec(bits + 64):
+            u = mp.mpf(2) ** -bits
+            claim = (mp.mpf(got.error_bound) + u) * (1 + u)
+            for x, y in zip(got.coeffs, ref):
+                assert abs(x - y) <= claim * abs(x) + u * 2**-16 * abs(y)
 
-    for bits in (53, 200) if symmetric else (53,):
-        got = outcome(bits)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(taylor, "_pole_recurrence", four_multiply_recurrence)
-            assert outcome(bits) == got
+
+def counted_truncation_bound(mod, degree, bits, extra):
+    """(A, e_0..e_degree): the count in the docstring of
+    ``taylor._truncation_bound``, written out again term by term in exact
+    rationals, with explicit sums over arcs and steps in place of the
+    shared running sums.  The float arc data are taken as exact."""
+    q = Fraction
+    tiny, wide, unit, rounding = q(2) ** (4 - bits), 1 + q(2) ** -40, q(2) ** -bits, q(2) ** -extra
+    d = mod.default_log_modulus
+
+    def u_bound(theta):
+        # |U_m| <= min(m+1, 1/|sin theta|), each end taking the smaller at the top degree
+        s2 = math.sin(theta) ** 2 - 2.0 ** (5 - bits)
+        c = 1.0 / math.sqrt(s2) if s2 > 0.0 else math.inf
+        return (lambda m: q(c)) if c <= degree + 1 else (lambda m: q(m + 1))
+
+    arcs = []
+    for c in mod.cells:
+        if c.log_modulus == d or c.theta_end <= 0.0:
+            continue
+        ts, te = max(c.theta_start, 0.0), c.theta_end
+        k = 2.0 * abs(c.log_modulus - d) / math.pi
+        sin_w, mu = math.sin((te - ts) / 2.0), (te + ts) / 2.0
+        a, b = q(2.0 * k * sin_w), q(2.0 * k * math.sin(mu) * sin_w) if ts > 0.0 else q(0)
+        arcs.append({
+            "a": a, "b": b, "alpha": a * q(abs(math.cos(mu))), "beta": b * q(math.sin(ts)),
+            "de": q(4.0 * math.sin(te / 2.0) ** 2), "ds": q(4.0 * math.sin(ts / 2.0) ** 2),
+            "ue": u_bound(te), "us": u_bound(ts),
+        })
+    mass = wide * sum(arc["a"] for arc in arcs)
+    f0 = q(math.exp(mod.mean_log_modulus()))
+    terms = q(abs(d)) + sum(q(c.width) * q(abs(c.log_modulus - d)) for c in mod.cells)
+    m, e = [wide * f0], [1 + f0 * (len(mod.cells) + 3) * (1 + terms) * tiny]
+    for n in range(degree):
+        z = [m[j] + unit * (e[j] + 1) for j in range(n + 1)]
+
+        def X(arc, j):
+            return sum((arc["ue"](j - i) * z[i] for i in range(j + 1)), q(0))
+
+        def Y(arc, j):
+            return 2 * sum((arc["us"](j - i) * X(arc, i) for i in range(j + 1)), q(0))
+
+        r = [
+            mass * (e[j] + 2)
+            + sum(wide * 2 * (1 + tiny) * arc["a"] * arc["de"] * X(arc, j - 1) for arc in arcs)
+            for j in range(n + 1)
+        ]
+        total = sum((n - j + 1) * r[j] for j in range(n + 1)) + (n + 1)
+        for arc in arcs:
+            total += wide * (rounding + tiny * arc["alpha"]) * X(arc, n)
+            if arc["b"]:
+                total += wide * 2 * (1 + tiny) * arc["b"] * arc["ds"] * sum(
+                    Y(arc, j - 1) for j in range(n + 1)
+                )
+                total += wide * (rounding + tiny * arc["beta"]) * Y(arc, n)
+        e.append(total / (n + 1))
+        m.append(mass * sum((n - j + 1) * m[j] for j in range(n + 1)) / (n + 1))
+    return mass, e
+
+
+@pytest.mark.parametrize("bits", [53, 128])
+def test_truncation_bound_is_its_derivation(bits):
+    """``_truncation_bound`` is the count its docstring derives, term by
+    term, on one mirrored arc (both ends taking 1/|sin theta|) and one
+    self-mirror arc (taking m + 1, and no D term) at degree 6.  Dropping
+    any counted term, such as the rounding of alpha and beta, a floor unit
+    or the 1/|sin theta| bound, moves the result far beyond 1e-12."""
+    import hblab.taylor as taylor
+
+    mod = StepModulus(
+        (Cell(0.3, 0.9, 1.3), Cell(-0.9, -0.3, 1.3), Cell(-0.1, 0.1, -0.7)), 0.2
+    )
+    arcs = [
+        (max(c.theta_start, 0.0), c.theta_end, c.log_modulus)
+        for c in mod.cells
+        if c.log_modulus != mod.default_log_modulus and c.theta_end > 0.0
+    ]
+    f0 = math.exp(mod.mean_log_modulus())
+    mass, got = taylor._truncation_bound(mod, arcs, f0, 6, bits, 6)
+    want_mass, want = counted_truncation_bound(mod, 6, bits, 6)
+    assert mass == pytest.approx(float(want_mass), rel=1e-12, abs=0.0)
+    assert got == pytest.approx([float(x) for x in want], rel=1e-12, abs=0.0)
 
 
 _TAYLOR_IMPORT_ORDER = """
