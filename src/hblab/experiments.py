@@ -20,6 +20,8 @@ from .hb import (
     KernelCombo,
     KernelNode,
     Radius,
+    _gram_log_terms,
+    _log_phi_at_nodes,
     as_radius,
     dilate,
     hb_norm_sq,
@@ -35,7 +37,7 @@ from .outer import (
 )
 from .pair import Pair
 from .reports import CODE_VERSION, ExperimentReport
-from .series import TaylorSeries, fixed_dot, fixed_mantissas, fixed_to_mpf
+from .series import TaylorSeries, fixed_dot, fixed_mantissas, fixed_to_mpf, fixed_toeplitz
 
 _LN10 = math.log(10.0)
 _LN2 = math.log(2.0)
@@ -70,10 +72,13 @@ def build_divergent_combo(params, pair: Pair) -> KernelCombo:
 
 def fr_plus_at_zero(r: Union[float, Radius], f: KernelCombo, pair: Pair) -> LogScalar:
     """(f_r)+(0) = sum_j c_j phi(r w_j), all terms positive, in log-domain."""
-    return log_sum_exp(
-        nd.log_c.log_mag + pair.log_phi_radial_at(nd.log_one_minus_w)
-        for nd in dilate(f, r).nodes
-    )
+    fr = dilate(f, r)
+    return _fr_plus_at_zero(fr, _log_phi_at_nodes(fr, pair))
+
+
+def _fr_plus_at_zero(fr: KernelCombo, lphi: list) -> LogScalar:
+    """``fr_plus_at_zero`` of the dilate ``fr``, given log phi at its nodes."""
+    return log_sum_exp(nd.log_c.log_mag + lp for nd, lp in zip(fr.nodes, lphi))
 
 
 # -- radius grids -----------------------------------------------------------
@@ -141,7 +146,9 @@ def divergence_curve(
 
     The pass flag asserts value >= bound only on intervals n <= n_check
     (the range where the growth inequality is actually checked); rows off
-    those intervals carry n and bound for context but always pass.
+    those intervals carry n and bound for context but always pass.  The
+    log phi(r w_j) of each radius are evaluated once and serve both the
+    value and the Gram norm of ``hb_norm_sq``.
     """
     params = pair.params
     rows = []
@@ -149,8 +156,10 @@ def divergence_curve(
     chain_ok = True
     for r in r_grid:
         rad = as_radius(r)
-        val = fr_plus_at_zero(rad, f, pair)
-        norm_sq = hb_norm_sq(dilate(f, rad), pair)
+        fr = dilate(f, rad)
+        lphi = _log_phi_at_nodes(fr, pair)
+        val = _fr_plus_at_zero(fr, lphi)
+        norm_sq = log_sum_exp(_gram_log_terms(fr, lphi))
         log10_val = val.log_mag / _LN10
         log10_norm = 0.5 * norm_sq.log_mag / _LN10
         if log10_norm < log10_val - 1e-12:
@@ -248,11 +257,14 @@ class _FhatFixed:
     8 (degree + 3) 2^-2W from the mpmath data.  So r^j fhat(j) is within
         K (j + 1) / (F_j - K (j + 1)) + 2 degree eta + 8 (degree + 3) 2^-2W
     relative, and with F_j >= 2^W this is below 2^-bits for
-    W = bits + 1 + bitlen(K (degree + 1) + 2 degree + 1).  The largest
-    such bound is ``error_bound``; a coefficient whose bound misses
-    2^-bits raises ArithmeticError.  The first and last coefficients are
-    checked against ``f_hat_log`` (times r^j) within that oracle's own
-    float error.
+    W = bits + 1 + bitlen(K (degree + 1) + 2 degree + 1).  This bound
+    never decreases as j grows: F_j never increases (every V_m < 2^Q_m),
+    K (j + 1) grows, the last term is a constant, and rounding preserves
+    order.  So the largest bound is that of F_degree: it is tested once,
+    before F_degree is yielded, and recorded as ``error_bound``; a bound
+    that misses 2^-bits raises ArithmeticError.  The first and last
+    coefficients are checked against ``f_hat_log`` (times r^j) within that
+    oracle's own float error.
     """
 
     def __init__(self, f: KernelCombo, degree: int, bits: int, radius=None):
@@ -283,14 +295,16 @@ class _FhatFixed:
         vs = [to_fixed(v._mpf_, q) for v, q in zip(self.v, self.q)]
         terms = [to_fixed(c._mpf_, -self.exp) for c in self.c]
         for j in range(degree + 1):
-            total, units = sum(terms), k * (j + 1)
-            rel = units / (total - units) + fixed if total > units else math.inf
-            if rel > 2.0**-bits:
-                raise ArithmeticError(
-                    f"fhat({j}) cannot be carried to {bits} bits at 2^{self.exp}: "
-                    f"its counted relative error bound is {rel:.3e}"
-                )
-            self.error_bound = max(self.error_bound, rel)
+            total = sum(terms)
+            if j == degree:
+                units = k * (j + 1)
+                rel = units / (total - units) + fixed if total > units else math.inf
+                if rel > 2.0**-bits:
+                    raise ArithmeticError(
+                        f"fhat({j}) cannot be carried to {bits} bits at 2^{self.exp}: "
+                        f"its counted relative error bound is {rel:.3e}"
+                    )
+                self.error_bound = rel
             if j in (0, degree):
                 self._check_oracle(j, total)
             yield total
@@ -468,8 +482,9 @@ def summability_divergence(
     its mantissas and phi-hat's are aligned once each (``fixed_mantissas``).
     s_n is a prefix of fhat's mantissas and sigma_n that prefix times the
     integer Fejer weights n + 1 - j, its factor 1/(n+1)^2 taken in the one
-    final rounding; each coefficient of f+ = T_phi-bar p is one
-    ``fixed_dot``, exact on the polynomial p.  Reports running maxima (the
+    final rounding; the coefficients of f+ = T_phi-bar p are the exact
+    integer sums of ``fixed_toeplitz``, the sums that
+    ``hb.toeplitz_coanalytic_apply`` rounds.  Reports running maxima (the
     limsup claim is exhibited as monotone growth over the computed range,
     never asserted as a limit) and the convexity sanity
     ||sigma_n|| <= max_{k<=n} ||s_k|| over computed k.  The metadata
@@ -497,7 +512,7 @@ def summability_divergence(
     def log10_norm(ms, den):
         """(1/2) log10 of (||p||^2 + ||T_phi-bar p||^2) / den for the
         polynomial p with mantissas ``ms``, rounded once."""
-        plus = sum(fixed_dot(ms[k:], ps) ** 2 for k in range(len(ms)))
+        plus = sum(s * s for s in fixed_toeplitz(ps, ms))
         total = (fixed_dot(ms, ms) << shift_p) + (plus << shift_plus)
         norm_sq = mpf_div(from_man_exp(total, low), from_int(den), precision_bits, round_nearest)
         return 0.5 * float(mp.log10(mp.make_mpf(norm_sq)))

@@ -7,7 +7,11 @@ Functions in H(b) appear in two representations:
   of ``Pair.phi_hat``, and the l2 sums of
   ||f||^2 = ||f||_{H^2}^2 + ||f+||_{H^2}^2.  The triangular-Toeplitz solve
   of T_b-bar f = T_a-bar f+ (``f_plus_solve``) on the series of a and b is
-  kept as the independent oracle.
+  kept as the independent oracle.  Every Toeplitz product is the one
+  T_h-bar, ``toeplitz_coanalytic_apply``: exact integer sums rounded once
+  when an operand is carried above 53 bits, float sums otherwise.  The
+  product, the solve and the series norms run at their operands'
+  precision, never at mpmath's ambient one.
 * :class:`KernelCombo` -- finite combinations sum_j c_j k_{w_j} of Cauchy
   kernels with positive data, where f+ = sum_j c_j conj(phi(w_j)) k_{w_j}
   gives closed Gram-form norms that survive in log-domain when the phi
@@ -16,6 +20,7 @@ Functions in H(b) appear in two representations:
 
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Union
 
@@ -24,10 +29,10 @@ from .logscalar import LogScalar, log1m_product, log1p_exp, log_sum_exp
 from .pair import Pair
 from .series import (
     TaylorSeries,
-    _is_mp,
-    fixed_dot,
+    _support_len,
     fixed_mantissas,
     fixed_to_mpf,
+    fixed_toeplitz,
     triangular_solve_upper_toeplitz,
 )
 
@@ -109,22 +114,50 @@ def cauchy_kernel(w: complex, degree: int) -> TaylorSeries:
     return TaylorSeries(tuple(coeffs))
 
 
+def _working_precision(bits: int):
+    """mpmath's working precision for a computation at ``bits``:
+    ``mp.workprec(bits)`` above 53 bits, none for floats."""
+    if bits <= 53:
+        return contextlib.nullcontext()
+    from mpmath import mp
+
+    return mp.workprec(bits)
+
+
 def toeplitz_coanalytic_apply(h: TaylorSeries, f: TaylorSeries) -> TaylorSeries:
     """T_h-bar f: output coefficient k is sum_j conj(h_j) f_{k+j}, exact on
     the polynomial f when h reaches its degree; an h with fewer
-    coefficients than f raises ValueError."""
+    coefficients than f raises ValueError.
+
+    The one Toeplitz product of hblab; the result carries the smaller
+    ``precision_bits`` of h and f.  When either is carried above 53 bits,
+    both must be real: their mantissas are aligned once to one exponent
+    each (``fixed_mantissas``, float zero pads included), and each output
+    coefficient is one exact integer sum (``fixed_toeplitz``) rounded once
+    at the result's precision, whatever mpmath's ambient precision.  Two
+    53-bit series take the float sums, which stop at h's last nonzero
+    coefficient: a symbol whose support is its first m coefficients costs
+    O(m) per output coefficient, so the tame pair's zero-padded two-term
+    a-hat and b-hat cost O(len f) in all.
+    """
     n = len(f.coeffs)
     if len(h.coeffs) < n:
         raise ValueError(f"symbol has {len(h.coeffs)} coefficients, fewer than the {n} of f")
-    hc = [c.conjugate() for c in h.coeffs[:n]]
+    bits = min(h.precision_bits, f.precision_bits)
+    if max(h.precision_bits, f.precision_bits) > 53:
+        hs, he = fixed_mantissas(h.coeffs[:n])
+        fs, fe = fixed_mantissas(f.coeffs)
+        out = [fixed_to_mpf(s, he + fe, bits) for s in fixed_toeplitz(hs, fs)]
+        return TaylorSeries(tuple(out), bits)
+    hc = [c.conjugate() for c in h.coeffs[: _support_len(h.coeffs[:n])]]
     fc = f.coeffs
     out = []
     for k in range(n):
         acc = 0.0
-        for j in range(n - k):
+        for j in range(min(n - k, len(hc))):
             acc = acc + hc[j] * fc[k + j]
         out.append(acc)
-    return TaylorSeries(tuple(out), min(h.precision_bits, f.precision_bits))
+    return TaylorSeries(tuple(out), bits)
 
 
 # -- the f+ map and H(b) norms --------------------------------------------
@@ -143,18 +176,24 @@ def _series_pair(pair: Pair, degree: int) -> Pair:
 _RESIDUAL_TOL = 1e-9
 
 
-def f_plus_residual(f: TaylorSeries, f_plus: TaylorSeries, pair: Pair) -> float:
-    """||T_a-bar f+ - T_b-bar f||_{H^2} at the shared truncation."""
+def f_plus_residual(rhs: TaylorSeries, f_plus: TaylorSeries, pair: Pair) -> float:
+    """||T_a-bar f+ - rhs||_{H^2} at the shared truncation, where rhs is
+    T_b-bar f as ``f_plus_solve`` formed it, in floats: each coefficient is
+    rounded to a double before the difference, ample for a check against
+    1e-9 ||f||."""
     lhs = toeplitz_coanalytic_apply(pair.a_series, f_plus)
-    rhs = toeplitz_coanalytic_apply(pair.b_series, f)
-    return math.sqrt(abs(float((lhs - rhs).l2_norm_sq())))
+    return math.sqrt(sum(abs(complex(x) - complex(y)) ** 2 for x, y in zip(lhs.coeffs, rhs.coeffs)))
 
 
 def f_plus_solve(f: TaylorSeries, pair: Pair) -> TaylorSeries:
     """The unique f+ with T_b-bar f = T_a-bar f+, on truncated coefficients.
 
-    Solves the upper-triangular Toeplitz system by back-substitution at the
-    degree d of f.  T_a-bar maps the polynomials of degree <= d onto
+    Forms T_b-bar f once (``toeplitz_coanalytic_apply``) and solves the
+    upper-triangular Toeplitz system by back-substitution at the degree d
+    of f, at the larger ``precision_bits`` of a-hat and f (under
+    ``mp.workprec`` above 53 bits, whatever the ambient one), each row's
+    sum stopping at a-hat's last nonzero coefficient; f+ carries the
+    smaller of the two.  T_a-bar maps the polynomials of degree <= d onto
     themselves, so for a polynomial the truncation at d is exact: a solve
     at any larger degree gives the same coefficients and exact zeros past d.
     The defect residual ||T_a-bar f+ - T_b-bar f|| is checked against
@@ -166,32 +205,28 @@ def f_plus_solve(f: TaylorSeries, pair: Pair) -> TaylorSeries:
     degree = f.truncation_degree
     pair = _series_pair(pair, degree)
     a = pair.a_series.truncate(degree)
-    b = pair.b_series.truncate(degree)
-    rhs = toeplitz_coanalytic_apply(b, f)
-    x = triangular_solve_upper_toeplitz(a.coeffs, rhs.coeffs)
-    f_plus = TaylorSeries(tuple(x), min(a.precision_bits, f.precision_bits))
-    scale = math.sqrt(abs(float(f.l2_norm_sq()))) or 1.0
-    res = f_plus_residual(f, f_plus, pair)
+    rhs = toeplitz_coanalytic_apply(pair.b_series, f)
+    with _working_precision(max(a.precision_bits, f.precision_bits)):
+        x = triangular_solve_upper_toeplitz(a.coeffs, rhs.coeffs)
+        f_plus = TaylorSeries(tuple(x), min(a.precision_bits, f.precision_bits))
+        scale = math.sqrt(abs(float(f.l2_norm_sq()))) or 1.0
+    res = f_plus_residual(rhs, f_plus, pair)
     if res > _RESIDUAL_TOL * scale:
         raise ArithmeticError(f"f+ residual {res:.3e} exceeds {_RESIDUAL_TOL:.0e} * ||f||")
     return f_plus
 
 
-def _log_of_positive(x) -> float:
-    """Natural log of a positive number that may be float or mpmath."""
-    if _is_mp(x):
-        import mpmath
-
-        return float(mpmath.log(x))
-    return math.log(x)
+def _log_phi_at_nodes(combo: KernelCombo, pair: Pair) -> list:
+    """log phi(w_j) at the nodes of ``combo``, one float per node."""
+    return [pair.log_phi_radial_at(nd.log_one_minus_w) for nd in combo.nodes]
 
 
-def _gram_log_terms(combo: KernelCombo, pair: Pair):
+def _gram_log_terms(combo: KernelCombo, lphi: list):
     """Log magnitudes of the terms of ||f||^2 + ||f+||^2 =
-    sum_{i,j} c_i c_j (1 + phi_i phi_j) / (1 - w_i w_j): one pass over the
-    node pairs yields the plain term and then the one with phi values."""
+    sum_{i,j} c_i c_j (1 + phi_i phi_j) / (1 - w_i w_j), given
+    lphi = ``_log_phi_at_nodes(combo, pair)``: one pass over the node pairs
+    yields the plain term and then the one with phi values."""
     nodes = combo.nodes
-    lphi = [pair.log_phi_radial_at(nd.log_one_minus_w) for nd in nodes]
     for ni, lpi in zip(nodes, lphi):
         for nj, lpj in zip(nodes, lphi):
             lm = (
@@ -208,14 +243,17 @@ def hb_norm_sq(f: HbFunction, pair: Pair) -> LogScalar:
 
     TaylorSeries take f+ = T_phi-bar f (``sarason_f_plus`` with
     ``Pair.phi_hat`` at the precision of f), exact for the truncated
-    polynomial; KernelCombos use the closed Gram forms with
-    f+ = sum c_j conj(phi(w_j)) k_{w_j}, entirely in log-domain.
+    polynomial, and sum the squares at that precision; KernelCombos use
+    the closed Gram forms with f+ = sum c_j conj(phi(w_j)) k_{w_j},
+    entirely in log-domain.
     """
     if isinstance(f, KernelCombo):
-        return log_sum_exp(_gram_log_terms(f, pair))
+        return log_sum_exp(_gram_log_terms(f, _log_phi_at_nodes(f, pair)))
     f_plus = sarason_f_plus(f, pair.phi_hat(f.truncation_degree, f.precision_bits))
-    total = f.l2_norm_sq() + f_plus.l2_norm_sq()
-    return LogScalar.exp_of(_log_of_positive(total))
+    bits = f_plus.precision_bits
+    with _working_precision(bits):
+        total = f.l2_norm_sq() + f_plus.l2_norm_sq()
+        return LogScalar.exp_of(float(total.context.ln(total)) if bits > 53 else math.log(total))
 
 
 def kernel_hb(w: complex, pair: Pair, degree: int) -> TaylorSeries:
@@ -252,27 +290,15 @@ def sarason_f_plus(f: TaylorSeries, phi_hat: TaylorSeries) -> TaylorSeries:
     phi-hat with fewer coefficients than f raises ValueError.  With phi-hat
     from ``Pair.phi_hat`` this is the route of ``hb_norm_sq`` on a
     TaylorSeries (``experiments.summability_divergence`` sums the same
-    products as exact integers itself); ``f_plus_solve`` is its
-    independent oracle.  On
-    real mpmath series the mantissas of f and of phi-hat are aligned once
-    to one exponent each (``fixed_mantissas``, float zero pads included),
-    so each output coefficient is one exact integer dot product
-    (``fixed_dot``) rounded once at the result's precision, the smaller of
-    the two series' ``precision_bits``, whatever the ambient mpmath
-    precision; floats take T_phi-hat-bar f, ``toeplitz_coanalytic_apply``.
+    exact integers, ``series.fixed_toeplitz``, itself); ``f_plus_solve`` is
+    its independent oracle.  It is T_phi-hat-bar f, the one product
+    ``toeplitz_coanalytic_apply``, whose length check raises that
+    ValueError: on real mpmath series one exact integer sum per
+    coefficient, rounded once at the smaller of the two series'
+    ``precision_bits`` whatever the ambient mpmath precision, and float
+    sums on 53-bit series.
     """
-    nf = len(f.coeffs)
-    if len(phi_hat.coeffs) < nf:
-        raise ValueError(
-            f"phi-hat has {len(phi_hat.coeffs)} coefficients, fewer than the {nf} of f"
-        )
-    bits = min(f.precision_bits, phi_hat.precision_bits)
-    if bits <= 53:
-        return toeplitz_coanalytic_apply(phi_hat, f)
-    fs, fe = fixed_mantissas(f.coeffs)
-    ps, pe = fixed_mantissas(phi_hat.coeffs)
-    out = [fixed_to_mpf(fixed_dot(fs[k:], ps), fe + pe, bits) for k in range(nf)]
-    return TaylorSeries(tuple(out), bits)
+    return toeplitz_coanalytic_apply(phi_hat, f)
 
 
 # -- dilation ---------------------------------------------------------------

@@ -15,6 +15,7 @@ exactly and rounded to mpmath once.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 from typing import Optional, Sequence
@@ -137,25 +138,32 @@ def triangular_solve_upper_toeplitz(diag_and_superdiagonals: Sequence, rhs: Sequ
 
     The matrix is upper triangular Toeplitz with (conjugated) first row
     ``diag_and_superdiagonals``; unknowns beyond the truncation are taken as
-    zero, so the solve proceeds from the top index down.  A diagonal of
-    magnitude below 1e-300 signals a degenerate system (for a pair it would
-    mean a(0) ~ 0, which cannot happen) and raises ValueError.
+    zero, so the solve proceeds from the top index down, and each row's sum
+    stops at the last nonzero h_j.  On mpmath numbers it runs at the ambient
+    precision, which ``hb.f_plus_solve`` sets to its operands'.  A diagonal
+    of magnitude below 1e-300 signals a degenerate system (for a pair it
+    would mean a(0) ~ 0, which cannot happen) and raises ValueError.
     """
     h = [c.conjugate() for c in diag_and_superdiagonals]
-    b = list(rhs)
-    if len(h) != len(b):
+    if len(h) != len(rhs):
         raise ValueError("coefficient and right-hand-side lengths differ")
     d = h[0]
     if abs(d) < 1e-300:
         raise ValueError(f"diagonal magnitude {abs(d)} below threshold 1e-300")
-    n = len(b)
+    n, m = len(rhs), _support_len(h)
     x = [0.0] * n
     for k in range(n - 1, -1, -1):
-        acc = b[k]
-        for j in range(1, n - k):
+        acc = rhs[k]
+        for j in range(1, min(n - k, m)):
             acc = acc - h[j] * x[k + j]
         x[k] = acc / d
     return x
+
+
+def _support_len(cs) -> int:
+    """The number of coefficients up to the last nonzero one: a Toeplitz sum
+    stops there, since every later term is an exact zero."""
+    return next((m for m in range(len(cs), 0, -1) if cs[m - 1]), 0)
 
 
 def fixed_mantissas(xs):
@@ -186,9 +194,25 @@ def fixed_dot(xs, ys) -> int:
     return sum(map(operator.mul, xs, ys))
 
 
-def fixed_to_mpf(man: int, exp: int, bits: int):
-    """man 2^exp as an mpmath number rounded once, to nearest, at ``bits``."""
+def fixed_toeplitz(hs, fs) -> list:
+    """sum_j hs[j] fs[k+j] for k = 0..len(fs)-1, the coefficients of T_h-bar f
+    for a real symbol, as exact integers over mantissas on one scale each
+    (``fixed_mantissas``), so on the product of the two scales, unrounded;
+    each sum stops at the shorter sequence."""
+    return [fixed_dot(fs[k:], hs) for k in range(len(fs))]
+
+
+@functools.cache
+def _mpf_names() -> tuple:
+    """mpmath's make_mpf, from_man_exp and round_nearest, imported on the
+    first call only, so a float-only process never loads mpmath."""
     from mpmath import mp
     from mpmath.libmp import from_man_exp, round_nearest
 
-    return mp.make_mpf(from_man_exp(man, exp, bits, round_nearest))
+    return mp.make_mpf, from_man_exp, round_nearest
+
+
+def fixed_to_mpf(man: int, exp: int, bits: int):
+    """man 2^exp as an mpmath number rounded once, to nearest, at ``bits``."""
+    make_mpf, from_man_exp, rnd = _mpf_names()
+    return make_mpf(from_man_exp(man, exp, bits, rnd))

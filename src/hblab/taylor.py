@@ -61,9 +61,12 @@ def outer_series(mod: pair.StepModulus, degree: int, precision_bits: int = 53) -
     least number of bits that lifts the a-priori coefficient scale
     |F_0| min(1, A) / (n+1)^2 (A the total arc weight) strictly above the
     bound's whole units, the count the guard tests.  A coefficient whose
-    counted bound exceeds 2^-precision_bits of its size raises
-    ArithmeticError: it is too small for the fixed-point scale to carry its
-    relative precision.  Every returned coefficient is therefore within
+    counted bound exceeds 2^-precision_bits of its size, one that falls
+    below that scale, sends the loop through one more pass, at W plus the
+    most bits any coefficient lacks plus 1 (the bound's units do not depend
+    on W); a coefficient still short after it raises ArithmeticError: it is
+    too small for the fixed-point scale to carry its relative precision,
+    as an exact zero is.  Every returned coefficient is therefore within
     2^-precision_bits of its size before the final rounding, and within one
     unit in its last place after it; the largest counted bound relative to
     its coefficient is the series' ``error_bound``.
@@ -74,9 +77,6 @@ def outer_series(mod: pair.StepModulus, degree: int, precision_bits: int = 53) -
     the float ``log_outer_series``, at every precision, and a disagreement
     beyond that route's own float error raises ArithmeticError.
     """
-    from mpmath import mp
-    from mpmath.libmp import to_fixed
-
     cells = {(c.theta_start, c.theta_end, c.log_modulus) for c in mod.cells}
     if not all((-b, -a, h) in cells for a, b, h in cells):
         raise ValueError("outer_series needs a theta-symmetric modulus")
@@ -102,6 +102,34 @@ def outer_series(mod: pair.StepModulus, degree: int, precision_bits: int = 53) -
         0,
         max(math.floor(math.log2(math.ceil(e) / s)) + 1 for e, s in zip(bound, scale) if e > 0.0),
     )
+    coeffs = _fixed_pass(mod, arcs, degree, W, extra)
+    short, n = _shortfall(coeffs, bound, precision_bits)
+    if short:
+        # a coefficient below the a-priori scale: one pass with the bits it lacks
+        W += short + 1
+        coeffs = _fixed_pass(mod, arcs, degree, W, extra)
+        short, n = _shortfall(coeffs, bound, precision_bits)
+    if short:
+        raise ArithmeticError(
+            f"outer_series coefficient {n} is too small for {precision_bits} bits "
+            f"at 2^-{W}: its counted error bound is {math.ceil(bound[n])} units"
+        )
+    rel_bound = max((math.ceil(e) / abs(f) for f, e in zip(coeffs, bound) if e), default=0.0)
+    if precision_bits <= 53:
+        out, bits = tuple(f / (1 << W) for f in coeffs), 53
+    else:
+        out, bits = tuple(fixed_to_mpf(f, -W, precision_bits) for f in coeffs), precision_bits
+    _check_against_exp_series(mod, out)
+    return TaylorSeries(out, bits, rel_bound)
+
+
+def _fixed_pass(mod: pair.StepModulus, arcs: list, degree: int, W: int, extra: int) -> list:
+    """F_0..F_degree as integers at 2^-W: the arc data of ``outer_series``
+    computed by mpmath at 2W bits, then ``_arc_recurrence``."""
+    from mpmath import mp
+    from mpmath.libmp import to_fixed
+
+    d = mod.default_log_modulus
     with mp.workprec(2 * W):
 
         def own_scale(x):
@@ -125,24 +153,23 @@ def outer_series(mod: pair.StepModulus, degree: int, precision_bits: int = 53) -
                 + (to_fixed(alpha._mpf_, W + extra), to_fixed(beta._mpf_, W + extra))
             )
         f0_fixed = to_fixed(mp.exp(mean)._mpf_, W)
-    coeffs = _arc_recurrence(f0_fixed, data, degree, W + extra)
-    rel_bound = 0.0
+    return _arc_recurrence(f0_fixed, data, degree, W + extra)
+
+
+def _shortfall(coeffs: list, bound: list, bits: int) -> tuple:
+    """(s, n): the guard of ``outer_series`` on fixed-point coefficients.
+    The claim, in units, is |F_n - fixed F_n| <= e <= 2^-bits (|fixed F_n| - e),
+    tested as ceil(e) (2^bits + 1) <= |fixed F_n|; n is the first
+    coefficient that misses it (None if none does) and s the most bits,
+    by bit lengths, that any coefficient lacks (0 if none)."""
+    s, first = 0, None
     for n, (f, e) in enumerate(zip(coeffs, bound)):
-        # the claim, in units: |F_n - fixed F_n| <= e <= 2^-P (|fixed F_n| - e)
         e = math.ceil(e)
-        if (e << precision_bits) + e > abs(f):
-            raise ArithmeticError(
-                f"outer_series coefficient {n} is too small for {precision_bits} bits "
-                f"at 2^-{W}: its counted error bound is {e} units"
-            )
-        if e:
-            rel_bound = max(rel_bound, e / abs(f))
-    if precision_bits <= 53:
-        out, bits = tuple(f / (1 << W) for f in coeffs), 53
-    else:
-        out, bits = tuple(fixed_to_mpf(f, -W, precision_bits) for f in coeffs), precision_bits
-    _check_against_exp_series(mod, out)
-    return TaylorSeries(out, bits, rel_bound)
+        need = (e << bits) + e
+        if need > abs(f):
+            s = max(s, need.bit_length() - abs(f).bit_length() + 1)
+            first = n if first is None else first
+    return s, first
 
 
 def _arc_recurrence(f0: int, data: list, degree: int, shift: int) -> list:

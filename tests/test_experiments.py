@@ -140,6 +140,27 @@ def test_divergence_norm_chain(curve):
         assert row[2] >= row[1] - 1e-12
 
 
+def test_divergence_curve_evaluates_each_log_phi_once(params, pair, combo, curve, monkeypatch):
+    """One log phi(r w_j) per node and radius serves both (f_r)+(0) and the
+    Gram norm, and the rows are those of the two public routes."""
+    calls = []
+    log_phi = Pair.log_phi_radial_at
+
+    def counted(self, ld):
+        calls.append(ld)
+        return log_phi(self, ld)
+
+    monkeypatch.setattr(Pair, "log_phi_radial_at", counted)
+    grid = default_r_grid(params)
+    again = divergence_curve(grid, combo, pair)
+    assert len(calls) == len(grid) * len(combo.nodes)
+    monkeypatch.undo()
+    assert again.rows == curve.rows
+    for rad, row in zip(grid, curve.rows):
+        assert row[1] == fr_plus_at_zero(rad, combo, pair).log_mag / math.log(10.0)
+        assert row[2] == 0.5 * hb_norm_sq(dilate(combo, rad), pair).log_mag / math.log(10.0)
+
+
 def test_divergence_values_increase(curve):
     vals = [row[1] for row in curve.rows]
     assert vals == sorted(vals)
@@ -257,6 +278,23 @@ def test_fhat_kernel_error_bound_is_its_count():
     )
     assert kernel.error_bound == pytest.approx(float(count), rel=1e-12, abs=0.0)
     assert kernel.error_bound <= 2.0**-bits
+
+
+@pytest.mark.parametrize("bits", [53, 200])
+def test_fhat_kernel_bound_is_its_last(pair, combo, bits):
+    """The kernel tests and records its relative bound once, at j = degree:
+    the recorded ``error_bound`` equals, bit for bit, the largest over j of
+    the per-coefficient float bound K (j + 1) / (F_j - K (j + 1)) + fixed,
+    which never decreases in j, at r = 1 and at A7's w_1 radius."""
+    for radius in (None, pair.seq.w[1]):
+        kernel = _FhatFixed(combo, 256, bits, radius)
+        totals = list(kernel)
+        k, degree = len(combo.nodes), 256
+        eta = 2.0**-kernel.W + 2.0 ** (1 - kernel.wp)
+        fixed = 2 * degree * eta + (degree + 3) * 2.0 ** (3 - kernel.wp)
+        rels = [k * (j + 1) / (t - k * (j + 1)) + fixed for j, t in enumerate(totals)]
+        assert rels == sorted(rels)
+        assert kernel.error_bound == max(rels)
 
 
 @pytest.mark.parametrize("bits", [128, 384])

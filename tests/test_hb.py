@@ -293,6 +293,64 @@ def test_sarason_f_plus_rejects_short_phi_hat():
         sarason_f_plus(f200, phi200)
 
 
+def test_mp_products_ignore_the_ambient_precision(pair):
+    """On the 200-bit series of a and b at degree 16 and a 200-bit f, the
+    product T_b-bar f and the solve give, at mpmath's default 53 bits, the
+    coefficients they give inside workprec(200): both run at the
+    precision of their operands.  The same holds for the float f rounded
+    from it, whose results carry 53 bits."""
+    from mpmath import mp
+
+    mp_pair = pair.with_series(16, 200)
+    with mp.workprec(200):
+        f = TaylorSeries(tuple(mp.mpf(1) / (j + 3) - mp.mpf(2) ** -j for j in range(17)), 200)
+    f53 = TaylorSeries(tuple(map(float, f.coeffs)))
+    for p, bits in ((f, 200), (f53, 53)):
+        with mp.workprec(200):
+            inside = toeplitz_coanalytic_apply(mp_pair.b_series, p), f_plus_solve(p, mp_pair)
+        assert mp.prec == 53
+        outside = toeplitz_coanalytic_apply(mp_pair.b_series, p), f_plus_solve(p, mp_pair)
+        for got, want in zip(outside, inside):
+            assert got.precision_bits == want.precision_bits == bits
+            assert got.coeffs == want.coeffs
+        assert max(c._mpf_[3] for c in outside[0].coeffs) == bits
+
+
+def test_sarason_f_plus_is_the_toeplitz_product(pair):
+    """``sarason_f_plus(f, phi-hat)`` is T_phi-hat-bar f, in floats and at
+    200 bits."""
+    from mpmath import mp
+
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        p = random_poly(rng)
+        assert sarason_f_plus(p, PHI_HAT_TAME) == toeplitz_coanalytic_apply(PHI_HAT_TAME, p)
+    phi200 = pair.phi_hat(24, 200)
+    with mp.workprec(200):
+        f = TaylorSeries(tuple(mp.mpf(float(x)) / 3 for x in rng.uniform(-1, 1, 21)), 200)
+    assert sarason_f_plus(f, phi200) == toeplitz_coanalytic_apply(phi200, f)
+
+
+def test_zero_padded_symbols_match_their_polynomials(tame):
+    """The tame pair's a-hat and b-hat are two-term polynomials padded with
+    zeros to degree 160.  The float product and the solve stop at their
+    last nonzero coefficient and give, bit for bit, what the two-term
+    recurrences give: (T_b-bar f)_k = b_0 f_k + b_1 f_(k+1) and
+    x_k = ((T_b-bar f)_k - a_1 x_(k+1)) / a_0."""
+    (a0, a1), (b0, b1) = tame.a_series.coeffs[:2], tame.b_series.coeffs[:2]
+    assert not any(tame.a_series.coeffs[2:]) and not any(tame.b_series.coeffs[2:])
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        p = random_poly(rng, 40)
+        fc = p.coeffs + (0.0,)
+        rhs = [0.0 + b0 * fc[k] + b1 * fc[k + 1] for k in range(len(p.coeffs))]
+        x = [0.0] * (len(rhs) + 1)
+        for k in reversed(range(len(rhs))):
+            x[k] = (rhs[k] - a1 * x[k + 1]) / a0
+        assert toeplitz_coanalytic_apply(tame.b_series, p).coeffs == tuple(rhs)
+        assert f_plus_solve(p, tame).coeffs == tuple(x[:-1])
+
+
 def test_hb_inner_consistency(tame, hb_inner):
     rng = np.random.default_rng(3)
     f, g = random_poly(rng, 12), random_poly(rng, 12)

@@ -397,19 +397,62 @@ def test_outer_series_guard_fails_loudly(pair, monkeypatch):
                 outer_series(mod, 48, bits)
 
 
+def within_claim(got, ref, bits):
+    """Every coefficient of ``got`` within its counted ``error_bound`` plus
+    its final rounding of the all-mpmath ``ref``, relative, with 2^-16 of a
+    unit for the reference's own loss."""
+    from mpmath import mp
+
+    with mp.workprec(bits + 64):
+        u = mp.mpf(2) ** -bits
+        claim = (mp.mpf(got.error_bound) + u) * (1 + u)
+        return all(
+            abs(x - y) <= claim * abs(x) + u * 2**-16 * abs(y) for x, y in zip(got.coeffs, ref)
+        )
+
+
 @pytest.mark.parametrize("bits", [128, 384])
-def test_outer_series_guard_raises_below_scale(pair, bits):
-    """The fixed-point scale is derived from the modulus, so it can carry
-    2^-bits relative only down to the a-priori coefficient size
-    |F_0| min(1, A) / (n+1)^2.  Odd coefficients 2^-40 below the even ones
-    fall far under it, and outer_series raises instead of returning them.
+def test_outer_series_guard_raises_below_scale(pair, bits, monkeypatch):
+    """The fixed-point scale is derived from the modulus, so its first pass
+    carries 2^-bits relative only down to the a-priori coefficient size
+    |F_0| min(1, A) / (n+1)^2.  A coefficient below it gets one more pass,
+    with the bits it lacks: the odd coefficients of nearly even moduli,
+    2^-40 below the even ones, and about 2^-53 below at delta = 0, where
+    only the float rounding of the cell ends breaks the evenness, come back
+    within their claim of the all-mpmath oracle at bits + 128.  A
+    coefficient still short after that pass raises: one held at zero in
+    both passes does, one held at zero in the first pass only does not.
     The constructed a, whose coefficients fall to 2^-12 by degree 256, is
     inside the scale and keeps its claim."""
-    with pytest.raises(ArithmeticError, match="too small"):
-        outer_series(nearly_even_modulus(2.0**-40), 48, bits)
-    with pytest.raises(ArithmeticError, match="too small"):
-        outer_series(nearly_even_modulus(0.0), 48, bits)
+    import hblab.taylor as taylor
+
+    for delta in (2.0**-40, 0.0):
+        mod = nearly_even_modulus(delta)
+        got = outer_series(mod, 48, bits)
+        assert min(abs(c) for c in got.coeffs) < 1e-12
+        assert 0.0 < got.error_bound <= 2.0**-bits
+        assert within_claim(got, outer_series_mp(mod, 48, bits + 128), bits)
     assert outer_series(nearly_even_modulus(0.5), 48, bits).error_bound <= 2.0**-bits
+    true_recurrence, passes = taylor._arc_recurrence, []
+
+    def zeroed(held):
+        def recurrence(f0, data, degree, shift):
+            coeffs = true_recurrence(f0, data, degree, shift)
+            passes.append(shift)
+            return coeffs[:7] + [0] + coeffs[8:] if len(passes) <= held else coeffs
+
+        return recurrence
+
+    mod = nearly_even_modulus(0.5)
+    monkeypatch.setattr(taylor, "_arc_recurrence", zeroed(2))
+    with pytest.raises(ArithmeticError, match="coefficient 7 is too small"):
+        outer_series(mod, 48, bits)
+    assert len(passes) == 2 and passes[1] > passes[0]
+    passes.clear()
+    monkeypatch.setattr(taylor, "_arc_recurrence", zeroed(1))
+    got = outer_series(mod, 48, bits)
+    assert len(passes) == 2
+    assert within_claim(got, outer_series_mp(mod, 48, bits + 128), bits)
     a = outer_series(pair.a_modulus, 256, bits)
     assert 0.0 < a.error_bound <= 2.0**-bits
     assert min(abs(c) for c in a.coeffs) < 2.0**-11
@@ -490,28 +533,55 @@ def test_outer_series_within_its_bound_across_symmetric_moduli(drawn):
     the all-mpmath oracle at P + 64 bits: |x - y| <= (error_bound + 2^-P)
     (1 + 2^-P) |x|.  The oracle loses up to about 27 of its 64 extra bits
     on a tall arc of width 1e-8 (sin j theta_e - sin j theta_s cancels) and
-    a few more in exp_series, allowed as 2^-(P+16) |y|.  A coefficient too
-    small for the fixed-point scale may raise instead; an asymmetric
-    modulus raises ValueError at every precision."""
-    from mpmath import mp
-
+    a few more in exp_series, allowed as 2^-(P+16) |y|.  A coefficient
+    below the a-priori scale gets the second pass and keeps its claim (none
+    may raise); an asymmetric modulus raises ValueError at every
+    precision."""
     mod, symmetric = drawn
     for bits in (53, 128, 256):
         if not symmetric:
             with pytest.raises(ValueError, match="theta-symmetric"):
                 outer_series(mod, 24, bits)
             continue
-        try:
-            got = outer_series(mod, 24, bits)
-        except ArithmeticError as e:
-            assert "too small" in str(e)
-            continue
-        ref = outer_series_mp(mod, 24, bits + 64)
-        with mp.workprec(bits + 64):
-            u = mp.mpf(2) ** -bits
-            claim = (mp.mpf(got.error_bound) + u) * (1 + u)
-            for x, y in zip(got.coeffs, ref):
-                assert abs(x - y) <= claim * abs(x) + u * 2**-16 * abs(y)
+        got = outer_series(mod, 24, bits)
+        assert within_claim(got, outer_series_mp(mod, 24, bits + 64), bits)
+
+
+# three mirrored arcs whose coefficient 20 of degree 24 (9.4e-5 against
+# F_0 = 1.08) lies below the a-priori scale of the first pass
+LOW_COEFFICIENT_MODULUS = StepModulus(
+    (
+        Cell(-1.734177449772364, -1.458287682086904, 0.2758897676854601),
+        Cell(-1.1178055296330591, -1.065165354710205, 0.3404821524538447),
+        Cell(-0.7892755870247448, -0.4487934345709, 0.3987934345709),
+        Cell(0.4487934345709, 0.7892755870247448, 0.3987934345709),
+        Cell(1.065165354710205, 1.1178055296330591, 0.3404821524538447),
+        Cell(1.458287682086904, 1.734177449772364, 0.2758897676854601),
+    ),
+    0.0,
+)
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+def test_outer_series_second_pass_on_a_low_coefficient(bits, monkeypatch):
+    """A theta-symmetric modulus that the draws above produced (before the
+    second pass existed, when it raised), whose coefficient 20 falls a few
+    times below the first pass's scale: the second pass is taken and
+    returns the series within ``error_bound`` of the all-mpmath oracle."""
+    import hblab.taylor as taylor
+
+    true_pass, widths = taylor._fixed_pass, []
+
+    def counted(mod, arcs, degree, W, extra):
+        widths.append(W)
+        return true_pass(mod, arcs, degree, W, extra)
+
+    monkeypatch.setattr(taylor, "_fixed_pass", counted)
+    got = outer_series(LOW_COEFFICIENT_MODULUS, 24, bits)
+    assert len(widths) == 2 and widths[1] > widths[0]
+    assert abs(float(got.coeffs[20])) < 1e-4
+    assert 0.0 < got.error_bound <= 2.0**-bits
+    assert within_claim(got, outer_series_mp(LOW_COEFFICIENT_MODULUS, 24, bits + 64), bits)
 
 
 def counted_truncation_bound(mod, degree, bits, extra):
