@@ -207,7 +207,7 @@ def verify_outer(cfg):
         for rec in verify_growth_bound(n, cfg["r_samples"], params, seq):
             rows.append(
                 (rec.n, rec.r, rec.u, rec.v, rec.log_ratio,
-                 rec.bound.log_mag, rec.passed)
+                 rec.log_bound, rec.passed)
             )
             all_ok = all_ok and rec.passed
     try:

@@ -11,7 +11,8 @@ Functions in H(b) appear in two representations:
   T_h-bar, ``toeplitz_coanalytic_apply``: exact integer sums rounded once
   when an operand is carried above 53 bits, float sums otherwise.  The
   product, the solve and the series norms run at their operands'
-  precision, never at mpmath's ambient one.
+  precision, never at mpmath's ambient one; ``dilate`` and ``kernel_hb``,
+  whose arithmetic is in floats, take 53-bit series only.
 * :class:`KernelCombo` -- finite combinations sum_j c_j k_{w_j} of Cauchy
   kernels with positive data, where f+ = sum_j c_j conj(phi(w_j)) k_{w_j}
   gives closed Gram-form norms that survive in log-domain when the phi
@@ -25,7 +26,7 @@ import math
 from typing import Union
 
 from ._record import Record, _set
-from .logscalar import LogScalar, log1m_product, log1p_exp, log_sum_exp
+from .logscalar import log1m_product, log1p_exp, log_sum_exp
 from .pair import Pair
 from .series import (
     TaylorSeries,
@@ -65,12 +66,12 @@ def as_radius(r: Union[float, Radius]) -> Radius:
 
 
 class KernelNode(Record):
-    """One term c * k_w with positive real c (as LogScalar) and real
-    w in (0, 1) stored via log(1 - w)."""
+    """One term c * k_w with positive real c stored via its float log and
+    real w in (0, 1) stored via log(1 - w)."""
 
     __slots__ = ("log_c", "log_one_minus_w")
 
-    def __init__(self, log_c: LogScalar, log_one_minus_w: float):
+    def __init__(self, log_c: float, log_one_minus_w: float):
         _set(self, "log_c", log_c)
         _set(self, "log_one_minus_w", log_one_minus_w)
 
@@ -88,9 +89,9 @@ class KernelCombo(Record):
     def __init__(self, nodes: tuple):
         _set(self, "nodes", nodes)
         for nd in nodes:
-            if nd.log_c.sign() <= 0:
+            if not nd.log_c > -math.inf:  # a zero coefficient, or NaN
                 raise ValueError(
-                    "KernelCombo requires positive real coefficients; "
+                    "KernelCombo requires positive real coefficients, each log_c above -inf; "
                     "use the TaylorSeries representation for signed data"
                 )
             if nd.log_one_minus_w >= 0.0:
@@ -229,23 +230,20 @@ def _gram_log_terms(combo: KernelCombo, lphi: list):
     nodes = combo.nodes
     for ni, lpi in zip(nodes, lphi):
         for nj, lpj in zip(nodes, lphi):
-            lm = (
-                ni.log_c.log_mag
-                + nj.log_c.log_mag
-                - log1m_product(ni.log_one_minus_w, nj.log_one_minus_w)
-            )
+            lm = ni.log_c + nj.log_c - log1m_product(ni.log_one_minus_w, nj.log_one_minus_w)
             yield lm
             yield lm + (lpi + lpj)
 
 
-def hb_norm_sq(f: HbFunction, pair: Pair) -> LogScalar:
-    """||f||^2_{H(b)} = ||f||^2_{H^2} + ||f+||^2_{H^2} as a LogScalar.
+def hb_norm_sq(f: HbFunction, pair: Pair) -> float:
+    """log ||f||^2_{H(b)}, the log of ||f||^2_{H^2} + ||f+||^2_{H^2}, as a
+    float.
 
     TaylorSeries take f+ = T_phi-bar f (``sarason_f_plus`` with
     ``Pair.phi_hat`` at the precision of f), exact for the truncated
-    polynomial, and sum the squares at that precision; KernelCombos use
-    the closed Gram forms with f+ = sum c_j conj(phi(w_j)) k_{w_j},
-    entirely in log-domain.
+    polynomial, and sum the squares at that precision; a NaN sum raises
+    ValueError.  KernelCombos use the closed Gram forms with
+    f+ = sum c_j conj(phi(w_j)) k_{w_j}, entirely in log-domain.
     """
     if isinstance(f, KernelCombo):
         return log_sum_exp(_gram_log_terms(f, _log_phi_at_nodes(f, pair)))
@@ -253,32 +251,45 @@ def hb_norm_sq(f: HbFunction, pair: Pair) -> LogScalar:
     bits = f_plus.precision_bits
     with _working_precision(bits):
         total = f.l2_norm_sq() + f_plus.l2_norm_sq()
-        return LogScalar.exp_of(float(total.context.ln(total)) if bits > 53 else math.log(total))
+        log_total = float(total.context.ln(total)) if bits > 53 else math.log(total)
+    if math.isnan(log_total):
+        raise ValueError("hb_norm_sq of a series with NaN coefficients")
+    return log_total
 
 
 def kernel_hb(w: complex, pair: Pair, degree: int) -> TaylorSeries:
-    """H(b) reproducing kernel k_w^b(z) = (1 - conj(b(w)) b(z)) k_w(z)."""
+    """H(b) reproducing kernel k_w^b(z) = (1 - conj(b(w)) b(z)) k_w(z), in
+    floats: a pair carrying b above 53 bits raises ValueError."""
     if abs(w) >= 1:
         raise ValueError("kernel_hb requires |w| < 1")
     pair = _series_pair(pair, degree)
     b = pair.b_series.truncate(degree)
+    if b.precision_bits > 53:
+        raise ValueError("kernel_hb takes 53-bit float series only")
     bw_conj = complex(b(w)).conjugate()
     factor = TaylorSeries.constant(1.0 + 0j, degree) - b.scale(bw_conj)
     return factor * cauchy_kernel(w, degree)
 
 
+def _ccond_log_terms(f: KernelCombo, lphi: list) -> list:
+    """The float logs of the terms of ``kernel_combo_ccond_check``, given
+    lphi = ``_log_phi_at_nodes(f, pair)``; a NaN passes through."""
+    return [
+        nd.log_c + log1p_exp(lp) - 0.5 * nd.log_one_minus_w for nd, lp in zip(f.nodes, lphi)
+    ]
+
+
 def kernel_combo_ccond_check(f: KernelCombo, pair: Pair) -> list:
-    """Termwise |c_j| (1 + |phi(w_j)|) (1 - w_j)^{-1/2} as LogScalars.
+    """Termwise log(|c_j| (1 + |phi(w_j)|) (1 - w_j)^{-1/2}) as floats; a
+    NaN term raises ValueError.
 
     Summability of these terms is the admissibility condition for kernel
     combinations; for the construction's coefficients each term is at most
     2/j^2.
     """
-    out = []
-    for nd in f.nodes:
-        lphi = pair.log_phi_radial_at(nd.log_one_minus_w)
-        lm = nd.log_c.log_mag + log1p_exp(lphi) - 0.5 * nd.log_one_minus_w
-        out.append(LogScalar.exp_of(lm))
+    out = _ccond_log_terms(f, _log_phi_at_nodes(f, pair))
+    if any(map(math.isnan, out)):
+        raise ValueError("admissibility term must not be NaN")
     return out
 
 
@@ -306,13 +317,16 @@ def sarason_f_plus(f: TaylorSeries, phi_hat: TaylorSeries) -> TaylorSeries:
 
 def dilate(f: HbFunction, r: Union[float, Radius]) -> HbFunction:
     """f_r(z) = f(rz): coefficient k scaled by r**k, or w_j -> r w_j using
-    k_w(rz) = k_{rw}(z) for real w."""
+    k_w(rz) = k_{rw}(z) for real w.  r**k is a float product, so a series
+    carried above 53 bits raises ValueError."""
     rad = as_radius(r)
     if isinstance(f, KernelCombo):
         lr = rad.log_one_minus
         return KernelCombo(
             tuple(KernelNode(nd.log_c, log1m_product(lr, nd.log_one_minus_w)) for nd in f.nodes)
         )
+    if f.precision_bits > 53:
+        raise ValueError("dilate takes 53-bit float series only")
     out, p = [], 1.0
     for c in f.coeffs:
         out.append(c * p)

@@ -1,9 +1,11 @@
-"""Overflow-safe real scalars stored as natural-log magnitude plus a sign.
+"""Log-domain arithmetic for magnitudes far past floating-point range.
 
 The construction manipulates quantities like exp(exp(n**1.5 - n**1.2)) that
 blow past any floating-point range long before the interesting regime is
-reached, so every magnitude-carrying value in the library is a
-:class:`LogScalar`: the pair (log|x|, arg x) of a real x, whose phase is 0
+reached.  A positive quantity is carried as its natural log, a plain float
+(-inf for exact zero), and sums of such logs go through ``log_sum_exp``.
+Only a signed sum needs more: ``log_sum_signed`` returns a
+:class:`LogScalar`, the pair (log|x|, arg x) of a real x, whose phase is 0
 for x >= 0 and pi for x < 0.  Exact zero is log_mag = -inf with phase 0.
 """
 
@@ -46,23 +48,6 @@ class LogScalar(Record):
     def zero() -> "LogScalar":
         return LogScalar(NEG_INF)
 
-    @staticmethod
-    def one() -> "LogScalar":
-        return LogScalar(0.0)
-
-    @staticmethod
-    def from_float(x: float) -> "LogScalar":
-        if x == 0.0:
-            return LogScalar.zero()
-        if x > 0:
-            return LogScalar(math.log(x))
-        return LogScalar(math.log(-x), math.pi)
-
-    @staticmethod
-    def exp_of(x: float) -> "LogScalar":
-        """The positive number e**x, for x of any magnitude."""
-        return LogScalar(x)
-
     # -- predicates --------------------------------------------------------
 
     @property
@@ -97,28 +82,23 @@ class LogScalar(Record):
             return self.log_mag < other.log_mag
         return other.log_mag < self.log_mag
 
-    def __le__(self, other: "LogScalar") -> bool:
-        return not other < self
 
-
-def log_sum_exp(logs: Iterable[float]) -> LogScalar:
-    """The sum of e**x over the float log magnitudes x of ``logs``, by
-    factoring out the maximum.
+def log_sum_exp(logs: Iterable[float]) -> float:
+    """The log of the sum of e**x over the float log magnitudes x of
+    ``logs``, by factoring out the maximum, as a float.
 
     -inf is an exact zero and drops out; a +inf term makes the sum +inf.
     A NaN term raises ValueError in any position.  The empty sum is the
-    exact zero.  The result is the one LogScalar the sum builds.
+    exact zero, -inf.
     """
     logs = list(logs)
     m = max(logs, default=NEG_INF)
-    if m == math.inf or m == NEG_INF:
-        # max skips a NaN that follows an infinity, so look for it here
-        if any(math.isnan(x) for x in logs):
-            raise ValueError("log_sum_exp term must not be NaN")
-        return LogScalar(m)
-    # a NaN term makes acc NaN, which the result's constructor rejects
-    acc = math.fsum(math.exp(x - m) for x in logs)
-    return LogScalar(m + math.log(acc))
+    # a NaN term makes the sum NaN, except that max skips one following an
+    # infinity, which the sum then never reads
+    total = m if math.isinf(m) else m + math.log(math.fsum(math.exp(x - m) for x in logs))
+    if math.isnan(total) or (math.isinf(m) and any(map(math.isnan, logs))):
+        raise ValueError("log_sum_exp term must not be NaN")
+    return total
 
 
 def log_sum_signed(terms: Sequence[tuple]) -> LogScalar:

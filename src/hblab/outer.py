@@ -182,26 +182,26 @@ def _log_t_eps(params: ConstructionParams, n: int) -> tuple:
 class Sequences(Record):
     """Float sequences (indices 1..N, plus w_{N+1}) for the construction.
 
-    Underflow-prone members are duplicated in log-domain form; the float
-    views exist for reporting and for the closed-form complex evaluators,
-    which are only used at desk-scale parameters.
+    The underflow-prone rho and eps are carried as float logs; the float
+    views w and t exist for reporting and for the closed-form complex
+    evaluators, which are only used at desk-scale parameters.
     """
 
-    __slots__ = ("params", "w", "rho", "t", "eps")
+    __slots__ = ("params", "w", "log_rho", "t", "log_eps")
 
     def __init__(
         self,
         params: ConstructionParams,
         w: tuple,  # w[1..N+1]; w[0] is nan padding
-        rho: tuple,  # LogScalar, rho[1..N]
+        log_rho: tuple,  # log rho[1..N]; index 0 is -inf padding
         t: tuple,  # float, t[1..N+1]
-        eps: tuple,  # LogScalar, eps[1..N]
+        log_eps: tuple,  # log eps[1..N]; index 0 is -inf padding
     ):
         _set(self, "params", params)
         _set(self, "w", w)
-        _set(self, "rho", rho)
+        _set(self, "log_rho", log_rho)
         _set(self, "t", t)
-        _set(self, "eps", eps)
+        _set(self, "log_eps", log_eps)
 
     def delta(self, n: int) -> float:
         return math.exp(log_delta(self.params, n))
@@ -233,13 +233,10 @@ def make_sequences(params: ConstructionParams) -> Sequences:
         d = math.exp(log_delta(params, n))
         w.append(1.0 - d)
         t.append(math.exp(log_t(params, n)))
-    rho = [LogScalar.zero()] + [
-        LogScalar.exp_of(log_rho(params, n)) for n in range(1, params.n_terms + 1)
-    ]
-    eps = [LogScalar.zero()] + [
-        LogScalar.exp_of(log_eps(params, k)) for k in range(1, params.n_terms + 1)
-    ]
-    seq = Sequences(params, tuple(w), tuple(rho), tuple(t), tuple(eps))
+    indices = range(1, params.n_terms + 1)
+    rho = (-math.inf,) + tuple(log_rho(params, n) for n in indices)
+    eps = (-math.inf,) + tuple(log_eps(params, k) for k in indices)
+    seq = Sequences(params, tuple(w), rho, tuple(t), eps)
     _check_sequences(seq)
     return seq
 
@@ -270,8 +267,8 @@ def check_rho_condition(seq: Sequences, n: int) -> float:
     params = seq.params
     if not (1 <= n < params.n_terms):
         raise ValueError("need 1 <= n < n_terms")
-    tail = log_sum_exp(e.log_mag for e in seq.eps[n + 1 : params.n_terms + 1])
-    return math.exp(tail.log_mag - seq.rho[n].log_mag)
+    tail = log_sum_exp(seq.log_eps[n + 1 : params.n_terms + 1])
+    return math.exp(tail - seq.log_rho[n])
 
 
 # -- closed-form complex evaluators ---------------------------------------
@@ -308,7 +305,7 @@ def log_Phi_halfplane(z, seq: Sequences):
     az = abs(z)
     for k in range(1, seq.params.n_terms + 1):
         t = seq.t[k]
-        eps = math.exp(seq.eps[k].log_mag)
+        eps = math.exp(seq.log_eps[k])
         if t < 1e-12 * az:
             term = eps / (math.pi * 1j) * (-1.0 / z - 2.5 * t / (z * z) - 2.5 * t)
         else:
@@ -356,8 +353,9 @@ def _log_atan_diff(log_q: float) -> float:
     return log_arg
 
 
-def half_plane_log_modulus_radial(log_y: float, params: ConstructionParams) -> LogScalar:
-    """Re log Phi(i y) with y = e**log_y > 0, as a LogScalar.
+def half_plane_log_modulus_radial(log_y: float, params: ConstructionParams) -> float:
+    """log of Re log Phi(i y), which is positive, at y = e**log_y > 0, as a
+    float.
 
     Valid for any magnitude of y; each of the n_terms intervals contributes
     (eps_k / (pi t_k)) * (atan(3 t_k / y) - atan(2 t_k / y)).
@@ -376,7 +374,10 @@ def log_phi_radial(ld_x: float, params: ConstructionParams) -> float:
     """
     m = params.resolved_power()
     f = half_plane_log_modulus_radial(log_cayley_im(ld_x), params)
-    val = f.to_float()
+    try:
+        val = math.exp(f)
+    except OverflowError:
+        val = math.inf
     if math.isinf(val):
         raise OverflowError("log phi exceeds float range; use log-domain scans")
     return 2.0 * m * val
@@ -514,7 +515,7 @@ def growth_log_ratio(
 class GrowthCheckRecord(Record):
     """One sampled point r in [w_n, w_{n+1}] of the growth-bound check."""
 
-    __slots__ = ("n", "r", "u", "v", "log_ratio", "bound", "passed")
+    __slots__ = ("n", "r", "u", "v", "log_ratio", "log_bound", "passed")
 
     def __init__(
         self,
@@ -523,7 +524,7 @@ class GrowthCheckRecord(Record):
         u: float,
         v: float,
         log_ratio: float,  # log|phi(r w_n)/phi(w_n)| including the power
-        bound: LogScalar,  # exp(n**beta - n**alpha)
+        log_bound: float,  # n**beta - n**alpha
         passed: bool,
     ):
         _set(self, "n", n)
@@ -531,7 +532,7 @@ class GrowthCheckRecord(Record):
         _set(self, "u", u)
         _set(self, "v", v)
         _set(self, "log_ratio", log_ratio)
-        _set(self, "bound", bound)
+        _set(self, "log_bound", log_bound)
         _set(self, "passed", passed)
 
 
@@ -547,7 +548,7 @@ def verify_growth_bound(
     if r_samples < 2:
         raise ValueError("need at least two radius samples")
     m = params.resolved_power()
-    bound = LogScalar.exp_of(float(n) ** params.beta - float(n) ** params.alpha)
+    lb = float(n) ** params.beta - float(n) ** params.alpha
     t_n = seq.t[n]
     v_n = seq.v(n)
     w1 = seq.w[1]
@@ -567,10 +568,8 @@ def verify_growth_bound(
             raise AssertionError(f"u - v lower bound violated at n={n}, s={s}")
         sgn = ratio1.sign()
         log_ratio = 2.0 * m * ratio1.to_float()
-        passed = sgn > 0 and (
-            math.log(2.0 * m) + ratio1.log_mag >= bound.log_mag
-        )
-        records.append(GrowthCheckRecord(n, r, u, v_n, log_ratio, bound, passed))
+        passed = sgn > 0 and math.log(2.0 * m) + ratio1.log_mag >= lb
+        records.append(GrowthCheckRecord(n, r, u, v_n, log_ratio, lb, passed))
     return records
 
 
@@ -776,7 +775,7 @@ def poisson_quad_crosscheck(seq: Sequences, n_points: int = 50, seed: int = 0) -
         terms = []
         for k in range(1, params.n_terms + 1):
             t = seq.t[k]
-            h = math.exp(seq.eps[k].log_mag) / t
+            h = math.exp(seq.log_eps[k]) / t
             # The Poisson kernel is a spike of width y0 at x0, which can be
             # ten orders of magnitude narrower than the interval.  Integrate
             # in the shifted variable u = x - x0 (so panel edges near the

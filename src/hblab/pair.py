@@ -81,12 +81,6 @@ class StepModulus(Record):
         )
         return self.default_log_modulus + acc / _TWO_PI
 
-    def scale(self, factor: float) -> "StepModulus":
-        return StepModulus(
-            tuple(c._replace(log_modulus=factor * c.log_modulus) for c in self.cells),
-            factor * self.default_log_modulus,
-        )
-
 
 def _cell_schwarz_integral(theta1: float, theta2: float, z):
     """integral over [theta1, theta2] of (e^{it}+z)/(e^{it}-z) dt.
@@ -180,7 +174,7 @@ def phi_step_modulus(seq: Sequences, params: ConstructionParams) -> StepModulus:
         theta2 = 2.0 * math.atan(3.0 * t)
         if not (0.0 < theta1 < theta2 < math.pi):
             raise ValueError(f"arc {k} fails to land in (0, pi)")
-        h = m * math.exp(seq.eps[k].log_mag - math.log(t))
+        h = m * math.exp(seq.log_eps[k] - math.log(t))
         if not math.isfinite(h):
             raise ParameterError(f"step height overflows at k={k}; reduce power_m")
         cells.append(Cell(theta1, theta2, h))

@@ -99,21 +99,8 @@ class TaylorSeries(Record):
             return self
         return TaylorSeries(self.coeffs[: degree + 1], self.precision_bits)
 
-    def pad(self, degree: int) -> "TaylorSeries":
-        if degree <= self.truncation_degree:
-            return self
-        return TaylorSeries(
-            self.coeffs + (0.0,) * (degree - self.truncation_degree),
-            self.precision_bits,
-        )
-
     def l2_norm_sq(self):
         return sum(abs(c) ** 2 for c in self.coeffs)
-
-    def inner(self, other: "TaylorSeries"):
-        """H^2 pairing: sum of c_k * conj(d_k) over the shared range."""
-        n = min(len(self.coeffs), len(other.coeffs))
-        return sum(self.coeffs[k] * other.coeffs[k].conjugate() for k in range(n))
 
 
 def exp_series(g: TaylorSeries) -> TaylorSeries:

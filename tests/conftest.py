@@ -1,6 +1,8 @@
 """Shared fixtures: the default constructed pair, the tame pair, the
 divergent kernel combination, built once per session, the H(b) inner
-product of Taylor series, and a runner of scripts in a fresh interpreter."""
+product of Taylor series, and a runner of scripts in a fresh interpreter;
+and the helpers ``inner`` and ``pad`` on Taylor series, which tests import
+from here."""
 
 import json
 import os
@@ -13,6 +15,22 @@ import pytest
 from hblab import ConstructionParams, build_pair, tame_pair
 from hblab.experiments import build_divergent_combo
 from hblab.hb import sarason_f_plus
+from hblab.series import TaylorSeries
+
+
+def inner(f, g):
+    """H^2 pairing of two Taylor series: sum of f_k * conj(g_k) over the
+    shared range."""
+    n = min(len(f.coeffs), len(g.coeffs))
+    return sum(f.coeffs[k] * g.coeffs[k].conjugate() for k in range(n))
+
+
+def pad(f, degree: int):
+    """f with zero coefficients appended up to ``degree``; f itself when it
+    reaches that degree already."""
+    if degree <= f.truncation_degree:
+        return f
+    return TaylorSeries(f.coeffs + (0.0,) * (degree - f.truncation_degree), f.precision_bits)
 
 
 def _hb_inner(f, g, pair):
@@ -20,7 +38,7 @@ def _hb_inner(f, g, pair):
     by the product route of ``hb_norm_sq`` from one phi-hat at the larger
     degree."""
     phi_hat = pair.phi_hat(max(f.truncation_degree, g.truncation_degree))
-    return f.inner(g) + sarason_f_plus(f, phi_hat).inner(sarason_f_plus(g, phi_hat))
+    return inner(f, g) + inner(sarason_f_plus(f, phi_hat), sarason_f_plus(g, phi_hat))
 
 
 @pytest.fixture(scope="session")

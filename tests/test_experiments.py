@@ -38,11 +38,18 @@ from hblab.hb import (
     as_radius,
     f_plus_solve,
     hb_norm_sq,
+    kernel_combo_ccond_check,
     sarason_f_plus,
 )
-from hblab.logscalar import LogScalar
+from hblab.logscalar import LogScalar, log_sum_exp
 from hblab.series import TaylorSeries, fixed_to_mpf
-from hblab.outer import half_plane_log_modulus_radial, log_delta, log_phi_radial
+from hblab.outer import (
+    half_plane_log_modulus_radial,
+    log_delta,
+    log_phi_radial,
+    make_sequences,
+    verify_growth_bound,
+)
 from hblab.pair import Pair
 
 
@@ -55,20 +62,18 @@ def test_combo_coefficients(params, pair, combo):
         ld = log_delta(params, j)
         assert node.log_one_minus_w == ld
         expect = 0.5 * ld - 2.0 * math.log(j) - log_phi_radial(ld, params)
-        assert node.log_c.log_mag == pytest.approx(expect, rel=1e-13)
+        assert node.log_c == pytest.approx(expect, rel=1e-13)
 
 
 def test_combo_admissibility_certified(params, pair, combo):
     """Each certified term is (1 + phi)/(j^2 phi) in (1/j^2, 2/j^2]."""
-    from hblab.hb import kernel_combo_ccond_check
-
     terms = kernel_combo_ccond_check(combo, pair)
     for j, term in enumerate(terms, start=1):
         lo = -2.0 * math.log(j)
         # 1/j^2 < term <= 2/j^2; the lower end is approached to within the
         # rounding of log phi(w_j) (magnitude ~1e5, so ulps ~1e-11) when
         # phi(w_j) is astronomically large
-        assert lo - 1e-9 <= term.log_mag <= math.log(2.0) + lo + 1e-9
+        assert lo - 1e-9 <= term <= math.log(2.0) + lo + 1e-9
 
 
 def test_fr_plus_at_zero_oracle(params, pair, combo):
@@ -79,7 +84,7 @@ def test_fr_plus_at_zero_oracle(params, pair, combo):
         w = 1.0 - math.exp(node.log_one_minus_w)
         rw = r * w
         lphi = log_phi_radial(math.log1p(-rw), params)
-        expect += math.exp(node.log_c.log_mag + lphi)
+        expect += math.exp(node.log_c + lphi)
     got = fr_plus_at_zero(r, combo, pair)
     assert got.to_float() == pytest.approx(expect, rel=1e-11)
 
@@ -158,7 +163,7 @@ def test_divergence_curve_evaluates_each_log_phi_once(params, pair, combo, curve
     assert again.rows == curve.rows
     for rad, row in zip(grid, curve.rows):
         assert row[1] == fr_plus_at_zero(rad, combo, pair).log_mag / math.log(10.0)
-        assert row[2] == 0.5 * hb_norm_sq(dilate(combo, rad), pair).log_mag / math.log(10.0)
+        assert row[2] == 0.5 * hb_norm_sq(dilate(combo, rad), pair) / math.log(10.0)
 
 
 def test_divergence_values_increase(curve):
@@ -198,18 +203,18 @@ def test_growth_envelope(params, pair, combo):
 def test_f_hat_log_direct(combo):
     for j in (0, 1, 5):
         expect = sum(
-            math.exp(n.log_c.log_mag) * (1.0 - math.exp(n.log_one_minus_w)) ** j
+            math.exp(n.log_c) * (1.0 - math.exp(n.log_one_minus_w)) ** j
             for n in combo.nodes
         )
-        assert f_hat_log(combo, j).to_float() == pytest.approx(expect, rel=1e-12, abs=0.0)
+        assert math.exp(f_hat_log(combo, j)) == pytest.approx(expect, rel=1e-12, abs=0.0)
 
 
-def test_log_domain_sums_build_one_log_scalar(params, pair, tame, combo, monkeypatch):
-    """Each log-domain sum builds one LogScalar, its result, counted through
-    the ``__post_init__`` of the class dict, where a tracer counts them.  On
-    the tame pair log phi is a closed-form float; on the constructed pair
-    each of the N node values log phi(r w_j) is one
-    ``half_plane_log_modulus_radial`` sum, one LogScalar more each."""
+def test_positive_log_sums_build_no_log_scalar(params, pair, tame, combo, monkeypatch):
+    """A positive log-domain sum builds no LogScalar, counted through the
+    ``__post_init__`` of the class dict, where a tracer counts them: its
+    result, and each of the N node values log phi(r w_j) of the constructed
+    pair, is a float.  ``fr_plus_at_zero`` alone wraps its float in one
+    LogScalar, on either pair."""
     post_init = LogScalar.__dict__["__post_init__"]
     built = []
 
@@ -224,15 +229,44 @@ def test_log_domain_sums_build_one_log_scalar(params, pair, tame, combo, monkeyp
         fn(*args)
         return len(built)
 
-    n = len(combo.nodes)
     r = interval_radius(params, 1, 0.5)
     combo_r = dilate(combo, r)
-    assert constructions(half_plane_log_modulus_radial, -1.0, params) == 1
-    assert constructions(f_hat_log, combo, 5) == 1
+    assert constructions(half_plane_log_modulus_radial, -1.0, params) == 0
+    assert constructions(f_hat_log, combo, 5) == 0
     assert constructions(fr_plus_at_zero, r, combo, tame) == 1
-    assert constructions(hb_norm_sq, combo_r, tame) == 1
-    assert constructions(fr_plus_at_zero, r, combo, pair) == 1 + n
-    assert constructions(hb_norm_sq, combo_r, pair) == 1 + n
+    assert constructions(hb_norm_sq, combo_r, tame) == 0
+    assert constructions(fr_plus_at_zero, r, combo, pair) == 1
+    assert constructions(hb_norm_sq, combo_r, pair) == 0
+    assert constructions(kernel_combo_ccond_check, combo_r, pair) == 0
+    assert constructions(make_sequences, params) == 0
+    assert constructions(build_divergent_combo, params, pair) == 0
+
+
+POSITIVE_LOGS = {
+    "log_sum_exp": lambda p, pair, combo: log_sum_exp([0.5, -2.0]),
+    "half_plane_log_modulus_radial": lambda p, pair, combo: half_plane_log_modulus_radial(
+        -1.0, p
+    ),
+    "hb_norm_sq(KernelCombo)": lambda p, pair, combo: hb_norm_sq(combo, pair),
+    "hb_norm_sq(TaylorSeries)": lambda p, pair, combo: hb_norm_sq(
+        TaylorSeries((1.0, 0.5, 0.25)), pair
+    ),
+    "f_hat_log": lambda p, pair, combo: f_hat_log(combo, 3),
+    "kernel_combo_ccond_check": lambda p, pair, combo: kernel_combo_ccond_check(combo, pair)[0],
+    "KernelNode.log_c": lambda p, pair, combo: combo.nodes[0].log_c,
+    "Sequences.log_rho": lambda p, pair, combo: pair.seq.log_rho[1],
+    "Sequences.log_eps": lambda p, pair, combo: pair.seq.log_eps[1],
+    "GrowthCheckRecord.log_bound": lambda p, pair, combo: verify_growth_bound(
+        1, 2, p, pair.seq
+    )[0].log_bound,
+}
+
+
+@pytest.mark.parametrize("name", sorted(POSITIVE_LOGS))
+def test_positive_logs_are_floats(params, pair, combo, name):
+    """Each positive quantity is carried as its float log."""
+    value = POSITIVE_LOGS[name](params, pair, combo)
+    assert type(value) is float and math.isfinite(value)
 
 
 def fhat_oracle(combo, degree, bits, radius=None):
@@ -240,7 +274,7 @@ def fhat_oracle(combo, degree, bits, radius=None):
     from the same float node data, each power taken afresh."""
     with mp.workprec(bits):
         r = 1 if radius is None else -mp.expm1(mp.mpf(as_radius(radius).log_one_minus))
-        cs = [mp.exp(mp.mpf(nd.log_c.log_mag)) for nd in combo.nodes]
+        cs = [mp.exp(mp.mpf(nd.log_c)) for nd in combo.nodes]
         vs = [r * -mp.expm1(mp.mpf(nd.log_one_minus_w)) for nd in combo.nodes]
         return [mp.fsum(c * mp.power(v, j) for c, v in zip(cs, vs)) for j in range(degree + 1)]
 
@@ -264,7 +298,7 @@ def test_fhat_kernel_error_bound_is_its_count():
     with W = bits + 1 + bitlen(K (degree + 1) + 2 degree + 1)."""
     from fractions import Fraction
 
-    nodes = tuple(KernelNode(LogScalar.exp_of(-k), k * math.log(0.5)) for k in (1, 2, 3))
+    nodes = tuple(KernelNode(float(-k), k * math.log(0.5)) for k in (1, 2, 3))
     k, degree, bits = len(nodes), 8, 64
     kernel = _FhatFixed(KernelCombo(nodes), degree, bits)
     totals = list(kernel)
@@ -321,7 +355,7 @@ def test_fhat_kernel_guard(combo):
         kernel = _FhatFixed(combo, 512, bits)
         assert len(list(kernel)) == 513
         assert kernel.error_bound <= 2.0**-bits
-    far = KernelCombo((KernelNode(LogScalar.exp_of(-1e17), -1.0),))
+    far = KernelCombo((KernelNode(-1e17, -1.0),))
     kernel = _FhatFixed(far, 8, 128)
     got = list(kernel)
     assert 0.0 < kernel.error_bound <= 2.0**-128
@@ -341,7 +375,7 @@ def test_fhat_kernel_oracle_check(combo, monkeypatch):
     monkeypatch.setattr(
         experiments,
         "f_hat_log",
-        lambda f, j: LogScalar.exp_of(true_log(f, j).log_mag + 1e-6),
+        lambda f, j: true_log(f, j) + 1e-6,
     )
     with pytest.raises(ArithmeticError, match="log-domain oracle"):
         list(_FhatFixed(combo, 64, 128))

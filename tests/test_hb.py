@@ -23,10 +23,11 @@ from hblab.hb import (
     sarason_f_plus,
     toeplitz_coanalytic_apply,
 )
-from hblab.logscalar import LogScalar
 from hblab.pair import tame_pair
 from hblab.taylor import outer_series
 from hblab.series import TaylorSeries
+
+from conftest import inner, pad
 
 PHI_HAT_TAME = tame_pair().phi_hat(160)  # (1+z)/(1-z)
 
@@ -74,8 +75,8 @@ def test_toeplitz_adjoint_identity(hc, pc):
     h = TaylorSeries(tuple(hc[:n]))
     f = TaylorSeries(tuple(pc[:n]))
     g = TaylorSeries(tuple(reversed(pc[:n])))
-    lhs = toeplitz_coanalytic_apply(h, f).inner(g)
-    rhs = f.inner(h * g)  # T_h g: multiplication by the analytic symbol
+    lhs = inner(toeplitz_coanalytic_apply(h, f), g)
+    rhs = inner(f, h * g)  # T_h g: multiplication by the analytic symbol
     scale = max(abs(lhs), abs(rhs), 1.0)
     assert abs(lhs - rhs) <= 1e-10 * scale
 
@@ -85,7 +86,7 @@ def test_coanalytic_kernel_eigenvector():
     h = TaylorSeries((1.0, 0.3, 0.2, 0.1))
     w = 0.4 + 0.2j
     k = cauchy_kernel(w, 40)
-    got = toeplitz_coanalytic_apply(h.pad(40), k)
+    got = toeplitz_coanalytic_apply(pad(h, 40), k)
     lam = complex(h(w)).conjugate()
     for j in range(30):  # away from the truncation edge
         assert got.coeffs[j] == pytest.approx(lam * k.coeffs[j], abs=1e-10)
@@ -113,7 +114,7 @@ def test_f_plus_of_one(tame):
     for c in fp.coeffs[1:]:
         assert abs(c) <= 1e-12
     norm = hb_norm_sq(one, tame)
-    assert norm.to_float() == pytest.approx(2.0, abs=1e-12)
+    assert math.exp(norm) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_f_plus_solve_vs_sarason(tame):
@@ -141,7 +142,7 @@ def test_f_plus_solve_is_exact_at_input_degree(tame, pair):
         d = p.truncation_degree
         fp = f_plus_solve(p, tame)
         assert fp.truncation_degree == d
-        assert f_plus_solve(p.pad(max(4 * d, 16)), tame) == fp.pad(max(4 * d, 16))
+        assert f_plus_solve(pad(p, max(4 * d, 16)), tame) == pad(fp, max(4 * d, 16))
     mp_pair = pair.with_series(64, 200)
     with mp.workprec(200):
         for d in (0, 3, 8, 16):
@@ -149,7 +150,7 @@ def test_f_plus_solve_is_exact_at_input_degree(tame, pair):
             fp = f_plus_solve(p, mp_pair)
             assert fp.truncation_degree == d
             assert fp.precision_bits == 200
-            assert f_plus_solve(p.pad(max(4 * d, 16)), mp_pair) == fp.pad(max(4 * d, 16))
+            assert f_plus_solve(pad(p, max(4 * d, 16)), mp_pair) == pad(fp, max(4 * d, 16))
 
 
 def test_f_plus_solve_residual_guard(tame, monkeypatch):
@@ -185,7 +186,7 @@ def test_float_hb_norm_of_growing_phi_hat(pair, deg):
     with mp.workprec(200):
         f_mp = TaylorSeries(tuple(mp.mpf(c) for c in f.coeffs), 200)
         expect = mp.log(f_mp.l2_norm_sq() + sarason_f_plus(f_mp, phi_hat).l2_norm_sq())
-    assert got.log_mag == pytest.approx(float(expect), abs=1e-12)
+    assert got == pytest.approx(float(expect), abs=1e-12)
 
 
 def test_short_b_series_is_rederived():
@@ -357,7 +358,7 @@ def test_hb_inner_consistency(tame, hb_inner):
     lhs = hb_inner(f, g, tame)
     # polarization against hb_norm_sq through the same product route
     assert hb_inner(f, f, tame).real == pytest.approx(
-        hb_norm_sq(f, tame).to_float(), rel=1e-10
+        math.exp(hb_norm_sq(f, tame)), rel=1e-10
     )
     assert abs(hb_inner(g, f, tame) - lhs.conjugate()) < 1e-10
 
@@ -378,7 +379,7 @@ def test_kernel_hb_norm_closed_form(tame):
     w = 0.4
     k = kernel_hb(w, tame, 120)
     expect = (1.0 - 0.49) / (1.0 - 0.16)
-    assert hb_norm_sq(k, tame).to_float() == pytest.approx(expect, rel=1e-8)
+    assert math.exp(hb_norm_sq(k, tame)) == pytest.approx(expect, rel=1e-8)
     assert complex(k(w)).real == pytest.approx(expect, rel=1e-10)
 
 
@@ -386,17 +387,38 @@ def test_kernel_hb_norm_closed_form(tame):
 
 
 def test_kernel_combo_validation():
+    """A coefficient must be positive: a log_c of -inf (a zero coefficient)
+    or NaN raises, and so does a node off (0, 1)."""
+    for log_c in (-math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive real coefficients"):
+            KernelCombo((KernelNode(log_c, -1.0),))
     with pytest.raises(ValueError):
-        KernelCombo((KernelNode(LogScalar.from_float(-1.0), -1.0),))
-    with pytest.raises(ValueError):
-        KernelCombo((KernelNode(LogScalar.one(), 0.5),))
+        KernelCombo((KernelNode(0.0, 0.5),))
+
+
+class _NanPair:
+    """A pair whose log phi is NaN at every point."""
+
+    def log_phi_radial_at(self, ld_x):
+        return math.nan
+
+
+def test_positive_logs_reject_nan(tame):
+    """A NaN reaching a positive log raises ValueError, as the LogScalar
+    that carried it did: the series branch of ``hb_norm_sq`` and
+    ``kernel_combo_ccond_check``."""
+    with pytest.raises(ValueError, match="NaN"):
+        hb_norm_sq(TaylorSeries((1.0, math.nan, 0.5)), tame)
+    combo = KernelCombo((KernelNode(0.0, math.log(0.5)), KernelNode(-1.0, -2.0)))
+    with pytest.raises(ValueError, match="NaN"):
+        kernel_combo_ccond_check(combo, _NanPair())
 
 
 def test_combo_norm_matches_series_route(tame):
     """Gram-form norm of c1 k_w1 + c2 k_w2 against the coefficient route."""
     nodes = (
-        KernelNode(LogScalar.from_float(0.7), math.log(1.0 - 0.3)),
-        KernelNode(LogScalar.from_float(0.2), math.log(1.0 - 0.6)),
+        KernelNode(math.log(0.7), math.log(1.0 - 0.3)),
+        KernelNode(math.log(0.2), math.log(1.0 - 0.6)),
     )
     combo = KernelCombo(nodes)
     gram = hb_norm_sq(combo, tame)
@@ -406,7 +428,7 @@ def test_combo_norm_matches_series_route(tame):
         )
     )
     direct = hb_norm_sq(series, tame)
-    assert gram.log_mag == pytest.approx(direct.log_mag, abs=1e-8)
+    assert gram == pytest.approx(direct, abs=1e-8)
 
 
 def test_combo_norm_log_domain_far_out(pair, combo):
@@ -415,7 +437,7 @@ def test_combo_norm_log_domain_far_out(pair, combo):
     peaks astronomically inside the last interval (log of order 1e5 here)
     and relaxes back to ||f|| as r -> 1."""
     mid, deep, past = (
-        hb_norm_sq(dilate(combo, Radius.from_log_one_minus(l)), pair).log_mag
+        hb_norm_sq(dilate(combo, Radius.from_log_one_minus(l)), pair)
         for l in (-5.0, -20.0, -100.0)
     )
     for x in (mid, deep, past):
@@ -423,15 +445,15 @@ def test_combo_norm_log_domain_far_out(pair, combo):
     assert deep > 1e5
     assert abs(mid) < 10.0 and abs(past) < 10.0
     # at r -> 1 the norm approaches ||f||, which the Gram form gives directly
-    limit = hb_norm_sq(combo, pair).log_mag
+    limit = hb_norm_sq(combo, pair)
     assert past == pytest.approx(limit, abs=1e-3)
 
 
 def test_ccond_check_single_kernel(tame):
     """c = 1, w = 1/2: (1 + phi(1/2)) / sqrt(1/2) = 4 sqrt(2)."""
-    combo = KernelCombo((KernelNode(LogScalar.one(), math.log(0.5)),))
+    combo = KernelCombo((KernelNode(0.0, math.log(0.5)),))
     (term,) = kernel_combo_ccond_check(combo, tame)
-    assert term.to_float() == pytest.approx(4.0 * math.sqrt(2.0), rel=1e-12)
+    assert math.exp(term) == pytest.approx(4.0 * math.sqrt(2.0), rel=1e-12)
 
 
 # -- dilation and summation operators --------------------------------------
@@ -446,17 +468,32 @@ def test_dilate_series_pointwise(cs, r):
     assert complex(fr(z)) == pytest.approx(complex(f(r * z)), rel=1e-10, abs=1e-10)
 
 
+def test_dilate_and_kernel_hb_take_float_series_only(pair):
+    """``dilate`` forms r^k as a float product and ``kernel_hb`` evaluates
+    b(w) in floats, so a series carried above 53 bits raises ValueError
+    rather than coming back with a label its float arithmetic does not
+    meet."""
+    from mpmath import mp
+
+    with mp.workprec(200):
+        f = TaylorSeries(tuple(mp.mpf(1) / (j + 1) for j in range(65)), 200)
+    with pytest.raises(ValueError, match="53-bit"):
+        dilate(f, 0.9)
+    with pytest.raises(ValueError, match="53-bit"):
+        kernel_hb(0.4, pair.with_series(16, 200), 16)
+
+
 def test_dilate_combo_matches_series(tame):
     """Dilating a kernel combo shifts nodes w -> rw; check against the
     coefficient expansion."""
-    combo = KernelCombo((KernelNode(LogScalar.from_float(1.0), math.log(0.5)),))
+    combo = KernelCombo((KernelNode(0.0, math.log(0.5)),))
     fr = dilate(combo, 0.9)
     (node,) = fr.nodes
     assert 1.0 - math.exp(node.log_one_minus_w) == pytest.approx(0.45, rel=1e-14)
 
 
 def test_dilate_combo_deep_radius():
-    combo = KernelCombo((KernelNode(LogScalar.one(), -50.0),))
+    combo = KernelCombo((KernelNode(0.0, -50.0),))
     fr = dilate(combo, Radius.from_log_one_minus(-80.0))
     (node,) = fr.nodes
     # 1 - r w = (1-r) + r(1-w) ~ (1-w) when 1-r << 1-w

@@ -58,13 +58,6 @@ def test_mean_and_value():
     assert value_at(m, -0.5) == -1.0
 
 
-def test_scale():
-    m = StepModulus((Cell(0.0, 1.0, 2.0),), default_log_modulus=0.5)
-    s = m.scale(3.0)
-    assert s.cells[0].log_modulus == 6.0
-    assert s.default_log_modulus == 1.5
-
-
 # -- outer evaluation -------------------------------------------------------
 
 

@@ -20,7 +20,7 @@ from hblab.reports import ExperimentReport
 from hblab.series import TaylorSeries
 
 PARAMS = ConstructionParams(1.2, 1.5)
-NODE = KernelNode(LogScalar(0.0), -1.0)
+NODE = KernelNode(0.0, -1.0)
 
 # (class, positional arguments, the defaults they leave, one field with a
 # new value for _replace, the repr)
@@ -57,20 +57,18 @@ CASES = [
     ),
     (
         Sequences,
-        (PARAMS, (0.5,), (LogScalar(-1.0),), (0.25,), (LogScalar(-2.0),)),
+        (PARAMS, (0.5,), (-1.0,), (0.25,), (-2.0,)),
         {},
         ("w", (0.75,)),
-        f"Sequences(params={PARAMS!r}, w=(0.5,), "
-        "rho=(LogScalar(log_mag=-1.0, phase=0.0),), t=(0.25,), "
-        "eps=(LogScalar(log_mag=-2.0, phase=0.0),))",
+        f"Sequences(params={PARAMS!r}, w=(0.5,), log_rho=(-1.0,), t=(0.25,), log_eps=(-2.0,))",
     ),
     (
         GrowthCheckRecord,
-        (1, 0.5, 0.1, 0.2, -1.0, LogScalar(1.0), True),
+        (1, 0.5, 0.1, 0.2, -1.0, 1.0, True),
         {},
         ("passed", False),
         "GrowthCheckRecord(n=1, r=0.5, u=0.1, v=0.2, log_ratio=-1.0, "
-        "bound=LogScalar(log_mag=1.0, phase=0.0), passed=True)",
+        "log_bound=1.0, passed=True)",
     ),
     (
         GrowthScanRow,
@@ -113,18 +111,17 @@ CASES = [
     ),
     (
         KernelNode,
-        (LogScalar(0.0), -1.0),
+        (0.0, -1.0),
         {},
         ("log_one_minus_w", -2.0),
-        "KernelNode(log_c=LogScalar(log_mag=0.0, phase=0.0), log_one_minus_w=-1.0)",
+        "KernelNode(log_c=0.0, log_one_minus_w=-1.0)",
     ),
     (
         KernelCombo,
         ((NODE,),),
         {},
         ("nodes", ()),
-        "KernelCombo(nodes=(KernelNode(log_c=LogScalar(log_mag=0.0, phase=0.0), "
-        "log_one_minus_w=-1.0),))",
+        "KernelCombo(nodes=(KernelNode(log_c=0.0, log_one_minus_w=-1.0),))",
     ),
 ]
 
@@ -200,7 +197,7 @@ def test_log_scalar_counts_through_post_init(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(LogScalar, "__post_init__", counted)
-    x = LogScalar.exp_of(1.0)
+    x = LogScalar(1.0)
     LogScalar(2.0, math.pi)
     x._replace(phase=math.pi)
     assert calls == [1.0, 2.0, 1.0]
