@@ -37,7 +37,7 @@ from .outer import (
 )
 from .pair import Pair
 from .reports import CODE_VERSION, ExperimentReport
-from .series import TaylorSeries, fixed_dot, fixed_mantissas, fixed_to_mpf, fixed_toeplitz
+from .series import TaylorSeries, fixed_dot, fixed_mantissas, fixed_toeplitz
 
 _LN10 = math.log(10.0)
 _LN2 = math.log(2.0)
@@ -246,19 +246,21 @@ class _FhatFixed:
     and f+ dot products); iterating it streams F_0..F_degree, and the
     per-node state is all it stores.
 
-    mpmath computes c_m = exp(log c_m) and v_m = r w_m, with
-    w_m = 1 - exp(log(1 - w_m)) and r = 1 - exp(log(1 - r)), at 2W bits
-    from the float node data taken as exact, and places exp so that the
-    largest term c_m v_m^degree is 2^(W+1) units or more; F_degree, the
-    smallest coefficient (every v_m < 1), is then at least 2^W.  Each node
-    carries its term c_m v_m^j as an integer from j = 0: one multiply by
-    V_m = v_m 2^Q_m (floored, Q_m = W + 1 + bits of 1/v_m, so V_m / 2^Q_m
-    is within 2^-W of v_m relative) and one shift by Q_m per j.
+    The seeds c_m = exp(log c_m) and v_m = r w_m, with w_m = -expm1(log(1 -
+    w_m)) and r = -expm1(log(1 - r)), come from the integer kernels of
+    ``hblab.fixed`` (``_seeds``) from the float node data taken as exact:
+    c_m rounded to 2W bits, v_m within 2^-(2W+5) relative.  exp is placed
+    so that the largest term c_m v_m^degree is 2^(W+1) units or more;
+    F_degree, the smallest coefficient (every v_m < 1), is then at least
+    2^W.  Each node carries its term c_m v_m^j as an integer
+    from j = 0: one multiply by V_m = v_m 2^Q_m (floored, Q_m = W + 1 +
+    bits of 1/v_m, so V_m / 2^Q_m is within 2^-W of v_m relative) and one
+    shift by Q_m per j.
 
     The count behind W, per coefficient: each of the K = len(nodes) nodes
     carries at most j + 1 floors of one unit, and its term at most
     2 j eta relative from V_m (eta = 2^-W + 2^(1 - 2W)) and
-    8 (degree + 3) 2^-2W from the mpmath data.  So r^j fhat(j) is within
+    8 (degree + 3) 2^-2W from the 2W-bit node data.  So r^j fhat(j) is within
         K (j + 1) / (F_j - K (j + 1)) + 2 degree eta + 8 (degree + 3) 2^-2W
     relative, and with F_j >= 2^W this is below 2^-bits for
     W = bits + 1 + bitlen(K (degree + 1) + 2 degree + 1).  This bound
@@ -272,32 +274,20 @@ class _FhatFixed:
     """
 
     def __init__(self, f: KernelCombo, degree: int, bits: int, radius=None):
-        from mpmath import mp
-
         self.f, self.degree, self.bits = f, degree, bits
         self.radius = None if radius is None else as_radius(radius)
         k = len(f.nodes)
         self.W = W = bits + 1 + (k * (degree + 1) + 2 * degree + 1).bit_length()
         self.wp = 2 * W
-        with mp.workprec(self.wp):
-            r = 1 if radius is None else -mp.expm1(mp.mpf(self.radius.log_one_minus))
-            self.c = [mp.exp(mp.mpf(nd.log_c)) for nd in f.nodes]
-            self.v = [r * -mp.expm1(mp.mpf(nd.log_one_minus_w)) for nd in f.nodes]
-            top = max(c * v**degree for c, v in zip(self.c, self.v))
-        # mag(x) = floor(log2 x) + 1: top is 2^(W+1) units or more
-        self.exp = mp.mag(top) - W - 2
-        self.q = [W + 2 - mp.mag(v) for v in self.v]
+        self.exp, self.q, self.vs, self.terms = _seeds(f, self.radius, degree, W)
         self.error_bound = 0.0
 
     def __iter__(self):
-        from mpmath.libmp import to_fixed
-
-        degree, bits, W = self.degree, self.bits, self.W
+        degree, bits = self.degree, self.bits
         k = len(self.f.nodes)
-        eta = 2.0**-W + 2.0 ** (1 - self.wp)
+        eta = 2.0**-self.W + 2.0 ** (1 - self.wp)
         fixed = 2 * degree * eta + (degree + 3) * 2.0 ** (3 - self.wp)
-        vs = [to_fixed(v._mpf_, q) for v, q in zip(self.v, self.q)]
-        terms = [to_fixed(c._mpf_, -self.exp) for c in self.c]
+        vs, terms = self.vs, self.terms
         for j in range(degree + 1):
             total = sum(terms)
             if j == degree:
@@ -337,6 +327,76 @@ class _FhatFixed:
             )
 
 
+def _seeds(f: KernelCombo, radius: Optional[Radius], degree: int, W: int) -> tuple:
+    """(exp, Q, V, C): the integer seeds of ``_FhatFixed`` at working bits
+    W, with Q_m = W + 2 - mag(v_m), V_m = floor(v_m 2^Q_m) and C_m =
+    floor(c_m 2^-exp), exp = mag(max_m c_m v_m^degree) - W - 2, where
+    mag(x) = floor(log2 x) + 1.
+
+    c_m = exp(log c_m) is ``exp_fixed`` at 2W + 32 bits, within
+    2^-(2W+30) relative (the float log c_m is exact there, or floored by
+    one unit), rounded half-even to 2W bits: within 2^-2W (1 + 2^-30), and
+    the correctly rounded 2W-bit value unless the exact one lies within
+    2^-(2W+30) of a rounding midpoint.
+
+    With P = 2W + 8, w_m = -expm1(l), l = log(1 - w_m) < 0, is
+    ``expm1_fixed`` within 2 units at P plus the bits D(l) = max(0, 2 - e)
+    that a float l = f 2^e (1/2 <= |f| < 1) lacks: |expm1(l)| >= 0.63
+    min(1, |l|) >= 2^(e-2) puts w_m at 2^(2W+8) units or more, so it is
+    within 2^-(2W+7) relative.  r likewise, once at the most bits any node
+    takes and floored to each node's (3 units); v_m = r w_m, one floor of
+    their product at P + D(l) + D(log(1 - r)) bits, is within 6 2^-(2W+8)
+    < 2^-(2W+5) relative.
+
+    The mags come from those integers, and max c_m v_m^degree from powers
+    truncated to 2W bits, within (degree + 2 bitlen(degree) + 2) 2^(1-2W)
+    relative: only a product that close to a power of two can take another
+    mag than its exact value has.
+    """
+    from .fixed import exp_fixed, expm1_fixed, float_fixed, floor_shift, round_half_even
+
+    def lacks(l: float) -> int:
+        return max(0, 2 - math.frexp(l)[1])
+
+    P = 2 * W + 8
+    lr = None if radius is None else radius.log_one_minus
+    rd = 0 if lr is None else lacks(lr)
+    widest = P + rd + max(lacks(nd.log_one_minus_w) for nd in f.nodes)
+    r = None if lr is None else -expm1_fixed(float_fixed(lr, widest), widest)
+    cs, vs = [], []
+    for nd in f.nodes:
+        y, n = exp_fixed(float_fixed(nd.log_c, P + 24), P + 24)
+        cs.append(round_half_even(y, n - P - 24, 2 * W))  # c_m = y 2^(n - P - 24)
+        pv = P + rd + lacks(nd.log_one_minus_w)
+        w = -expm1_fixed(float_fixed(nd.log_one_minus_w, pv), pv)
+        vs.append((w if r is None else (w * (r >> (widest - pv))) >> pv, -pv))
+
+    def mag(m: int, e: int) -> int:
+        return m.bit_length() + e
+
+    def times(a: tuple, b: tuple) -> tuple:
+        # a b truncated to 2W bits
+        m, e = a[0] * b[0], a[1] + b[1]
+        cut = max(0, m.bit_length() - 2 * W)
+        return m >> cut, e + cut
+
+    def power(v: tuple, k: int) -> tuple:
+        out = (1, 0)
+        while k:
+            if k & 1:
+                out = times(out, v)
+            k >>= 1
+            if k:
+                v = times(v, v)
+        return out
+
+    exp = max(mag(*times(c, power(v, degree))) for c, v in zip(cs, vs)) - W - 2
+    q = [W + 2 - mag(*v) for v in vs]
+    vq = [floor_shift(m, e + qm) for (m, e), qm in zip(vs, q)]
+    terms = [floor_shift(m, e - exp) for m, e in cs]
+    return exp, q, vq, terms
+
+
 def required_bits_for_degree(pair: Pair, degree: int) -> int:
     """Mantissa bits needed to carry phihat up to the given degree: the
     coefficient magnitude bound min_rho M(rho) rho^{-degree} at
@@ -351,7 +411,7 @@ def required_bits_for_degree(pair: Pair, degree: int) -> int:
 
 
 def phi_hat_series(pair: Pair, degree: int, precision_bits: int) -> TaylorSeries:
-    """Taylor coefficients 0..degree of phi as real mpmath numbers.
+    """Taylor coefficients 0..degree of phi as P-bit numbers (``fixed.PBit``).
 
     ``Pair.phi_hat``, the one phi-hat of hblab, behind a precision gate:
     ``outer_series`` of the theta-symmetric phi modulus, one real
@@ -384,11 +444,13 @@ def abel_fr_plus(
     actual Taylor coefficients at extended precision.  r is folded into the
     nodes of ``_FhatFixed``, whose r^j fhat(j) meet 2^-bits relative; the
     sum with the aligned mantissas of phi-hat is exact (``fixed_dot``) and
-    rounded once to the larger of ``precision_bits`` and phi-hat's
-    precision.  Raises PrecisionExhausted if the exact terms have not
-    decayed below ``tail_rel`` times the sum by the end of the truncation.
-    Returns an mpmath number.
+    rounded once, half-even, to the larger of ``precision_bits`` and
+    phi-hat's precision.  Raises PrecisionExhausted if the exact terms have
+    not decayed below ``tail_rel`` times the sum by the end of the
+    truncation.  Returns a ``fixed.PBit``, which mpmath accepts as an mpf.
     """
+    from .fixed import to_pbit
+
     if phi_hat is None:
         phi_hat = phi_hat_series(pair, degree, precision_bits)
     degree = phi_hat.truncation_degree
@@ -405,7 +467,7 @@ def abel_fr_plus(
         raise PrecisionExhausted(
             f"coefficient series not converged at degree {degree}: tail/total = {ratio:.5g}"
         )
-    return fixed_to_mpf(total, kernel.exp + phi_exp, bits)
+    return to_pbit(total, kernel.exp + phi_exp, bits)
 
 
 def sarason_series_failure(
@@ -423,8 +485,10 @@ def sarason_series_failure(
     checkpoint J to ``precision_bits``.  The metadata carries
     ``series_error_bound``, the largest counted relative error bound of a
     coefficient of phi-hat (``outer_series``), and ``fhat_error_bound``,
-    the largest of fhat (``_FhatFixed``)."""
-    from mpmath import mp
+    the largest of fhat (``_FhatFixed``).  Each row's log10 is that of
+    ``fixed.log10``, and ``ratio_full_to_half`` the quotient of the last
+    sum by the one at J = j_max / 2 rounded once to 53 bits."""
+    from . import fixed
 
     if j_max < 2:
         raise ParameterError(f"j_max must be at least 2, got {j_max}")
@@ -441,26 +505,26 @@ def sarason_series_failure(
     rows = []
     sums = {}
     total, done = 0, 0
-    with mp.workprec(precision_bits):
-        for j in checkpoints:
-            total += fixed_dot(islice(fhat, j + 1 - done), phis[done : j + 1])
-            done = j + 1
-            sums[j] = fixed_to_mpf(total, kernel.exp + phi_exp, precision_bits)
-        ok = True
-        for j in checkpoints:
-            s = sums[j]
-            if s > 0:
-                rows.append((j, float(mp.log10(s))))
-            else:
-                rows.append((j, float("nan")))
-                ok = False
-        half = sums.get(max(c for c in checkpoints if c <= j_max // 2), None)
-        growth = half is not None and sums[j_max] > half
+    for j in checkpoints:
+        total += fixed_dot(islice(fhat, j + 1 - done), phis[done : j + 1])
+        done = j + 1
+        sums[j] = fixed.to_pbit(total, kernel.exp + phi_exp, precision_bits)
+    ok = True
+    for j in checkpoints:
+        s = sums[j]
+        if s > 0:
+            rows.append((j, fixed.log10(s, precision_bits)))
+        else:
+            rows.append((j, float("nan")))
+            ok = False
+    half = sums.get(max(c for c in checkpoints if c <= j_max // 2), None)
+    growth = half is not None and sums[j_max] > half
     meta = _base_metadata(precision_bits)
     meta["bits_required"] = required_bits_for_degree(pair, j_max)
     meta["series_error_bound"] = phi_hat.error_bound
     meta["fhat_error_bound"] = kernel.error_bound
-    meta["ratio_full_to_half"] = float(sums[j_max] / half) if half else float("nan")
+    ratio = float(fixed.quotient(sums[j_max], half, 53)) if half else float("nan")
+    meta["ratio_full_to_half"] = ratio
     return ExperimentReport(
         name="sarason",
         columns=("J", "log10_SJ"),
@@ -488,7 +552,9 @@ def summability_divergence(
     integer Fejer weights n + 1 - j, its factor 1/(n+1)^2 taken in the one
     final rounding; the coefficients of f+ = T_phi-bar p are the exact
     integer sums of ``fixed_toeplitz``, the sums that
-    ``hb.toeplitz_coanalytic_apply`` rounds.  Reports running maxima (the
+    ``hb.toeplitz_coanalytic_apply`` rounds.  Each norm is the correctly
+    rounded P-bit quotient of ``fixed.quotient``, and its log10 that of
+    ``fixed.log10``.  Reports running maxima (the
     limsup claim is exhibited as monotone growth over the computed range,
     never asserted as a limit) and the convexity sanity
     ||sigma_n|| <= max_{k<=n} ||s_k|| over computed k.  The metadata
@@ -496,8 +562,7 @@ def summability_divergence(
     bound of a coefficient of phi-hat (``outer_series``), and
     ``fhat_error_bound``, the largest of fhat (``_FhatFixed``).
     """
-    from mpmath import mp
-    from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
+    from . import fixed
 
     n_list = sorted(set(int(n) for n in n_list))
     if not n_list or n_list[0] < 0 or n_list[-1] < 8:
@@ -507,7 +572,7 @@ def summability_divergence(
     deg_f = n_list[-1]
     phi_hat = phi_hat_series(pair, deg_f, precision_bits)
     kernel = _FhatFixed(f, deg_f, precision_bits)
-    fs, fe = fixed_mantissas(fixed_to_mpf(m, kernel.exp, precision_bits) for m in kernel)
+    fs, fe = fixed_mantissas(fixed.to_pbit(m, kernel.exp, precision_bits) for m in kernel)
     ps, pe = fixed_mantissas(phi_hat.coeffs)
     # ||p||^2 is on the scale 2^(2 fe), ||f+||^2 on 2^(2 fe + 2 pe)
     low = 2 * fe + min(0, 2 * pe)
@@ -515,24 +580,23 @@ def summability_divergence(
 
     def log10_norm(ms, den):
         """(1/2) log10 of (||p||^2 + ||T_phi-bar p||^2) / den for the
-        polynomial p with mantissas ``ms``, rounded once."""
+        polynomial p with mantissas ``ms``, rounded once to P bits."""
         plus = sum(s * s for s in fixed_toeplitz(ps, ms))
         total = (fixed_dot(ms, ms) << shift_p) + (plus << shift_plus)
-        norm_sq = mpf_div(from_man_exp(total, low), from_int(den), precision_bits, round_nearest)
-        return 0.5 * float(mp.log10(mp.make_mpf(norm_sq)))
+        norm_sq = fixed.quotient(fixed.PBit(total, low), den, precision_bits)
+        return 0.5 * fixed.log10(norm_sq, precision_bits)
 
     rows = []
     s_norms = {}
     convex_ok = True
-    with mp.workprec(precision_bits):
-        for n in n_list:
-            ls = log10_norm(fs[: n + 1], 1)
-            lsig = log10_norm([m * (n + 1 - j) for j, m in enumerate(fs[: n + 1])], (n + 1) ** 2)
-            s_norms[n] = ls
-            best_s = max(s_norms[k] for k in s_norms if k <= n)
-            if lsig > best_s + 1e-9:
-                convex_ok = False
-            rows.append((n, ls, lsig))
+    for n in n_list:
+        ls = log10_norm(fs[: n + 1], 1)
+        lsig = log10_norm([m * (n + 1 - j) for j, m in enumerate(fs[: n + 1])], (n + 1) ** 2)
+        s_norms[n] = ls
+        best_s = max(s_norms[k] for k in s_norms if k <= n)
+        if lsig > best_s + 1e-9:
+            convex_ok = False
+        rows.append((n, ls, lsig))
     growth_ok = (
         len(rows) >= 2
         and rows[-1][1] > next(ls for n, ls, _ in rows if n >= 8)

@@ -1,0 +1,369 @@
+"""Fixed-point arithmetic on Python integers for hblab's P-bit routes.
+
+Three things, on machine integers and the standard library only:
+
+* the elementary kernels of the P-bit seeds: pi, ln 2, exp, expm1, and cos
+  with sin, each a Taylor (or arctangent) series after argument reduction,
+  as in Brent & Zimmermann, *Modern Computer Arithmetic* (2010), 4.3-4.4;
+* round-half-even of an exact m 2^e to P significant bits;
+* ``PBit``, a P-bit real number (mantissa, exponent) with ``float``, an
+  exact total order, a correctly rounded quotient and a log10 from
+  ``decimal``.
+
+A fixed-point number at precision p is an integer X standing for X 2^-p;
+"within c units" means |X - x 2^p| <= c.  Every bound below is counted in
+its docstring and held against mpmath at 64 more bits by the tests.
+
+``taylor``, the P-bit branch of ``hb.toeplitz_coanalytic_apply`` and the
+coefficient experiments import this module; the float-only verbs never do.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+import sys
+
+_HASH_MODULUS = sys.hash_info.modulus
+
+
+def float_fixed(x: float, prec: int) -> int:
+    """floor(x 2^prec) of a finite float, exactly."""
+    m, e = math.frexp(x)
+    return floor_shift(int(m * 2.0**53), e - 53 + prec)
+
+
+def floor_shift(x: int, s: int) -> int:
+    """floor(x 2^s)."""
+    return x << s if s >= 0 else x >> -s
+
+
+def _guard(prec: int) -> int:
+    """Guard bits g with 2^g > 16 prec + 1024, so that a series of at most
+    prec + g terms, each within a few units, leaves less than a unit after
+    the final shift by g (for g <= 100)."""
+    return (16 * prec + 1024).bit_length()
+
+
+def _atan_inv(n: int, q: int) -> int:
+    """atan(1/n) 2^q within 2K + 2 units, K the number of terms (at most
+    q / (2 log2 n) + 1): each power and term is one floor (the powers stay
+    within 1.05 units, each term within 2), and the alternating tail after
+    the last nonzero power is below 1.05 units."""
+    power = (1 << q) // n
+    total, k, n2 = power, 1, n * n
+    while power:
+        power //= n2
+        term = power // (2 * k + 1)
+        total += -term if k & 1 else term
+        k += 1
+    return total
+
+
+def _atanh_inv(n: int, q: int) -> int:
+    """atanh(1/n) 2^q within 2K + 2 units, K the number of terms (at most
+    q / (2 log2 n) + 1): positive terms, each within 2 units, and a tail
+    after the last nonzero power below 1.2 units."""
+    power = (1 << q) // n
+    total, k, n2 = power, 1, n * n
+    while power:
+        power //= n2
+        total += power // (2 * k + 1)
+        k += 1
+    return total
+
+
+@functools.lru_cache(maxsize=32)
+def pi_fixed(prec: int) -> int:
+    """pi 2^prec within 2 units, by Machin's pi = 16 atan(1/5) - 4 atan(1/239)
+    at prec + g bits: 16 (2 K_5 + 2) + 4 (2 K_239 + 2) < 8 (prec + g) + 128
+    < 2^g units there, below one unit after the shift, which floors."""
+    g = _guard(prec)
+    q = prec + g
+    return (16 * _atan_inv(5, q) - 4 * _atan_inv(239, q)) >> g
+
+
+@functools.lru_cache(maxsize=32)
+def ln2_fixed(prec: int) -> int:
+    """ln 2 2^prec within 2 units, as 2 atanh(1/3) at prec + g bits:
+    2 (2 K_3 + 2) < 2 (prec + g) + 8 < 2^g units there, below one unit
+    after the shift, which floors."""
+    g = _guard(prec)
+    return (2 * _atanh_inv(3, prec + g)) >> g
+
+
+def exp_fixed(x: int, prec: int) -> tuple:
+    """(y, n) with e^(x 2^-prec) = (y + d) 2^(n - prec), |d| <= 2 and
+    y 2^-prec in [0.7, 1.42]: the result to relative 3 2^-prec, any x.
+
+    n = round(x / ln 2) from ln 2 on 64 bits more than x has integer bits,
+    so |r| <= 0.35 (plus 2^-60) for r = x - n ln 2, formed at
+    q = prec + g bits from ln 2 within 2 units: r is within 2|n| units.
+    r is halved s = max(2, isqrt(prec) / 2) times (one floor), the Taylor
+    series of e^(r / 2^s) runs to its last nonzero term (each term within
+    4 units, the series within 4K + 2 units, K <= q terms, plus
+    1.5 (1 + 2|n| / 2^s) from the halved r), and s squarings, each one
+    floor, carry that error E_0 to at most 2^(s+1) (E_0 + 1) units.  With
+    g = s + 2 + bitlen(4q + 4|n| + 8), rounded up so that q is a multiple
+    of 32 (ln 2 is then computed once for nearby precisions), the shift by
+    g leaves below half a unit, plus one for its floor.
+    """
+    t = max(x.bit_length() - prec, 0) + 64
+    ln2 = ln2_fixed(t)
+    n = (2 * floor_shift(x, t - prec) + ln2) // (2 * ln2)
+    s = max(2, math.isqrt(prec) // 2)
+    g = s + 2 + (4 * prec + 4 * 256 + 4 * abs(n) + 8).bit_length()
+    g += -(prec + g) % 32
+    q = prec + g
+    r = (x << g) - n * ln2_fixed(q)
+    y = r >> s
+    term = total = 1 << q
+    k = 1
+    while term:
+        term = ((term * y) >> q) // k
+        total += term
+        k += 1
+    for _ in range(s):
+        total = (total * total) >> q
+    return total >> g, n
+
+
+def expm1_fixed(x: int, prec: int) -> int:
+    """(e^(x 2^-prec) - 1) 2^prec within 2 units, for x <= 0.
+
+    For |x 2^-prec| < 2^-10 the Taylor series of expm1 runs directly at
+    q = prec + g bits (K <= q terms, each within 3 units, 3K + 2 < 2^g),
+    so a small result keeps its relative precision and the caller adds
+    bits for it; otherwise ``exp_fixed`` at q, less one, whose 2 units and
+    the floor of its shift stay below one unit at prec before the last
+    floor.
+    """
+    g = _guard(prec)
+    q = prec + g
+    if abs(x) < 1 << max(prec - 10, 0):
+        y = x << g
+        term = total = y
+        k = 2
+        while term:
+            term = ((term * y) >> q) // k
+            total += term
+            k += 1
+        return total >> g
+    y, n = exp_fixed(x << g, q)
+    return (floor_shift(y, n) - (1 << q)) >> g
+
+
+def cos_sin_fixed(x: int, prec: int) -> tuple:
+    """(cos, sin) of x 2^-prec, |x 2^-prec| <= 2, each within 2 units.
+
+    At q = prec + g bits the argument is halved s = max(2, isqrt(prec) / 2)
+    times (one floor, a unit of argument), one Taylor series gives both at
+    |y| <= 2^(1-s) (each term within 4 units, K <= q terms: E_0 <= 4q + 3),
+    and s doublings, sin 2y = 2 sin y cos y and cos 2y = cos^2 y - sin^2 y
+    with |cos| + |sin| <= 1.5, each one floor, multiply the error by at
+    most 4 and add 1: E_s <= 4^s (4q + 4).  With g = 2s + 2 + bitlen(4q + 4)
+    that is below a quarter unit after the shift by g, plus one for its
+    floor.
+    """
+    s = max(2, math.isqrt(prec) // 2)
+    g = 2 * s + 2 + (4 * prec + 4 * 256 + 4).bit_length()
+    q = prec + g
+    y = (x << g) >> s
+    one = 1 << q
+    term, c, sn = one, one, 0
+    k = 1
+    while term:
+        term = ((term * y) >> q) // k
+        if k & 1:
+            sn += -term if k & 2 else term
+        else:
+            c += -term if k & 2 else term
+        k += 1
+    for _ in range(s):
+        c, sn = (c * c - sn * sn) >> q, (c * sn) >> (q - 1)
+    return c >> g, sn >> g
+
+
+# -- P-bit numbers ---------------------------------------------------------
+
+
+def round_half_even(man: int, exp: int, bits: int) -> tuple:
+    """(m, e): man 2^exp rounded to ``bits`` significant bits, to nearest
+    with ties to an even mantissa, and normalized as mpmath normalizes:
+    m odd, or (0, 0) for zero.  The rounding of mpmath's
+    ``from_man_exp(man, exp, bits, round_nearest)``, bit for bit."""
+    if not man:
+        return 0, 0
+    a = -man if man < 0 else man
+    drop = a.bit_length() - bits
+    if drop > 0:
+        t = a >> (drop - 1)
+        if t & 1 and (t & 2 or a & ((1 << (drop - 1)) - 1)):
+            a = (t >> 1) + 1
+        else:
+            a = t >> 1
+        exp += drop
+    zeros = (a & -a).bit_length() - 1
+    a >>= zeros
+    return (-a if man < 0 else a), exp + zeros
+
+
+def to_pbit(man: int, exp: int, bits: int) -> "PBit":
+    """man 2^exp rounded once, half-even, to a ``bits``-bit ``PBit``."""
+    return PBit(*round_half_even(man, exp, bits))
+
+
+def _man_exp(x) -> tuple:
+    """(m, e) with x = m 2^e exactly, for a PBit, an int or a finite float."""
+    if isinstance(x, PBit):
+        return x.man, x.exp
+    if isinstance(x, int):
+        return x, 0
+    m, e = math.frexp(x)
+    return int(m * 2.0**53), e - 53
+
+
+def quotient(a, b, bits: int) -> "PBit":
+    """a / b correctly rounded, half-even, to ``bits`` bits, for PBits and
+    ints (b nonzero): mpmath's ``mpf_div`` at ``bits`` and round_nearest,
+    bit for bit.  The exact quotient is carried to at least bits + 2 bits
+    with one sticky bit for a nonzero remainder, so the one rounding sees
+    whether it lies below, at or above a half."""
+    (ma, ea), (mb, eb) = _man_exp(a), _man_exp(b)
+    if not mb:
+        raise ZeroDivisionError("quotient by zero")
+    shift = bits + 2 + max(0, mb.bit_length() - ma.bit_length())
+    q, r = divmod(abs(ma) << shift, abs(mb))
+    q = (q << 1) | bool(r)
+    if (ma < 0) != (mb < 0):
+        q = -q
+    return to_pbit(q, ea - eb - shift - 1, bits)
+
+
+def log10(x: "PBit", bits: int) -> float:
+    """log10 x of a positive PBit, correctly rounded by ``decimal`` to
+    ceil(0.30103 bits) + 2 >= bits log10 2 + 2 digits, then to the nearest
+    double.  For
+    ``bits`` >= 64, as every P-bit report has (``phi_hat_series`` asks for
+    64 bits at least), it differs from mpmath's float(log10) at ``bits``
+    only where the true value lies within one of those roundings of a
+    double midpoint."""
+    import decimal
+
+    if x.man <= 0:
+        raise ValueError(f"log10 of a non-positive number {x!r}")
+    # m 2^e = m 5^-e 10^e, an exact decimal
+    exact = decimal.Decimal(x.man << x.exp if x.exp >= 0 else f"{x.man * 5 ** -x.exp}E{x.exp}")
+    digits = -(-bits * 30103 // 100000) + 2
+    context = decimal.Context(prec=digits, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    return float(context.log10(exact))
+
+
+class PBit:
+    """A real number man 2^exp, its mantissa made odd (normalized) on
+    construction, as hblab's P-bit routes return it: exact, ordered and
+    hashable as the rational it is, and ``float`` rounds it as mpmath's
+    ``float(mpf)`` does.
+
+    ``_mpf_`` is mpmath's raw tuple of the same value, so mpmath accepts a
+    PBit wherever it accepts an mpf (``mp.mpf``, ``mp.log``, mixed
+    arithmetic).  Arithmetic on a PBit itself converts it to an mpf first,
+    which loads mpmath; hblab's own P-bit routes never do it, they read
+    (man, exp) and sum integers.
+    """
+
+    __slots__ = ("man", "exp")
+
+    def __init__(self, man: int, exp: int):
+        if man and not man & 1:
+            zeros = (man & -man).bit_length() - 1
+            man, exp = man >> zeros, exp + zeros
+        self.man, self.exp = man, (exp if man else 0)
+
+    @property
+    def _mpf_(self) -> tuple:
+        m = self.man
+        return (int(m < 0), abs(m), self.exp, abs(m).bit_length())
+
+    def mpf(self):
+        """This number as an mpmath mpf, exactly."""
+        from mpmath import mp
+
+        return mp.make_mpf(self._mpf_)
+
+    real = property(lambda self: self)
+    imag = property(lambda self: 0)
+
+    def conjugate(self) -> "PBit":
+        return self
+
+    def __float__(self) -> float:
+        m, e = round_half_even(self.man, self.exp, 53)
+        try:
+            return math.ldexp(m, e)
+        except OverflowError:
+            return math.copysign(math.inf, m)
+
+    def __complex__(self) -> complex:
+        return complex(float(self))
+
+    def __bool__(self) -> bool:
+        return self.man != 0
+
+    def __repr__(self) -> str:
+        return f"PBit({self.man}, {self.exp})"
+
+    def __hash__(self) -> int:
+        # Python's hash of the rational man 2^exp, as int, float and mpf hash it
+        h = abs(self.man) % _HASH_MODULUS * pow(2, self.exp, _HASH_MODULUS) % _HASH_MODULUS
+        h = -h if self.man < 0 else h
+        return -2 if h == -1 else h
+
+    def _cmp(self, other):
+        """Sign of self - other, exactly (NaN against a NaN, so that every
+        comparison is False), or None for an operand this type does not
+        compare (mpmath then compares through ``_mpf_``)."""
+        if isinstance(other, float):
+            if not math.isfinite(other):
+                return math.nan if math.isnan(other) else (-1 if other > 0 else 1)
+        elif not isinstance(other, (PBit, int)):
+            return None
+        (ma, ea), (mb, eb) = (self.man, self.exp), _man_exp(other)
+        low = min(ea, eb)
+        d = (ma << (ea - low)) - (mb << (eb - low))
+        return (d > 0) - (d < 0)
+
+    def __eq__(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is None else c == 0
+
+    def __lt__(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is None else c < 0
+
+    def __le__(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is None else c <= 0
+
+    def __gt__(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is None else c > 0
+
+    def __ge__(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is None else c >= 0
+
+
+def _through_mpf(name: str):
+    def op(self, *args):
+        return getattr(self.mpf(), name)(*args)
+
+    op.__name__ = name
+    return op
+
+
+for _name in (
+    "__neg__", "__pos__", "__abs__", "__add__", "__radd__", "__sub__", "__rsub__",
+    "__mul__", "__rmul__", "__truediv__", "__rtruediv__", "__pow__", "__rpow__",
+):
+    setattr(PBit, _name, _through_mpf(_name))

@@ -32,7 +32,6 @@ from .series import (
     TaylorSeries,
     _support_len,
     fixed_mantissas,
-    fixed_to_mpf,
     fixed_toeplitz,
     triangular_solve_upper_toeplitz,
 )
@@ -134,21 +133,23 @@ def toeplitz_coanalytic_apply(h: TaylorSeries, f: TaylorSeries) -> TaylorSeries:
     ``precision_bits`` of h and f.  When either is carried above 53 bits,
     both must be real: their mantissas are aligned once to one exponent
     each (``fixed_mantissas``, float zero pads included), and each output
-    coefficient is one exact integer sum (``fixed_toeplitz``) rounded once
-    at the result's precision, whatever mpmath's ambient precision.  Two
-    53-bit series take the float sums, which stop at h's last nonzero
-    coefficient: a symbol whose support is its first m coefficients costs
-    O(m) per output coefficient, so the tame pair's zero-padded two-term
-    a-hat and b-hat cost O(len f) in all.
+    coefficient is one exact integer sum (``fixed_toeplitz``) rounded once,
+    half-even, at the result's precision to a ``fixed.PBit``, whatever
+    mpmath's ambient precision.  Two 53-bit series take the float sums,
+    which stop at h's last nonzero coefficient: a symbol whose support is
+    its first m coefficients costs O(m) per output coefficient, so the tame
+    pair's zero-padded two-term a-hat and b-hat cost O(len f) in all.
     """
     n = len(f.coeffs)
     if len(h.coeffs) < n:
         raise ValueError(f"symbol has {len(h.coeffs)} coefficients, fewer than the {n} of f")
     bits = min(h.precision_bits, f.precision_bits)
     if max(h.precision_bits, f.precision_bits) > 53:
+        from .fixed import to_pbit
+
         hs, he = fixed_mantissas(h.coeffs[:n])
         fs, fe = fixed_mantissas(f.coeffs)
-        out = [fixed_to_mpf(s, he + fe, bits) for s in fixed_toeplitz(hs, fs)]
+        out = [to_pbit(s, he + fe, bits) for s in fixed_toeplitz(hs, fs)]
         return TaylorSeries(tuple(out), bits)
     hc = [c.conjugate() for c in h.coeffs[: _support_len(h.coeffs[:n])]]
     fc = f.coeffs
@@ -304,10 +305,10 @@ def sarason_f_plus(f: TaylorSeries, phi_hat: TaylorSeries) -> TaylorSeries:
     exact integers, ``series.fixed_toeplitz``, itself); ``f_plus_solve`` is
     its independent oracle.  It is T_phi-hat-bar f, the one product
     ``toeplitz_coanalytic_apply``, whose length check raises that
-    ValueError: on real mpmath series one exact integer sum per
-    coefficient, rounded once at the smaller of the two series'
-    ``precision_bits`` whatever the ambient mpmath precision, and float
-    sums on 53-bit series.
+    ValueError: on real series above 53 bits one exact integer sum per
+    coefficient, rounded once, half-even, to a ``fixed.PBit`` at the
+    smaller of the two series' ``precision_bits`` whatever the ambient
+    mpmath precision, and float sums on 53-bit series.
     """
     return toeplitz_coanalytic_apply(phi_hat, f)
 

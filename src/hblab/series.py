@@ -1,21 +1,22 @@
 """Truncated power series and the matrix-free triangular Toeplitz solver.
 
-Coefficients may be ordinary Python complex/float numbers or mpmath numbers;
-all operations are written generically so the same code path serves the
-double-precision and extended-precision experiments.  Products and
-``exp_series`` are plain O(N^2) recurrences; the long outer-function series
-come from the O(N * cells) recurrence of ``hblab.taylor.outer_series``, which
-uses ``exp_series`` only as its low-degree oracle.
+Coefficients may be ordinary Python complex/float numbers, mpmath numbers
+or the P-bit numbers of ``hblab.fixed``; all operations are written
+generically so the same code path serves the double-precision and
+extended-precision experiments.  Products and ``exp_series`` are plain
+O(N^2) recurrences; the long outer-function series come from the
+O(N * cells) recurrence of ``hblab.taylor.outer_series``, which uses
+``exp_series`` only as its low-degree oracle.
 
 The ``fixed_*`` helpers are the one aligned-mantissa format of every exact
 integer sum at extended precision: integers on one scale 2^e, summed
-exactly and rounded to mpmath once.
+exactly; their callers round each sum once, half-even, with
+``hblab.fixed.to_pbit``.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import operator
 from typing import Optional, Sequence
@@ -24,7 +25,9 @@ from ._record import Record, _set
 
 
 def _is_mp(x) -> bool:
-    return type(x).__module__.startswith("mpmath")
+    """Whether x is an extended-precision number: an mpmath one, or a
+    ``fixed.PBit``, which mpmath takes as an mpf."""
+    return type(x).__module__.startswith("mpmath") or hasattr(x, "_mpf_")
 
 
 def _exp(x):
@@ -155,9 +158,10 @@ def _support_len(cs) -> int:
 
 def fixed_mantissas(xs):
     """Integers m_i and one exponent e with xs[i] = m_i 2^e exactly, for
-    real mpmath numbers, floats and ints: every mantissa aligned to the
-    smallest exponent, so a dot product of two aligned sequences is one
-    integer sum (``fixed_dot``)."""
+    P-bit numbers (``fixed.PBit``), real mpmath numbers, floats and ints,
+    each read from its (mantissa, exponent) as it stands: every mantissa
+    aligned to the smallest exponent, so a dot product of two aligned
+    sequences is one integer sum (``fixed_dot``)."""
     pairs = []
     for x in xs:
         if isinstance(x, int):
@@ -187,19 +191,3 @@ def fixed_toeplitz(hs, fs) -> list:
     (``fixed_mantissas``), so on the product of the two scales, unrounded;
     each sum stops at the shorter sequence."""
     return [fixed_dot(fs[k:], hs) for k in range(len(fs))]
-
-
-@functools.cache
-def _mpf_names() -> tuple:
-    """mpmath's make_mpf, from_man_exp and round_nearest, imported on the
-    first call only, so a float-only process never loads mpmath."""
-    from mpmath import mp
-    from mpmath.libmp import from_man_exp, round_nearest
-
-    return mp.make_mpf, from_man_exp, round_nearest
-
-
-def fixed_to_mpf(man: int, exp: int, bits: int):
-    """man 2^exp as an mpmath number rounded once, to nearest, at ``bits``."""
-    make_mpf, from_man_exp, rnd = _mpf_names()
-    return make_mpf(from_man_exp(man, exp, bits, rnd))

@@ -8,9 +8,10 @@ on Python integers, with a counted bound on its truncations and, at every
 precision, a check of its low coefficients against the O(N^2) route
 ``exp_series`` of the float ``log_outer_series``.  ``Pair.with_series`` and
 ``Pair.phi_hat`` import this module on first use, so a process that never
-asks for Taylor coefficients never loads it.  The O(N^2) route is called
-through its home modules (``pair.log_outer_series``, ``series.exp_series``),
-so a rebinding there reaches this module whatever the import order.
+asks for Taylor coefficients never loads it, nor the integer kernels of
+``hblab.fixed`` that it imports.  The O(N^2) route is called through its
+home modules (``pair.log_outer_series``, ``series.exp_series``), so a
+rebinding there reaches this module whatever the import order.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import math
 from itertools import accumulate
 
 from . import pair, series
-from .series import TaylorSeries, fixed_to_mpf
+from .fixed import cos_sin_fixed, exp_fixed, float_fixed, floor_shift, pi_fixed, to_pbit
+from .series import TaylorSeries
 
 _ORACLE_DEGREE = 32
 
@@ -54,8 +56,10 @@ def outer_series(mod: pair.StepModulus, degree: int, precision_bits: int = 53) -
     stored with W significant bits on its own scale, alpha and beta on one
     shared scale 2^-(W + G), so the arc sum is one exact integer and F_{n+1}
     is its one floor quotient; G = 2 bitlen(degree) extra bits, as |D| may
-    exceed |Q| by (degree+1)^2.  mpmath computes the arc data (d, alpha,
-    beta, F_0 = exp(mean)) at 2W bits from the float cells taken as exact.
+    exceed |Q| by (degree+1)^2.  The arc data (d, alpha, beta, F_0 =
+    exp(mean)) come from the integer kernels of ``hblab.fixed``, each
+    within 2^-2W of its exact value from the float cells taken as exact
+    (``_arc_data``).
     ``_truncation_bound`` counts every floor and every rounded datum and
     carries them through the recurrence; W is ``precision_bits`` plus the
     least number of bits that lifts the a-priori coefficient scale
@@ -71,8 +75,9 @@ def outer_series(mod: pair.StepModulus, degree: int, precision_bits: int = 53) -
     unit in its last place after it; the largest counted bound relative to
     its coefficient is the series' ``error_bound``.
 
-    At 53 bits the result is rounded to real floats, above it to real
-    mpmath numbers at ``precision_bits``.  Coefficients 0..min(degree, 32)
+    At 53 bits the result is rounded to real floats, above it half-even
+    to P-bit numbers (``fixed.PBit``) at ``precision_bits``, straight from
+    the integers.  Coefficients 0..min(degree, 32)
     are recomputed in floats by the O(degree^2) route, ``exp_series`` of
     the float ``log_outer_series``, at every precision, and a disagreement
     beyond that route's own float error raises ArithmeticError.
@@ -118,42 +123,116 @@ def outer_series(mod: pair.StepModulus, degree: int, precision_bits: int = 53) -
     if precision_bits <= 53:
         out, bits = tuple(f / (1 << W) for f in coeffs), 53
     else:
-        out, bits = tuple(fixed_to_mpf(f, -W, precision_bits) for f in coeffs), precision_bits
+        out, bits = tuple(to_pbit(f, -W, precision_bits) for f in coeffs), precision_bits
     _check_against_exp_series(mod, out)
     return TaylorSeries(out, bits, rel_bound)
 
 
 def _fixed_pass(mod: pair.StepModulus, arcs: list, degree: int, W: int, extra: int) -> list:
-    """F_0..F_degree as integers at 2^-W: the arc data of ``outer_series``
-    computed by mpmath at 2W bits, then ``_arc_recurrence``."""
-    from mpmath import mp
-    from mpmath.libmp import to_fixed
+    """F_0..F_degree as integers at 2^-W: the loop of ``outer_series``,
+    ``_arc_recurrence``, on the data of ``_arc_data``."""
+    f0, data = _arc_data(mod, arcs, W, extra)
+    return _arc_recurrence(f0, data, degree, W + extra)
 
+
+# every factor of the arc data is carried to 2^_FACTOR_BITS units, beyond 2W
+_FACTOR_BITS = 13
+
+
+def _arc_data(mod: pair.StepModulus, arcs: list, W: int, extra: int) -> tuple:
+    """(F_0 at 2^-W, data): the integer inputs of ``_arc_recurrence`` from
+    the float cells taken as exact, each arc's (d_e on W significant bits,
+    its shift, d_s likewise, alpha and beta at 2^-(W + ``extra``)), every
+    one the floor of a value within 2^-(2W+4) of its exact value, relative:
+    inside the 2W-bit data allowance of ``_truncation_bound`` (2^(4-bits)
+    of |alpha| and |beta| in units, 2^(5-W-bits) of d relative, and
+    (cells + 3) (1 + terms) 2^(4-bits) of |F_0| in units).
+
+    The kernels of ``hblab.fixed`` run at P bits.  The half angles a =
+    theta_s / 2 and b = theta_e / 2 are floored to 2^-P (one unit), and
+    their cos and sin are within 2 units more.  So sin w = sin b cos a -
+    cos b sin a, cos mu and sin mu (mu = a + b), sin theta_s = 2 sin a cos a
+    and 4 sin^2 of a or b, each one floor of a product, are within 10, 10,
+    10, 10 and 25 units.  P is 2W + 13 bits beyond the smallest of them
+    (estimated in floats by ``_arc_bits``, then checked on the integers,
+    and raised if short), so each is within 2^-(2W+8) of itself, relative,
+    as is pi (2 units).  alpha = 4 h cos mu sin w / pi and beta = -4 h
+    sin theta_s sin mu sin w / pi, h = (log-modulus - default) exact, and
+    the d's are then within 4 2^-(2W+8) = 2^-(2W+6) relative before their
+    one floor.
+
+    The mean, d plus the exact dyadic sum of width * h over 2 pi, is
+    formed at Q = 2W + 8 + bitlen(1 + terms) bits (terms = |d| plus the
+    sum of width * |h|) within 2 + terms units (two floors, pi), and
+    ``exp_fixed`` adds 3 2^-Q relative, so F_0 = exp(mean) is within
+    5 2^-(2W+8) < 2^-(2W+5) relative before its floor.
+    """
     d = mod.default_log_modulus
-    with mp.workprec(2 * W):
+    # the mean: the float cells are exact multiples of 2^-1074
+    exact = 1074
+    dd = float_fixed(d, exact)
+    area = sum(
+        (float_fixed(c.theta_end, exact) - float_fixed(c.theta_start, exact))
+        * (float_fixed(c.log_modulus, exact) - dd)
+        for c in mod.cells
+    )
+    terms = abs(d) + math.fsum(c.width * abs(c.log_modulus - d) for c in mod.cells)
+    Q = 2 * W + 8 + (1 + int(terms)).bit_length()
+    mean = float_fixed(d, Q) + _floor_div(area, 2 * Q - 2 * exact - 1, pi_fixed(Q))
+    y, n = exp_fixed(mean, Q)
+    f0 = floor_shift(y, n - Q + W)
 
-        def own_scale(x):
-            # x >= 0 to W significant bits: (integer, shift)
-            shift = W - x._mpf_[2] - x._mpf_[3]
-            return to_fixed(x._mpf_, shift), shift
-
-        mean = mp.mpf(d)
-        for c in mod.cells:
-            w, h = mp.mpf(c.theta_end) - c.theta_start, mp.mpf(c.log_modulus) - d
-            mean += w * h / (2 * mp.pi)
-        data = []
+    P = _arc_bits(arcs, W)
+    while True:
+        pi = pi_fixed(P)
+        data, short = [], 0
         for ts, te, lm in arcs:
-            ts, te = mp.mpf(ts), mp.mpf(te)
-            k = 2 * (mp.mpf(lm) - d) / mp.pi
-            sin_w, mu = mp.sin((te - ts) / 2), (te + ts) / 2
-            alpha, beta = 2 * k * mp.cos(mu) * sin_w, -2 * k * mp.sin(ts) * mp.sin(mu) * sin_w
-            data.append(
-                own_scale(4 * mp.sin(te / 2) ** 2)
-                + own_scale(4 * mp.sin(ts / 2) ** 2)
-                + (to_fixed(alpha._mpf_, W + extra), to_fixed(beta._mpf_, W + extra))
-            )
-        f0_fixed = to_fixed(mp.exp(mean)._mpf_, W)
-    return _arc_recurrence(f0_fixed, data, degree, W + extra)
+            ca, sa = cos_sin_fixed(float_fixed(ts, P - 1), P)
+            cb, sb = cos_sin_fixed(float_fixed(te, P - 1), P)
+            sin_w = (sb * ca - cb * sa) >> P
+            cos_mu = (ca * cb - sa * sb) >> P
+            sin_mu = (sa * cb + ca * sb) >> P
+            sin_ts = (sa * ca) >> (P - 1)
+            d_e, d_s = (sb * sb) >> (P - 2), (sa * sa) >> (P - 2)
+            factors = [sin_w, cos_mu, sin_mu, d_e] + ([sin_ts, d_s] if ts > 0.0 else [])
+            short = max(short, *(2 * W + _FACTOR_BITS + 1 - abs(x).bit_length() for x in factors))
+            hm, he = float_fixed(lm, exact) - dd, W + extra - exact - P
+            alpha = _floor_div(4 * hm * cos_mu * sin_w, he, pi)
+            beta = _floor_div(-4 * hm * sin_ts * sin_mu * sin_w, he - P, pi) if ts > 0.0 else 0
+            data.append(_own_scale(d_e, P, W) + _own_scale(d_s, P, W) + (alpha, beta))
+        if short <= 0:
+            return f0, data
+        P += short
+
+
+def _arc_bits(arcs: list, W: int) -> int:
+    """The first P of ``_arc_data``: 2W + _FACTOR_BITS + 2 bits beyond the
+    smallest factor of the arc data, estimated in floats."""
+
+    def lg(x: float) -> float:
+        return math.log2(max(abs(x), 1e-300))
+
+    smallest = 0.0
+    for ts, te, _ in arcs:
+        w, mu = (te - ts) / 2.0, (te + ts) / 2.0
+        logs = [lg(math.sin(w)), lg(math.cos(mu)), lg(math.sin(mu))]
+        logs.append(2.0 + 2.0 * lg(math.sin(te / 2.0)))
+        if ts > 0.0:
+            logs += [lg(math.sin(ts)), 2.0 + 2.0 * lg(math.sin(ts / 2.0))]
+        smallest = min(smallest, *logs)
+    return 2 * W + _FACTOR_BITS + 2 - math.floor(smallest)
+
+
+def _floor_div(x: int, s: int, y: int) -> int:
+    """floor(x 2^s / y) for y > 0."""
+    return (x << s) // y if s >= 0 else x // (y << -s)
+
+
+def _own_scale(x: int, P: int, W: int) -> tuple:
+    """(floor(v 2^shift), shift) for v = x 2^-P >= 0 on W significant
+    bits: shift = W - mag(v), mag(v) = floor(log2 v) + 1 (shift W for 0)."""
+    shift = W - (x.bit_length() - P) if x else W
+    return floor_shift(x, shift - P), shift
 
 
 def _shortfall(coeffs: list, bound: list, bits: int) -> tuple:

@@ -12,7 +12,9 @@ import sys
 
 import pytest
 from mpmath import mp
+from mpmath.libmp import from_man_exp, round_nearest
 
+import hblab.fixed as fixed
 import hblab.experiments as experiments
 from hblab.experiments import (
     PrecisionExhausted,
@@ -42,7 +44,7 @@ from hblab.hb import (
     sarason_f_plus,
 )
 from hblab.logscalar import LogScalar, log_sum_exp
-from hblab.series import TaylorSeries, fixed_to_mpf
+from hblab.series import TaylorSeries
 from hblab.outer import (
     half_plane_log_modulus_radial,
     log_delta,
@@ -506,13 +508,13 @@ def test_summability_matches_solve_oracle(pair, combo, monkeypatch):
     monkeypatch.setattr(Pair, "with_series", forbidden)
     monkeypatch.setattr(TaylorSeries, "l2_norm_sq", forbidden)
     norms = []
-    log10 = mp.log10
+    log10 = fixed.log10
 
-    def spy(x):
+    def spy(x, bits):
         norms.append(x)
-        return log10(x)
+        return log10(x, bits)
 
-    monkeypatch.setattr(mp, "log10", spy)
+    monkeypatch.setattr(fixed, "log10", spy)
     n_list = [0, 2, 8, 16, 24]
     bits, deg = 200, n_list[-1]
     rep = summability_divergence(n_list, combo, pair, precision_bits=bits)
@@ -527,7 +529,7 @@ def test_summability_matches_solve_oracle(pair, combo, monkeypatch):
         gap = max(abs(x - y) / abs(y) for x, y in zip(solved_phi, phi_hat.coeffs))
         assert gap <= 1e-15
         kernel = _FhatFixed(combo, deg, bits)
-        fhat = tuple(fixed_to_mpf(m, kernel.exp, bits) for m in kernel)
+        fhat = tuple(mp.make_mpf(from_man_exp(m, kernel.exp, bits, round_nearest)) for m in kernel)
         partial = [TaylorSeries(fhat[: k + 1] + (0,) * (deg - k), bits) for k in range(deg + 1)]
         tol = (deg + 10) * mp.mpf(2) ** -bits
         got = iter(norms)
@@ -567,13 +569,13 @@ def test_mp_reports_meet_their_precision(pair, combo, fhat_ref, monkeypatch):
     bits, extra = 384, REF_BITS
     orders = [0, 1, 2, 4, 8, 12, 16, 24, 32, 40, 48, 56, 64]
     seen = []
-    log10 = mp.log10
+    log10 = fixed.log10
 
-    def spy(x):
+    def spy(x, bits):
         seen.append(x)
-        return log10(x)
+        return log10(x, bits)
 
-    monkeypatch.setattr(mp, "log10", spy)
+    monkeypatch.setattr(fixed, "log10", spy)
     sarason_series_failure(512, combo, pair, precision_bits=bits)
     sums, seen[:] = list(seen), []
     summability_divergence(orders, combo, pair, precision_bits=bits)

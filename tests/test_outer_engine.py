@@ -724,14 +724,15 @@ bare = sorted(
     name for name in sys.modules if name.startswith("hblab.") or name in everywhere
 )
 import hblab.cli
-no_series = ("hblab.series", "hblab.taylor", *everywhere)
+no_series = ("hblab.series", "hblab.taylor", "hblab.fixed", *everywhere)
+no_taylor = ("hblab.taylor", "hblab.fixed", "mpmath", *everywhere)
 verbs = (
     ("construct", ("hblab.hb", "hblab.experiments", "hblab._pcg64", "mpmath", *no_series)),
     ("verify-outer", ("hblab.hb", "hblab.experiments", "mpmath", *no_series)),
-    ("norm-crosscheck", ("hblab.experiments", "mpmath", "hblab.taylor", *everywhere)),
-    ("divergence", ("hblab.taylor", *everywhere)),
-    ("sarason", everywhere),
-    ("summability", everywhere),
+    ("norm-crosscheck", ("hblab.experiments", *no_taylor)),
+    ("divergence", no_taylor),
+    ("sarason", ("mpmath", *everywhere)),
+    ("summability", ("mpmath", *everywhere)),
 )
 loaded = {}
 with tempfile.TemporaryDirectory() as out:
@@ -763,15 +764,18 @@ print(json.dumps({"bare": bare, "loaded": loaded, "click": click, "stray": stray
 
 def test_verify_outer_imports_only_runtime_dependencies(run_fresh):
     """The CLI and every verb, the quadrature oracle and the seeded draws
-    included, load nothing beyond the standard library and mpmath, and
-    never click.  A bare ``import hblab`` loads no submodule; ``construct``
-    and ``verify-outer`` load neither ``hb``, ``experiments`` nor mpmath,
-    ``construct`` not the seeded generator ``_pcg64`` either, and
-    ``norm-crosscheck`` loads neither ``experiments`` nor mpmath.
-    ``construct`` and ``verify-outer`` load neither ``series`` nor the
-    Taylor engine ``taylor``, and ``norm-crosscheck`` and ``divergence``
-    not ``taylor``.  Neither the bare import nor any verb loads
-    ``dataclasses``, ``inspect`` or ``hashlib`` (with OpenSSL's
+    included, load nothing beyond the standard library, and never click:
+    no verb loads mpmath, whose allowance below covers only this probe's
+    own import of it.  A bare ``import hblab`` loads no submodule;
+    ``construct`` and ``verify-outer`` load neither ``hb`` nor
+    ``experiments``, ``construct`` not the seeded generator ``_pcg64``
+    either, and ``norm-crosscheck`` not ``experiments``.  ``construct``
+    and ``verify-outer`` load neither ``series``, the Taylor engine
+    ``taylor`` nor the integer kernels of ``fixed``, and
+    ``norm-crosscheck`` and ``divergence`` neither ``taylor`` nor
+    ``fixed``; ``sarason`` and ``summability`` carry their P-bit numbers
+    in ``fixed``, never in mpmath.  Neither the bare import nor any verb
+    loads ``dataclasses``, ``inspect`` or ``hashlib`` (with OpenSSL's
     ``_hashlib``)."""
     probe = run_fresh(_IMPORT_PROBE)
     assert probe["bare"] == []

@@ -451,6 +451,22 @@ def test_outer_series_guard_raises_below_scale(pair, bits, monkeypatch):
     assert min(abs(c) for c in a.coeffs) < 2.0**-11
 
 
+@pytest.mark.parametrize("bits", [53, 384])
+@pytest.mark.parametrize("e", [0.25, 1.0, 3.5, 1e6 + 0.5])
+def test_shortfall_threshold(bits, e):
+    """The guard's claim |F_n - fixed F_n| <= e <= 2^-bits (|fixed F_n| - e)
+    is tested as ceil(e) (2^bits + 1) <= |fixed F_n|: a coefficient of
+    exactly that size passes, of either sign, and one unit less reports
+    its shortfall, the least bits it lacks, 1."""
+    import hblab.taylor as taylor
+
+    need = math.ceil(e) * (2**bits + 1)
+    for f in (need, -need):
+        assert taylor._shortfall([f], [e], bits) == (0, None)
+    for f in (need - 1, 1 - need):
+        assert taylor._shortfall([2**bits, f], [0.0, e], bits) == (1, 1)
+
+
 @pytest.mark.parametrize("bits", [53, 128, 384])
 @pytest.mark.parametrize("d", [0.0, 0.1, -0.1, -5.0, 3.0])
 def test_outer_series_constant_modulus(d, bits):
