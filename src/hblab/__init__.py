@@ -18,26 +18,31 @@ import importlib
 # public name -> the submodule that defines it
 _EXPORTS = {
     **dict.fromkeys(("LogScalar", "log_sum_exp", "log_sum_signed"), "logscalar"),
+    **dict.fromkeys(("GrowthBoundError", "ParameterError", "PrecisionExhausted"), "errors"),
     **dict.fromkeys(
         (
             "ConstructionParams",
-            "GrowthBoundError",
-            "GrowthCheckRecord",
-            "ParameterError",
-            "PrecisionExhausted",
             "Sequences",
             "cayley",
             "check_rho_condition",
-            "choose_power_m",
-            "growth_bound_scan",
-            "growth_log_ratio",
             "log_Phi_halfplane",
             "log_phi_disk",
             "log_phi_radial",
             "make_sequences",
-            "verify_growth_bound",
         ),
         "outer",
+    ),
+    **dict.fromkeys(
+        (
+            "GrowthCheckRecord",
+            "GrowthScanRow",
+            "choose_power_m",
+            "growth_bound_scan",
+            "growth_log_ratio",
+            "poisson_quad_crosscheck",
+            "verify_growth_bound",
+        ),
+        "growth",
     ),
     **dict.fromkeys(
         (

@@ -8,13 +8,23 @@ All outputs are deterministic for a fixed (config, seed): numbers are
 emitted as shortest round-trip decimal strings and runtime is logged to
 stderr, never into the report files.
 
-Exit codes: 0 success, 2 config error, 3 construction inconsistency,
-4 assertion failure, 5 precision exhaustion.
+Exit codes: 0 success, 2 config error (usage errors too), 3 construction
+inconsistency, 4 assertion failure, 5 precision exhaustion.
+
+Each verb runs as its own process, so this module loads only what every
+verb needs: the standard library's json, sys, time and pathlib, and no
+hblab module.  argv is parsed here (``parse_args``) rather than by
+argparse, which spares every process argparse's import and the building
+of its parser.  Each verb imports the hblab modules it runs when it runs,
+and ``run_command`` the leaf ``hblab.errors`` of the errors it maps to
+exit codes: so ``construct`` and ``verify-outer`` never load ``hb`` or
+``experiments``, only ``verify-outer`` and ``construct`` with ``power_m``
+"auto" load ``growth``, ``norm-crosscheck`` loads neither ``outer`` nor
+``logscalar``, and ``divergence`` loads no ``series``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
@@ -85,7 +95,7 @@ def load_config(config_path, out_dir, precision_bits, seed, fmt) -> dict:
             raise ConfigError(
                 f"{key} = {value!r} does not have the type of its default {default!r}"
             )
-    for key, low in (("r_samples", 2), ("seed", 0)):
+    for key, low in (("r_samples", 2), ("seed", 0), ("precision_bits", 24)):
         if cfg[key] < low:
             raise ConfigError(f"{key} must be at least {low}, got {cfg[key]}")
     if not cfg["formats"]:
@@ -124,7 +134,7 @@ def _echo(message):
 
 
 def run_command(body, config_path, out_dir, precision_bits, seed, fmt):
-    from .outer import GrowthBoundError, ParameterError, PrecisionExhausted
+    from .errors import GrowthBoundError, ParameterError, PrecisionExhausted
 
     start = time.monotonic()
     try:
@@ -154,7 +164,7 @@ def run_command(body, config_path, out_dir, precision_bits, seed, fmt):
 def construct(cfg):
     """Build the pair (b, a), record the chosen power and the tail-ratio
     table, and write pair.json."""
-    from .outer import ConstructionParams, check_rho_condition, choose_power_m
+    from .outer import ConstructionParams, check_rho_condition
     from .pair import build_pair, pair_to_json
     from .reports import CODE_VERSION, config_hash, fmt_number
 
@@ -167,6 +177,8 @@ def construct(cfg):
         n_check=cfg["n_check"],
     )
     if params.power_m == "auto":
+        from .growth import choose_power_m
+
         m = choose_power_m(params, r_samples=cfg["r_samples"])
         params = params.with_power(m)
     try:
@@ -257,15 +269,12 @@ def _experiment(cfg, make_report):
 def divergence(cfg):
     """The blow-up curve of |(f_r)+(0)| and ||f_r||_{H(b)}, plus the
     growth-envelope report."""
-    from .experiments import default_r_grid, divergence_curve, growth_envelope
+    from .experiments import default_r_grid, divergence_reports
 
     def make_report(pair, f):
-        grid = default_r_grid(pair.params)
-        envelope = growth_envelope(
-            [r for r in grid if r.log_one_minus < -1.0], f, pair
-        )
+        curve, envelope = divergence_reports(default_r_grid(pair.params), f, pair)
         write_report(envelope, cfg)
-        return divergence_curve(grid, f, pair)
+        return curve
 
     return _experiment(cfg, make_report)
 
@@ -348,35 +357,120 @@ VERBS = {
 }
 
 
-def _parser(prog: str) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog=prog,
-        description="Numerical laboratory for outer functions and H(b) divergence.",
-        allow_abbrev=False,
+# option -> (metavar, help); each takes one value, as --name VALUE or
+# --name=VALUE, and a repeated option keeps its last value
+_OPTIONS = {
+    "--config": ("PATH", "JSON config; its values override the defaults"),
+    "--out": ("DIR", "directory of pair.json and the reports (default .)"),
+    "--precision-bits": ("BITS", "mantissa bits of the extended-precision work"),
+    "--seed": ("N", "seed of the quadrature and norm-crosscheck draws"),
+    "--format": ("{csv,json,both}", "report formats (default both)"),
+}
+_INT_OPTIONS = ("--precision-bits", "--seed")
+_FORMATS = ("csv", "json", "both")
+_HELP = ("-h", "--help")
+
+
+def _doc(body) -> str:
+    """A verb's docstring on one line (empty under python -OO)."""
+    return " ".join((body.__doc__ or "").split())
+
+
+def _usage(prog: str, verb) -> str:
+    options = " ".join(f"[{name} {metavar}]" for name, (metavar, _) in _OPTIONS.items())
+    return f"usage: {prog} {verb or 'VERB'} [-h] {options}"
+
+
+def _help(prog: str, verb) -> str:
+    """The text of -h: the usage, the verb's docstring (the package's
+    purpose at top level), every verb and every option."""
+    import textwrap
+
+    def item(name, text):
+        indent = f"  {name:<25} "
+        return textwrap.fill(text, 79, initial_indent=indent, subsequent_indent=" " * 28) or indent.rstrip()
+
+    about = _doc(VERBS[verb]) if verb else (
+        "Numerical laboratory for outer functions and H(b) divergence."
     )
-    verbs = parser.add_subparsers(dest="verb", metavar="VERB", required=True)
-    for name, body in VERBS.items():
-        doc = " ".join((body.__doc__ or "").split())  # None under python -OO
-        sub = verbs.add_parser(name, help=doc, description=doc, allow_abbrev=False)
-        sub.add_argument("--config", dest="config_path", metavar="PATH",
-                         help="JSON config; its values override the defaults")
-        sub.add_argument("--out", dest="out_dir", metavar="DIR",
-                         help="directory of pair.json and the reports (default .)")
-        sub.add_argument("--precision-bits", type=int, metavar="BITS",
-                         help="mantissa bits of the extended-precision work")
-        sub.add_argument("--seed", type=int, metavar="N",
-                         help="seed of the quadrature and norm-crosscheck draws")
-        sub.add_argument("--format", dest="fmt", choices=("csv", "json", "both"),
-                         help="report formats (default both)")
-    return parser
+    lines = [_usage(prog, verb), "", textwrap.fill(about, 79), "", "verbs:"]
+    lines += [item(name, _doc(body)) for name, body in VERBS.items()]
+    lines += ["", "options:", item("-h, --help", "show this help and exit")]
+    lines += [item(f"{name} {metavar}", text) for name, (metavar, text) in _OPTIONS.items()]
+    return "\n".join(lines)
+
+
+def _usage_error(prog: str, verb, message: str):
+    """Print the usage and ``message`` to stderr and exit 2, as argparse
+    does."""
+    where = f"{prog} {verb}" if verb else prog
+    _echo(f"{_usage(prog, verb)}\n{where}: error: {message}")
+    sys.exit(EXIT_CONFIG)
+
+
+def _is_value(arg: str) -> bool:
+    """Whether ``arg`` can be an option's value: a word that does not start
+    with '-', '-' itself, or a negative number (argparse's rule)."""
+    if not arg.startswith("-") or arg == "-":
+        return True
+    try:
+        float(arg)
+    except ValueError:
+        return False
+    return True
+
+
+def parse_args(argv: list, prog: str) -> tuple:
+    """(verb, {option: value}) from ``argv``: the verb first, then any of
+    the options, each ``--name VALUE`` or ``--name=VALUE``, an option left
+    out taking None.  Option names are matched whole, never abbreviated;
+    -h or --help, at top level or after the verb, prints the help and exits
+    0, and a usage error prints the usage to stderr and exits 2."""
+    verbs = ", ".join(VERBS)
+    if argv and argv[0] in _HELP:
+        print(_help(prog, None))
+        sys.exit(EXIT_OK)
+    if not argv:
+        _usage_error(prog, None, f"a verb is required (choose from {verbs})")
+    verb, args = argv[0], iter(argv[1:])
+    if verb not in VERBS:
+        _usage_error(prog, None, f"invalid verb {verb!r} (choose from {verbs})")
+    values = dict.fromkeys(_OPTIONS)
+    for arg in args:
+        if arg in _HELP:
+            print(_help(prog, verb))
+            sys.exit(EXIT_OK)
+        name, eq, value = arg.partition("=")
+        if name not in _OPTIONS:
+            _usage_error(prog, verb, f"unrecognized argument {arg!r}")
+        if not eq:
+            value = next(args, None)
+            if value is None or not _is_value(value):
+                _usage_error(prog, verb, f"argument {name}: expected one value")
+        if name in _INT_OPTIONS:
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(prog, verb, f"argument {name}: invalid int value: {value!r}")
+        elif name == "--format" and value not in _FORMATS:
+            choices = ", ".join(_FORMATS)
+            _usage_error(prog, verb, f"argument --format: invalid choice: {value!r} ({choices})")
+        values[name] = value
+    return verb, values
 
 
 def main(argv=None, prog_name=None):
     """Run the verb named in ``argv`` (default ``sys.argv[1:]``) and exit
     with its code; usage errors exit 2."""
-    args = _parser(prog_name or "hblab").parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    verb, opts = parse_args(argv, prog_name or "hblab")
     run_command(
-        VERBS[args.verb], args.config_path, args.out_dir, args.precision_bits, args.seed, args.fmt
+        VERBS[verb],
+        opts["--config"],
+        opts["--out"],
+        opts["--precision-bits"],
+        opts["--seed"],
+        opts["--format"],
     )
 
 

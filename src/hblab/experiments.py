@@ -7,6 +7,11 @@ c_j = (1 - w_j)^{1/2} / (j^2 phi(w_j)); its radial dilates satisfy
 log-domain far past float range.  The cross-representation oracle re-derives
 the same value from actual Taylor coefficients, (f_r)+(0) =
 sum_j r^j fhat(j) phihat(j), at extended precision.
+
+The float experiments (the curve and the envelope) need only ``hb``,
+``outer``, ``pair`` and ``logscalar``; ``hblab.series`` and the integer
+kernels of ``hblab.fixed`` are imported by the extended-precision
+functions that call them, so the ``divergence`` verb compiles neither.
 """
 
 from __future__ import annotations
@@ -27,17 +32,11 @@ from .hb import (
     dilate,
     hb_norm_sq,
 )
+from .errors import ParameterError, PrecisionExhausted
 from .logscalar import LogScalar, log_add_exp, log_sum_exp
-from .outer import (
-    ParameterError,
-    PrecisionExhausted,
-    _params_dict,
-    half_plane_log_modulus_radial,
-    log_delta,
-)
+from .outer import _params_dict, half_plane_log_modulus_radial, log_delta
 from .pair import Pair
 from .reports import CODE_VERSION, ExperimentReport
-from .series import TaylorSeries, fixed_dot, fixed_mantissas, fixed_toeplitz
 
 _LN10 = math.log(10.0)
 _LN2 = math.log(2.0)
@@ -142,6 +141,20 @@ def _base_metadata(precision_bits: int) -> dict:
     }
 
 
+def _radial_values(r_grid: Sequence, f: KernelCombo, pair: Pair) -> list:
+    """(radius, log (f_r)+(0), log ||f_r||^2_{H(b)}) for each radius of
+    ``r_grid``, as floats.  The log phi(r w_j) of each radius are evaluated
+    once and serve both the value and the Gram norm of ``hb_norm_sq``,
+    whose operations the norm repeats in its order, bit for bit."""
+    out = []
+    for r in r_grid:
+        rad = as_radius(r)
+        fr = dilate(f, rad)
+        lphi = _log_phi_at_nodes(fr, pair)
+        out.append((rad, _fr_plus_at_zero(fr, lphi), log_sum_exp(_gram_log_terms(fr, lphi))))
+    return out
+
+
 def divergence_curve(
     r_grid: Sequence, f: KernelCombo, pair: Pair
 ) -> ExperimentReport:
@@ -154,16 +167,33 @@ def divergence_curve(
     log phi(r w_j) of each radius are evaluated once and serve both the
     value and the Gram norm of ``hb_norm_sq``.
     """
-    params = pair.params
+    return _divergence_report(_radial_values(r_grid, f, pair), pair.params)
+
+
+def growth_envelope(r_grid: Sequence, f: KernelCombo, pair: Pair) -> ExperimentReport:
+    """E(r) = log||f_r|| * (1-r) * exp((log 1/(1-r))^{alpha/beta}); the grid
+    minimum is the empirical constant of the growth-rate estimate.  The
+    trend column log||f_r|| * (1-r) is reported without assertion."""
+    radii = [as_radius(r) for r in r_grid]
+    return _envelope_report([(rad, hb_norm_sq(dilate(f, rad), pair)) for rad in radii], pair.params)
+
+
+def divergence_reports(r_grid: Sequence, f: KernelCombo, pair: Pair) -> tuple:
+    """(``divergence_curve``, ``growth_envelope``) as the ``divergence``
+    verb writes them: the curve on ``r_grid`` and the envelope on its radii
+    with log(1 - r) < -1, from one evaluation of each radius' value and
+    norm; each report is the one its public function gives."""
+    values = _radial_values(r_grid, f, pair)
+    norms = [(rad, norm_sq) for rad, _, norm_sq in values if rad.log_one_minus < -1.0]
+    return _divergence_report(values, pair.params), _envelope_report(norms, pair.params)
+
+
+def _divergence_report(values: list, params) -> ExperimentReport:
+    """The report of ``divergence_curve`` from ``_radial_values``."""
     rows = []
     all_pass = True
     chain_ok = True
-    for r in r_grid:
-        rad = as_radius(r)
-        fr = dilate(f, rad)
-        lphi = _log_phi_at_nodes(fr, pair)
-        val = _fr_plus_at_zero(fr, lphi)
-        norm_sq = log_sum_exp(_gram_log_terms(fr, lphi))
+    for rad, val, norm_sq in values:
         log10_val = val / _LN10
         log10_norm = 0.5 * norm_sq / _LN10
         if log10_norm < log10_val - 1e-12:
@@ -192,17 +222,14 @@ def divergence_curve(
     )
 
 
-def growth_envelope(r_grid: Sequence, f: KernelCombo, pair: Pair) -> ExperimentReport:
-    """E(r) = log||f_r|| * (1-r) * exp((log 1/(1-r))^{alpha/beta}); the grid
-    minimum is the empirical constant of the growth-rate estimate.  The
-    trend column log||f_r|| * (1-r) is reported without assertion."""
-    params = pair.params
+def _envelope_report(norms: list, params) -> ExperimentReport:
+    """The report of ``growth_envelope`` from (radius, log ||f_r||^2)
+    pairs."""
     expo = params.alpha / params.beta
     rows = []
     e_values = []
-    for r in r_grid:
-        rad = as_radius(r)
-        half_log = 0.5 * hb_norm_sq(dilate(f, rad), pair)  # log ||f_r||
+    for rad, norm_sq in norms:
+        half_log = 0.5 * norm_sq  # log ||f_r||
         lomr = rad.log_one_minus
         e_r = half_log * math.exp(lomr + (-lomr) ** expo)
         trend = half_log * math.exp(lomr)
@@ -450,6 +477,7 @@ def abel_fr_plus(
     truncation.  Returns a ``fixed.PBit``, which mpmath accepts as an mpf.
     """
     from .fixed import to_pbit
+    from .series import fixed_dot, fixed_mantissas
 
     if phi_hat is None:
         phi_hat = phi_hat_series(pair, degree, precision_bits)
@@ -489,6 +517,7 @@ def sarason_series_failure(
     ``fixed.log10``, and ``ratio_full_to_half`` the quotient of the last
     sum by the one at J = j_max / 2 rounded once to 53 bits."""
     from . import fixed
+    from .series import fixed_dot, fixed_mantissas
 
     if j_max < 2:
         raise ParameterError(f"j_max must be at least 2, got {j_max}")
@@ -563,6 +592,7 @@ def summability_divergence(
     ``fhat_error_bound``, the largest of fhat (``_FhatFixed``).
     """
     from . import fixed
+    from .series import fixed_dot, fixed_mantissas, fixed_toeplitz
 
     n_list = sorted(set(int(n) for n in n_list))
     if not n_list or n_list[0] < 0 or n_list[-1] < 8:

@@ -17,6 +17,14 @@ Functions in H(b) appear in two representations:
   kernels with positive data, where f+ = sum_j c_j conj(phi(w_j)) k_{w_j}
   gives closed Gram-form norms that survive in log-domain when the phi
   values overflow every float format.
+
+Of hblab's modules, importing this one loads only ``_record`` and ``pair``
+(itself light: it imports ``outer`` and ``logscalar`` at call time).
+``hblab.series`` is imported by the functions on Taylor series and
+``hblab.logscalar`` by those on kernel combinations, each when it runs:
+the ``divergence`` verb, which works on kernel combinations alone, compiles
+no ``series``, and ``norm-crosscheck``, on Taylor series alone, no
+``logscalar``.
 """
 
 from __future__ import annotations
@@ -26,15 +34,7 @@ import math
 from typing import Union
 
 from ._record import Record, _set
-from .logscalar import log1m_product, log1p_exp, log_sum_exp
 from .pair import Pair
-from .series import (
-    TaylorSeries,
-    _support_len,
-    fixed_mantissas,
-    fixed_toeplitz,
-    triangular_solve_upper_toeplitz,
-)
 
 
 class Radius(Record):
@@ -97,7 +97,7 @@ class KernelCombo(Record):
                 raise ValueError("kernel nodes must have w in (0, 1)")
 
 
-HbFunction = Union[TaylorSeries, KernelCombo]
+HbFunction = Union["TaylorSeries", KernelCombo]
 
 
 # -- Cauchy kernels and Toeplitz operators --------------------------------
@@ -105,6 +105,8 @@ HbFunction = Union[TaylorSeries, KernelCombo]
 
 def cauchy_kernel(w: complex, degree: int) -> TaylorSeries:
     """k_w(z) = 1/(1 - conj(w) z), truncated: coefficients conj(w)**k."""
+    from .series import TaylorSeries
+
     if abs(w) >= 1:
         raise ValueError("cauchy_kernel requires |w| < 1")
     wc = complex(w).conjugate()
@@ -140,6 +142,8 @@ def toeplitz_coanalytic_apply(h: TaylorSeries, f: TaylorSeries) -> TaylorSeries:
     its first m coefficients costs O(m) per output coefficient, so the tame
     pair's zero-padded two-term a-hat and b-hat cost O(len f) in all.
     """
+    from .series import TaylorSeries, _support_len, fixed_mantissas, fixed_toeplitz
+
     n = len(f.coeffs)
     if len(h.coeffs) < n:
         raise ValueError(f"symbol has {len(h.coeffs)} coefficients, fewer than the {n} of f")
@@ -204,6 +208,8 @@ def f_plus_solve(f: TaylorSeries, pair: Pair) -> TaylorSeries:
     route that the norms use, ``sarason_f_plus`` with ``Pair.phi_hat``; for
     the monomial z^N its output reversed is conj(phi-hat) to degree N.
     """
+    from .series import TaylorSeries, triangular_solve_upper_toeplitz
+
     degree = f.truncation_degree
     pair = _series_pair(pair, degree)
     a = pair.a_series.truncate(degree)
@@ -228,6 +234,8 @@ def _gram_log_terms(combo: KernelCombo, lphi: list):
     sum_{i,j} c_i c_j (1 + phi_i phi_j) / (1 - w_i w_j), given
     lphi = ``_log_phi_at_nodes(combo, pair)``: one pass over the node pairs
     yields the plain term and then the one with phi values."""
+    from .logscalar import log1m_product
+
     nodes = combo.nodes
     for ni, lpi in zip(nodes, lphi):
         for nj, lpj in zip(nodes, lphi):
@@ -246,6 +254,8 @@ def hb_norm_sq(f: HbFunction, pair: Pair) -> float:
     ValueError.  KernelCombos use the closed Gram forms with
     f+ = sum c_j conj(phi(w_j)) k_{w_j}, entirely in log-domain.
     """
+    from .logscalar import log_sum_exp
+
     if isinstance(f, KernelCombo):
         return log_sum_exp(_gram_log_terms(f, _log_phi_at_nodes(f, pair)))
     f_plus = sarason_f_plus(f, pair.phi_hat(f.truncation_degree, f.precision_bits))
@@ -261,6 +271,8 @@ def hb_norm_sq(f: HbFunction, pair: Pair) -> float:
 def kernel_hb(w: complex, pair: Pair, degree: int) -> TaylorSeries:
     """H(b) reproducing kernel k_w^b(z) = (1 - conj(b(w)) b(z)) k_w(z), in
     floats: a pair carrying b above 53 bits raises ValueError."""
+    from .series import TaylorSeries
+
     if abs(w) >= 1:
         raise ValueError("kernel_hb requires |w| < 1")
     pair = _series_pair(pair, degree)
@@ -275,6 +287,8 @@ def kernel_hb(w: complex, pair: Pair, degree: int) -> TaylorSeries:
 def _ccond_log_terms(f: KernelCombo, lphi: list) -> list:
     """The float logs of the terms of ``kernel_combo_ccond_check``, given
     lphi = ``_log_phi_at_nodes(f, pair)``; a NaN passes through."""
+    from .logscalar import log1p_exp
+
     return [
         nd.log_c + log1p_exp(lp) - 0.5 * nd.log_one_minus_w for nd, lp in zip(f.nodes, lphi)
     ]
@@ -322,10 +336,14 @@ def dilate(f: HbFunction, r: Union[float, Radius]) -> HbFunction:
     carried above 53 bits raises ValueError."""
     rad = as_radius(r)
     if isinstance(f, KernelCombo):
+        from .logscalar import log1m_product
+
         lr = rad.log_one_minus
         return KernelCombo(
             tuple(KernelNode(nd.log_c, log1m_product(lr, nd.log_one_minus_w)) for nd in f.nodes)
         )
+    from .series import TaylorSeries
+
     if f.precision_bits > 53:
         raise ValueError("dilate takes 53-bit float series only")
     out, p = [], 1.0

@@ -13,7 +13,10 @@ From |phi| the pair moduli are |a|^2 = 1/(1+|phi|^2) and
 coefficients come from ``hblab.taylor``, which ``Pair.with_series`` and
 ``Pair.phi_hat`` load on first use, so a process that only builds,
 evaluates or loads a constructed pair compiles neither it nor
-``hblab.series``.
+``hblab.series``.  Likewise ``hblab.outer`` (the sequences and the
+half-plane evaluators) and ``hblab.logscalar`` are imported by the
+functions that call them, so a process that uses only the tame pair,
+as ``norm-crosscheck`` does, compiles neither.
 """
 
 from __future__ import annotations
@@ -23,15 +26,7 @@ import math
 from typing import Optional
 
 from ._record import Record, _set
-from .logscalar import clog1p, log1p_exp
-from .outer import (
-    ConstructionParams,
-    ParameterError,
-    Sequences,
-    log_phi_disk,
-    log_phi_radial,
-    make_sequences,
-)
+from .errors import ParameterError
 
 _TWO_PI = 2.0 * math.pi
 _HALF_LN2 = 0.5 * math.log(2.0)
@@ -82,35 +77,6 @@ class StepModulus(Record):
         return self.default_log_modulus + acc / _TWO_PI
 
 
-def _cell_schwarz_integral(theta1: float, theta2: float, z):
-    """integral over [theta1, theta2] of (e^{it}+z)/(e^{it}-z) dt.
-
-    The antiderivative is F(t) = -t - 2i log(e^{it} - z); the log increment
-    is accumulated sub-arc by sub-arc so the principal branch never jumps.
-    Sub-arcs are capped at half the distance (1-|z|), which keeps each
-    increment argument inside |w| <= 1/2.  Short arcs use log1p against the
-    chord e^{i t_b} - e^{i t_a}, so widths down to e^{-k**beta} lose no
-    relative precision.
-    """
-    z = complex(z)
-    az = abs(z)
-    if az >= 1:
-        raise ValueError("Schwarz integral requires |z| < 1")
-    width = theta2 - theta1
-    n_sub = int(width / (0.5 * (1.0 - az))) + 1
-    step = width / n_sub
-    total = 0
-    for i in range(n_sub):
-        ta = theta1 + i * step
-        d = step
-        eia = complex(math.cos(ta), math.sin(ta))
-        # e^{i t_b} - e^{i t_a} = e^{i t_a} (-2 sin^2(d/2) + i sin d)
-        chord = eia * complex(-2.0 * math.sin(d / 2.0) ** 2, math.sin(d))
-        w = chord / (eia - z)
-        total = total + (-d - 2j * clog1p(w))
-    return total
-
-
 def outer_eval(mod: StepModulus, z) -> complex:
     """log of the outer function with boundary log-modulus ``mod`` at z.
 
@@ -119,16 +85,37 @@ def outer_eval(mod: StepModulus, z) -> complex:
     cell mean, which is real, so the normalization "positive at 0" holds by
     construction.  The tests keep a 200-bit mpmath evaluation of the same
     formula as its oracle.
+
+    Over a cell the antiderivative of the kernel is
+    F(t) = -t - 2i log(e^{it} - z); the log increment is accumulated
+    sub-arc by sub-arc so the principal branch never jumps.  Sub-arcs are
+    capped at half the distance (1-|z|), which keeps each increment
+    argument inside |w| <= 1/2.  Short arcs use log1p against the chord
+    e^{i t_b} - e^{i t_a}, so widths down to e^{-k**beta} lose no relative
+    precision.
     """
+    from .logscalar import clog1p
+
     if abs(z) >= 1:
         raise ValueError("outer_eval requires |z| < 1")
+    z = complex(z)
+    az = abs(z)
     d = mod.default_log_modulus
     total = complex(d)
     for c in mod.cells:
         h = c.log_modulus - d
         if h == 0.0:
             continue
-        seg = _cell_schwarz_integral(c.theta_start, c.theta_end, z)
+        width = c.theta_end - c.theta_start
+        n_sub = int(width / (0.5 * (1.0 - az))) + 1
+        step = width / n_sub
+        # e^{i t_b} - e^{i t_a} = e^{i t_a} (-2 sin^2(step/2) + i sin step)
+        turn = complex(-2.0 * math.sin(step / 2.0) ** 2, math.sin(step))
+        seg = 0
+        for i in range(n_sub):
+            ta = c.theta_start + i * step
+            eia = complex(math.cos(ta), math.sin(ta))
+            seg = seg + (-step - 2j * clog1p(eia * turn / (eia - z)))
         total = total + h * seg / _TWO_PI
     return total
 
@@ -190,6 +177,8 @@ def step_modulus_from_phi(seq: Sequences, params: ConstructionParams):
         log|b| = -(1/2) log(1 + e^{-2h});
     off all cells |phi| = 1 gives log|a| = log|b| = -(1/2) log 2.
     """
+    from .logscalar import log1p_exp
+
     phi_mod = phi_step_modulus(seq, params)
     a_cells, b_cells = [], []
     for c in phi_mod.cells:
@@ -243,6 +232,8 @@ class Pair(Record):
         if self.tag == "tame":
             # phi = (1+z)/(1-z): log phi(x) = log(2 - e**ld) - ld
             return math.log(2.0 - math.exp(max(ld_x, -700.0))) - ld_x
+        from .outer import log_phi_radial
+
         return log_phi_radial(ld_x, self.params)
 
     def with_series(self, degree: int, precision_bits: int = 53) -> "Pair":
@@ -309,6 +300,8 @@ def build_pair(params: ConstructionParams) -> Pair:
     genuine cross-check of the whole construction.  A log difference above
     1e-8 at any point raises ArithmeticError.
     """
+    from .outer import log_phi_disk, make_sequences
+
     params.resolved_power()  # fail fast on power_m="auto"
     seq = make_sequences(params)
     a_mod, b_mod = step_modulus_from_phi(seq, params)
@@ -386,6 +379,8 @@ def pair_from_json(doc: str) -> Pair:
     params = None
     seq = None
     if obj["params"] is not None:
+        from .outer import ConstructionParams, make_sequences
+
         p = obj["params"]
         params = ConstructionParams(
             alpha=float(p["alpha"]),

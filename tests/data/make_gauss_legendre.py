@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Write the 30-point Gauss-Legendre table of ``src/hblab/outer.py``.
+"""Write the 30-point Gauss-Legendre table of ``src/hblab/growth.py``.
 
 Usage (from the root of a checkout):
 python3 tests/data/make_gauss_legendre.py
@@ -7,7 +7,7 @@ python3 tests/data/make_gauss_legendre.py
 Finds the zeros of the Legendre polynomial P_30 by Newton's method at 256
 bits in mpmath, takes the weights 2 / ((1 - x^2) P_30'(x)^2), and rounds
 each node and weight once, to the nearest float.  The script replaces the
-``_GAUSS_LEGENDRE`` assignment in ``outer.py`` with float-hex literals;
+``_GAUSS_LEGENDRE`` assignment in ``growth.py`` with float-hex literals;
 ``tests/test_outer_engine.py`` reruns it and requires the same text.
 """
 
@@ -20,7 +20,7 @@ import mpmath
 
 ORDER = 30
 PREC = 256
-OUTER = Path(__file__).resolve().parents[2] / "src" / "hblab" / "outer.py"
+GROWTH = Path(__file__).resolve().parents[2] / "src" / "hblab" / "growth.py"
 
 
 def _legendre(x):
@@ -68,12 +68,12 @@ _TABLE = re.compile(r"^_GAUSS_LEGENDRE = tuple\(\n.*?^\)\n", re.M | re.S)
 
 
 def main():
-    text = OUTER.read_text()
+    text = GROWTH.read_text()
     new, count = _TABLE.subn(lambda _: table_source(), text)
     if count != 1:
-        raise SystemExit(f"expected one _GAUSS_LEGENDRE table in {OUTER}, found {count}")
-    OUTER.write_text(new)
-    print(f"wrote the {ORDER}-point table into {OUTER}")
+        raise SystemExit(f"expected one _GAUSS_LEGENDRE table in {GROWTH}, found {count}")
+    GROWTH.write_text(new)
+    print(f"wrote the {ORDER}-point table into {GROWTH}")
 
 
 if __name__ == "__main__":

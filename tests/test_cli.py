@@ -11,8 +11,10 @@ from hblab.cli import (
     EXIT_CONFIG,
     EXIT_CONSTRUCTION,
     EXIT_OK,
+    VERBS,
     load_config,
     main,
+    parse_args,
 )
 
 
@@ -49,6 +51,77 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(overrides))
     return str(path)
+
+
+# -- argv parsing -----------------------------------------------------------
+
+OPTIONS = ("--config", "--out", "--precision-bits", "--seed", "--format")
+
+
+def test_option_value_forms_parse_alike():
+    """``--name VALUE`` and ``--name=VALUE`` give the same value, int
+    options as ints, and an option left out gives None."""
+    spaced = parse_args(["sarason", "--seed", "3", "--out", "d", "--format", "csv"], "hblab")
+    joined = parse_args(["sarason", "--seed=3", "--out=d", "--format=csv"], "hblab")
+    assert spaced == joined == (
+        "sarason",
+        {"--config": None, "--out": "d", "--precision-bits": None, "--seed": 3, "--format": "csv"},
+    )
+    _, opts = parse_args(["construct", "--precision-bits", "-5", "--config=a=b.json"], "hblab")
+    assert opts["--precision-bits"] == -5 and opts["--config"] == "a=b.json"
+
+
+def test_repeated_option_keeps_its_last_value():
+    _, opts = parse_args(
+        ["divergence", "--seed", "1", "--out=a", "--seed=2", "--out", "b", "--seed", "7"], "hblab"
+    )
+    assert opts["--seed"] == 7 and opts["--out"] == "b"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--prec", "200"],  # an abbreviation of --precision-bits
+        ["construct", "--precision", "200"],
+        ["construct", "--verbose"],
+        ["construct", "stray"],
+        ["construct", "--seed"],
+        ["construct", "--out", "--seed", "3"],
+        ["construct", "--seed", "x"],
+        ["construct", "--seed=1.5"],
+        ["construct", "--format", "xml"],
+        [],
+        ["--seed", "3"],
+        ["bogus"],
+        ["Construct"],
+    ],
+)
+def test_usage_errors_exit_2_with_usage(runner, argv):
+    """Abbreviations, unknown options, a missing or ill-typed value, a
+    format outside csv/json/both, no verb and an unknown verb each print a
+    usage line and the error to stderr and exit 2, before any verb runs."""
+    res = runner.invoke(main, argv)
+    assert res.exit_code == EXIT_CONFIG
+    assert res.output.startswith("usage: hblab")
+    assert "error:" in res.output
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"]] + [[verb, "--help"] for verb in VERBS])
+def test_help_names_every_verb_and_option(capsys, argv):
+    """-h and --help, at top level and after each verb, print the help to
+    stdout and exit 0; it names the six verbs and the five options, and
+    after a verb starts from that verb's docstring."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["--seed", "x"])  # help wins over what follows it
+    out = capsys.readouterr().out
+    assert exit_.value.code == EXIT_OK
+    assert out.startswith("usage: hblab")
+    assert len(VERBS) == 6 and all(verb in out for verb in VERBS)
+    assert all(option in out for option in OPTIONS)
+    if argv[0] in VERBS:
+        doc = " ".join(VERBS[argv[0]].__doc__.split())
+        assert " ".join(out.split("\n\n")[1].split()) == doc
 
 
 # -- config handling --------------------------------------------------------
@@ -218,6 +291,8 @@ def test_sarason_and_summability(workdir, runner, tmp_path):
         ("construct", {"power_m": "two"}),
         ("norm-crosscheck", {"formats": []}),
         ("construct", {"n_terms": 200, "power_m": "auto"}),
+        ("sarason", {"precision_bits": -5}),
+        ("summability", {"precision_bits": 0}),
     ],
 )
 def test_out_of_range_sizes_exit_config(workdir, runner, verb, overrides):

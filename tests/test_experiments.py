@@ -23,6 +23,7 @@ from hblab.experiments import (
     build_divergent_combo,
     default_r_grid,
     divergence_curve,
+    divergence_reports,
     f_hat_log,
     fr_plus_at_zero,
     growth_envelope,
@@ -166,6 +167,38 @@ def test_divergence_curve_evaluates_each_log_phi_once(params, pair, combo, curve
     for rad, row in zip(grid, curve.rows):
         assert row[1] == fr_plus_at_zero(rad, combo, pair).log_mag / math.log(10.0)
         assert row[2] == 0.5 * hb_norm_sq(dilate(combo, rad), pair) / math.log(10.0)
+
+
+def test_divergence_verb_evaluates_each_radius_once(params, pair, combo, curve, monkeypatch):
+    """The ``divergence`` verb's two reports come from one evaluation per
+    radius: one log phi(r w_j) per node and radius of the curve's grid, and
+    no ``hb_norm_sq`` call for the envelope, which takes the curve's norms
+    at its 30 radii.  Each report is, byte for byte, the one its public
+    function gives."""
+    import hblab.experiments as ex
+
+    calls = []
+    log_phi = Pair.log_phi_radial_at
+
+    def counted(self, ld):
+        calls.append(ld)
+        return log_phi(self, ld)
+
+    def forbidden(*args):
+        raise AssertionError("the envelope recomputed a norm")
+
+    monkeypatch.setattr(Pair, "log_phi_radial_at", counted)
+    monkeypatch.setattr(ex, "hb_norm_sq", forbidden)
+    grid = default_r_grid(params)
+    got_curve, got_env = divergence_reports(grid, combo, pair)
+    assert len(calls) == len(grid) * len(combo.nodes)
+    monkeypatch.undo()
+    inner = [r for r in grid if r.log_one_minus < -1.0]
+    assert len(inner) == 30
+    envelope = growth_envelope(inner, combo, pair)
+    assert got_curve.rows == curve.rows
+    for got, want in ((got_curve, curve), (got_env, envelope)):
+        assert (got.to_json(), got.to_csv()) == (want.to_json(), want.to_csv())
 
 
 def test_divergence_values_increase(curve):

@@ -155,10 +155,11 @@ def test_f_plus_solve_is_exact_at_input_degree(tame, pair):
 
 def test_f_plus_solve_residual_guard(tame, monkeypatch):
     """One unknown of the back-substitution off by 1e-6 moves
-    T_a-bar f+ - T_b-bar f far past 1e-9 ||f||, and the solve raises."""
-    import hblab.hb as hb
+    T_a-bar f+ - T_b-bar f far past 1e-9 ||f||, and the solve raises.  The
+    solve is read from ``hblab.series`` at call time, so it is patched there."""
+    import hblab.series as series
 
-    true_solve = hb.triangular_solve_upper_toeplitz
+    true_solve = series.triangular_solve_upper_toeplitz
 
     def perturbed(h, rhs):
         x = true_solve(h, rhs)
@@ -167,7 +168,7 @@ def test_f_plus_solve_residual_guard(tame, monkeypatch):
 
     p = TaylorSeries((1.0, 2.0, -1.0, 0.5j))
     f_plus_solve(p, tame)
-    monkeypatch.setattr(hb, "triangular_solve_upper_toeplitz", perturbed)
+    monkeypatch.setattr(series, "triangular_solve_upper_toeplitz", perturbed)
     with pytest.raises(ArithmeticError, match="residual"):
         f_plus_solve(p, tame)
 

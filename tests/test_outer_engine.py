@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hblab import outer
+from hblab import growth, outer
 from hblab.logscalar import log1p_exp, log_diff_exp, log_sum_signed
 from hblab.outer import (
     ConstructionParams,
@@ -421,13 +421,13 @@ def test_growth_ratio_pruning_is_exact(alpha, beta, monkeypatch):
         read.append(_CountedTable(log_t_eps(params, n)))
         return read[-1]
 
-    monkeypatch.setattr(outer, "_log_t_eps", counted)
+    monkeypatch.setattr(growth, "_log_t_eps", counted)
     for n in sorted(set(range(1, 61)) | set(range(17, 701, 17))):
         for nt in (8, n + 3):
             table = log_t_eps(p, nt)
             for i in range(9):
                 s = i / 8
-                log_uv, log_umv = outer._growth_logs(p, n, s)
+                log_uv, log_umv = growth._growth_logs(p, n, s)
                 c = log_umv - math.log(math.pi) - math.log(2.0)
                 every = []
                 for lt, le, *_ in table[1 : nt + 1]:
@@ -446,7 +446,7 @@ def _assert_kernel_matches_reference(p, n, s, nt):
     """growth_log_ratio(p, n, s, nt) is, bit for bit, the sum of all nt
     reference terms, none pruned."""
     got = growth_log_ratio(p, n, s, n_terms=nt)
-    log_uv, log_umv = outer._growth_logs(p, n, s)
+    log_uv, log_umv = growth._growth_logs(p, n, s)
     terms = (_growth_term(r[0], r[1], log_uv, log_umv) for r in outer._log_t_eps(p, nt)[1 : nt + 1])
     want = log_sum_signed([t for t in terms if t is not None])
     assert (got.log_mag, got.phase) == (want.log_mag, want.phase)
@@ -537,7 +537,7 @@ def test_growth_kernel_branch_edges(edge, monkeypatch):
         assert any(la3(uv, x) == -18.0 for _, x in pairs)
     sides = set()
     for log_uv, log_umv in pairs:
-        monkeypatch.setattr(outer, "_growth_logs", lambda *_, v=(log_uv, log_umv): v)
+        monkeypatch.setattr(growth, "_growth_logs", lambda *_, v=(log_uv, log_umv): v)
         _assert_kernel_matches_reference(p, 7, 0.5, nt)
         if edge == "log_diff_exp":
             assert la3(log_uv, log_umv) <= -18.0
@@ -687,8 +687,8 @@ def test_gauss_legendre_table_matches_its_script():
     )
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    assert script.table_source() in Path(outer.__file__).read_text()
-    assert outer._GAUSS_LEGENDRE == tuple(script.rule())
+    assert script.table_source() in Path(growth.__file__).read_text()
+    assert growth._GAUSS_LEGENDRE == tuple(script.rule())
 
 
 def test_gauss_legendre_integrates_monomials():
@@ -701,7 +701,7 @@ def test_gauss_legendre_integrates_monomials():
     there and 4.9e-15 already at k = 2.  Odd powers cancel exactly, since
     the table is symmetric."""
     for k in range(60):
-        got = math.fsum(w * x**k for x, w in outer._GAUSS_LEGENDRE)
+        got = math.fsum(w * x**k for x, w in growth._GAUSS_LEGENDRE)
         if k % 2:
             assert got == 0.0, k
         else:
@@ -709,40 +709,29 @@ def test_gauss_legendre_integrates_monomials():
 
 
 # Run in a fresh interpreter: import the package bare, then the CLI, and run
-# every verb once, the cheap ones first; report, as JSON, the submodules a
-# bare import loaded, the modules each verb must not load that are loaded
-# after it ran, whether click was ever loaded, and every module loaded since
-# start-up whose file lies outside the standard library, mpmath and hblab.
-# verify-outer runs the quadrature oracle and norm-crosscheck makes its
-# seeded draws.
+# one verb with the given arguments (none for the bare case); report, as
+# JSON, the hblab submodules and the modules of EVERYWHERE that the bare
+# import loaded, the verb's exit code, the modules it must not load that are
+# loaded after it ran, and every module loaded since start-up whose file
+# lies outside the standard library, mpmath and hblab.  verify-outer runs
+# the quadrature oracle and norm-crosscheck makes its seeded draws.
 _IMPORT_PROBE = """
-import json, os, sys, sysconfig, tempfile
+import json, os, sys, sysconfig
+argv, banned = json.loads(CASE)
 before = set(sys.modules)
 import hblab
-everywhere = ("dataclasses", "inspect", "hashlib", "_hashlib")
 bare = sorted(
-    name for name in sys.modules if name.startswith("hblab.") or name in everywhere
+    name for name in sys.modules
+    if name.startswith("hblab.") or name in EVERYWHERE or name in banned
 )
 import hblab.cli
-no_series = ("hblab.series", "hblab.taylor", "hblab.fixed", *everywhere)
-no_taylor = ("hblab.taylor", "hblab.fixed", "mpmath", *everywhere)
-verbs = (
-    ("construct", ("hblab.hb", "hblab.experiments", "hblab._pcg64", "mpmath", *no_series)),
-    ("verify-outer", ("hblab.hb", "hblab.experiments", "mpmath", *no_series)),
-    ("norm-crosscheck", ("hblab.experiments", *no_taylor)),
-    ("divergence", no_taylor),
-    ("sarason", ("mpmath", *everywhere)),
-    ("summability", ("mpmath", *everywhere)),
-)
-loaded = {}
-with tempfile.TemporaryDirectory() as out:
-    for verb, banned in verbs:
-        try:
-            hblab.cli.main([verb, "--out", out])
-        except SystemExit as e:
-            assert e.code in (0, 4), (verb, e.code)  # verify-outer, divergence: 4
-        loaded[verb] = [name for name in banned if name in sys.modules]
-click = "click" in sys.modules
+code = None
+if argv:
+    try:
+        hblab.cli.main(argv)
+    except SystemExit as e:
+        code = e.code
+loaded = [name for name in banned if name in sys.modules]
 import mpmath
 def under(dirs):
     return tuple(os.path.realpath(d) + os.sep for d in dirs)
@@ -758,28 +747,66 @@ stray = sorted(
     for name, mod in sys.modules.items()
     if name not in before and getattr(mod, "__file__", None) and not allowed(mod.__file__)
 )
-print(json.dumps({"bare": bare, "loaded": loaded, "click": click, "stray": stray}))
+print(json.dumps({"bare": bare, "code": code, "loaded": loaded, "stray": stray}))
 """
 
+# never loaded by the bare import or any verb
+_EVERYWHERE = (
+    "dataclasses", "inspect", "hashlib", "_hashlib", "argparse", "gettext", "click", "mpmath"
+)
+_NO_SERIES = ("hblab.series", "hblab.taylor", "hblab.fixed")
+_NO_TAYLOR = ("hblab.taylor", "hblab.fixed")
+# (verb, config overrides, exit code, modules it must not load, modules it must load)
+_VERB_IMPORTS = (
+    ("construct", {}, 0,
+     ("hblab.hb", "hblab.experiments", "hblab._pcg64", "hblab.growth", *_NO_SERIES), ()),
+    ("verify-outer", {}, 4, ("hblab.hb", "hblab.experiments", *_NO_SERIES), ("hblab.growth",)),
+    ("norm-crosscheck", {}, 0,
+     ("hblab.experiments", "hblab.growth", "hblab.outer", "hblab.logscalar", *_NO_TAYLOR), ()),
+    ("divergence", {}, 4, ("hblab.growth", "hblab.series", *_NO_TAYLOR), ()),
+    ("sarason", {}, 0, ("hblab.growth",), ()),
+    ("summability", {}, 0, ("hblab.growth",), ()),
+    ("construct", {"power_m": "auto"}, 3,
+     ("hblab.hb", "hblab.experiments", "hblab._pcg64", *_NO_SERIES), ("hblab.growth",)),
+)
 
-def test_verify_outer_imports_only_runtime_dependencies(run_fresh):
+
+def test_verify_outer_imports_only_runtime_dependencies(run_fresh, tmp_path):
     """The CLI and every verb, the quadrature oracle and the seeded draws
-    included, load nothing beyond the standard library, and never click:
-    no verb loads mpmath, whose allowance below covers only this probe's
-    own import of it.  A bare ``import hblab`` loads no submodule;
-    ``construct`` and ``verify-outer`` load neither ``hb`` nor
-    ``experiments``, ``construct`` not the seeded generator ``_pcg64``
-    either, and ``norm-crosscheck`` not ``experiments``.  ``construct``
-    and ``verify-outer`` load neither ``series``, the Taylor engine
-    ``taylor`` nor the integer kernels of ``fixed``, and
-    ``norm-crosscheck`` and ``divergence`` neither ``taylor`` nor
-    ``fixed``; ``sarason`` and ``summability`` carry their P-bit numbers
-    in ``fixed``, never in mpmath.  Neither the bare import nor any verb
+    included, each in a fresh process, load nothing beyond the standard
+    library, and never click, argparse (with its gettext) or mpmath, whose
+    allowance below covers only this probe's own import of it.  A bare
+    ``import hblab`` loads no submodule and none of these.  ``construct``
+    and ``verify-outer`` load neither ``hb`` nor ``experiments``,
+    ``construct`` not the seeded generator ``_pcg64`` either, and
+    ``norm-crosscheck`` not ``experiments``.  ``construct`` and
+    ``verify-outer`` load neither ``series``, the Taylor engine ``taylor``
+    nor the integer kernels of ``fixed``, and ``norm-crosscheck`` and
+    ``divergence`` neither ``taylor`` nor ``fixed``; ``sarason`` and
+    ``summability`` carry their P-bit numbers in ``fixed``, never in
+    mpmath.  Only ``verify-outer``, and ``construct`` with ``power_m``
+    "auto" (which exits 3 at these exponents), load the growth checks of
+    ``growth``; ``norm-crosscheck``, on the tame pair, loads neither
+    ``outer`` nor ``logscalar``, and ``divergence``, on kernel
+    combinations, no ``series``.  Neither the bare import nor any verb
     loads ``dataclasses``, ``inspect`` or ``hashlib`` (with OpenSSL's
     ``_hashlib``)."""
-    probe = run_fresh(_IMPORT_PROBE)
-    assert probe["bare"] == []
-    assert probe["loaded"] == {verb: [] for verb in probe["loaded"]}
-    assert len(probe["loaded"]) == 6
-    assert probe["click"] is False
-    assert probe["stray"] == []
+
+    def probe(argv, banned):
+        case = json.dumps([argv, list(banned)])
+        script = f"CASE = {case!r}\nEVERYWHERE = {_EVERYWHERE!r}\n" + _IMPORT_PROBE
+        return run_fresh(script)
+
+    bare = probe([], _EVERYWHERE)
+    assert bare == {"bare": [], "code": None, "loaded": [], "stray": []}
+    for verb, overrides, code, banned, needed in _VERB_IMPORTS:
+        out = tmp_path / "auto" if overrides else tmp_path
+        argv = [verb, "--out", str(out)]
+        if overrides:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(overrides))
+            argv += ["--config", str(config)]
+        got = probe(argv, (*banned, *_EVERYWHERE, *needed))
+        assert got["code"] == code, (verb, overrides, got)
+        assert got["loaded"] == list(needed), (verb, overrides, got)
+        assert got["stray"] == [], (verb, got)

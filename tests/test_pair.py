@@ -215,12 +215,14 @@ def test_build_pair_tolerance_threshold(params, monkeypatch, delta, raises):
     """``build_pair`` accepts a log difference of b/a against phi up to
     1e-8 and raises above it.  Its worst difference at the default
     parameters is 1.8e-15, so a half-plane route moved by delta reads
-    about delta: 5e-9 passes and 2e-8 raises."""
-    import hblab.pair as pairmod
+    about delta: 5e-9 passes and 2e-8 raises.  ``build_pair`` reads the
+    half-plane route from ``hblab.outer`` when it runs, so it is patched
+    there."""
+    import hblab.outer as outer
 
-    exact = pairmod.log_phi_disk
+    exact = outer.log_phi_disk
     monkeypatch.setattr(
-        pairmod, "log_phi_disk", lambda z, prm, seq: exact(z, prm, seq) + delta
+        outer, "log_phi_disk", lambda z, prm, seq: exact(z, prm, seq) + delta
     )
     if raises:
         with pytest.raises(ArithmeticError, match="b/a == phi"):
