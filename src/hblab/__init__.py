@@ -63,7 +63,6 @@ _EXPORTS = {
             "KernelCombo",
             "KernelNode",
             "Radius",
-            "cauchy_kernel",
             "dilate",
             "f_plus_solve",
             "hb_norm_sq",

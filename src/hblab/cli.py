@@ -180,7 +180,7 @@ def construct(cfg):
         from .growth import choose_power_m
 
         m = choose_power_m(params, r_samples=cfg["r_samples"])
-        params = params.with_power(m)
+        params = params._replace(power_m=m)
     try:
         pair = build_pair(params)
     except ArithmeticError as e:

@@ -12,7 +12,8 @@ Three things, on machine integers and the standard library only:
 
 A fixed-point number at precision p is an integer X standing for X 2^-p;
 "within c units" means |X - x 2^p| <= c.  Every bound below is counted in
-its docstring and held against mpmath at 64 more bits by the tests.
+its docstring, and the tests hold each against an independent reference
+at 64 more bits.
 
 ``taylor``, the P-bit branch of ``hb.toeplitz_coanalytic_apply`` and the
 coefficient experiments import this module; the float-only verbs never do.
@@ -262,14 +263,14 @@ def log10(x: "PBit", bits: int) -> float:
 class PBit:
     """A real number man 2^exp, its mantissa made odd (normalized) on
     construction, as hblab's P-bit routes return it: exact, ordered and
-    hashable as the rational it is, and ``float`` rounds it as mpmath's
-    ``float(mpf)`` does.
-
-    ``_mpf_`` is mpmath's raw tuple of the same value, so mpmath accepts a
-    PBit wherever it accepts an mpf (``mp.mpf``, ``mp.log``, mixed
-    arithmetic).  Arithmetic on a PBit itself converts it to an mpf first,
-    which loads mpmath; hblab's own P-bit routes never do it, they read
+    hashable as the rational it is, and ``float`` rounds it to nearest,
+    ties to even.  It has no arithmetic: hblab's P-bit routes read
     (man, exp) and sum integers.
+
+    ``_mpf_`` is the raw tuple (sign, mantissa, exponent, bit count) of
+    the same value, the interchange form of mpmath, which therefore
+    accepts a PBit wherever it accepts an mpf (``mp.mpf``, ``mp.log``);
+    ``series.fixed_mantissas`` reads the same tuple.
     """
 
     __slots__ = ("man", "exp")
@@ -285,27 +286,12 @@ class PBit:
         m = self.man
         return (int(m < 0), abs(m), self.exp, abs(m).bit_length())
 
-    def mpf(self):
-        """This number as an mpmath mpf, exactly."""
-        from mpmath import mp
-
-        return mp.make_mpf(self._mpf_)
-
-    real = property(lambda self: self)
-    imag = property(lambda self: 0)
-
-    def conjugate(self) -> "PBit":
-        return self
-
     def __float__(self) -> float:
         m, e = round_half_even(self.man, self.exp, 53)
         try:
             return math.ldexp(m, e)
         except OverflowError:
             return math.copysign(math.inf, m)
-
-    def __complex__(self) -> complex:
-        return complex(float(self))
 
     def __bool__(self) -> bool:
         return self.man != 0
@@ -353,17 +339,3 @@ class PBit:
         c = self._cmp(other)
         return NotImplemented if c is None else c >= 0
 
-
-def _through_mpf(name: str):
-    def op(self, *args):
-        return getattr(self.mpf(), name)(*args)
-
-    op.__name__ = name
-    return op
-
-
-for _name in (
-    "__neg__", "__pos__", "__abs__", "__add__", "__radd__", "__sub__", "__rsub__",
-    "__mul__", "__rmul__", "__truediv__", "__rtruediv__", "__pow__", "__rpow__",
-):
-    setattr(PBit, _name, _through_mpf(_name))

@@ -10,9 +10,8 @@ Functions in H(b) appear in two representations:
   kept as the independent oracle.  Every Toeplitz product is the one
   T_h-bar, ``toeplitz_coanalytic_apply``: exact integer sums rounded once
   when an operand is carried above 53 bits, float sums otherwise.  The
-  product, the solve and the series norms run at their operands'
-  precision, never at mpmath's ambient one; ``dilate`` and ``kernel_hb``,
-  whose arithmetic is in floats, take 53-bit series only.
+  solve, the series norms, ``dilate`` and ``kernel_hb`` do their
+  arithmetic in floats and take 53-bit series only.
 * :class:`KernelCombo` -- finite combinations sum_j c_j k_{w_j} of Cauchy
   kernels with positive data, where f+ = sum_j c_j conj(phi(w_j)) k_{w_j}
   gives closed Gram-form norms that survive in log-domain when the phi
@@ -29,7 +28,6 @@ no ``series``, and ``norm-crosscheck``, on Taylor series alone, no
 
 from __future__ import annotations
 
-import contextlib
 import math
 from typing import Union
 
@@ -100,30 +98,7 @@ class KernelCombo(Record):
 HbFunction = Union["TaylorSeries", KernelCombo]
 
 
-# -- Cauchy kernels and Toeplitz operators --------------------------------
-
-
-def cauchy_kernel(w: complex, degree: int) -> TaylorSeries:
-    """k_w(z) = 1/(1 - conj(w) z), truncated: coefficients conj(w)**k."""
-    from .series import TaylorSeries
-
-    if abs(w) >= 1:
-        raise ValueError("cauchy_kernel requires |w| < 1")
-    wc = complex(w).conjugate()
-    coeffs = [1.0 + 0j]
-    for _ in range(degree):
-        coeffs.append(coeffs[-1] * wc)
-    return TaylorSeries(tuple(coeffs))
-
-
-def _working_precision(bits: int):
-    """mpmath's working precision for a computation at ``bits``:
-    ``mp.workprec(bits)`` above 53 bits, none for floats."""
-    if bits <= 53:
-        return contextlib.nullcontext()
-    from mpmath import mp
-
-    return mp.workprec(bits)
+# -- Toeplitz operators ---------------------------------------------------
 
 
 def toeplitz_coanalytic_apply(h: TaylorSeries, f: TaylorSeries) -> TaylorSeries:
@@ -136,11 +111,11 @@ def toeplitz_coanalytic_apply(h: TaylorSeries, f: TaylorSeries) -> TaylorSeries:
     both must be real: their mantissas are aligned once to one exponent
     each (``fixed_mantissas``, float zero pads included), and each output
     coefficient is one exact integer sum (``fixed_toeplitz``) rounded once,
-    half-even, at the result's precision to a ``fixed.PBit``, whatever
-    mpmath's ambient precision.  Two 53-bit series take the float sums,
-    which stop at h's last nonzero coefficient: a symbol whose support is
-    its first m coefficients costs O(m) per output coefficient, so the tame
-    pair's zero-padded two-term a-hat and b-hat cost O(len f) in all.
+    half-even, at the result's precision to a ``fixed.PBit``.  Two 53-bit
+    series take the float sums, which stop at h's last nonzero coefficient:
+    a symbol whose support is its first m coefficients costs O(m) per
+    output coefficient, so the tame pair's zero-padded two-term a-hat and
+    b-hat cost O(len f) in all.
     """
     from .series import TaylorSeries, _support_len, fixed_mantissas, fixed_toeplitz
 
@@ -184,11 +159,9 @@ _RESIDUAL_TOL = 1e-9
 
 def f_plus_residual(rhs: TaylorSeries, f_plus: TaylorSeries, pair: Pair) -> float:
     """||T_a-bar f+ - rhs||_{H^2} at the shared truncation, where rhs is
-    T_b-bar f as ``f_plus_solve`` formed it, in floats: each coefficient is
-    rounded to a double before the difference, ample for a check against
-    1e-9 ||f||."""
+    T_b-bar f as ``f_plus_solve`` formed it, in floats."""
     lhs = toeplitz_coanalytic_apply(pair.a_series, f_plus)
-    return math.sqrt(sum(abs(complex(x) - complex(y)) ** 2 for x, y in zip(lhs.coeffs, rhs.coeffs)))
+    return math.sqrt(sum(abs(x - y) ** 2 for x, y in zip(lhs.coeffs, rhs.coeffs)))
 
 
 def f_plus_solve(f: TaylorSeries, pair: Pair) -> TaylorSeries:
@@ -196,10 +169,9 @@ def f_plus_solve(f: TaylorSeries, pair: Pair) -> TaylorSeries:
 
     Forms T_b-bar f once (``toeplitz_coanalytic_apply``) and solves the
     upper-triangular Toeplitz system by back-substitution at the degree d
-    of f, at the larger ``precision_bits`` of a-hat and f (under
-    ``mp.workprec`` above 53 bits, whatever the ambient one), each row's
-    sum stopping at a-hat's last nonzero coefficient; f+ carries the
-    smaller of the two.  T_a-bar maps the polynomials of degree <= d onto
+    of f, in floats, each row's sum stopping at a-hat's last nonzero
+    coefficient: f or a pair series carried above 53 bits raises
+    ValueError.  T_a-bar maps the polynomials of degree <= d onto
     themselves, so for a polynomial the truncation at d is exact: a solve
     at any larger degree gives the same coefficients and exact zeros past d.
     The defect residual ||T_a-bar f+ - T_b-bar f|| is checked against
@@ -212,12 +184,13 @@ def f_plus_solve(f: TaylorSeries, pair: Pair) -> TaylorSeries:
 
     degree = f.truncation_degree
     pair = _series_pair(pair, degree)
+    if max(f.precision_bits, pair.a_series.precision_bits, pair.b_series.precision_bits) > 53:
+        raise ValueError("f_plus_solve takes 53-bit float series only")
     a = pair.a_series.truncate(degree)
     rhs = toeplitz_coanalytic_apply(pair.b_series, f)
-    with _working_precision(max(a.precision_bits, f.precision_bits)):
-        x = triangular_solve_upper_toeplitz(a.coeffs, rhs.coeffs)
-        f_plus = TaylorSeries(tuple(x), min(a.precision_bits, f.precision_bits))
-        scale = math.sqrt(abs(float(f.l2_norm_sq()))) or 1.0
+    x = triangular_solve_upper_toeplitz(a.coeffs, rhs.coeffs)
+    f_plus = TaylorSeries(tuple(x), min(a.precision_bits, f.precision_bits))
+    scale = math.sqrt(f.l2_norm_sq()) or 1.0
     res = f_plus_residual(rhs, f_plus, pair)
     if res > _RESIDUAL_TOL * scale:
         raise ArithmeticError(f"f+ residual {res:.3e} exceeds {_RESIDUAL_TOL:.0e} * ||f||")
@@ -249,28 +222,30 @@ def hb_norm_sq(f: HbFunction, pair: Pair) -> float:
     float.
 
     TaylorSeries take f+ = T_phi-bar f (``sarason_f_plus`` with
-    ``Pair.phi_hat`` at the precision of f), exact for the truncated
-    polynomial, and sum the squares at that precision; a NaN sum raises
-    ValueError.  KernelCombos use the closed Gram forms with
+    ``Pair.phi_hat``), exact for the truncated polynomial, and sum the
+    squares in floats: a series carried above 53 bits raises ValueError,
+    and so does a NaN sum.  KernelCombos use the closed Gram forms with
     f+ = sum c_j conj(phi(w_j)) k_{w_j}, entirely in log-domain.
     """
     from .logscalar import log_sum_exp
 
     if isinstance(f, KernelCombo):
         return log_sum_exp(_gram_log_terms(f, _log_phi_at_nodes(f, pair)))
+    if f.precision_bits > 53:
+        raise ValueError("hb_norm_sq takes 53-bit float series only")
     f_plus = sarason_f_plus(f, pair.phi_hat(f.truncation_degree, f.precision_bits))
-    bits = f_plus.precision_bits
-    with _working_precision(bits):
-        total = f.l2_norm_sq() + f_plus.l2_norm_sq()
-        log_total = float(total.context.ln(total)) if bits > 53 else math.log(total)
+    log_total = math.log(f.l2_norm_sq() + f_plus.l2_norm_sq())
     if math.isnan(log_total):
         raise ValueError("hb_norm_sq of a series with NaN coefficients")
     return log_total
 
 
 def kernel_hb(w: complex, pair: Pair, degree: int) -> TaylorSeries:
-    """H(b) reproducing kernel k_w^b(z) = (1 - conj(b(w)) b(z)) k_w(z), in
-    floats: a pair carrying b above 53 bits raises ValueError."""
+    """H(b) reproducing kernel k_w^b(z) = (1 - conj(b(w)) b(z)) k_w(z), with
+    k_w(z) = 1/(1 - conj(w) z), truncated at ``degree``, in floats: a pair
+    carrying b above 53 bits raises ValueError.  b(w) is taken by Horner,
+    and the coefficients are the Cauchy product of 1 - conj(b(w)) b-hat
+    with conj(w)^k."""
     from .series import TaylorSeries
 
     if abs(w) >= 1:
@@ -279,9 +254,17 @@ def kernel_hb(w: complex, pair: Pair, degree: int) -> TaylorSeries:
     b = pair.b_series.truncate(degree)
     if b.precision_bits > 53:
         raise ValueError("kernel_hb takes 53-bit float series only")
-    bw_conj = complex(b(w)).conjugate()
-    factor = TaylorSeries.constant(1.0 + 0j, degree) - b.scale(bw_conj)
-    return factor * cauchy_kernel(w, degree)
+    bw = b.coeffs[-1]
+    for c in reversed(b.coeffs[:-1]):
+        bw = bw * w + c
+    bw_conj, wc = complex(bw).conjugate(), complex(w).conjugate()
+    factor, kw, p = [], [], 1.0 + 0j
+    for k, c in enumerate(b.coeffs):
+        factor.append((1.0 + 0j if k == 0 else 0.0) + -1.0 * (bw_conj * c))
+        kw.append(p)
+        p = p * wc
+    out = (sum(factor[j] * kw[k - j] for j in range(k + 1)) for k in range(len(kw)))
+    return TaylorSeries(tuple(out), b.precision_bits)
 
 
 def _ccond_log_terms(f: KernelCombo, lphi: list) -> list:
@@ -300,7 +283,10 @@ def kernel_combo_ccond_check(f: KernelCombo, pair: Pair) -> list:
 
     Summability of these terms is the admissibility condition for kernel
     combinations; for the construction's coefficients each term is at most
-    2/j^2.
+    2/j^2.  ``build_divergent_combo`` sums ``_ccond_log_terms`` under its
+    own check; this public form stays because the condition holds for any
+    kernel combination, not only the constructed one, and the tests read
+    it on combinations of their own (a dilate, a NaN pair, one kernel).
     """
     out = _ccond_log_terms(f, _log_phi_at_nodes(f, pair))
     if any(map(math.isnan, out)):
@@ -321,8 +307,8 @@ def sarason_f_plus(f: TaylorSeries, phi_hat: TaylorSeries) -> TaylorSeries:
     ``toeplitz_coanalytic_apply``, whose length check raises that
     ValueError: on real series above 53 bits one exact integer sum per
     coefficient, rounded once, half-even, to a ``fixed.PBit`` at the
-    smaller of the two series' ``precision_bits`` whatever the ambient
-    mpmath precision, and float sums on 53-bit series.
+    smaller of the two series' ``precision_bits``, and float sums on 53-bit
+    series.
     """
     return toeplitz_coanalytic_apply(phi_hat, f)
 

@@ -42,12 +42,6 @@ class LogScalar(Record):
         if self.log_mag == NEG_INF:
             _set(self, "phase", 0.0)
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero() -> "LogScalar":
-        return LogScalar(NEG_INF)
-
     # -- predicates --------------------------------------------------------
 
     @property
@@ -114,11 +108,11 @@ def log_sum_signed(terms: Sequence[tuple]) -> LogScalar:
     if m == NEG_INF:
         if any(math.isnan(lm) for _, lm in terms):
             raise ValueError("log_sum_signed term must not be NaN")
-        return LogScalar.zero()
+        return LogScalar(NEG_INF)
     # a NaN term makes acc NaN, which the result's constructor rejects
     acc = math.fsum(s * math.exp(lm - m) for s, lm in terms)
     if acc == 0.0:
-        return LogScalar.zero()
+        return LogScalar(NEG_INF)
     if acc > 0:
         return LogScalar(m + math.log(acc))
     return LogScalar(m + math.log(-acc), math.pi)

@@ -75,9 +75,6 @@ class ConstructionParams(Record):
         if self.precision_bits < 24:
             raise ParameterError("precision_bits must be at least 24")
 
-    def with_power(self, m: int) -> "ConstructionParams":
-        return self._replace(power_m=m)
-
     def resolved_power(self) -> int:
         if self.power_m == "auto":
             raise ParameterError(

@@ -1,10 +1,9 @@
 """Truncated power series and the matrix-free triangular Toeplitz solver.
 
-Coefficients may be ordinary Python complex/float numbers, mpmath numbers
-or the P-bit numbers of ``hblab.fixed``; all operations are written
-generically so the same code path serves the double-precision and
-extended-precision experiments.  Products and ``exp_series`` are plain
-O(N^2) recurrences; the long outer-function series come from the
+Coefficients are Python floats and complex numbers at 53 bits, or the
+P-bit numbers of ``hblab.fixed`` above; a P-bit series is read only
+through the ``fixed_*`` helpers below.  ``exp_series`` is a plain O(N^2)
+recurrence in floats; the long outer-function series come from the
 O(N * cells) recurrence of ``hblab.taylor.outer_series``, which uses
 ``exp_series`` only as its low-degree oracle.
 
@@ -22,20 +21,6 @@ import operator
 from typing import Optional, Sequence
 
 from ._record import Record, _set
-
-
-def _is_mp(x) -> bool:
-    """Whether x is an extended-precision number: an mpmath one, or a
-    ``fixed.PBit``, which mpmath takes as an mpf."""
-    return type(x).__module__.startswith("mpmath") or hasattr(x, "_mpf_")
-
-
-def _exp(x):
-    if _is_mp(x):
-        import mpmath
-
-        return mpmath.exp(x)
-    return cmath.exp(complex(x))
 
 
 class TaylorSeries(Record):
@@ -65,38 +50,6 @@ class TaylorSeries(Record):
     def truncation_degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @staticmethod
-    def constant(c, degree: int, precision_bits: int = 53) -> "TaylorSeries":
-        return TaylorSeries((c,) + (0.0,) * degree, precision_bits)
-
-    def __call__(self, z):
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * z + c
-        return acc
-
-    def __add__(self, other: "TaylorSeries") -> "TaylorSeries":
-        n = min(len(self.coeffs), len(other.coeffs))
-        return TaylorSeries(
-            tuple(a + b for a, b in zip(self.coeffs[:n], other.coeffs[:n])),
-            min(self.precision_bits, other.precision_bits),
-        )
-
-    def __sub__(self, other: "TaylorSeries") -> "TaylorSeries":
-        return self + other.scale(-1.0)
-
-    def scale(self, c) -> "TaylorSeries":
-        return TaylorSeries(tuple(c * a for a in self.coeffs), self.precision_bits)
-
-    def __mul__(self, other: "TaylorSeries") -> "TaylorSeries":
-        """Cauchy product truncated at the smaller truncation degree."""
-        n = min(len(self.coeffs), len(other.coeffs))
-        a, b = self.coeffs, other.coeffs
-        out = []
-        for k in range(n):
-            out.append(sum(a[j] * b[k - j] for j in range(k + 1)))
-        return TaylorSeries(tuple(out), min(self.precision_bits, other.precision_bits))
-
     def truncate(self, degree: int) -> "TaylorSeries":
         if degree >= self.truncation_degree:
             return self
@@ -107,14 +60,15 @@ class TaylorSeries(Record):
 
 
 def exp_series(g: TaylorSeries) -> TaylorSeries:
-    """Truncation of exp(g) via the recurrence n*e_n = sum k*g_k*e_{n-k}.
+    """Truncation of exp(g) via the recurrence n*e_n = sum k*g_k*e_{n-k},
+    in floats from e_0 = exp(g_0).
 
     O(N^2) multiply-adds (Brent-Kung 1978); ``outer_series`` runs it to
     degree 32 as the independent check of its arc recurrence.
     """
     gc = g.coeffs
     n = len(gc)
-    e = [_exp(gc[0])]
+    e = [cmath.exp(complex(gc[0]))]
     for m in range(1, n):
         acc = 0.0
         for k in range(1, m + 1):
@@ -129,10 +83,10 @@ def triangular_solve_upper_toeplitz(diag_and_superdiagonals: Sequence, rhs: Sequ
     The matrix is upper triangular Toeplitz with (conjugated) first row
     ``diag_and_superdiagonals``; unknowns beyond the truncation are taken as
     zero, so the solve proceeds from the top index down, and each row's sum
-    stops at the last nonzero h_j.  On mpmath numbers it runs at the ambient
-    precision, which ``hb.f_plus_solve`` sets to its operands'.  A diagonal
-    of magnitude below 1e-300 signals a degenerate system (for a pair it
-    would mean a(0) ~ 0, which cannot happen) and raises ValueError.
+    stops at the last nonzero h_j.  It runs in its operands' arithmetic,
+    floats in ``hb.f_plus_solve``.  A diagonal of magnitude below 1e-300
+    signals a degenerate system (for a pair it would mean a(0) ~ 0, which
+    cannot happen) and raises ValueError.
     """
     h = [c.conjugate() for c in diag_and_superdiagonals]
     if len(h) != len(rhs):
@@ -158,7 +112,8 @@ def _support_len(cs) -> int:
 
 def fixed_mantissas(xs):
     """Integers m_i and one exponent e with xs[i] = m_i 2^e exactly, for
-    P-bit numbers (``fixed.PBit``), real mpmath numbers, floats and ints,
+    P-bit numbers (``fixed.PBit``), floats, ints and any other real number
+    that carries the ``_mpf_`` tuple (sign, mantissa, exponent, bit count),
     each read from its (mantissa, exponent) as it stands: every mantissa
     aligned to the smallest exponent, so a dot product of two aligned
     sequences is one integer sum (``fixed_dot``)."""

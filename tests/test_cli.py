@@ -293,6 +293,7 @@ def test_sarason_and_summability(workdir, runner, tmp_path):
         ("construct", {"n_terms": 200, "power_m": "auto"}),
         ("sarason", {"precision_bits": -5}),
         ("summability", {"precision_bits": 0}),
+        ("sarason", {"precision_bits": 23}),
     ],
 )
 def test_out_of_range_sizes_exit_config(workdir, runner, verb, overrides):
@@ -305,6 +306,12 @@ def test_out_of_range_sizes_exit_config(workdir, runner, verb, overrides):
     assert res.exit_code == EXIT_CONFIG, res.output
     assert "config error:" in res.output
     assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
+
+
+def test_precision_floor_is_in_bounds(tmp_path, runner):
+    """24 bits, the floor that 23 falls below, is a valid precision."""
+    res = runner.invoke(main, ["construct", "--precision-bits", "24", "--out", str(tmp_path)])
+    assert res.exit_code == EXIT_OK, res.output
 
 
 def test_norm_crosscheck(tmp_path, runner):

@@ -39,10 +39,8 @@ from hblab.hb import (
     KernelCombo,
     KernelNode,
     as_radius,
-    f_plus_solve,
     hb_norm_sq,
     kernel_combo_ccond_check,
-    sarason_f_plus,
 )
 from hblab.logscalar import LogScalar, log_sum_exp
 from hblab.series import TaylorSeries
@@ -54,6 +52,8 @@ from hblab.outer import (
     verify_growth_bound,
 )
 from hblab.pair import Pair
+
+from oracles import f_plus_solve_mp, hb_norm_sq_mp, to_mpf
 
 
 # -- the function f ---------------------------------------------------------
@@ -433,6 +433,7 @@ def test_phi_hat_series_two_precisions_agree(pair):
     b = phi_hat_series(pair, 24, precision_bits=300)
     with mp.workprec(300):
         for x, y in zip(a.coeffs, b.coeffs):
+            x, y = to_mpf(x), to_mpf(y)
             assert abs(x - y) <= mp.mpf(2) ** -140 * abs(y)
 
 
@@ -506,7 +507,8 @@ def test_summability_matches_solve_oracle(pair, combo, monkeypatch):
     here at P = 200 bits: s_n is the fhat of ``_FhatFixed`` rounded to
     P bits and cut at n, sigma_n the mean of s_0..s_n, f+ comes from
     ``sarason_f_plus`` with the phi-hat of ``phi_hat_series``, and
-    ``l2_norm_sq`` sums the squares.
+    ``oracles.hb_norm_sq_mp`` sums the squares in mpmath; the solve is
+    ``oracles.f_plus_solve_mp``.
 
     With u = 2^-P and every term positive, a sigma_n coefficient of the
     oracle is within 2u (the exact column sum and the division, each
@@ -558,8 +560,8 @@ def test_summability_matches_solve_oracle(pair, combo, monkeypatch):
     mp_pair = pair.with_series(deg, bits)
     with mp.workprec(bits):
         monomial = TaylorSeries((mp.mpf(0),) * deg + (mp.mpf(1),), bits)
-        solved_phi = f_plus_solve(monomial, mp_pair).coeffs[::-1]
-        gap = max(abs(x - y) / abs(y) for x, y in zip(solved_phi, phi_hat.coeffs))
+        solved_phi = f_plus_solve_mp(monomial, mp_pair).coeffs[::-1]
+        gap = max(abs(x - y) / abs(y) for x, y in zip(solved_phi, map(to_mpf, phi_hat.coeffs)))
         assert gap <= 1e-15
         kernel = _FhatFixed(combo, deg, bits)
         fhat = tuple(mp.make_mpf(from_man_exp(m, kernel.exp, bits, round_nearest)) for m in kernel)
@@ -570,10 +572,10 @@ def test_summability_matches_solve_oracle(pair, combo, monkeypatch):
             columns = zip(*(s.coeffs for s in partial[: n + 1]))
             mean = TaylorSeries(tuple(mp.fsum(col) / (n + 1) for col in columns), bits)
             for poly, logged in ((partial[n], ls), (mean, lsig)):
-                product = poly.l2_norm_sq() + sarason_f_plus(poly, phi_hat).l2_norm_sq()
-                assert abs(next(got) - product) <= tol * product
+                product = hb_norm_sq_mp(poly, phi_hat)
+                assert abs(to_mpf(next(got)) - product) <= tol * product
                 assert logged == 0.5 * float(mp.log10(product))
-                solved = poly.l2_norm_sq() + f_plus_solve(poly, mp_pair).l2_norm_sq()
+                solved = poly.l2_norm_sq() + f_plus_solve_mp(poly, mp_pair).l2_norm_sq()
                 assert abs(product - solved) <= 1e-15 * solved
 
 
@@ -620,7 +622,7 @@ def test_mp_reports_meet_their_precision(pair, combo, fhat_ref, monkeypatch):
 
     def agree(got, ref, slack):
         with mp.workprec(extra):
-            assert abs(got - ref) <= mp.mpf(2) ** (slack - bits) * abs(ref)
+            assert abs(to_mpf(got) - ref) <= mp.mpf(2) ** (slack - bits) * abs(ref)
 
     # sarason: S_J at J = 1, 2, 4, ..., 512
     phi_ref = phi_hat_series(pair, 512, extra).coeffs
@@ -655,10 +657,10 @@ def test_mp_reports_meet_their_precision(pair, combo, fhat_ref, monkeypatch):
             for weights in ([1] * (n + 1), [mp.mpf(n + 1 - j) / (n + 1) for j in range(n + 1)]):
                 coeffs = tuple(c * w for c, w in zip(f_ref, weights)) + (0,) * (deg - n)
                 p = TaylorSeries(coeffs, extra)
-                ref_norms.append(p.l2_norm_sq() + sarason_f_plus(p, phi_ref).l2_norm_sq())
+                ref_norms.append(hb_norm_sq_mp(p, phi_ref))
         assert len(norms) == len(ref_norms)
         for got, ref in zip(norms, ref_norms):
-            assert abs(got - ref) <= tol * ref
+            assert abs(to_mpf(got) - ref) <= tol * ref
 
 
 def test_summability_precision_guard(pair, combo):

@@ -177,14 +177,17 @@ def test_log10_is_mpmaths(man, exp, bits):
 
 def test_pbit_is_an_mpf_to_mpmath():
     """mpmath takes a PBit as the mpf of the same value, in its
-    constructors, functions, mixed arithmetic and comparisons, and the two
-    compare and hash as equal numbers; arithmetic on a PBit itself goes
-    through that mpf."""
+    constructors, functions, arithmetic with an mpf and comparisons, and
+    the two compare and hash as equal numbers; two PBits have no
+    arithmetic of their own."""
     x = fixed.to_pbit(3 << 500, -501, 384)  # 1.5
     y = mp.mpf(1.5)
     assert x == y and y == x and x == 1.5 and hash(x) == hash(y) == hash(1.5)
     assert mp.mpf(x) == y and mp.log(x) == mp.log(y)
-    assert x + y == 3 and y - x == 0 and x * x == 2.25 and abs(-x) == 1.5
+    assert x + y == 3 and y - x == 0 and x * y == 2.25 and abs(-mp.mpf(x)) == 1.5
+    for op in (lambda: x * x, lambda: x + 1, lambda: -x, lambda: abs(x)):
+        with pytest.raises(TypeError):
+            op()
     assert x < 2 < y + 1 and y <= x and not x < y and x > mp.mpf(1)
     assert sorted([PBit(1, 1), x, 1, 0.25]) == [0.25, 1, x, 2]
     assert not x < math.nan and not x == math.nan

@@ -14,7 +14,6 @@ from hblab.hb import (
     KernelNode,
     Radius,
     as_radius,
-    cauchy_kernel,
     dilate,
     f_plus_solve,
     hb_norm_sq,
@@ -28,6 +27,7 @@ from hblab.taylor import outer_series
 from hblab.series import TaylorSeries
 
 from conftest import inner, pad
+from oracles import cauchy_kernel, evaluate, f_plus_solve_mp, hb_norm_sq_mp, mul
 
 PHI_HAT_TAME = tame_pair().phi_hat(160)  # (1+z)/(1-z)
 
@@ -60,11 +60,13 @@ def test_radius_construction():
 # -- kernels and Toeplitz operators ----------------------------------------
 
 
-def test_cauchy_kernel_coeffs():
+def test_cauchy_kernel_coeffs(tame):
+    """The truncated k_w of the tests, and the |w| < 1 guard of
+    ``kernel_hb``, which builds the same coefficients."""
     k = cauchy_kernel(0.5j, 3)
     assert k.coeffs == ((1 + 0j), -0.5j, (-0.5j) ** 2, (-0.5j) ** 3)
-    with pytest.raises(ValueError):
-        cauchy_kernel(1.0, 3)
+    with pytest.raises(ValueError, match=r"\|w\| < 1"):
+        kernel_hb(1.0, tame, 3)
 
 
 @given(st.lists(coeff, min_size=2, max_size=12), st.lists(coeff, min_size=2, max_size=12))
@@ -76,7 +78,7 @@ def test_toeplitz_adjoint_identity(hc, pc):
     f = TaylorSeries(tuple(pc[:n]))
     g = TaylorSeries(tuple(reversed(pc[:n])))
     lhs = inner(toeplitz_coanalytic_apply(h, f), g)
-    rhs = inner(f, h * g)  # T_h g: multiplication by the analytic symbol
+    rhs = inner(f, mul(h, g))  # T_h g: multiplication by the analytic symbol
     scale = max(abs(lhs), abs(rhs), 1.0)
     assert abs(lhs - rhs) <= 1e-10 * scale
 
@@ -87,7 +89,7 @@ def test_coanalytic_kernel_eigenvector():
     w = 0.4 + 0.2j
     k = cauchy_kernel(w, 40)
     got = toeplitz_coanalytic_apply(pad(h, 40), k)
-    lam = complex(h(w)).conjugate()
+    lam = complex(evaluate(h, w)).conjugate()
     for j in range(30):  # away from the truncation edge
         assert got.coeffs[j] == pytest.approx(lam * k.coeffs[j], abs=1e-10)
 
@@ -98,7 +100,7 @@ def test_toeplitz_coanalytic_apply_rejects_short_symbol():
     its inner sums to a wrong T_h-bar f."""
     f = TaylorSeries((1.0, 2.0, 3.0))
     for degree in (2, 5):
-        assert toeplitz_coanalytic_apply(TaylorSeries.constant(1.0, degree), f) == f
+        assert toeplitz_coanalytic_apply(pad(TaylorSeries((1.0,)), degree), f) == f
     with pytest.raises(ValueError, match="fewer than the 3"):
         toeplitz_coanalytic_apply(TaylorSeries((1.0,)), f)
 
@@ -133,7 +135,7 @@ def test_f_plus_solve_is_exact_at_input_degree(tame, pair):
     """T_a-bar maps the polynomials of degree <= d onto themselves, so the
     solve of a degree-d f zero-padded to max(4d, 16) gives the same
     coefficients, to the bit, and exact zeros past d: in floats on the tame
-    pair and in 200-bit mpmath on the constructed pair."""
+    pair, and in the 200-bit mpmath oracle on the constructed pair."""
     from mpmath import mp
 
     rng = np.random.default_rng(7)
@@ -147,10 +149,10 @@ def test_f_plus_solve_is_exact_at_input_degree(tame, pair):
     with mp.workprec(200):
         for d in (0, 3, 8, 16):
             p = TaylorSeries(tuple(mp.mpf(c) for c in rng.uniform(-1, 1, d + 1)), 200)
-            fp = f_plus_solve(p, mp_pair)
+            fp = f_plus_solve_mp(p, mp_pair)
             assert fp.truncation_degree == d
             assert fp.precision_bits == 200
-            assert f_plus_solve(pad(p, max(4 * d, 16)), mp_pair) == pad(fp, max(4 * d, 16))
+            assert f_plus_solve_mp(pad(p, max(4 * d, 16)), mp_pair) == pad(fp, max(4 * d, 16))
 
 
 def test_f_plus_solve_residual_guard(tame, monkeypatch):
@@ -186,7 +188,7 @@ def test_float_hb_norm_of_growing_phi_hat(pair, deg):
     phi_hat = pair.phi_hat(deg, 200)
     with mp.workprec(200):
         f_mp = TaylorSeries(tuple(mp.mpf(c) for c in f.coeffs), 200)
-        expect = mp.log(f_mp.l2_norm_sq() + sarason_f_plus(f_mp, phi_hat).l2_norm_sq())
+        expect = mp.log(hb_norm_sq_mp(f_mp, phi_hat))
     assert got == pytest.approx(float(expect), abs=1e-12)
 
 
@@ -214,8 +216,8 @@ def test_short_mp_series_keep_their_precision(pair):
     )
     with mp.workprec(200):
         p = TaylorSeries(tuple(mp.mpf(1) / (j + 1) for j in range(41)), 200)
-        fp = f_plus_solve(p, short)
-        assert fp.coeffs == f_plus_solve(p, pair.with_series(40, 200)).coeffs
+        fp = f_plus_solve_mp(p, short)
+        assert fp.coeffs == f_plus_solve_mp(p, pair.with_series(40, 200)).coeffs
     assert fp.precision_bits == 200
     assert all(isinstance(c, mp.mpf) for c in fp.coeffs)
     with pytest.raises(ValueError):
@@ -309,9 +311,9 @@ def test_mp_products_ignore_the_ambient_precision(pair):
     f53 = TaylorSeries(tuple(map(float, f.coeffs)))
     for p, bits in ((f, 200), (f53, 53)):
         with mp.workprec(200):
-            inside = toeplitz_coanalytic_apply(mp_pair.b_series, p), f_plus_solve(p, mp_pair)
+            inside = toeplitz_coanalytic_apply(mp_pair.b_series, p), f_plus_solve_mp(p, mp_pair)
         assert mp.prec == 53
-        outside = toeplitz_coanalytic_apply(mp_pair.b_series, p), f_plus_solve(p, mp_pair)
+        outside = toeplitz_coanalytic_apply(mp_pair.b_series, p), f_plus_solve_mp(p, mp_pair)
         for got, want in zip(outside, inside):
             assert got.precision_bits == want.precision_bits == bits
             assert got.coeffs == want.coeffs
@@ -372,7 +374,7 @@ def test_kernel_hb_reproduces(tame, hb_inner):
         for _ in range(5):
             p = random_poly(rng, 16)
             got = hb_inner(p, k, tame)
-            assert got == pytest.approx(complex(p(w)), abs=1e-8)
+            assert got == pytest.approx(complex(evaluate(p, w)), abs=1e-8)
 
 
 def test_kernel_hb_norm_closed_form(tame):
@@ -381,7 +383,7 @@ def test_kernel_hb_norm_closed_form(tame):
     k = kernel_hb(w, tame, 120)
     expect = (1.0 - 0.49) / (1.0 - 0.16)
     assert math.exp(hb_norm_sq(k, tame)) == pytest.approx(expect, rel=1e-8)
-    assert complex(k(w)).real == pytest.approx(expect, rel=1e-10)
+    assert complex(evaluate(k, w)).real == pytest.approx(expect, rel=1e-10)
 
 
 # -- KernelCombo (log-domain Gram route) -----------------------------------
@@ -466,22 +468,31 @@ def test_dilate_series_pointwise(cs, r):
     f = TaylorSeries(tuple(cs))
     fr = dilate(f, r)
     z = 0.3 + 0.4j
-    assert complex(fr(z)) == pytest.approx(complex(f(r * z)), rel=1e-10, abs=1e-10)
+    got, expect = evaluate(fr, z), evaluate(f, r * z)
+    assert complex(got) == pytest.approx(complex(expect), rel=1e-10, abs=1e-10)
 
 
 def test_dilate_and_kernel_hb_take_float_series_only(pair):
-    """``dilate`` forms r^k as a float product and ``kernel_hb`` evaluates
-    b(w) in floats, so a series carried above 53 bits raises ValueError
-    rather than coming back with a label its float arithmetic does not
-    meet."""
+    """``dilate`` forms r^k as a float product, ``kernel_hb`` evaluates
+    b(w) in floats, and ``f_plus_solve`` and the series branch of
+    ``hb_norm_sq`` solve and sum in floats, so a series (or a pair series)
+    carried above 53 bits raises ValueError rather than coming back with a
+    label its float arithmetic does not meet."""
     from mpmath import mp
 
     with mp.workprec(200):
         f = TaylorSeries(tuple(mp.mpf(1) / (j + 1) for j in range(65)), 200)
-    with pytest.raises(ValueError, match="53-bit"):
-        dilate(f, 0.9)
-    with pytest.raises(ValueError, match="53-bit"):
-        kernel_hb(0.4, pair.with_series(16, 200), 16)
+    f53 = TaylorSeries(tuple(map(float, f.coeffs[:17])))
+    pair200 = pair.with_series(16, 200)
+    for call in (
+        lambda: dilate(f, 0.9),
+        lambda: kernel_hb(0.4, pair200, 16),
+        lambda: f_plus_solve(f.truncate(16), pair),
+        lambda: f_plus_solve(f53, pair200),
+        lambda: hb_norm_sq(f, pair),
+    ):
+        with pytest.raises(ValueError, match="53-bit"):
+            call()
 
 
 def test_dilate_combo_matches_series(tame):

@@ -31,9 +31,9 @@ def from_float(v: float) -> LogScalar:
 
 
 def test_zero_and_one():
-    assert LogScalar.zero().is_zero
+    assert LogScalar(NEG_INF).is_zero
     assert LogScalar(0.0).to_float() == 1.0
-    assert LogScalar.zero().sign() == 0
+    assert LogScalar(NEG_INF).sign() == 0
     assert from_float(0.0).is_zero
 
 
@@ -60,7 +60,7 @@ def test_phase_must_be_real():
     and NaN included, where a wrapped phase would fail only later, in
     ``sign``."""
     assert LogScalar(0.0, math.pi).sign() == -1
-    assert LogScalar(NEG_INF, math.pi) == LogScalar.zero()
+    assert LogScalar(NEG_INF, math.pi) == LogScalar(NEG_INF)
     for phase in (7.0, 0.5, -math.pi, 3.0 * math.pi, math.nan):
         with pytest.raises(ValueError, match="phase"):
             LogScalar(0.0, phase)
@@ -72,7 +72,7 @@ def test_ordering_is_signed():
     """Real LogScalars order by sign, then by magnitude: a negative with the
     larger magnitude is the smaller."""
     neg2, neg1 = from_float(-2.0), from_float(-1.0)
-    zero, one, two = LogScalar.zero(), LogScalar(0.0), from_float(2.0)
+    zero, one, two = LogScalar(NEG_INF), LogScalar(0.0), from_float(2.0)
     assert neg2 < neg1 < zero < one < two
     assert not neg1 < neg2 and not two < one and not zero < zero
     assert neg1 > neg2 and two > one

@@ -93,7 +93,9 @@ def test_power_validation():
     p = ConstructionParams(1.2, 1.5)
     with pytest.raises(ParameterError):
         p.resolved_power()
-    assert p.with_power(3).resolved_power() == 3
+    assert p._replace(power_m=3).resolved_power() == 3
+    with pytest.raises(ParameterError):
+        p._replace(power_m=0)
 
 
 def test_n_terms_overflow_guard():

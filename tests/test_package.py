@@ -1,7 +1,12 @@
 """The lazy top-level package: every public name resolves to its home
-module's object on access, and nothing else does."""
+module's object on access, and nothing else does; and the package is
+standard library only: no module of it imports mpmath, and the P-bit
+verbs, the benchmark's library steps and the demos run where mpmath
+cannot be imported."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -58,3 +63,71 @@ def test_names_follow_a_rebinding_of_the_home_module(monkeypatch):
     monkeypatch.undo()
     assert hblab.exp_series is original
     assert "exp_series" not in vars(hblab)
+
+
+def test_no_module_imports_mpmath():
+    """No module of ``src/hblab`` has an ``import mpmath`` or a
+    ``from mpmath ... import``, at top level or inside a function."""
+    modules = sorted(Path(hblab.__file__).parent.glob("*.py"))
+    assert len(modules) > 10
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "mpmath" for n in names), (path.name, node.lineno)
+
+
+# Run in a fresh interpreter in which ``import mpmath`` raises ImportError:
+# the six verbs at their defaults, ``sarason`` at degree 1024 and 384 bits,
+# the benchmark's cross-representation steps at the same degree and bits,
+# and the three demos; print each verb's exit code and the demos' names.
+_WITHOUT_MPMATH = """
+import contextlib, io, json, runpy, sys
+from pathlib import Path
+sys.modules["mpmath"] = None
+OUT, DEMOS = Path(OUT), Path(DEMOS)
+import hblab.cli, hblab.experiments as ex, hblab.pair as pairmod
+config = OUT / "sarason-config.json"
+config.write_text(json.dumps({"j_max": 1024, "precision_bits": 384}))
+codes, demos = [], []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (
+        ["construct"], ["verify-outer"], ["divergence"], ["sarason"], ["summability"],
+        ["norm-crosscheck"], ["sarason", "--config", str(config)],
+    ):
+        try:
+            hblab.cli.main([*argv, "--out", str(OUT)])
+        except SystemExit as e:
+            codes.append(e.code)
+    pair = pairmod.pair_from_json((OUT / "pair.json").read_text())
+    combo = ex.build_divergent_combo(pair.params, pair)
+    radii = (pair.seq.w[1], ex.interval_radius(pair.params, 1, 0.5),
+             ex.interval_radius(pair.params, 2, 0.0))
+    phi_hat = ex.phi_hat_series(pair, 1024, 384)
+    for r in radii:
+        ex.fr_plus_at_zero(r, combo, pair)
+        ex.abel_fr_plus(r, combo, pair, precision_bits=384, phi_hat=phi_hat)
+    for demo in sorted(DEMOS.glob("*.py")):
+        runpy.run_path(str(demo), run_name="__main__")
+        demos.append(demo.name)
+print(json.dumps({"codes": codes, "demos": demos, "mpmath": sys.modules["mpmath"] is None}))
+"""
+
+
+def test_runs_without_mpmath(run_fresh, tmp_path):
+    """Every verb, ``sarason`` at the benchmark's degree and bits, its
+    library steps and every demo run to the end with mpmath unimportable;
+    ``verify-outer`` and ``divergence`` exit 4, as they do with it, on the
+    growth bound that fails at these parameters by design."""
+    demos = Path(__file__).resolve().parents[1] / "demos"
+    script = f"OUT = {str(tmp_path)!r}\nDEMOS = {str(demos)!r}\n" + _WITHOUT_MPMATH
+    got = run_fresh(script)
+    assert got == {
+        "codes": [0, 4, 4, 0, 0, 0, 0],
+        "demos": sorted(p.name for p in demos.glob("*.py")),
+        "mpmath": True,
+    }
