@@ -126,7 +126,10 @@ def load_pair(cfg):
     path = Path(cfg["output_dir"]) / "pair.json"
     if not path.exists():
         raise ConfigError(f"pair.json not found in {cfg['output_dir']}; run construct first")
-    return pair_from_json(path.read_text())
+    try:
+        return pair_from_json(path.read_text())
+    except (KeyError, TypeError, ValueError) as e:  # json.JSONDecodeError is a ValueError
+        raise ConfigError(f"pair.json is not a valid pair: {type(e).__name__}: {e}") from e
 
 
 def _echo(message):
@@ -216,7 +219,7 @@ def verify_outer(cfg):
     rows = []
     all_ok = True
     for n in range(1, params.n_check + 1):
-        for rec in verify_growth_bound(n, cfg["r_samples"], params, seq):
+        for rec in verify_growth_bound(n, cfg["r_samples"], seq):
             rows.append(
                 (rec.n, rec.r, rec.u, rec.v, rec.log_ratio,
                  rec.log_bound, rec.passed)

@@ -9,16 +9,18 @@ the same value from actual Taylor coefficients, (f_r)+(0) =
 sum_j r^j fhat(j) phihat(j), at extended precision.
 
 The float experiments (the curve and the envelope) need only ``hb``,
-``outer``, ``pair`` and ``logscalar``; ``hblab.series`` and the integer
-kernels of ``hblab.fixed`` are imported by the extended-precision
-functions that call them, so the ``divergence`` verb compiles neither.
+``outer``, ``pair`` and ``logscalar``.  The extended-precision ones share
+one integer kernel, ``_fhat_fixed``, whose exact coefficients meet
+phi-hat's aligned mantissas in the sums of ``hblab.fixed``; that module
+is imported by the functions that call it, so the ``divergence`` verb
+never compiles it.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from itertools import islice
+from itertools import accumulate
 from typing import Optional, Sequence, Union
 
 from .hb import (
@@ -255,23 +257,21 @@ def f_hat_log(f: KernelCombo, j: int) -> float:
     """log fhat(j), the float log of the positive Taylor coefficient
     fhat(j) = sum_m c_m w_m^j.
 
-    The float oracle of ``_FhatFixed``, which checks its first and last
-    coefficient against it on every run."""
+    The float oracle of ``_fhat_fixed``, which checks its first and last
+    coefficient against it on every run (``_check_fhat``)."""
     return log_sum_exp(
         nd.log_c + j * math.log1p(-math.exp(max(nd.log_one_minus_w, -745.0)))
         for nd in f.nodes
     )
 
 
-class _FhatFixed:
-    """r^j fhat(j) = sum_m c_m v_m^j, v_m = r w_m, for j = 0..degree as
-    integers F_j on one fixed-point scale: r^j fhat(j) = F_j 2^exp within
-    a counted relative error.  The one integer kernel behind every
-    extended-precision coefficient sum (``sarason_series_failure``,
-    ``abel_fr_plus``, and ``summability_divergence``, which rounds each
-    F_j once to ``bits`` and sums the aligned mantissas as exact squares
-    and f+ dot products); iterating it streams F_0..F_degree, and the
-    per-node state is all it stores.
+def _fhat_fixed(f: KernelCombo, degree: int, bits: int, radius=None) -> tuple:
+    """(F, exp, error_bound): r^j fhat(j) = sum_m c_m v_m^j, v_m = r w_m,
+    for j = 0..degree as integers F_j on one fixed-point scale, r^j fhat(j)
+    = F_j 2^exp within the relative ``error_bound`` <= 2^-bits.  The one
+    integer kernel behind every extended-precision coefficient sum
+    (``sarason_series_failure``, ``abel_fr_plus``, and
+    ``summability_divergence``, which rounds each F_j once to ``bits``).
 
     The seeds c_m = exp(log c_m) and v_m = r w_m, with w_m = -expm1(log(1 -
     w_m)) and r = -expm1(log(1 - r)), come from the integer kernels of
@@ -293,69 +293,54 @@ class _FhatFixed:
     W = bits + 1 + bitlen(K (degree + 1) + 2 degree + 1).  This bound
     never decreases as j grows: F_j never increases (every V_m < 2^Q_m),
     K (j + 1) grows, the last term is a constant, and rounding preserves
-    order.  So the largest bound is that of F_degree: it is tested once,
-    before F_degree is yielded, and recorded as ``error_bound``; a bound
-    that misses 2^-bits raises ArithmeticError.  The first and last
-    coefficients are checked against ``f_hat_log`` (times r^j) within that
-    oracle's own float error.
+    order.  So the largest bound is that of F_degree, returned as
+    ``error_bound``; a bound that misses 2^-bits raises ArithmeticError.
+    The first and last coefficients are checked against ``f_hat_log``
+    (times r^j) by ``_check_fhat``.
     """
-
-    def __init__(self, f: KernelCombo, degree: int, bits: int, radius=None):
-        self.f, self.degree, self.bits = f, degree, bits
-        self.radius = None if radius is None else as_radius(radius)
-        k = len(f.nodes)
-        self.W = W = bits + 1 + (k * (degree + 1) + 2 * degree + 1).bit_length()
-        self.wp = 2 * W
-        self.exp, self.q, self.vs, self.terms = _seeds(f, self.radius, degree, W)
-        self.error_bound = 0.0
-
-    def __iter__(self):
-        degree, bits = self.degree, self.bits
-        k = len(self.f.nodes)
-        eta = 2.0**-self.W + 2.0 ** (1 - self.wp)
-        fixed = 2 * degree * eta + (degree + 3) * 2.0 ** (3 - self.wp)
-        vs, terms = self.vs, self.terms
-        for j in range(degree + 1):
-            total = sum(terms)
-            if j == degree:
-                units = k * (j + 1)
-                rel = units / (total - units) + fixed if total > units else math.inf
-                if rel > 2.0**-bits:
-                    raise ArithmeticError(
-                        f"fhat({j}) cannot be carried to {bits} bits at 2^{self.exp}: "
-                        f"its counted relative error bound is {rel:.3e}"
-                    )
-                self.error_bound = rel
-            if j in (0, degree):
-                self._check_oracle(j, total)
-            yield total
-            terms = [(t * vq) >> q for t, vq, q in zip(terms, vs, self.q)]
-
-    def _check_oracle(self, j: int, total: int) -> None:
-        """Raise ArithmeticError where log(F_j 2^exp) leaves the float
-        ``f_hat_log`` plus j log r by more than that route's float error:
-        each log-term log c + j log1p(-e^(log(1-w))) is off by a few units of
-        2^-53 in |log c| and, through log1p, in j / w, and log r likewise by
-        j / r; 2^-48 times their sum holds all of it with room."""
-        r, log_r = 1.0, 0.0
-        if self.radius is not None:
-            r = self.radius.value
-            log_r = math.log1p(-math.exp(max(self.radius.log_one_minus, -745.0)))
-        tol = 2.0**-48 * (
-            1.0
-            + max(abs(nd.log_c) + j / nd.w for nd in self.f.nodes)
-            + j / r
+    radius = None if radius is None else as_radius(radius)
+    k = len(f.nodes)
+    W = bits + 1 + (k * (degree + 1) + 2 * degree + 1).bit_length()
+    exp, q, vs, terms = _seeds(f, radius, degree, W)
+    F = [sum(terms)]
+    for _ in range(degree):
+        terms = [(t * vq) >> qm for t, vq, qm in zip(terms, vs, q)]
+        F.append(sum(terms))
+    _check_fhat(f, radius, 0, F[0], exp)
+    eta = 2.0**-W + 2.0 ** (1 - 2 * W)
+    fixed = 2 * degree * eta + (degree + 3) * 2.0 ** (3 - 2 * W)
+    units = k * (degree + 1)
+    rel = units / (F[-1] - units) + fixed if F[-1] > units else math.inf
+    if rel > 2.0**-bits:
+        raise ArithmeticError(
+            f"fhat({degree}) cannot be carried to {bits} bits at 2^{exp}: "
+            f"its counted relative error bound is {rel:.3e}"
         )
-        got = math.log(total) + self.exp * _LN2
-        want = f_hat_log(self.f, j) + j * log_r
-        if abs(got - want) > tol:
-            raise ArithmeticError(
-                f"fhat({j}) leaves the log-domain oracle: log {got!r} against {want!r}"
-            )
+    _check_fhat(f, radius, degree, F[-1], exp)
+    return F, exp, rel
+
+
+def _check_fhat(f: KernelCombo, radius: Optional[Radius], j: int, total: int, exp: int) -> None:
+    """Raise ArithmeticError where log(F_j 2^exp) of ``_fhat_fixed`` leaves
+    the float ``f_hat_log`` plus j log r by more than that route's float
+    error: each log-term log c + j log1p(-e^(log(1-w))) is off by a few
+    units of 2^-53 in |log c| and, through log1p, in j / w, and log r
+    likewise by j / r; 2^-48 times their sum holds all of it with room."""
+    r, log_r = 1.0, 0.0
+    if radius is not None:
+        r = radius.value
+        log_r = math.log1p(-math.exp(max(radius.log_one_minus, -745.0)))
+    tol = 2.0**-48 * (1.0 + max(abs(nd.log_c) + j / nd.w for nd in f.nodes) + j / r)
+    got = math.log(total) + exp * _LN2
+    want = f_hat_log(f, j) + j * log_r
+    if abs(got - want) > tol:
+        raise ArithmeticError(
+            f"fhat({j}) leaves the log-domain oracle: log {got!r} against {want!r}"
+        )
 
 
 def _seeds(f: KernelCombo, radius: Optional[Radius], degree: int, W: int) -> tuple:
-    """(exp, Q, V, C): the integer seeds of ``_FhatFixed`` at working bits
+    """(exp, Q, V, C): the integer seeds of ``_fhat_fixed`` at working bits
     W, with Q_m = W + 2 - mag(v_m), V_m = floor(v_m 2^Q_m) and C_m =
     floor(c_m 2^-exp), exp = mag(max_m c_m v_m^degree) - W - 2, where
     mag(x) = floor(log2 x) + 1.
@@ -469,33 +454,30 @@ def abel_fr_plus(
 
     Independent of the log-domain Gram route: the value is rebuilt from
     actual Taylor coefficients at extended precision.  r is folded into the
-    nodes of ``_FhatFixed``, whose r^j fhat(j) meet 2^-bits relative; the
+    nodes of ``_fhat_fixed``, whose r^j fhat(j) meet 2^-bits relative; the
     sum with the aligned mantissas of phi-hat is exact (``fixed_dot``) and
     rounded once, half-even, to the larger of ``precision_bits`` and
     phi-hat's precision.  Raises PrecisionExhausted if the exact terms have
     not decayed below ``tail_rel`` times the sum by the end of the
     truncation.  Returns a ``fixed.PBit``, which mpmath accepts as an mpf.
     """
-    from .fixed import to_pbit
-    from .series import fixed_dot, fixed_mantissas
+    from .fixed import fixed_dot, fixed_mantissas, to_pbit
 
     if phi_hat is None:
         phi_hat = phi_hat_series(pair, degree, precision_bits)
     degree = phi_hat.truncation_degree
     bits = max(precision_bits, phi_hat.precision_bits)
-    kernel = _FhatFixed(f, degree, bits, r)
-    fhat = iter(kernel)
+    fhat, fhat_exp, _ = _fhat_fixed(f, degree, bits, r)
     phis, phi_exp = fixed_mantissas(phi_hat.coeffs)
     tail_start = max(0, degree - max(degree // 20, 16))
-    total = fixed_dot(islice(fhat, tail_start), phis[:tail_start])
-    tail = list(map(operator.mul, fhat, phis[tail_start:]))
-    total += sum(tail)
+    tail = list(map(operator.mul, fhat[tail_start:], phis[tail_start:]))
+    total = fixed_dot(fhat[:tail_start], phis) + sum(tail)
     ratio = max(map(abs, tail)) / abs(total)
     if ratio > tail_rel:
         raise PrecisionExhausted(
             f"coefficient series not converged at degree {degree}: tail/total = {ratio:.5g}"
         )
-    return to_pbit(total, kernel.exp + phi_exp, bits)
+    return to_pbit(total, fhat_exp + phi_exp, bits)
 
 
 def sarason_series_failure(
@@ -508,23 +490,21 @@ def sarason_series_failure(
     series at r = 1, which the norm formula would need to converge; they
     grow without ceiling instead.
 
-    fhat streams from ``_FhatFixed`` and phi-hat's mantissas are aligned
-    once, so the running sum is one exact integer, rounded once at each
+    Each S_J is the exact running sum of the products of fhat's integers
+    (``_fhat_fixed``) with phi-hat's aligned mantissas, rounded once at its
     checkpoint J to ``precision_bits``.  The metadata carries
     ``series_error_bound``, the largest counted relative error bound of a
     coefficient of phi-hat (``outer_series``), and ``fhat_error_bound``,
-    the largest of fhat (``_FhatFixed``).  Each row's log10 is that of
+    the largest of fhat (``_fhat_fixed``).  Each row's log10 is that of
     ``fixed.log10``, and ``ratio_full_to_half`` the quotient of the last
     sum by the one at J = j_max / 2 rounded once to 53 bits."""
     from . import fixed
-    from .series import fixed_dot, fixed_mantissas
 
     if j_max < 2:
         raise ParameterError(f"j_max must be at least 2, got {j_max}")
     phi_hat = phi_hat_series(pair, j_max, precision_bits)
-    kernel = _FhatFixed(f, j_max, precision_bits)
-    fhat = iter(kernel)
-    phis, phi_exp = fixed_mantissas(phi_hat.coeffs)
+    fhat, fhat_exp, fhat_bound = _fhat_fixed(f, j_max, precision_bits)
+    phis, phi_exp = fixed.fixed_mantissas(phi_hat.coeffs)
     checkpoints = []
     j = 1
     while j < j_max:
@@ -532,12 +512,11 @@ def sarason_series_failure(
         j *= 2
     checkpoints.append(j_max)
     rows = []
-    sums = {}
-    total, done = 0, 0
-    for j in checkpoints:
-        total += fixed_dot(islice(fhat, j + 1 - done), phis[done : j + 1])
-        done = j + 1
-        sums[j] = fixed.to_pbit(total, kernel.exp + phi_exp, precision_bits)
+    sums = {
+        j: fixed.to_pbit(total, fhat_exp + phi_exp, precision_bits)
+        for j, total in enumerate(accumulate(map(operator.mul, fhat, phis)))
+        if j in checkpoints
+    }
     ok = True
     for j in checkpoints:
         s = sums[j]
@@ -551,7 +530,7 @@ def sarason_series_failure(
     meta = _base_metadata(precision_bits)
     meta["bits_required"] = required_bits_for_degree(pair, j_max)
     meta["series_error_bound"] = phi_hat.error_bound
-    meta["fhat_error_bound"] = kernel.error_bound
+    meta["fhat_error_bound"] = fhat_bound
     ratio = float(fixed.quotient(sums[j_max], half, 53)) if half else float("nan")
     meta["ratio_full_to_half"] = ratio
     return ExperimentReport(
@@ -575,13 +554,13 @@ def summability_divergence(
     integer sum rounded once, with the one phi-hat of ``phi_hat_series``
     shared by all rows, the phi-hat of ``sarason`` and of the Abel sums.
 
-    fhat comes from ``_FhatFixed``, rounded once to ``precision_bits``;
+    fhat comes from ``_fhat_fixed``, rounded once to ``precision_bits``;
     its mantissas and phi-hat's are aligned once each (``fixed_mantissas``).
     s_n is a prefix of fhat's mantissas and sigma_n that prefix times the
     integer Fejer weights n + 1 - j, its factor 1/(n+1)^2 taken in the one
     final rounding; the coefficients of f+ = T_phi-bar p are the exact
-    integer sums of ``fixed_toeplitz``, the sums that
-    ``hb.toeplitz_coanalytic_apply`` rounds.  Each norm is the correctly
+    integer sums of ``fixed_toeplitz``, the P-bit form of
+    ``hb.toeplitz_coanalytic_apply``.  Each norm is the correctly
     rounded P-bit quotient of ``fixed.quotient``, and its log10 that of
     ``fixed.log10``.  Reports running maxima (the
     limsup claim is exhibited as monotone growth over the computed range,
@@ -589,10 +568,10 @@ def summability_divergence(
     ||sigma_n|| <= max_{k<=n} ||s_k|| over computed k.  The metadata
     carries ``series_error_bound``, the largest counted relative error
     bound of a coefficient of phi-hat (``outer_series``), and
-    ``fhat_error_bound``, the largest of fhat (``_FhatFixed``).
+    ``fhat_error_bound``, the largest of fhat (``_fhat_fixed``).
     """
     from . import fixed
-    from .series import fixed_dot, fixed_mantissas, fixed_toeplitz
+    from .fixed import fixed_dot, fixed_mantissas, fixed_toeplitz
 
     n_list = sorted(set(int(n) for n in n_list))
     if not n_list or n_list[0] < 0 or n_list[-1] < 8:
@@ -601,8 +580,8 @@ def summability_divergence(
         )
     deg_f = n_list[-1]
     phi_hat = phi_hat_series(pair, deg_f, precision_bits)
-    kernel = _FhatFixed(f, deg_f, precision_bits)
-    fs, fe = fixed_mantissas(fixed.to_pbit(m, kernel.exp, precision_bits) for m in kernel)
+    fhat, exp, fhat_bound = _fhat_fixed(f, deg_f, precision_bits)
+    fs, fe = fixed_mantissas(fixed.to_pbit(m, exp, precision_bits) for m in fhat)
     ps, pe = fixed_mantissas(phi_hat.coeffs)
     # ||p||^2 is on the scale 2^(2 fe), ||f+||^2 on 2^(2 fe + 2 pe)
     low = 2 * fe + min(0, 2 * pe)
@@ -635,7 +614,7 @@ def summability_divergence(
     meta = _base_metadata(precision_bits)
     meta["bits_required"] = required_bits_for_degree(pair, deg_f)
     meta["series_error_bound"] = phi_hat.error_bound
-    meta["fhat_error_bound"] = kernel.error_bound
+    meta["fhat_error_bound"] = fhat_bound
     meta["convexity_ok"] = convex_ok
     return ExperimentReport(
         name="summability",

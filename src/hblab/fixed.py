@@ -1,6 +1,6 @@
-"""Fixed-point arithmetic on Python integers for hblab's P-bit routes.
+"""Fixed-point arithmetic on Python integers: hblab's one P-bit layer.
 
-Three things, on machine integers and the standard library only:
+Four things, on machine integers and the standard library only:
 
 * the elementary kernels of the P-bit seeds: pi, ln 2, exp, expm1, and cos
   with sin, each a Taylor (or arctangent) series after argument reduction,
@@ -8,21 +8,25 @@ Three things, on machine integers and the standard library only:
 * round-half-even of an exact m 2^e to P significant bits;
 * ``PBit``, a P-bit real number (mantissa, exponent) with ``float``, an
   exact total order, a correctly rounded quotient and a log10 from
-  ``decimal``.
+  ``decimal``;
+* the aligned-mantissa sums: ``fixed_mantissas`` puts numbers on one scale
+  2^e, and ``fixed_dot`` and ``fixed_toeplitz`` sum their products
+  exactly; the callers round each sum once, half-even, with ``to_pbit``.
 
 A fixed-point number at precision p is an integer X standing for X 2^-p;
 "within c units" means |X - x 2^p| <= c.  Every bound below is counted in
 its docstring, and the tests hold each against an independent reference
 at 64 more bits.
 
-``taylor``, the P-bit branch of ``hb.toeplitz_coanalytic_apply`` and the
-coefficient experiments import this module; the float-only verbs never do.
+``taylor`` and the coefficient experiments import this module; the
+float-only verbs never do, and ``hb`` and ``series`` compute in floats.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 
 _HASH_MODULUS = sys.hash_info.modulus
@@ -215,13 +219,41 @@ def to_pbit(man: int, exp: int, bits: int) -> "PBit":
 
 
 def _man_exp(x) -> tuple:
-    """(m, e) with x = m 2^e exactly, for a PBit, an int or a finite float."""
+    """(m, e) with x = m 2^e exactly, for a PBit, an int or a finite float:
+    the one reader of a number's mantissa and exponent.  Any other type
+    raises TypeError rather than being read through a rounding to float."""
     if isinstance(x, PBit):
         return x.man, x.exp
     if isinstance(x, int):
         return x, 0
+    if not isinstance(x, float):
+        raise TypeError(f"expected a PBit, an int or a float, got {type(x).__name__}")
     m, e = math.frexp(x)
     return int(m * 2.0**53), e - 53
+
+
+def fixed_mantissas(xs) -> tuple:
+    """Integers m_i and one exponent e with xs[i] = m_i 2^e exactly, each
+    number read by ``_man_exp``: every mantissa aligned to the smallest
+    exponent of a nonzero one, so a dot product of two aligned sequences
+    is one integer sum (``fixed_dot``)."""
+    pairs = [_man_exp(x) for x in xs]
+    low = min((e for m, e in pairs if m), default=0)
+    return [m << (e - low) if m else 0 for m, e in pairs], low
+
+
+def fixed_dot(xs, ys) -> int:
+    """sum_i xs[i] ys[i] over integer mantissas on one scale, exact; zip
+    stops at the shorter sequence, so either may be a stream."""
+    return sum(map(operator.mul, xs, ys))
+
+
+def fixed_toeplitz(hs, fs) -> list:
+    """sum_j hs[j] fs[k+j] for k = 0..len(fs)-1, the coefficients of T_h-bar f
+    for a real symbol, as exact integers over mantissas on one scale each
+    (``fixed_mantissas``), so on the product of the two scales, unrounded;
+    each sum stops at the shorter sequence."""
+    return [fixed_dot(fs[k:], hs) for k in range(len(fs))]
 
 
 def quotient(a, b, bits: int) -> "PBit":
@@ -269,8 +301,9 @@ class PBit:
 
     ``_mpf_`` is the raw tuple (sign, mantissa, exponent, bit count) of
     the same value, the interchange form of mpmath, which therefore
-    accepts a PBit wherever it accepts an mpf (``mp.mpf``, ``mp.log``);
-    ``series.fixed_mantissas`` reads the same tuple.
+    accepts a PBit wherever it accepts an mpf (``mp.mpf``, ``mp.log``).  It
+    is there for that interchange only: hblab itself reads a PBit through
+    ``_man_exp``.
     """
 
     __slots__ = ("man", "exp")

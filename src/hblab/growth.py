@@ -190,13 +190,10 @@ class GrowthCheckRecord(Record):
         _set(self, "passed", passed)
 
 
-def verify_growth_bound(
-    n: int,
-    r_samples: int,
-    params: ConstructionParams,
-    seq: Sequences,
-) -> list:
-    """Sample the ratio over [w_n, w_{n+1}] against the required bound."""
+def verify_growth_bound(n: int, r_samples: int, seq: Sequences) -> list:
+    """Sample the ratio over [w_n, w_{n+1}] against the required bound, at
+    the parameters ``seq.params`` of the sequences."""
+    params = seq.params
     if not (1 <= n <= params.n_check):
         raise ValueError("need 1 <= n <= n_check")
     if r_samples < 2:

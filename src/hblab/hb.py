@@ -8,10 +8,10 @@ Functions in H(b) appear in two representations:
   ||f||^2 = ||f||_{H^2}^2 + ||f+||_{H^2}^2.  The triangular-Toeplitz solve
   of T_b-bar f = T_a-bar f+ (``f_plus_solve``) on the series of a and b is
   kept as the independent oracle.  Every Toeplitz product is the one
-  T_h-bar, ``toeplitz_coanalytic_apply``: exact integer sums rounded once
-  when an operand is carried above 53 bits, float sums otherwise.  The
-  solve, the series norms, ``dilate`` and ``kernel_hb`` do their
-  arithmetic in floats and take 53-bit series only.
+  T_h-bar, ``toeplitz_coanalytic_apply``.  The product, the solve, the
+  series norms, ``dilate`` and ``kernel_hb`` do their arithmetic in
+  floats and take 53-bit series only; the P-bit sums live in
+  ``hblab.fixed``.
 * :class:`KernelCombo` -- finite combinations sum_j c_j k_{w_j} of Cauchy
   kernels with positive data, where f+ = sum_j c_j conj(phi(w_j)) k_{w_j}
   gives closed Gram-form norms that survive in log-domain when the phi
@@ -106,30 +106,20 @@ def toeplitz_coanalytic_apply(h: TaylorSeries, f: TaylorSeries) -> TaylorSeries:
     the polynomial f when h reaches its degree; an h with fewer
     coefficients than f raises ValueError.
 
-    The one Toeplitz product of hblab; the result carries the smaller
-    ``precision_bits`` of h and f.  When either is carried above 53 bits,
-    both must be real: their mantissas are aligned once to one exponent
-    each (``fixed_mantissas``, float zero pads included), and each output
-    coefficient is one exact integer sum (``fixed_toeplitz``) rounded once,
-    half-even, at the result's precision to a ``fixed.PBit``.  Two 53-bit
-    series take the float sums, which stop at h's last nonzero coefficient:
-    a symbol whose support is its first m coefficients costs O(m) per
-    output coefficient, so the tame pair's zero-padded two-term a-hat and
-    b-hat cost O(len f) in all.
+    The one Toeplitz product of hblab on series, in floats: an operand
+    carried above 53 bits raises ValueError (the P-bit sums are the exact
+    integers of ``fixed.fixed_toeplitz``).  Each sum stops at h's last
+    nonzero coefficient: a symbol whose support is its first m
+    coefficients costs O(m) per output coefficient, so the tame pair's
+    zero-padded two-term a-hat and b-hat cost O(len f) in all.
     """
-    from .series import TaylorSeries, _support_len, fixed_mantissas, fixed_toeplitz
+    from .series import TaylorSeries, _support_len
 
     n = len(f.coeffs)
     if len(h.coeffs) < n:
         raise ValueError(f"symbol has {len(h.coeffs)} coefficients, fewer than the {n} of f")
-    bits = min(h.precision_bits, f.precision_bits)
     if max(h.precision_bits, f.precision_bits) > 53:
-        from .fixed import to_pbit
-
-        hs, he = fixed_mantissas(h.coeffs[:n])
-        fs, fe = fixed_mantissas(f.coeffs)
-        out = [to_pbit(s, he + fe, bits) for s in fixed_toeplitz(hs, fs)]
-        return TaylorSeries(tuple(out), bits)
+        raise ValueError("toeplitz_coanalytic_apply takes 53-bit float series only")
     hc = [c.conjugate() for c in h.coeffs[: _support_len(h.coeffs[:n])]]
     fc = f.coeffs
     out = []
@@ -138,7 +128,7 @@ def toeplitz_coanalytic_apply(h: TaylorSeries, f: TaylorSeries) -> TaylorSeries:
         for j in range(min(n - k, len(hc))):
             acc = acc + hc[j] * fc[k + j]
         out.append(acc)
-    return TaylorSeries(tuple(out), bits)
+    return TaylorSeries(tuple(out), min(h.precision_bits, f.precision_bits))
 
 
 # -- the f+ map and H(b) norms --------------------------------------------
@@ -301,14 +291,11 @@ def sarason_f_plus(f: TaylorSeries, phi_hat: TaylorSeries) -> TaylorSeries:
     for polynomials, where it is exact with phi-hat to the degree of f); a
     phi-hat with fewer coefficients than f raises ValueError.  With phi-hat
     from ``Pair.phi_hat`` this is the route of ``hb_norm_sq`` on a
-    TaylorSeries (``experiments.summability_divergence`` sums the same
-    exact integers, ``series.fixed_toeplitz``, itself); ``f_plus_solve`` is
-    its independent oracle.  It is T_phi-hat-bar f, the one product
-    ``toeplitz_coanalytic_apply``, whose length check raises that
-    ValueError: on real series above 53 bits one exact integer sum per
-    coefficient, rounded once, half-even, to a ``fixed.PBit`` at the
-    smaller of the two series' ``precision_bits``, and float sums on 53-bit
-    series.
+    TaylorSeries; ``f_plus_solve`` is its independent oracle, and
+    ``experiments.summability_divergence`` sums the same products as exact
+    integers (``fixed.fixed_toeplitz``).  It is T_phi-hat-bar f, the one
+    product ``toeplitz_coanalytic_apply``, in floats: a series carried
+    above 53 bits raises ValueError.
     """
     return toeplitz_coanalytic_apply(phi_hat, f)
 

@@ -303,14 +303,15 @@ def log_Phi_halfplane(z, seq: Sequences):
     return total
 
 
-def log_phi_disk(z, params: ConstructionParams, seq: Sequences):
-    """log of the symmetrized disk function raised to the power m.
+def log_phi_disk(z, seq: Sequences):
+    """log of the symmetrized disk function raised to the power m of
+    ``seq.params``.
 
     phi(z) = [Phi(cayley(z)) * conj(Phi(cayley(conj z)))]**m; the result is
     real (up to rounding) on (-1, 1) and has nonnegative real part on the
     disk.
     """
-    m = params.resolved_power()
+    m = seq.params.resolved_power()
     if abs(z) >= 1:
         raise ValueError("log_phi_disk requires |z| < 1")
     a = log_Phi_halfplane(cayley(z), seq)

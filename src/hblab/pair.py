@@ -150,12 +150,12 @@ def log_outer_series(mod: StepModulus, degree: int) -> TaylorSeries:
 # -- the constructed pair --------------------------------------------------
 
 
-def phi_step_modulus(seq: Sequences, params: ConstructionParams) -> StepModulus:
+def phi_step_modulus(seq: Sequences) -> StepModulus:
     """Boundary log|phi| as a StepModulus: arcs +-[2 atan 2t_k, 2 atan 3t_k]
-    of height m * eps_k / t_k."""
-    m = params.resolved_power()
+    of height m * eps_k / t_k, at the parameters ``seq.params``."""
+    m = seq.params.resolved_power()
     cells = []
-    for k in range(1, params.n_terms + 1):
+    for k in range(1, seq.params.n_terms + 1):
         t = seq.t[k]
         theta1 = 2.0 * math.atan(2.0 * t)
         theta2 = 2.0 * math.atan(3.0 * t)
@@ -169,7 +169,7 @@ def phi_step_modulus(seq: Sequences, params: ConstructionParams) -> StepModulus:
     return StepModulus(tuple(cells), 0.0)
 
 
-def step_modulus_from_phi(seq: Sequences, params: ConstructionParams):
+def step_modulus_from_phi(seq: Sequences):
     """(a_modulus, b_modulus) from |a|^2 = 1/(1+|phi|^2) in stable log form.
 
     Per cell with h = log|phi| >= 0:
@@ -179,7 +179,7 @@ def step_modulus_from_phi(seq: Sequences, params: ConstructionParams):
     """
     from .logscalar import log1p_exp
 
-    phi_mod = phi_step_modulus(seq, params)
+    phi_mod = phi_step_modulus(seq)
     a_cells, b_cells = [], []
     for c in phi_mod.cells:
         h = c.log_modulus
@@ -304,8 +304,8 @@ def build_pair(params: ConstructionParams) -> Pair:
 
     params.resolved_power()  # fail fast on power_m="auto"
     seq = make_sequences(params)
-    a_mod, b_mod = step_modulus_from_phi(seq, params)
-    phi_mod = phi_step_modulus(seq, params)
+    a_mod, b_mod = step_modulus_from_phi(seq)
+    phi_mod = phi_step_modulus(seq)
     pair = Pair(
         tag="constructed",
         a_modulus=a_mod,
@@ -317,7 +317,7 @@ def build_pair(params: ConstructionParams) -> Pair:
     for i in range(_CHECK_POINTS):
         x = (2 * i - (_CHECK_POINTS - 1)) / (_CHECK_POINTS + 1)
         lhs = outer_eval(b_mod, x) - outer_eval(a_mod, x)
-        rhs = log_phi_disk(complex(x, 0.0), params, seq)
+        rhs = log_phi_disk(complex(x, 0.0), seq)
         err = abs(lhs - rhs)
         if err > _CHECK_TOL:
             raise ArithmeticError(

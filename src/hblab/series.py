@@ -1,23 +1,17 @@
 """Truncated power series and the matrix-free triangular Toeplitz solver.
 
 Coefficients are Python floats and complex numbers at 53 bits, or the
-P-bit numbers of ``hblab.fixed`` above; a P-bit series is read only
-through the ``fixed_*`` helpers below.  ``exp_series`` is a plain O(N^2)
+P-bit numbers of ``hblab.fixed`` above, which this module only carries:
+its arithmetic is in floats, and every sum over P-bit coefficients is an
+exact integer sum of ``hblab.fixed``.  ``exp_series`` is a plain O(N^2)
 recurrence in floats; the long outer-function series come from the
 O(N * cells) recurrence of ``hblab.taylor.outer_series``, which uses
 ``exp_series`` only as its low-degree oracle.
-
-The ``fixed_*`` helpers are the one aligned-mantissa format of every exact
-integer sum at extended precision: integers on one scale 2^e, summed
-exactly; their callers round each sum once, half-even, with
-``hblab.fixed.to_pbit``.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
-import operator
 from typing import Optional, Sequence
 
 from ._record import Record, _set
@@ -108,41 +102,3 @@ def _support_len(cs) -> int:
     """The number of coefficients up to the last nonzero one: a Toeplitz sum
     stops there, since every later term is an exact zero."""
     return next((m for m in range(len(cs), 0, -1) if cs[m - 1]), 0)
-
-
-def fixed_mantissas(xs):
-    """Integers m_i and one exponent e with xs[i] = m_i 2^e exactly, for
-    P-bit numbers (``fixed.PBit``), floats, ints and any other real number
-    that carries the ``_mpf_`` tuple (sign, mantissa, exponent, bit count),
-    each read from its (mantissa, exponent) as it stands: every mantissa
-    aligned to the smallest exponent, so a dot product of two aligned
-    sequences is one integer sum (``fixed_dot``)."""
-    pairs = []
-    for x in xs:
-        if isinstance(x, int):
-            pairs.append((x, 0))
-            continue
-        if isinstance(x, float):
-            m, e = math.frexp(x)
-            pairs.append((int(m * 2.0**53), e - 53))
-            continue
-        sign, man, e, bc = x._mpf_
-        if not man and bc:
-            raise ValueError(f"fixed_mantissas needs finite numbers, got {x}")
-        pairs.append((-man if sign else man, e))
-    low = min((e for m, e in pairs if m), default=0)
-    return [m << (e - low) if m else 0 for m, e in pairs], low
-
-
-def fixed_dot(xs, ys) -> int:
-    """sum_i xs[i] ys[i] over integer mantissas on one scale, exact; zip
-    stops at the shorter sequence, so either may be a stream."""
-    return sum(map(operator.mul, xs, ys))
-
-
-def fixed_toeplitz(hs, fs) -> list:
-    """sum_j hs[j] fs[k+j] for k = 0..len(fs)-1, the coefficients of T_h-bar f
-    for a real symbol, as exact integers over mantissas on one scale each
-    (``fixed_mantissas``), so on the product of the two scales, unrounded;
-    each sum stops at the shorter sequence."""
-    return [fixed_dot(fs[k:], hs) for k in range(len(fs))]

@@ -90,7 +90,7 @@ def test_A2_outer_normalization(pair, params):
     for i in range(16):
         x = (2 * i - 15) / 17
         lhs = outer_eval(pair.b_modulus, x) - outer_eval(pair.a_modulus, x)
-        rhs = log_phi_disk(complex(x, 0.0), params, pair.seq)
+        rhs = log_phi_disk(complex(x, 0.0), pair.seq)
         worst = max(worst, abs(lhs - rhs))
     _criterion(
         "A2",
@@ -152,11 +152,11 @@ def test_A5_growth_bound_and_quadrature():
     seq = make_sequences(params)
     try:
         m = choose_power_m(params, r_samples=33)
-        params = params._replace(power_m=m)
+        seq_m = make_sequences(params._replace(power_m=m))
         bound_ok = all(
             rec.passed
             for n in range(1, params.n_check + 1)
-            for rec in verify_growth_bound(n, 33, params, seq)
+            for rec in verify_growth_bound(n, 33, seq_m)
         )
     except GrowthBoundError:
         # no power exists: the sampled ratio is negative on every checked

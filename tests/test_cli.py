@@ -190,6 +190,23 @@ def test_missing_pair_exit_config(tmp_path, runner):
     assert res.exit_code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "verb, text",
+    [
+        ("divergence", '{"tag": "constructed", "params": {"alpha": 1.2'),
+        ("sarason", '{"tag": "constructed"}'),
+    ],
+)
+def test_malformed_pair_exit_config(tmp_path, runner, verb, text):
+    """A truncated pair.json (a JSON decode error) and one without its
+    keys (a KeyError) are config errors, exit 2 as a missing one is, and
+    not tracebacks."""
+    (tmp_path / "pair.json").write_text(text)
+    res = runner.invoke(main, [verb, "--out", str(tmp_path)])
+    assert res.exit_code == EXIT_CONFIG
+    assert "config error: pair.json is not a valid pair" in res.output
+
+
 # -- construct --------------------------------------------------------------
 
 

@@ -18,7 +18,9 @@ import hblab.fixed as fixed
 import hblab.experiments as experiments
 from hblab.experiments import (
     PrecisionExhausted,
-    _FhatFixed,
+    _LN10,
+    _divergence_report,
+    _fhat_fixed,
     abel_fr_plus,
     build_divergent_combo,
     default_r_grid,
@@ -77,6 +79,26 @@ def test_combo_admissibility_certified(params, pair, combo):
         # rounding of log phi(w_j) (magnitude ~1e5, so ulps ~1e-11) when
         # phi(w_j) is astronomically large
         assert lo - 1e-9 <= term <= math.log(2.0) + lo + 1e-9
+
+
+@pytest.mark.parametrize("excess, raises", [(5e-10, False), (1e-6, True)])
+def test_combo_admissibility_slack_threshold(params, pair, monkeypatch, excess, raises):
+    """``build_divergent_combo`` accepts a log term up to 1e-9 above its
+    limit log 2 - 2 log j and raises past it: every term set excess above
+    the limit builds at 5e-10 and raises at 1e-6.  The terms are read
+    from ``hblab.experiments`` when it runs, so they are patched there."""
+    monkeypatch.setattr(
+        experiments,
+        "_ccond_log_terms",
+        lambda combo, lphis: [
+            math.log(2.0) - 2.0 * math.log(j) + excess for j in range(1, len(lphis) + 1)
+        ],
+    )
+    if raises:
+        with pytest.raises(ArithmeticError, match="admissibility term 1 exceeds"):
+            build_divergent_combo(params, pair)
+    else:
+        assert len(build_divergent_combo(params, pair).nodes) == params.n_terms
 
 
 def test_fr_plus_at_zero_oracle(params, pair, combo):
@@ -146,6 +168,18 @@ def test_divergence_norm_chain(curve):
     assert curve.metadata["norm_chain_ok"] is True
     for row in curve.rows:
         assert row[2] >= row[1] - 1e-12
+
+
+@pytest.mark.parametrize("gap, chain_ok", [(1e-13, True), (1e-9, False)])
+def test_divergence_norm_chain_slack_threshold(params, gap, chain_ok):
+    """The norm chain ||f_r|| >= |(f_r)+(0)| holds within 1e-12 in log10:
+    a row whose log10 norm lies 1e-13 below its log10 value keeps
+    ``norm_chain_ok``, and one 1e-9 below clears it."""
+    log10_val = 2.0
+    row = (interval_radius(params, 1, 0.5), log10_val * _LN10, 2.0 * (log10_val - gap) * _LN10)
+    rep = _divergence_report([row], params)
+    assert rep.rows[0][2] == pytest.approx(log10_val - gap, abs=1e-14)
+    assert rep.metadata["norm_chain_ok"] is chain_ok
 
 
 def test_divergence_curve_evaluates_each_log_phi_once(params, pair, combo, curve, monkeypatch):
@@ -292,7 +326,7 @@ POSITIVE_LOGS = {
     "Sequences.log_rho": lambda p, pair, combo: pair.seq.log_rho[1],
     "Sequences.log_eps": lambda p, pair, combo: pair.seq.log_eps[1],
     "GrowthCheckRecord.log_bound": lambda p, pair, combo: verify_growth_bound(
-        1, 2, p, pair.seq
+        1, 2, pair.seq
     )[0].log_bound,
 }
 
@@ -323,8 +357,13 @@ def fhat_ref(pair, combo):
     return {r: fhat_oracle(combo, 1024, REF_BITS, r) for r in (None, pair.seq.w[1])}
 
 
+def fhat_bits(k: int, degree: int, bits: int) -> int:
+    """The working bits W of ``_fhat_fixed`` on k nodes."""
+    return bits + 1 + (k * (degree + 1) + 2 * degree + 1).bit_length()
+
+
 def test_fhat_kernel_error_bound_is_its_count():
-    """``error_bound`` is the count of the ``_FhatFixed`` docstring, written
+    """``error_bound`` is the count of the ``_fhat_fixed`` docstring, written
     out term by term in exact rationals on a three-node kernel: the
     largest over j of
         K (j + 1) / (F_j - K (j + 1))   (the floors, one unit each)
@@ -335,35 +374,33 @@ def test_fhat_kernel_error_bound_is_its_count():
 
     nodes = tuple(KernelNode(float(-k), k * math.log(0.5)) for k in (1, 2, 3))
     k, degree, bits = len(nodes), 8, 64
-    kernel = _FhatFixed(KernelCombo(nodes), degree, bits)
-    totals = list(kernel)
-    w = bits + 1 + (k * (degree + 1) + 2 * degree + 1).bit_length()
-    assert kernel.W == w
+    totals, _, error_bound = _fhat_fixed(KernelCombo(nodes), degree, bits)
+    w = fhat_bits(k, degree, bits)
     multipliers = 2 * degree * (Fraction(1, 2**w) + Fraction(2, 2 ** (2 * w)))
     data = Fraction(8 * (degree + 3), 2 ** (2 * w))
     count = max(
         Fraction(k * (j + 1), total - k * (j + 1)) + multipliers + data
         for j, total in enumerate(totals)
     )
-    assert kernel.error_bound == pytest.approx(float(count), rel=1e-12, abs=0.0)
-    assert kernel.error_bound <= 2.0**-bits
+    assert error_bound == pytest.approx(float(count), rel=1e-12, abs=0.0)
+    assert error_bound <= 2.0**-bits
 
 
 @pytest.mark.parametrize("bits", [53, 200])
 def test_fhat_kernel_bound_is_its_last(pair, combo, bits):
-    """The kernel tests and records its relative bound once, at j = degree:
-    the recorded ``error_bound`` equals, bit for bit, the largest over j of
+    """The kernel tests and returns its relative bound once, at j = degree:
+    the returned ``error_bound`` equals, bit for bit, the largest over j of
     the per-coefficient float bound K (j + 1) / (F_j - K (j + 1)) + fixed,
     which never decreases in j, at r = 1 and at A7's w_1 radius."""
+    k, degree = len(combo.nodes), 256
+    W = fhat_bits(k, degree, bits)
     for radius in (None, pair.seq.w[1]):
-        kernel = _FhatFixed(combo, 256, bits, radius)
-        totals = list(kernel)
-        k, degree = len(combo.nodes), 256
-        eta = 2.0**-kernel.W + 2.0 ** (1 - kernel.wp)
-        fixed = 2 * degree * eta + (degree + 3) * 2.0 ** (3 - kernel.wp)
+        totals, _, error_bound = _fhat_fixed(combo, degree, bits, radius)
+        eta = 2.0**-W + 2.0 ** (1 - 2 * W)
+        fixed = 2 * degree * eta + (degree + 3) * 2.0 ** (3 - 2 * W)
         rels = [k * (j + 1) / (t - k * (j + 1)) + fixed for j, t in enumerate(totals)]
         assert rels == sorted(rels)
-        assert kernel.error_bound == max(rels)
+        assert error_bound == max(rels)
 
 
 @pytest.mark.parametrize("bits", [128, 384])
@@ -372,13 +409,12 @@ def test_fhat_kernel_matches_mp_oracle(pair, combo, fhat_ref, bits):
     radius, is within its counted bound of the all-mpmath sum at 448 >=
     bits + 64 bits, and that bound meets 2^-bits."""
     for radius, ref in fhat_ref.items():
-        kernel = _FhatFixed(combo, 1024, bits, radius)
-        got = list(kernel)
-        assert 0.0 < kernel.error_bound <= 2.0**-bits
+        got, exp, error_bound = _fhat_fixed(combo, 1024, bits, radius)
+        assert 0.0 < error_bound <= 2.0**-bits
         with mp.workprec(REF_BITS):
-            tol = mp.mpf(kernel.error_bound) + mp.mpf(2) ** -(bits + 60)
+            tol = mp.mpf(error_bound) + mp.mpf(2) ** -(bits + 60)
             for j, (m, y) in enumerate(zip(got, ref)):
-                assert abs(mp.ldexp(m, kernel.exp) - y) <= tol * y, j
+                assert abs(mp.ldexp(m, exp) - y) <= tol * y, j
 
 
 def test_fhat_kernel_guard(combo):
@@ -387,25 +423,24 @@ def test_fhat_kernel_guard(combo):
     hold only to 2^4 bits: its scale is placed in mpmath, so its
     coefficients meet their counted bound against the all-mpmath sum."""
     for bits in (53, 64, 200):
-        kernel = _FhatFixed(combo, 512, bits)
-        assert len(list(kernel)) == 513
-        assert kernel.error_bound <= 2.0**-bits
+        got, _, error_bound = _fhat_fixed(combo, 512, bits)
+        assert len(got) == 513
+        assert error_bound <= 2.0**-bits
     far = KernelCombo((KernelNode(-1e17, -1.0),))
-    kernel = _FhatFixed(far, 8, 128)
-    got = list(kernel)
-    assert 0.0 < kernel.error_bound <= 2.0**-128
+    got, exp, error_bound = _fhat_fixed(far, 8, 128)
+    assert 0.0 < error_bound <= 2.0**-128
     ref = fhat_oracle(far, 8, 192)
     with mp.workprec(192):
-        tol = mp.mpf(kernel.error_bound) + mp.mpf(2) ** -188
+        tol = mp.mpf(error_bound) + mp.mpf(2) ** -188
         for j, (m, y) in enumerate(zip(got, ref)):
-            assert abs(mp.ldexp(m, kernel.exp) - y) <= tol * y, j
+            assert abs(mp.ldexp(m, exp) - y) <= tol * y, j
 
 
 def test_fhat_kernel_oracle_check(combo, monkeypatch):
     """The first and last coefficients are checked against the log-domain
     ``f_hat_log``: an oracle off by 1e-6 in log, beyond its tolerance of
     about 5.2e-10 here (set by node 8's |log c| of about 1.47e5), raises."""
-    assert len(list(_FhatFixed(combo, 64, 128))) == 65
+    assert len(_fhat_fixed(combo, 64, 128)[0]) == 65
     true_log = experiments.f_hat_log
     monkeypatch.setattr(
         experiments,
@@ -413,7 +448,7 @@ def test_fhat_kernel_oracle_check(combo, monkeypatch):
         lambda f, j: true_log(f, j) + 1e-6,
     )
     with pytest.raises(ArithmeticError, match="log-domain oracle"):
-        list(_FhatFixed(combo, 64, 128))
+        _fhat_fixed(combo, 64, 128)
 
 
 def test_required_bits_monotone(pair):
@@ -504,9 +539,9 @@ def test_summability_matches_solve_oracle(pair, combo, monkeypatch):
     """The rows are exact integer sums: ``summability`` never enters
     ``sarason_f_plus``, ``TaylorSeries.l2_norm_sq``, the triangular solve
     or ``Pair.with_series``.  Its oracle is the mpf route, written out
-    here at P = 200 bits: s_n is the fhat of ``_FhatFixed`` rounded to
-    P bits and cut at n, sigma_n the mean of s_0..s_n, f+ comes from
-    ``sarason_f_plus`` with the phi-hat of ``phi_hat_series``, and
+    here at P = 200 bits: s_n is the fhat of ``_fhat_fixed`` rounded to
+    P bits and cut at n, sigma_n the mean of s_0..s_n, f+ is the product
+    ``oracles.toeplitz_mp`` with the phi-hat of ``phi_hat_series``, and
     ``oracles.hb_norm_sq_mp`` sums the squares in mpmath; the solve is
     ``oracles.f_plus_solve_mp``.
 
@@ -563,8 +598,8 @@ def test_summability_matches_solve_oracle(pair, combo, monkeypatch):
         solved_phi = f_plus_solve_mp(monomial, mp_pair).coeffs[::-1]
         gap = max(abs(x - y) / abs(y) for x, y in zip(solved_phi, map(to_mpf, phi_hat.coeffs)))
         assert gap <= 1e-15
-        kernel = _FhatFixed(combo, deg, bits)
-        fhat = tuple(mp.make_mpf(from_man_exp(m, kernel.exp, bits, round_nearest)) for m in kernel)
+        fs, exp, _ = _fhat_fixed(combo, deg, bits)
+        fhat = tuple(mp.make_mpf(from_man_exp(m, exp, bits, round_nearest)) for m in fs)
         partial = [TaylorSeries(fhat[: k + 1] + (0,) * (deg - k), bits) for k in range(deg + 1)]
         tol = (deg + 10) * mp.mpf(2) ** -bits
         got = iter(norms)

@@ -1,7 +1,7 @@
 """Tests of ``hblab.fixed``: the integer kernels within their counted unit
 bounds of mpmath at 64 more bits, the round-half-even, ``float`` and
 quotient of the P-bit numbers bit for bit against mpmath's, and the seeds of
-``taylor._arc_data`` and ``experiments._FhatFixed`` equal, integer for
+``taylor._arc_data`` and ``experiments._fhat_fixed`` equal, integer for
 integer, to those of the all-mpmath route they replaced."""
 
 import math
@@ -13,7 +13,8 @@ from mpmath import mp
 from mpmath.libmp import from_man_exp, mpf_div, round_nearest, to_fixed
 
 from hblab import fixed, taylor
-from hblab.experiments import _FhatFixed, _seeds, interval_radius
+from hblab.experiments import _fhat_fixed, _seeds, interval_radius
+from hblab.hb import as_radius
 from hblab.fixed import PBit
 
 # working precisions W of the P-bit routes; the kernels run at 2W bits
@@ -195,6 +196,30 @@ def test_pbit_is_an_mpf_to_mpmath():
     assert PBit(12, 0) == PBit(3, 2) and PBit(12, 0)._mpf_ == (0, 3, 2, 2)
 
 
+def test_fixed_mantissas_read_exactly():
+    """``fixed_mantissas`` puts PBits, ints and floats on the one scale of
+    the smallest exponent of a nonzero number, exactly, and an exact sum of
+    products of two aligned sequences is ``fixed_dot``; a number of any
+    other type, as an mpf is, raises TypeError rather than being read
+    through a float."""
+    from fractions import Fraction
+
+    xs = [PBit(3, -200), 0.0, 5, -0.375, PBit(0, 0)]
+    ms, e = fixed.fixed_mantissas(xs)
+    assert e == -200 and ms[1] == ms[4] == 0
+
+    def value(x):
+        return Fraction(x.man) * Fraction(2) ** x.exp if isinstance(x, PBit) else Fraction(x)
+
+    assert [m * Fraction(2) ** e for m in ms] == [value(x) for x in xs]
+    assert fixed.fixed_mantissas([]) == ([], 0)
+    assert fixed.fixed_dot(ms, [1, 2, 3, 4, 5]) == ms[0] + 3 * ms[2] + 4 * ms[3]
+    assert fixed.fixed_toeplitz([1, 1], [1, 2, 3]) == [3, 5, 3]
+    for other in (mp.mpf(1.5), Fraction(3, 2)):
+        with pytest.raises(TypeError, match="a PBit, an int or a float"):
+            fixed.fixed_mantissas([1.0, other])
+
+
 # -- the seeds against the all-mpmath route --------------------------------
 
 
@@ -248,7 +273,7 @@ def test_seeds_equal_the_mpmath_route(pair, combo, monkeypatch):
     """The integer kernels reproduce the mpmath seed route they replaced,
     integer for integer: the arc data and F_0 of every pass of
     ``outer_series`` for phi, a and b, and the seeds and scale of
-    ``_FhatFixed`` at r = 1 and at the three radii of the benchmark's
+    ``_fhat_fixed`` at r = 1 and at the three radii of the benchmark's
     cross-check, on the pinned pair at (degree, bits) = (1024, 384) and
     (256, 128)."""
     passes = []
@@ -264,11 +289,13 @@ def test_seeds_equal_the_mpmath_route(pair, combo, monkeypatch):
     for degree, bits in ((1024, 384), (256, 128)):
         pair.phi_hat(degree, bits)
         pair.with_series(degree, bits)
+        W = bits + 1 + (len(combo.nodes) * (degree + 1) + 2 * degree + 1).bit_length()
         for r in radii:
-            kernel = _FhatFixed(combo, degree, bits, r)
-            seeds = (kernel.exp, kernel.q, kernel.vs, kernel.terms)
-            assert seeds == fhat_seeds_mp(combo, kernel.radius, degree, kernel.W)
-            assert seeds == _seeds(combo, kernel.radius, degree, kernel.W)
+            radius = None if r is None else as_radius(r)
+            seeds = _seeds(combo, radius, degree, W)
+            assert seeds == fhat_seeds_mp(combo, radius, degree, W)
+            fhat, exp, _ = _fhat_fixed(combo, degree, bits, r)
+            assert (fhat[0], exp) == (sum(seeds[3]), seeds[0])
     assert len(passes) == 6
     for mod, arcs, W, extra in passes:
         assert arc_data(mod, arcs, W, extra) == arc_data_mp(mod, arcs, W, extra)

@@ -185,9 +185,9 @@ def test_cayley_basics():
         cayley(-1.0)
 
 
-def test_log_phi_disk_real_on_axis(params, seq):
+def test_log_phi_disk_real_on_axis(seq):
     for x in (-0.5, 0.0, 0.3, 0.9):
-        val = log_phi_disk(complex(x, 0.0), params, seq)
+        val = log_phi_disk(complex(x, 0.0), seq)
         assert abs(val.imag) < 1e-12 * max(abs(val.real), 1.0)
 
 
@@ -550,8 +550,8 @@ def test_growth_kernel_branch_edges(edge, monkeypatch):
 # -- bound verification and the power search -------------------------------
 
 
-def test_verify_growth_bound_rows(params, seq):
-    records = verify_growth_bound(2, 9, params, seq)
+def test_verify_growth_bound_rows(seq):
+    records = verify_growth_bound(2, 9, seq)
     assert len(records) == 9
     for rec in records:
         assert rec.n == 2
@@ -560,11 +560,30 @@ def test_verify_growth_bound_rows(params, seq):
         assert not rec.passed
 
 
-def test_verify_growth_bound_validation(params, seq):
+def test_verify_growth_bound_validation(seq):
     with pytest.raises(ValueError):
-        verify_growth_bound(0, 9, params, seq)
+        verify_growth_bound(0, 9, seq)
     with pytest.raises(ValueError):
-        verify_growth_bound(1, 1, params, seq)
+        verify_growth_bound(1, 1, seq)
+
+
+@pytest.mark.parametrize("shift, raises", [(1e-14, False), (1e-9, True)])
+def test_verify_growth_bound_order_slack_threshold(seq, monkeypatch, shift, raises):
+    """v <= u <= t is checked within 1e-12 relative.  At s = 0, where
+    u = t_n, log(1 - r) moved up by 1e-9 puts u past t_n by about 1e-9
+    relative and raises; moved by 1e-14 it stays inside.  The radius is
+    read from ``hblab.growth`` when it runs, so it is patched there."""
+    exact = growth._log_radius_complement
+    monkeypatch.setattr(
+        growth,
+        "_log_radius_complement",
+        lambda params, n, s: exact(params, n, s) + (shift if s == 0.0 else 0.0),
+    )
+    if raises:
+        with pytest.raises(AssertionError, match="v <= u <= t violated at n=2, s=0.0"):
+            verify_growth_bound(2, 9, seq)
+    else:
+        assert len(verify_growth_bound(2, 9, seq)) == 9
 
 
 def test_growth_ratio_and_scan_validation(params):

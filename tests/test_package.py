@@ -81,6 +81,41 @@ def test_no_module_imports_mpmath():
             assert not any(n.split(".")[0] == "mpmath" for n in names), (path.name, node.lineno)
 
 
+def _imports(tree) -> set:
+    """Every module name an ``import`` or ``from ... import`` of ``tree``
+    names, within hblab without its ``hblab.`` prefix: ``from .fixed
+    import x`` and ``from . import fixed`` both give ``fixed``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names.add(base)
+            names.update(f"{base}.{alias.name}".lstrip(".") for alias in node.names)
+    return {n.removeprefix("hblab.") for n in names}
+
+
+def test_p_bit_arithmetic_lives_in_fixed():
+    """``hb`` and ``series`` compute in floats and import nothing from
+    ``hblab.fixed``, and no module but ``fixed`` reads an ``_mpf_``
+    attribute: ``fixed`` is the one home of the P-bit arithmetic, and
+    ``fixed._man_exp`` the one reader of a number's mantissa."""
+    root = Path(hblab.__file__).parent
+    for name in ("hb.py", "series.py"):
+        imported = _imports(ast.parse((root / name).read_text(), name))
+        assert not {n for n in imported if n.split(".")[0] == "fixed"}, name
+    for path in sorted(root.glob("*.py")):
+        if path.name == "fixed.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            reads = isinstance(node, ast.Attribute) and node.attr == "_mpf_"
+            assert not (reads or (isinstance(node, ast.Constant) and node.value == "_mpf_")), (
+                path.name,
+                node.lineno,
+            )
+
+
 # Run in a fresh interpreter in which ``import mpmath`` raises ImportError:
 # the six verbs at their defaults, ``sarason`` at degree 1024 and 384 bits,
 # the benchmark's cross-representation steps at the same degree and bits,

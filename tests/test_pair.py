@@ -165,7 +165,7 @@ def test_log_outer_series_matches_eval():
 
 
 def test_phi_step_modulus_structure(pair, params):
-    mod = phi_step_modulus(pair.seq, params)
+    mod = phi_step_modulus(pair.seq)
     assert len(mod.cells) == 2 * params.n_terms
     assert mod.default_log_modulus == 0.0
     for c in mod.cells:
@@ -188,11 +188,11 @@ def test_pair_identity_on_cells(pair):
     assert abs(off - 1.0) <= 1e-14
 
 
-def test_pair_phi_quotient(pair, params):
+def test_pair_phi_quotient(pair):
     """log b - log a == log phi at interior points, both routes."""
     for x in (-0.7, 0.0, 0.4, 0.9):
         lhs = outer_eval(pair.b_modulus, x) - outer_eval(pair.a_modulus, x)
-        rhs = log_phi_disk(complex(x, 0.0), params, pair.seq)
+        rhs = log_phi_disk(complex(x, 0.0), pair.seq)
         assert abs(lhs - rhs) <= 1e-10
 
 
@@ -202,13 +202,13 @@ def test_build_pair_detects_tampering(params):
     from hblab.outer import make_sequences
 
     seq = make_sequences(params)
-    a_mod, b_mod = step_modulus_from_phi(seq, params)
+    a_mod, b_mod = step_modulus_from_phi(seq)
     bad = StepModulus(
         tuple(c._replace(log_modulus=c.log_modulus + 0.01) for c in b_mod.cells),
         b_mod.default_log_modulus,
     )
     lhs = outer_eval(bad, 0.1) - outer_eval(a_mod, 0.1)
-    rhs = log_phi_disk(complex(0.1, 0.0), params, seq)
+    rhs = log_phi_disk(complex(0.1, 0.0), seq)
     assert abs(lhs - rhs) > 1e-8  # the check in build_pair would trip
 
 
@@ -224,7 +224,7 @@ def test_build_pair_tolerance_threshold(params, monkeypatch, delta, raises):
 
     exact = outer.log_phi_disk
     monkeypatch.setattr(
-        outer, "log_phi_disk", lambda z, prm, seq: exact(z, prm, seq) + delta
+        outer, "log_phi_disk", lambda z, seq: exact(z, seq) + delta
     )
     if raises:
         with pytest.raises(ArithmeticError, match="b/a == phi"):
