@@ -127,9 +127,12 @@ def load_pair(cfg):
     if not path.exists():
         raise ConfigError(f"pair.json not found in {cfg['output_dir']}; run construct first")
     try:
-        return pair_from_json(path.read_text())
+        pair = pair_from_json(path.read_text())
     except (KeyError, TypeError, ValueError) as e:  # json.JSONDecodeError is a ValueError
         raise ConfigError(f"pair.json is not a valid pair: {type(e).__name__}: {e}") from e
+    if pair.tag == "tame":  # every verb that reads pair.json needs the constructed pair
+        raise ConfigError("pair.json is not a valid pair: it holds the tame pair")
+    return pair
 
 
 def _echo(message):

@@ -23,7 +23,7 @@ import math
 from typing import Optional
 
 from . import logscalar, outer
-from ._record import Record, _set
+from ._record import Record
 from .errors import GrowthBoundError
 from .logscalar import LogScalar, log1p_exp, log_add_exp, log_diff_exp
 from .outer import (
@@ -169,25 +169,9 @@ def growth_log_ratio(
 class GrowthCheckRecord(Record):
     """One sampled point r in [w_n, w_{n+1}] of the growth-bound check."""
 
+    # log_ratio: log|phi(r w_n)/phi(w_n)| including the power;
+    # log_bound: n**beta - n**alpha
     __slots__ = ("n", "r", "u", "v", "log_ratio", "log_bound", "passed")
-
-    def __init__(
-        self,
-        n: int,
-        r: float,
-        u: float,
-        v: float,
-        log_ratio: float,  # log|phi(r w_n)/phi(w_n)| including the power
-        log_bound: float,  # n**beta - n**alpha
-        passed: bool,
-    ):
-        _set(self, "n", n)
-        _set(self, "r", r)
-        _set(self, "u", u)
-        _set(self, "v", v)
-        _set(self, "log_ratio", log_ratio)
-        _set(self, "log_bound", log_bound)
-        _set(self, "passed", passed)
 
 
 def verify_growth_bound(n: int, r_samples: int, seq: Sequences) -> list:
@@ -289,28 +273,12 @@ def _worst_ratios(
 class GrowthScanRow(Record):
     __slots__ = (
         "n",
-        "min_log_ratio",
-        "min_log_ratio_interior",
-        "log_bound",
+        "min_log_ratio",  # LogScalar over the closed interval, per-power signed
+        "min_log_ratio_interior",  # LogScalar excluding the right endpoint
+        "log_bound",  # n**beta - n**alpha
         "interior_positive",
-        "passes_with_m",
+        "passes_with_m",  # smallest real m on the interior grid, or None
     )
-
-    def __init__(
-        self,
-        n: int,
-        min_log_ratio: LogScalar,  # over the closed interval, per-power signed
-        min_log_ratio_interior: LogScalar,  # excluding the right endpoint
-        log_bound: float,  # n**beta - n**alpha
-        interior_positive: bool,
-        passes_with_m: Optional[float],  # smallest real m on the interior grid
-    ):
-        _set(self, "n", n)
-        _set(self, "min_log_ratio", min_log_ratio)
-        _set(self, "min_log_ratio_interior", min_log_ratio_interior)
-        _set(self, "log_bound", log_bound)
-        _set(self, "interior_positive", interior_positive)
-        _set(self, "passes_with_m", passes_with_m)
 
 
 # growth_bound_scan truncates the boundary datum at n + 3 intervals in row n

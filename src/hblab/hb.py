@@ -17,8 +17,9 @@ Functions in H(b) appear in two representations:
   gives closed Gram-form norms that survive in log-domain when the phi
   values overflow every float format.
 
-Of hblab's modules, importing this one loads only ``_record`` and ``pair``
-(itself light: it imports ``outer`` and ``logscalar`` at call time).
+Of hblab's modules, importing this one loads only ``_record``, ``pair``
+and, through ``pair``, the leaf ``errors`` (``pair`` is light: it imports
+``outer`` and ``logscalar`` at call time).
 ``hblab.series`` is imported by the functions on Taylor series and
 ``hblab.logscalar`` by those on kernel combinations, each when it runs:
 the ``divergence`` verb, which works on kernel combinations alone, compiles
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 from typing import Union
 
-from ._record import Record, _set
+from ._record import Record
 from .pair import Pair
 
 
@@ -40,10 +41,6 @@ class Radius(Record):
     exponentially close to 1 keep full precision."""
 
     __slots__ = ("value", "log_one_minus")
-
-    def __init__(self, value: float, log_one_minus: float):
-        _set(self, "value", value)
-        _set(self, "log_one_minus", log_one_minus)
 
     @staticmethod
     def from_float(r: float) -> "Radius":
@@ -68,10 +65,6 @@ class KernelNode(Record):
 
     __slots__ = ("log_c", "log_one_minus_w")
 
-    def __init__(self, log_c: float, log_one_minus_w: float):
-        _set(self, "log_c", log_c)
-        _set(self, "log_one_minus_w", log_one_minus_w)
-
     @property
     def w(self) -> float:
         return 1.0 - math.exp(max(self.log_one_minus_w, -745.0))
@@ -83,9 +76,8 @@ class KernelCombo(Record):
 
     __slots__ = ("nodes",)
 
-    def __init__(self, nodes: tuple):
-        _set(self, "nodes", nodes)
-        for nd in nodes:
+    def __post_init__(self):
+        for nd in self.nodes:
             if not nd.log_c > -math.inf:  # a zero coefficient, or NaN
                 raise ValueError(
                     "KernelCombo requires positive real coefficients, each log_c above -inf; "

@@ -28,11 +28,7 @@ class LogScalar(Record):
     """
 
     __slots__ = ("log_mag", "phase")
-
-    def __init__(self, log_mag: float, phase: float = 0.0):
-        _set(self, "log_mag", log_mag)
-        _set(self, "phase", phase)
-        self.__post_init__()
+    _defaults = {"phase": 0.0}
 
     def __post_init__(self):
         if math.isnan(self.log_mag):

@@ -29,7 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from ._record import Record, _set
+from ._record import Record
 
 # re-exported: the errors the CLI maps to exit codes live in a leaf module
 from .errors import GrowthBoundError, ParameterError, PrecisionExhausted  # noqa: F401
@@ -45,22 +45,9 @@ class ConstructionParams(Record):
     """Parameters of the construction; requires 1 < alpha < beta < alpha + 1."""
 
     __slots__ = ("alpha", "beta", "n_terms", "power_m", "precision_bits", "n_check")
+    _defaults = {"n_terms": 8, "power_m": "auto", "precision_bits": 53, "n_check": 5}
 
-    def __init__(
-        self,
-        alpha: float,
-        beta: float,
-        n_terms: int = 8,
-        power_m: "int | str" = "auto",
-        precision_bits: int = 53,
-        n_check: int = 5,
-    ):
-        _set(self, "alpha", alpha)
-        _set(self, "beta", beta)
-        _set(self, "n_terms", n_terms)
-        _set(self, "power_m", power_m)
-        _set(self, "precision_bits", precision_bits)
-        _set(self, "n_check", n_check)
+    def __post_init__(self):
         if not (1.0 < self.alpha < self.beta < self.alpha + 1.0):
             raise ParameterError(
                 f"need 1 < alpha < beta < alpha+1, got alpha={self.alpha}, beta={self.beta}"
@@ -168,21 +155,9 @@ class Sequences(Record):
     evaluators, which are only used at desk-scale parameters.
     """
 
+    # w[1..N+1] and t[1..N+1], floats, w[0] nan padding; log rho[1..N] and
+    # log eps[1..N], index 0 -inf padding
     __slots__ = ("params", "w", "log_rho", "t", "log_eps")
-
-    def __init__(
-        self,
-        params: ConstructionParams,
-        w: tuple,  # w[1..N+1]; w[0] is nan padding
-        log_rho: tuple,  # log rho[1..N]; index 0 is -inf padding
-        t: tuple,  # float, t[1..N+1]
-        log_eps: tuple,  # log eps[1..N]; index 0 is -inf padding
-    ):
-        _set(self, "params", params)
-        _set(self, "w", w)
-        _set(self, "log_rho", log_rho)
-        _set(self, "t", t)
-        _set(self, "log_eps", log_eps)
 
     def delta(self, n: int) -> float:
         return math.exp(log_delta(self.params, n))

@@ -37,11 +37,6 @@ class Cell(Record):
 
     __slots__ = ("theta_start", "theta_end", "log_modulus")
 
-    def __init__(self, theta_start: float, theta_end: float, log_modulus: float):
-        _set(self, "theta_start", theta_start)
-        _set(self, "theta_end", theta_end)
-        _set(self, "log_modulus", log_modulus)
-
     @property
     def width(self) -> float:
         return self.theta_end - self.theta_start
@@ -52,11 +47,11 @@ class StepModulus(Record):
     log-modulus per arc, and a default value off all arcs."""
 
     __slots__ = ("cells", "default_log_modulus")
+    _defaults = {"default_log_modulus": 0.0}
 
-    def __init__(self, cells: tuple, default_log_modulus: float = 0.0):
-        cells = tuple(sorted(cells, key=lambda c: c.theta_start))
+    def __post_init__(self):
+        cells = tuple(sorted(self.cells, key=lambda c: c.theta_start))
         _set(self, "cells", cells)
-        _set(self, "default_log_modulus", default_log_modulus)
         prev_end = -math.pi
         for c in cells:
             if not (-math.pi <= c.theta_start < c.theta_end <= math.pi):
@@ -197,35 +192,16 @@ class Pair(Record):
     analytic test pair."""
 
     __slots__ = (
-        "tag",
-        "a_modulus",
+        "tag",  # "constructed" or "tame"
+        "a_modulus",  # StepModulus, or None
         "b_modulus",
         "phi_modulus",
-        "params",
-        "seq",
-        "a_series",
+        "params",  # ConstructionParams, or None
+        "seq",  # Sequences, or None
+        "a_series",  # TaylorSeries, or None
         "b_series",
     )
-
-    def __init__(
-        self,
-        tag: str,  # "constructed" or "tame"
-        a_modulus: Optional[StepModulus],
-        b_modulus: Optional[StepModulus],
-        phi_modulus: Optional[StepModulus],
-        params: Optional[ConstructionParams] = None,
-        seq: Optional[Sequences] = None,
-        a_series: Optional[TaylorSeries] = None,
-        b_series: Optional[TaylorSeries] = None,
-    ):
-        _set(self, "tag", tag)
-        _set(self, "a_modulus", a_modulus)
-        _set(self, "b_modulus", b_modulus)
-        _set(self, "phi_modulus", phi_modulus)
-        _set(self, "params", params)
-        _set(self, "seq", seq)
-        _set(self, "a_series", a_series)
-        _set(self, "b_series", b_series)
+    _defaults = {"params": None, "seq": None, "a_series": None, "b_series": None}
 
     def log_phi_radial_at(self, ld_x: float) -> float:
         """log phi(x) at x = 1 - e**ld_x in (0, 1), as a float."""
@@ -375,7 +351,14 @@ def pair_to_json(pair: Pair, extra: Optional[dict] = None) -> str:
 
 
 def pair_from_json(doc: str) -> Pair:
+    """The Pair of a ``pair_to_json`` document; ValueError for a tag other
+    than "constructed" or "tame", and for a constructed pair without its
+    construction params."""
     obj = json.loads(doc)
+    if obj["tag"] not in ("constructed", "tame"):
+        raise ValueError(f"unknown pair tag {obj['tag']!r}")
+    if obj["tag"] == "constructed" and obj["params"] is None:
+        raise ValueError("a constructed pair needs its construction params")
     params = None
     seq = None
     if obj["params"] is not None:

@@ -21,7 +21,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256 as _sha256
 
-from ._record import Record, _set
+from ._record import Record
 
 CODE_VERSION = "0.1.0"
 
@@ -41,26 +41,18 @@ class ExperimentReport(Record):
     Unlike the other records it may be assigned to, and so has no hash;
     ``params`` and ``metadata`` default to fresh empty dicts."""
 
+    # rows: a list of tuples aligned with columns
     __slots__ = ("name", "columns", "rows", "params", "metadata", "passed")
-    __setattr__ = _set
+    _defaults = {"params": None, "metadata": None, "passed": True}
+    __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
 
-    def __init__(
-        self,
-        name: str,
-        columns: tuple,
-        rows: list,  # list of tuples aligned with columns
-        params: dict | None = None,
-        metadata: dict | None = None,
-        passed: bool = True,
-    ):
-        self.name = name
-        self.columns = columns
-        self.rows = rows
-        self.params = {} if params is None else params
-        self.metadata = {} if metadata is None else metadata
-        self.passed = passed
+    def __post_init__(self):
+        if self.params is None:
+            self.params = {}
+        if self.metadata is None:
+            self.metadata = {}
 
     def formatted_rows(self) -> list:
         return [tuple(fmt_number(v) for v in row) for row in self.rows]

@@ -12,7 +12,7 @@ O(N * cells) recurrence of ``hblab.taylor.outer_series``, which uses
 from __future__ import annotations
 
 import cmath
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ._record import Record, _set
 
@@ -27,15 +27,12 @@ class TaylorSeries(Record):
     """
 
     __slots__ = ("coeffs", "precision_bits", "error_bound")
+    _defaults = {"precision_bits": 53, "error_bound": None}
 
-    def __init__(
-        self, coeffs: tuple, precision_bits: int = 53, error_bound: Optional[float] = None
-    ):
-        if len(coeffs) == 0:
+    def __post_init__(self):
+        if len(self.coeffs) == 0:
             raise ValueError("TaylorSeries needs at least the constant term")
-        _set(self, "coeffs", tuple(coeffs))
-        _set(self, "precision_bits", precision_bits)
-        _set(self, "error_bound", error_bound)
+        _set(self, "coeffs", tuple(self.coeffs))
 
     def _key(self) -> tuple:
         return (self.coeffs, self.precision_bits)

@@ -11,11 +11,13 @@ from hblab.cli import (
     EXIT_CONFIG,
     EXIT_CONSTRUCTION,
     EXIT_OK,
+    EXIT_PRECISION,
     VERBS,
     load_config,
     main,
     parse_args,
 )
+from hblab.pair import pair_to_json, tame_pair
 
 
 Result = namedtuple("Result", "exit_code output")
@@ -190,17 +192,28 @@ def test_missing_pair_exit_config(tmp_path, runner):
     assert res.exit_code == EXIT_CONFIG
 
 
+_NO_MODULI = (
+    '{{"tag": "{tag}", "params": null, "a_modulus": null, "b_modulus": null, '
+    '"phi_modulus": null}}'
+)
+
+
 @pytest.mark.parametrize(
     "verb, text",
     [
         ("divergence", '{"tag": "constructed", "params": {"alpha": 1.2'),
         ("sarason", '{"tag": "constructed"}'),
+        pytest.param("divergence", _NO_MODULI.format(tag="constructed"), id="no-params"),
+        pytest.param("divergence", _NO_MODULI.format(tag="bogus"), id="unknown-tag"),
+        pytest.param("sarason", pair_to_json(tame_pair()), id="sarason-tame"),
+        pytest.param("verify-outer", pair_to_json(tame_pair()), id="verify-outer-tame"),
     ],
 )
 def test_malformed_pair_exit_config(tmp_path, runner, verb, text):
-    """A truncated pair.json (a JSON decode error) and one without its
-    keys (a KeyError) are config errors, exit 2 as a missing one is, and
-    not tracebacks."""
+    """A truncated pair.json (a JSON decode error), one without its keys (a
+    KeyError), a constructed pair without its params, a tag other than
+    "constructed" or "tame", and the tame pair, which no verb can run on,
+    are config errors, exit 2 as a missing one is, and not tracebacks."""
     (tmp_path / "pair.json").write_text(text)
     res = runner.invoke(main, [verb, "--out", str(tmp_path)])
     assert res.exit_code == EXIT_CONFIG
@@ -322,6 +335,17 @@ def test_out_of_range_sizes_exit_config(workdir, runner, verb, overrides):
     res = runner.invoke(main, [verb, "--config", cfg, "--out", str(workdir)])
     assert res.exit_code == EXIT_CONFIG, res.output
     assert "config error:" in res.output
+    assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
+
+
+def test_precision_exhausted_exit_precision(workdir, runner):
+    """The default summability list reaches degree 64, whose f-hat needs
+    about 96 bits: at 64 bits the verb exits 5 with the precision it
+    lacks, and no file in the output directory is written or changed."""
+    before = {p.name: p.read_bytes() for p in workdir.iterdir()}
+    res = runner.invoke(main, ["summability", "--precision-bits", "64", "--out", str(workdir)])
+    assert res.exit_code == EXIT_PRECISION, res.output
+    assert "precision exhausted: degree 64 needs about 96 bits, configured 64" in res.output
     assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
 
 

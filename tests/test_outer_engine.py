@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hblab import growth, outer
-from hblab.logscalar import log1p_exp, log_diff_exp, log_sum_signed
+from hblab.logscalar import LogScalar, log1p_exp, log_diff_exp, log_sum_signed
 from hblab.outer import (
     ConstructionParams,
     GrowthBoundError,
@@ -170,6 +170,44 @@ def test_log_Phi_mp_agreement(seq):
         a = log_Phi_halfplane(z, seq)
         b = log_Phi_mp(z, seq.params)
         assert abs(a - b) <= 1e-12 * max(abs(a), 1.0)
+
+
+@pytest.mark.parametrize("z", [200j, 300 + 100j])
+def test_log_Phi_small_interval_expansion(seq, z):
+    """The last interval's term at a z with t < 1e-12 |z|, where
+    ``log_Phi_halfplane`` takes the first-order expansion, against the
+    exact Herglotz term at 200 bits, from the same float t and eps.
+
+    With u = t/z, the exact term is eps/(pi i t) [L(u) - M(t)/2], where
+
+        L(u) = log((3t - z)/(2t - z)) = -sum_j (3^j - 2^j) u^j / j,
+        M(t) = log((9t^2 + 1)/(4t^2 + 1)) = sum_j (-1)^(j+1) (9^j - 4^j) t^(2j) / j.
+
+    The expansion keeps j = 1, 2 of L and j = 1 of M:
+    eps/(pi i) (-1/z - 5t/(2z^2) - 5t/2).  The first dropped order is
+    -(19/3) t^2/z^3; with 3^j >= 3^j - 2^j and |1/j| <= 1/3 past it, the
+    dropped tail of L/t is at most 9 t^2 / (|z|^3 (1 - 3t/|z|)), and that
+    of M/(2t), from j = 2 on, at most (81/4) t^3 / (1 - 9t^2).  To that
+    bound, times eps/pi, the tolerance adds 16 units of 2^-53 of the kept
+    terms' magnitude for the float arithmetic of the branch.  Every other
+    interval gets eps = 0, so the sum is that one term.
+    """
+    from mpmath import mp
+
+    k = seq.params.n_terms
+    t, eps, az = seq.t[k], math.exp(seq.log_eps[k]), abs(z)
+    assert t < 1e-12 * az <= seq.t[k - 1]  # the expansion serves interval k alone
+    only_k = tuple(le if j == k else -math.inf for j, le in enumerate(seq.log_eps))
+    got = log_Phi_halfplane(z, seq._replace(log_eps=only_k))
+    with mp.workprec(200):
+        zz, tt = mp.mpc(z), mp.mpf(t)
+        bracket = mp.log((3 * tt - zz) / (2 * tt - zz)) - mp.log(
+            (9 * tt * tt + 1) / (4 * tt * tt + 1)
+        ) / 2
+        exact = complex(mp.mpf(eps) / (mp.pi * 1j * tt) * bracket)
+    dropped = 9 * t * t / (az**3 * (1 - 3 * t / az)) + 81 / 4 * t**3 / (1 - 9 * t * t)
+    rounding = 16 * 2.0**-53 * (1 / az + 2.5 * t / az**2 + 2.5 * t)
+    assert abs(got - exact) <= eps / math.pi * (dropped + rounding)
 
 
 def test_log_Phi_requires_upper_half(seq):
@@ -610,6 +648,64 @@ def test_choose_power_m_reports_all_intervals(params):
     for n, ratio, lb in exc.value.table:
         assert ratio.sign() == -1
         assert lb == pytest.approx(float(n) ** 1.5 - float(n) ** 1.2)
+
+
+def _bounds(params):
+    """log bound n**beta - n**alpha of intervals 1..n_check, as
+    ``choose_power_m`` forms it."""
+    return [
+        float(n) ** params.beta - float(n) ** params.alpha for n in range(1, params.n_check + 1)
+    ]
+
+
+def _patch_worst_ratios(monkeypatch, table):
+    """Make the least sampled log ratio of interval n the positive
+    ``table[n - 1]``, on the closed interval and its interior alike."""
+    monkeypatch.setattr(
+        growth, "_worst_ratios", lambda params, n, samples: (LogScalar(table[n - 1]),) * 2
+    )
+
+
+@pytest.mark.parametrize("n_check", [5, 70])
+def test_choose_power_m_is_minimal(n_check, monkeypatch):
+    """On positive ratio tables, the power is the least m with
+    log(2m) + log ratio >= bound on every interval.  The last interval
+    needs m near each target, its log ratio stepped by up to four ulps
+    either way.  At n_check 5 some of these tables leave the closed form
+    short of m and take the linear search; at n_check 70, whose bound
+    near 422 rounds ``bound - log ratio`` by more than the closed form's
+    1e-15 slack, one overshoots and takes the step back."""
+    params = ConstructionParams(1.2, 1.5, n_terms=n_check + 1, n_check=n_check)
+    bounds = _bounds(params)
+    for target in (2, 3, 7, 1000, 999_983):
+        for steps in range(-4, 5):
+            last = bounds[-1] - math.log(2.0 * target)
+            for _ in range(abs(steps)):
+                last = math.nextafter(last, math.copysign(math.inf, steps))
+            table = [lb + 10.0 for lb in bounds[:-1]] + [last]
+            _patch_worst_ratios(monkeypatch, table)
+
+            def works(m):
+                return all(math.log(2.0 * m) + lr >= lb for lr, lb in zip(table, bounds))
+
+            m = choose_power_m(params)
+            assert works(m) and (m == 1 or not works(m - 1)), (target, steps, m)
+
+
+def test_choose_power_m_edges(params, monkeypatch):
+    """A table that every ratio clears at m = 1 gives 1; one whose last
+    interval needs m = 2 * 10**6, past the largest power tried, raises
+    GrowthBoundError carrying the table."""
+    bounds = _bounds(params)
+    _patch_worst_ratios(monkeypatch, [lb + 1.0 for lb in bounds])
+    assert choose_power_m(params) == 1
+    table = [lb + 1.0 for lb in bounds[:-1]] + [bounds[-1] - math.log(4e6)]
+    _patch_worst_ratios(monkeypatch, table)
+    with pytest.raises(GrowthBoundError, match="no power m <= 1000000") as exc:
+        choose_power_m(params)
+    assert exc.value.table == [
+        (n, LogScalar(lr), lb) for n, (lr, lb) in enumerate(zip(table, bounds), start=1)
+    ]
 
 
 def test_growth_bound_scan_asymptotic_regime():

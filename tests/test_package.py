@@ -116,6 +116,57 @@ def test_p_bit_arithmetic_lives_in_fixed():
             )
 
 
+def test_records_store_their_fields_in_the_base():
+    """No ``Record`` subclass of ``src/hblab`` writes its own ``__init__``:
+    ``_record.Record.__init__`` binds and stores every field, and a
+    subclass checks them in ``__post_init__``.  Every key of a class's
+    ``_defaults`` names one of its ``__slots__``."""
+    root = Path(hblab.__file__).parent
+    records = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (
+                isinstance(node, ast.ClassDef)
+                and any(isinstance(b, ast.Name) and b.id == "Record" for b in node.bases)
+            ):
+                continue
+            records.append(node.name)
+            where = (path.name, node.name)
+            assigned = {
+                stmt.targets[0].id: stmt.value
+                for stmt in node.body
+                if isinstance(stmt, ast.Assign) and isinstance(stmt.targets[0], ast.Name)
+            }
+            assert "__init__" not in assigned, where
+            assert not any(
+                isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__" for stmt in node.body
+            ), where
+            slots = ast.literal_eval(assigned["__slots__"])
+            defaults = assigned.get("_defaults", ast.Dict(keys=[], values=[]))
+            assert {ast.literal_eval(key) for key in defaults.keys} <= set(slots), where
+    assert len(records) >= 13, records  # the scan sees the value classes
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        ((0.1, 0.2, 1.0, 2.0), {}, "Cell takes at most 3 values, got 4"),
+        ((0.1, 0.2), {}, "Cell is missing field 'log_modulus'"),
+        ((0.1, 0.2, 1.0), {"width": 0.1}, "Cell has no field 'width'"),
+        ((0.1, 0.2), {"theta_end": 0.3}, "Cell got field 'theta_end' twice"),
+    ],
+)
+def test_record_constructor_rejects_bad_calls(args, kwargs, message):
+    """The one record constructor raises TypeError, as a Python signature
+    would, on too many values, a missing field, an unknown keyword and a
+    field given twice."""
+    from hblab.pair import Cell
+
+    with pytest.raises(TypeError) as exc:
+        Cell(*args, **kwargs)
+    assert str(exc.value) == message
+
+
 # Run in a fresh interpreter in which ``import mpmath`` raises ImportError:
 # the six verbs at their defaults, ``sarason`` at degree 1024 and 384 bits,
 # the benchmark's cross-representation steps at the same degree and bits,
