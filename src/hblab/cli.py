@@ -16,8 +16,8 @@ verb needs: the standard library's json, sys, time and pathlib, and no
 hblab module.  argv is parsed here (``parse_args``) rather than by
 argparse, which spares every process argparse's import and the building
 of its parser.  Each verb imports the hblab modules it runs when it runs,
-and ``run_command`` the leaf ``hblab.errors`` of the errors it maps to
-exit codes: so ``construct`` and ``verify-outer`` never load ``hb`` or
+and ``main`` the leaf ``hblab.errors`` of the errors it maps to exit
+codes: so ``construct`` and ``verify-outer`` never load ``hb`` or
 ``experiments``, only ``verify-outer`` and ``construct`` with ``power_m``
 "auto" load ``growth``, ``norm-crosscheck`` loads neither ``outer`` nor
 ``logscalar``, and ``divergence`` loads no ``series``.
@@ -68,7 +68,10 @@ def _has_type_of(value, default) -> bool:
     return isinstance(value, type(default))
 
 
-def load_config(config_path, out_dir, precision_bits, seed, fmt) -> dict:
+def load_config(config_path, overrides: dict) -> dict:
+    """The defaults, updated by the JSON file at ``config_path`` (if not
+    None) and then by ``overrides``, keyed by config name; every value is
+    checked."""
     cfg = dict(_DEFAULTS)
     if config_path is not None:
         try:
@@ -81,14 +84,7 @@ def load_config(config_path, out_dir, precision_bits, seed, fmt) -> dict:
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         cfg.update(doc)
-    if out_dir is not None:
-        cfg["output_dir"] = out_dir
-    if precision_bits is not None:
-        cfg["precision_bits"] = precision_bits
-    if seed is not None:
-        cfg["seed"] = seed
-    if fmt is not None:
-        cfg["formats"] = ["json", "csv"] if fmt == "both" else [fmt]
+    cfg.update(overrides)
     for key, default in _DEFAULTS.items():
         value = cfg[key]
         if not (_has_type_of(value, default) or (key == "power_m" and value == "auto")):
@@ -106,14 +102,18 @@ def load_config(config_path, out_dir, precision_bits, seed, fmt) -> dict:
     return cfg
 
 
-def write_report(report, cfg: dict):
+def _config_hash(cfg: dict) -> str:
+    """The hash of the config without ``output_dir``: where the files go
+    does not change what is in them."""
     from .reports import config_hash
 
+    return config_hash({k: v for k, v in cfg.items() if k != "output_dir"})
+
+
+def write_report(report, cfg: dict):
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    report.metadata["config_hash"] = config_hash(
-        {k: v for k, v in cfg.items() if k != "output_dir"}
-    )
+    report.metadata["config_hash"] = _config_hash(cfg)
     if "json" in cfg["formats"]:
         (out / f"{report.name}.json").write_text(report.to_json())
     if "csv" in cfg["formats"]:
@@ -139,28 +139,18 @@ def _echo(message):
     print(message, file=sys.stderr)
 
 
-def run_command(body, config_path, out_dir, precision_bits, seed, fmt):
-    from .errors import GrowthBoundError, ParameterError, PrecisionExhausted
-
-    start = time.monotonic()
-    try:
-        cfg = load_config(config_path, out_dir, precision_bits, seed, fmt)
-    except ConfigError as e:
-        _echo(f"config error: {e}")
-        sys.exit(EXIT_CONFIG)
-    try:
-        code = body(cfg)
-    except (ConfigError, ParameterError) as e:
-        _echo(f"config error: {e}")
-        sys.exit(EXIT_CONFIG)
-    except GrowthBoundError as e:
-        _echo(f"construction inconsistency: {e}")
-        sys.exit(EXIT_CONSTRUCTION)
-    except PrecisionExhausted as e:
-        _echo(f"precision exhausted: {e}")
-        sys.exit(EXIT_PRECISION)
-    _echo(f"runtime: {time.monotonic() - start:.2f} s")
-    sys.exit(code)
+def _finish(cfg, report, *more) -> int:
+    """Write ``report`` and then ``more``, and return the exit code of
+    ``report``'s verdict: 0 if it passed, else 4, after echoing its first
+    row whose last value (its pass flag) is False."""
+    for each in (report, *more):
+        write_report(each, cfg)
+    if report.passed:
+        return EXIT_OK
+    failing = next((row for row in report.rows if row[-1] is False), None)
+    if failing is not None:
+        _echo(f"failing row: {failing}")
+    return EXIT_ASSERTION
 
 
 # -- the verbs: each takes the config, returns an exit code, and imports
@@ -172,7 +162,7 @@ def construct(cfg):
     table, and write pair.json."""
     from .outer import ConstructionParams, check_rho_condition
     from .pair import build_pair, pair_to_json
-    from .reports import CODE_VERSION, config_hash, fmt_number
+    from .reports import CODE_VERSION, fmt_number
 
     params = ConstructionParams(
         alpha=float(cfg["alpha"]),
@@ -200,9 +190,7 @@ def construct(cfg):
         "chosen_power_m": params.power_m,
         "rho_ratio_table": ratios,
         "code_version": CODE_VERSION,
-        "config_hash": config_hash(
-            {k: v for k, v in cfg.items() if k != "output_dir"}
-        ),
+        "config_hash": _config_hash(cfg),
     }
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
@@ -219,15 +207,11 @@ def verify_outer(cfg):
 
     pair = load_pair(cfg)
     params, seq = pair.params, pair.seq
-    rows = []
-    all_ok = True
-    for n in range(1, params.n_check + 1):
-        for rec in verify_growth_bound(n, cfg["r_samples"], seq):
-            rows.append(
-                (rec.n, rec.r, rec.u, rec.v, rec.log_ratio,
-                 rec.log_bound, rec.passed)
-            )
-            all_ok = all_ok and rec.passed
+    rows = [
+        (rec.n, rec.r, rec.u, rec.v, rec.log_ratio, rec.log_bound, rec.passed)
+        for n in range(1, params.n_check + 1)
+        for rec in verify_growth_bound(n, cfg["r_samples"], seq)
+    ]
     try:
         quad_err = poisson_quad_crosscheck(seq, n_points=50, seed=cfg["seed"])
         quad_ok = True
@@ -244,32 +228,17 @@ def verify_outer(cfg):
             "precision_bits": 53,
             "quadrature_max_rel_err": quad_err,
         },
-        passed=all_ok and quad_ok,
+        passed=quad_ok and all(row[-1] for row in rows),
     )
-    write_report(report, cfg)
-    if not report.passed:
-        for row in rows:
-            if not row[-1]:
-                _echo(f"failing row: {row}")
-                break
-        return EXIT_ASSERTION
-    return EXIT_OK
+    return _finish(cfg, report)
 
 
-def _experiment(cfg, make_report):
-    """Run one experiment on the divergent combination f of pair.json;
-    ``make_report(pair, f)`` returns the report to write."""
+def _divergent(cfg) -> tuple:
+    """(pair, f): the pair of pair.json and its divergent combination f."""
     from .experiments import build_divergent_combo
 
     pair = load_pair(cfg)
-    f = build_divergent_combo(pair.params, pair)
-    report = make_report(pair, f)
-    write_report(report, cfg)
-    if not report.passed:
-        for row in report.rows:
-            _echo(f"row: {row}")
-        return EXIT_ASSERTION
-    return EXIT_OK
+    return pair, build_divergent_combo(pair.params, pair)
 
 
 def divergence(cfg):
@@ -277,36 +246,28 @@ def divergence(cfg):
     growth-envelope report."""
     from .experiments import default_r_grid, divergence_reports
 
-    def make_report(pair, f):
-        curve, envelope = divergence_reports(default_r_grid(pair.params), f, pair)
-        write_report(envelope, cfg)
-        return curve
-
-    return _experiment(cfg, make_report)
+    pair, f = _divergent(cfg)
+    return _finish(cfg, *divergence_reports(default_r_grid(pair.params), f, pair))
 
 
 def sarason(cfg):
     """Partial sums of the coefficient series, which grow without ceiling."""
     from .experiments import sarason_series_failure
 
-    def make_report(pair, f):
-        return sarason_series_failure(
-            cfg["j_max"], f, pair, precision_bits=cfg["precision_bits"]
-        )
-
-    return _experiment(cfg, make_report)
+    pair, f = _divergent(cfg)
+    report = sarason_series_failure(cfg["j_max"], f, pair, precision_bits=cfg["precision_bits"])
+    return _finish(cfg, report)
 
 
 def summability(cfg):
     """Norms of Taylor partial sums and Cesaro means of f."""
     from .experiments import summability_divergence
 
-    def make_report(pair, f):
-        return summability_divergence(
-            cfg["summability_n_list"], f, pair, precision_bits=cfg["precision_bits"]
-        )
-
-    return _experiment(cfg, make_report)
+    pair, f = _divergent(cfg)
+    report = summability_divergence(
+        cfg["summability_n_list"], f, pair, precision_bits=cfg["precision_bits"]
+    )
+    return _finish(cfg, report)
 
 
 def norm_crosscheck(cfg):
@@ -335,7 +296,6 @@ def norm_crosscheck(cfg):
         rows.append((i, deg, rel))
     one = TaylorSeries((1.0,) + (0.0,) * max_deg)
     norm_one = one.l2_norm_sq() + f_plus_solve(one, pair).l2_norm_sq()
-    ok = worst <= 1e-9 and abs(norm_one - 2.0) <= 1e-12
     report = ExperimentReport(
         name="norm_crosscheck",
         columns=("i", "degree", "rel_err"),
@@ -347,10 +307,9 @@ def norm_crosscheck(cfg):
             "max_rel_err": worst,
             "norm_sq_of_one": float(abs(norm_one)),
         },
-        passed=ok,
+        passed=worst <= 1e-9 and abs(norm_one - 2.0) <= 1e-12,
     )
-    write_report(report, cfg)
-    return EXIT_OK if ok else EXIT_ASSERTION
+    return _finish(cfg, report)
 
 
 VERBS = {
@@ -363,16 +322,16 @@ VERBS = {
 }
 
 
-# option -> (metavar, help); each takes one value, as --name VALUE or
-# --name=VALUE, and a repeated option keeps its last value
+# option -> (config key, metavar, help), "config" standing for the file
+# itself; each takes one value, as --name VALUE or --name=VALUE, and a
+# repeated option keeps its last value
 _OPTIONS = {
-    "--config": ("PATH", "JSON config; its values override the defaults"),
-    "--out": ("DIR", "directory of pair.json and the reports (default .)"),
-    "--precision-bits": ("BITS", "mantissa bits of the extended-precision work"),
-    "--seed": ("N", "seed of the quadrature and norm-crosscheck draws"),
-    "--format": ("{csv,json,both}", "report formats (default both)"),
+    "--config": ("config", "PATH", "JSON config; its values override the defaults"),
+    "--out": ("output_dir", "DIR", "directory of pair.json and the reports (default .)"),
+    "--precision-bits": ("precision_bits", "BITS", "mantissa bits of the extended-precision work"),
+    "--seed": ("seed", "N", "seed of the quadrature and norm-crosscheck draws"),
+    "--format": ("formats", "{csv,json,both}", "report formats (default both)"),
 }
-_INT_OPTIONS = ("--precision-bits", "--seed")
 _FORMATS = ("csv", "json", "both")
 _HELP = ("-h", "--help")
 
@@ -383,7 +342,7 @@ def _doc(body) -> str:
 
 
 def _usage(prog: str, verb) -> str:
-    options = " ".join(f"[{name} {metavar}]" for name, (metavar, _) in _OPTIONS.items())
+    options = " ".join(f"[{name} {metavar}]" for name, (_, metavar, _) in _OPTIONS.items())
     return f"usage: {prog} {verb or 'VERB'} [-h] {options}"
 
 
@@ -402,7 +361,7 @@ def _help(prog: str, verb) -> str:
     lines = [_usage(prog, verb), "", textwrap.fill(about, 79), "", "verbs:"]
     lines += [item(name, _doc(body)) for name, body in VERBS.items()]
     lines += ["", "options:", item("-h, --help", "show this help and exit")]
-    lines += [item(f"{name} {metavar}", text) for name, (metavar, text) in _OPTIONS.items()]
+    lines += [item(f"{name} {metavar}", text) for name, (_, metavar, text) in _OPTIONS.items()]
     return "\n".join(lines)
 
 
@@ -427,11 +386,13 @@ def _is_value(arg: str) -> bool:
 
 
 def parse_args(argv: list, prog: str) -> tuple:
-    """(verb, {option: value}) from ``argv``: the verb first, then any of
-    the options, each ``--name VALUE`` or ``--name=VALUE``, an option left
-    out taking None.  Option names are matched whole, never abbreviated;
-    -h or --help, at top level or after the verb, prints the help and exits
-    0, and a usage error prints the usage to stderr and exits 2."""
+    """(verb, config path or None, {config key: value}) from ``argv``: the
+    verb first, then any of the options, each ``--name VALUE`` or
+    ``--name=VALUE``, keyed by the config key it sets.  A value is an int
+    where its default is, and ``--format both`` is ["json", "csv"].  Option
+    names are matched whole, never abbreviated; -h or --help, at top level
+    or after the verb, prints the help and exits 0, and a usage error prints
+    the usage to stderr and exits 2."""
     verbs = ", ".join(VERBS)
     if argv and argv[0] in _HELP:
         print(_help(prog, None))
@@ -441,7 +402,7 @@ def parse_args(argv: list, prog: str) -> tuple:
     verb, args = argv[0], iter(argv[1:])
     if verb not in VERBS:
         _usage_error(prog, None, f"invalid verb {verb!r} (choose from {verbs})")
-    values = dict.fromkeys(_OPTIONS)
+    overrides = {}
     for arg in args:
         if arg in _HELP:
             print(_help(prog, verb))
@@ -453,31 +414,45 @@ def parse_args(argv: list, prog: str) -> tuple:
             value = next(args, None)
             if value is None or not _is_value(value):
                 _usage_error(prog, verb, f"argument {name}: expected one value")
-        if name in _INT_OPTIONS:
+        key = _OPTIONS[name][0]
+        if isinstance(_DEFAULTS.get(key), int):
             try:
                 value = int(value)
             except ValueError:
                 _usage_error(prog, verb, f"argument {name}: invalid int value: {value!r}")
-        elif name == "--format" and value not in _FORMATS:
-            choices = ", ".join(_FORMATS)
-            _usage_error(prog, verb, f"argument --format: invalid choice: {value!r} ({choices})")
-        values[name] = value
-    return verb, values
+        elif key == "formats":
+            if value not in _FORMATS:
+                choices = ", ".join(_FORMATS)
+                _usage_error(
+                    prog, verb, f"argument --format: invalid choice: {value!r} ({choices})"
+                )
+            value = ["json", "csv"] if value == "both" else [value]
+        overrides[key] = value
+    return verb, overrides.pop("config", None), overrides
 
 
 def main(argv=None, prog_name=None):
-    """Run the verb named in ``argv`` (default ``sys.argv[1:]``) and exit
-    with its code; usage errors exit 2."""
+    """Run the verb named in ``argv`` (default ``sys.argv[1:]``) on the
+    config and exit with its code; usage errors exit 2, and the errors of
+    the config and of the run exit with their codes."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    verb, opts = parse_args(argv, prog_name or "hblab")
-    run_command(
-        VERBS[verb],
-        opts["--config"],
-        opts["--out"],
-        opts["--precision-bits"],
-        opts["--seed"],
-        opts["--format"],
-    )
+    verb, config_path, overrides = parse_args(argv, prog_name or "hblab")
+    from .errors import GrowthBoundError, ParameterError, PrecisionExhausted
+
+    start = time.monotonic()
+    try:
+        code = VERBS[verb](load_config(config_path, overrides))
+    except (ConfigError, ParameterError) as e:
+        _echo(f"config error: {e}")
+        sys.exit(EXIT_CONFIG)
+    except GrowthBoundError as e:
+        _echo(f"construction inconsistency: {e}")
+        sys.exit(EXIT_CONSTRUCTION)
+    except PrecisionExhausted as e:
+        _echo(f"precision exhausted: {e}")
+        sys.exit(EXIT_PRECISION)
+    _echo(f"runtime: {time.monotonic() - start:.2f} s")
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -61,23 +61,29 @@ OPTIONS = ("--config", "--out", "--precision-bits", "--seed", "--format")
 
 
 def test_option_value_forms_parse_alike():
-    """``--name VALUE`` and ``--name=VALUE`` give the same value, int
-    options as ints, and an option left out gives None."""
+    """``--name VALUE`` and ``--name=VALUE`` give the same value, keyed by
+    the config key it sets: int options as ints, a format as the list of
+    formats.  An option left out is absent, and the config path, None
+    without --config, comes apart from the overrides."""
     spaced = parse_args(["sarason", "--seed", "3", "--out", "d", "--format", "csv"], "hblab")
     joined = parse_args(["sarason", "--seed=3", "--out=d", "--format=csv"], "hblab")
     assert spaced == joined == (
         "sarason",
-        {"--config": None, "--out": "d", "--precision-bits": None, "--seed": 3, "--format": "csv"},
+        None,
+        {"output_dir": "d", "seed": 3, "formats": ["csv"]},
     )
-    _, opts = parse_args(["construct", "--precision-bits", "-5", "--config=a=b.json"], "hblab")
-    assert opts["--precision-bits"] == -5 and opts["--config"] == "a=b.json"
+    _, config_path, overrides = parse_args(
+        ["construct", "--precision-bits", "-5", "--config=a=b.json", "--format", "both"], "hblab"
+    )
+    assert config_path == "a=b.json"
+    assert overrides == {"precision_bits": -5, "formats": ["json", "csv"]}
 
 
 def test_repeated_option_keeps_its_last_value():
-    _, opts = parse_args(
+    _, _, overrides = parse_args(
         ["divergence", "--seed", "1", "--out=a", "--seed=2", "--out", "b", "--seed", "7"], "hblab"
     )
-    assert opts["--seed"] == 7 and opts["--out"] == "b"
+    assert overrides == {"seed": 7, "output_dir": "b"}
 
 
 @pytest.mark.parametrize(
@@ -131,9 +137,9 @@ def test_help_names_every_verb_and_option(capsys, argv):
 
 def test_load_config_precedence(tmp_path):
     cfg_path = write_config(tmp_path, seed=5, precision_bits=128)
-    cfg = load_config(cfg_path, None, None, None, None)
+    cfg = load_config(cfg_path, {})
     assert cfg["seed"] == 5 and cfg["precision_bits"] == 128
-    cfg = load_config(cfg_path, None, 256, 9, "csv")
+    cfg = load_config(cfg_path, {"precision_bits": 256, "seed": 9, "formats": ["csv"]})
     assert cfg["seed"] == 9 and cfg["precision_bits"] == 256
     assert cfg["formats"] == ["csv"]
 
@@ -242,6 +248,23 @@ def test_construct_auto_power_fails_honestly(tmp_path, runner):
     assert not (tmp_path / "pair.json").exists()
 
 
+def test_construct_auto_power_that_succeeds(tmp_path, runner, monkeypatch):
+    """When ``choose_power_m`` finds a power, construct builds the pair
+    with it and records it, and pair.json carries the config hash that a
+    report of the same config carries."""
+    import hblab.growth
+
+    monkeypatch.setattr(hblab.growth, "choose_power_m", lambda params, r_samples: 2)
+    cfg = write_config(tmp_path, power_m="auto")
+    res = runner.invoke(main, ["construct", "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == EXIT_OK, res.output
+    doc = json.loads((tmp_path / "pair.json").read_text())
+    assert doc["chosen_power_m"] == 2 and doc["params"]["power_m"] == 2
+    runner.invoke(main, ["verify-outer", "--config", cfg, "--out", str(tmp_path)])
+    report = json.loads((tmp_path / "verify_outer.json").read_text())
+    assert doc["config_hash"] == report["metadata"]["config_hash"]
+
+
 def test_construct_deterministic(tmp_path, runner):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -269,12 +292,29 @@ def test_verify_outer_honest_red(workdir, runner):
     assert len(csv) == 1 + 5 * 33
 
 
+def test_verify_outer_quadrature_failure(workdir, runner, monkeypatch):
+    """A failed quadrature cross-check is recorded as a NaN error and fails
+    the report: exit 4, with the check's message and the first failing
+    row, once, on stderr."""
+    import hblab.growth
+
+    monkeypatch.setattr(hblab.growth, "_QUAD_RTOL", 0.0)
+    res = runner.invoke(main, ["verify-outer", "--out", str(workdir)])
+    assert res.exit_code == EXIT_ASSERTION
+    doc = json.loads((workdir / "verify_outer.json").read_text())
+    assert doc["metadata"]["quadrature_max_rel_err"] == "nan"
+    assert doc["passed"] is False
+    assert "quadrature cross-check failed" in res.output
+    assert res.output.count("failing row:") == 1
+
+
 # -- experiments ------------------------------------------------------------
 
 
 def test_divergence_reports(workdir, runner):
     res = runner.invoke(main, ["divergence", "--out", str(workdir)])
     assert res.exit_code == EXIT_ASSERTION  # bound rows fail at desk scale
+    assert res.output.count("failing row:") == 1
     div = json.loads((workdir / "divergence.json").read_text())
     assert div["columns"] == ["r", "log10_frplus0", "log10_hbnorm", "n", "log10_bound", "pass"]
     assert div["metadata"]["norm_chain_ok"] == "true"

@@ -235,6 +235,22 @@ def test_divergence_verb_evaluates_each_radius_once(params, pair, combo, curve, 
         assert (got.to_json(), got.to_csv()) == (want.to_json(), want.to_csv())
 
 
+def test_divergence_rows_off_the_checked_intervals_pass(params, pair, combo):
+    """Rows off the intervals n <= n_check carry n and a NaN bound and
+    always pass: r = 0.5 lies below w_1 (n = 0), log(1 - r) =
+    -(8^beta + 1/2) on the last interval, n = n_terms = 8, which has no
+    bound, and -(9^beta + 1) beyond it (n = n_terms)."""
+    grid = [
+        Radius.from_float(0.5),
+        Radius.from_log_one_minus(-(params.n_terms**params.beta + 0.5)),
+        Radius.from_log_one_minus(-((params.n_terms + 1) ** params.beta + 1.0)),
+    ]
+    rep = divergence_curve(grid, combo, pair)
+    assert [row[3] for row in rep.rows] == [0, params.n_terms, params.n_terms]
+    for row in rep.rows:
+        assert math.isnan(row[4]) and row[5] is True
+
+
 def test_divergence_values_increase(curve):
     vals = [row[1] for row in curve.rows]
     assert vals == sorted(vals)
@@ -533,6 +549,33 @@ def test_summability_divergence(pair, combo):
     assert rows[-1][1] > rows[2][1]
     assert rows[-1][2] > rows[2][2]
     assert rep.passed is True
+
+
+@pytest.mark.parametrize("excess, convex_ok", [(5e-10, True), (2e-9, False)])
+def test_summability_convexity_slack_threshold(pair, combo, monkeypatch, excess, convex_ok):
+    """The convexity check ||sigma_n|| <= max_{k<=n} ||s_k|| holds within
+    1e-9 in log10: a sigma_2 norm set 5e-10 above the best s_k so far
+    keeps ``convexity_ok`` and the verdict, and one 2e-9 above clears both.
+    Each row takes the log10 of s_n and then of sigma_n through
+    ``fixed.log10``, so the fourth call is sigma_2's."""
+    log10 = fixed.log10
+    s_logs, calls = [], []
+
+    def shifted(x, bits):
+        calls.append(x)
+        value = log10(x, bits)
+        if len(calls) % 2:  # s_n
+            s_logs.append(0.5 * value)
+        elif len(calls) == 4:  # sigma_2
+            return 2.0 * (max(s_logs) + excess)
+        return value
+
+    monkeypatch.setattr(fixed, "log10", shifted)
+    rep = summability_divergence([0, 2, 8, 16], combo, pair, precision_bits=200)
+    assert len(calls) == 2 * len(rep.rows)
+    assert rep.rows[1][2] == max(row[1] for row in rep.rows[:2]) + excess
+    assert rep.metadata["convexity_ok"] is convex_ok
+    assert rep.passed is convex_ok
 
 
 def test_summability_matches_solve_oracle(pair, combo, monkeypatch):

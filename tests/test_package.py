@@ -147,6 +147,24 @@ def test_records_store_their_fields_in_the_base():
     assert len(records) >= 13, records  # the scan sees the value classes
 
 
+def test_cli_has_one_path_from_argv_to_exit_code():
+    """In ``hblab.cli`` only ``main`` loads the config and only ``_finish``
+    writes a report, so every option reaches the config and every verb's
+    report reaches its exit code one way; ``run_command`` and
+    ``_experiment``, the second such paths, are gone."""
+    tree = ast.parse((Path(hblab.__file__).parent / "cli.py").read_text())
+    users = {}
+    for stmt in tree.body:
+        owner = stmt.name if isinstance(stmt, ast.FunctionDef) else "<module>"
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                users.setdefault(node.id, set()).add(owner)
+    assert users["write_report"] == {"_finish"}
+    assert users["load_config"] == {"main"}
+    functions = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert not functions & {"run_command", "_experiment"}
+
+
 @pytest.mark.parametrize(
     "args, kwargs, message",
     [
