@@ -6,7 +6,9 @@ checking, each value of its default's type; individual flags override file
 values, which override defaults.
 All outputs are deterministic for a fixed (config, seed): numbers are
 emitted as shortest round-trip decimal strings and runtime is logged to
-stderr, never into the report files.
+stderr, never into the report files.  The writer stamps the provenance:
+pair.json and every report record the code version and the config hash
+(``_provenance``).
 
 Exit codes: 0 success, 2 config error (usage errors too), 3 construction
 inconsistency, 4 assertion failure, 5 precision exhaustion.
@@ -99,21 +101,26 @@ def load_config(config_path, overrides: dict) -> dict:
     bad = sorted(set(cfg["formats"]) - {"json", "csv"})
     if bad:
         raise ConfigError(f"unsupported formats: {', '.join(bad)}")
+    out = Path(cfg["output_dir"])
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"output_dir {str(out)!r} exists and is not a directory")
     return cfg
 
 
-def _config_hash(cfg: dict) -> str:
-    """The hash of the config without ``output_dir``: where the files go
-    does not change what is in them."""
-    from .reports import config_hash
+def _provenance(cfg: dict) -> dict:
+    """The code version and the hash of the config without
+    ``output_dir`` (where the files go does not change what is in them),
+    which every file a verb writes records."""
+    from .reports import CODE_VERSION, config_hash
 
-    return config_hash({k: v for k, v in cfg.items() if k != "output_dir"})
+    cfg_hash = config_hash({k: v for k, v in cfg.items() if k != "output_dir"})
+    return {"code_version": CODE_VERSION, "config_hash": cfg_hash}
 
 
 def write_report(report, cfg: dict):
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    report.metadata["config_hash"] = _config_hash(cfg)
+    report.metadata.update(_provenance(cfg))
     if "json" in cfg["formats"]:
         (out / f"{report.name}.json").write_text(report.to_json())
     if "csv" in cfg["formats"]:
@@ -162,7 +169,7 @@ def construct(cfg):
     table, and write pair.json."""
     from .outer import ConstructionParams, check_rho_condition
     from .pair import build_pair, pair_to_json
-    from .reports import CODE_VERSION, fmt_number
+    from .reports import fmt_number
 
     params = ConstructionParams(
         alpha=float(cfg["alpha"]),
@@ -189,8 +196,7 @@ def construct(cfg):
     extra = {
         "chosen_power_m": params.power_m,
         "rho_ratio_table": ratios,
-        "code_version": CODE_VERSION,
-        "config_hash": _config_hash(cfg),
+        **_provenance(cfg),
     }
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
@@ -203,7 +209,7 @@ def verify_outer(cfg):
     """Sample the radial growth bound on each checked interval and
     cross-check the closed-form Poisson values against quadrature."""
     from .outer import _params_dict, poisson_quad_crosscheck, verify_growth_bound
-    from .reports import CODE_VERSION, ExperimentReport
+    from .reports import ExperimentReport
 
     pair = load_pair(cfg)
     params, seq = pair.params, pair.seq
@@ -223,11 +229,7 @@ def verify_outer(cfg):
         columns=("n", "r", "u", "v", "log_ratio", "log_bound", "pass"),
         rows=rows,
         params=_params_dict(params),
-        metadata={
-            "code_version": CODE_VERSION,
-            "precision_bits": 53,
-            "quadrature_max_rel_err": quad_err,
-        },
+        metadata={"precision_bits": 53, "quadrature_max_rel_err": quad_err},
         passed=quad_ok and all(row[-1] for row in rows),
     )
     return _finish(cfg, report)
@@ -276,7 +278,7 @@ def norm_crosscheck(cfg):
     from ._pcg64 import Generator
     from .hb import f_plus_solve, sarason_f_plus
     from .pair import tame_pair
-    from .reports import CODE_VERSION, ExperimentReport
+    from .reports import ExperimentReport
     from .series import TaylorSeries
 
     max_deg = 32  # the largest drawn degree
@@ -302,7 +304,6 @@ def norm_crosscheck(cfg):
         rows=rows,
         params={"tame_pair": "half-moebius", "seed": cfg["seed"]},
         metadata={
-            "code_version": CODE_VERSION,
             "precision_bits": 53,
             "max_rel_err": worst,
             "norm_sq_of_one": float(abs(norm_one)),

@@ -38,7 +38,7 @@ from .errors import ParameterError, PrecisionExhausted
 from .logscalar import LogScalar, log_add_exp, log_sum_exp
 from .outer import _params_dict, half_plane_log_modulus_radial, log_delta
 from .pair import Pair
-from .reports import CODE_VERSION, ExperimentReport
+from .reports import ExperimentReport
 
 _LN10 = math.log(10.0)
 _LN2 = math.log(2.0)
@@ -136,13 +136,6 @@ def _interval_index(params, rad: Radius) -> int:
 # -- experiments ------------------------------------------------------------
 
 
-def _base_metadata(precision_bits: int) -> dict:
-    return {
-        "code_version": CODE_VERSION,
-        "precision_bits": precision_bits,
-    }
-
-
 def _radial_values(r_grid: Sequence, f: KernelCombo, pair: Pair) -> list:
     """(radius, log (f_r)+(0), log ||f_r||^2_{H(b)}) for each radius of
     ``r_grid``, as floats.  The log phi(r w_j) of each radius are evaluated
@@ -212,14 +205,12 @@ def _divergence_report(values: list, params) -> ExperimentReport:
             ok = log10_val >= log10_bound
         all_pass = all_pass and ok
         rows.append((rad.value, log10_val, log10_norm, n, log10_bound, ok))
-    meta = _base_metadata(53)
-    meta["norm_chain_ok"] = chain_ok
     return ExperimentReport(
         name="divergence",
         columns=("r", "log10_frplus0", "log10_hbnorm", "n", "log10_bound", "pass"),
         rows=rows,
         params=_params_dict(params),
-        metadata=meta,
+        metadata={"precision_bits": 53, "norm_chain_ok": chain_ok},
         passed=all_pass and chain_ok,
     )
 
@@ -237,15 +228,14 @@ def _envelope_report(norms: list, params) -> ExperimentReport:
         trend = half_log * math.exp(lomr)
         rows.append((rad.value, e_r, trend))
         e_values.append(e_r)
-    meta = _base_metadata(53)
     finite = all(math.isfinite(e) for e in e_values)
-    meta["empirical_c"] = min(e_values) if e_values else float("nan")
+    empirical_c = min(e_values) if e_values else float("nan")
     return ExperimentReport(
         name="envelope",
         columns=("r", "E_r", "trend"),
         rows=rows,
         params=_params_dict(params),
-        metadata=meta,
+        metadata={"precision_bits": 53, "empirical_c": empirical_c},
         passed=finite and bool(e_values) and min(e_values) > 0.0,
     )
 
@@ -480,6 +470,29 @@ def abel_fr_plus(
     return to_pbit(total, fhat_exp + phi_exp, bits)
 
 
+def _pbit_setup(f: KernelCombo, pair: Pair, degree: int, precision_bits: int) -> tuple:
+    """(F, exp, phis, phi_exp, metadata): the shared start of the P-bit
+    reports.  fhat(j) = F_j 2^exp for j = 0..degree within
+    ``fhat_error_bound`` relative (``_fhat_fixed``); phi-hat's
+    coefficients (``phi_hat_series``) as the aligned mantissas
+    phis_j 2^phi_exp; and the report metadata: ``precision_bits``,
+    ``bits_required`` for ``degree``, ``series_error_bound``, the largest
+    counted relative error bound of a coefficient of phi-hat
+    (``outer_series``), and ``fhat_error_bound``, the largest of fhat."""
+    from .fixed import fixed_mantissas
+
+    phi_hat = phi_hat_series(pair, degree, precision_bits)
+    fhat, exp, fhat_bound = _fhat_fixed(f, degree, precision_bits)
+    phis, phi_exp = fixed_mantissas(phi_hat.coeffs)
+    metadata = {
+        "precision_bits": precision_bits,
+        "bits_required": required_bits_for_degree(pair, degree),
+        "series_error_bound": phi_hat.error_bound,
+        "fhat_error_bound": fhat_bound,
+    }
+    return fhat, exp, phis, phi_exp, metadata
+
+
 def sarason_series_failure(
     j_max: int,
     f: KernelCombo,
@@ -491,20 +504,16 @@ def sarason_series_failure(
     grow without ceiling instead.
 
     Each S_J is the exact running sum of the products of fhat's integers
-    (``_fhat_fixed``) with phi-hat's aligned mantissas, rounded once at its
-    checkpoint J to ``precision_bits``.  The metadata carries
-    ``series_error_bound``, the largest counted relative error bound of a
-    coefficient of phi-hat (``outer_series``), and ``fhat_error_bound``,
-    the largest of fhat (``_fhat_fixed``).  Each row's log10 is that of
-    ``fixed.log10``, and ``ratio_full_to_half`` the quotient of the last
-    sum by the one at J = j_max / 2 rounded once to 53 bits."""
+    with phi-hat's aligned mantissas (``_pbit_setup``, whose metadata the
+    report carries), rounded once at its checkpoint J to
+    ``precision_bits``.  Each row's log10 is that of ``fixed.log10``, and
+    ``ratio_full_to_half`` the quotient of the last sum by the one at the
+    last checkpoint J <= j_max / 2, rounded once to 53 bits."""
     from . import fixed
 
     if j_max < 2:
         raise ParameterError(f"j_max must be at least 2, got {j_max}")
-    phi_hat = phi_hat_series(pair, j_max, precision_bits)
-    fhat, fhat_exp, fhat_bound = _fhat_fixed(f, j_max, precision_bits)
-    phis, phi_exp = fixed.fixed_mantissas(phi_hat.coeffs)
+    fhat, fhat_exp, phis, phi_exp, meta = _pbit_setup(f, pair, j_max, precision_bits)
     checkpoints = []
     j = 1
     while j < j_max:
@@ -525,12 +534,7 @@ def sarason_series_failure(
         else:
             rows.append((j, float("nan")))
             ok = False
-    half = sums.get(max(c for c in checkpoints if c <= j_max // 2), None)
-    growth = half is not None and sums[j_max] > half
-    meta = _base_metadata(precision_bits)
-    meta["bits_required"] = required_bits_for_degree(pair, j_max)
-    meta["series_error_bound"] = phi_hat.error_bound
-    meta["fhat_error_bound"] = fhat_bound
+    half = sums[max(c for c in checkpoints if c <= j_max // 2)]
     ratio = float(fixed.quotient(sums[j_max], half, 53)) if half else float("nan")
     meta["ratio_full_to_half"] = ratio
     return ExperimentReport(
@@ -539,7 +543,7 @@ def sarason_series_failure(
         rows=rows,
         params=_params_dict(pair.params),
         metadata=meta,
-        passed=ok and growth,
+        passed=ok and sums[j_max] > half,
     )
 
 
@@ -565,10 +569,8 @@ def summability_divergence(
     ``fixed.log10``.  Reports running maxima (the
     limsup claim is exhibited as monotone growth over the computed range,
     never asserted as a limit) and the convexity sanity
-    ||sigma_n|| <= max_{k<=n} ||s_k|| over computed k.  The metadata
-    carries ``series_error_bound``, the largest counted relative error
-    bound of a coefficient of phi-hat (``outer_series``), and
-    ``fhat_error_bound``, the largest of fhat (``_fhat_fixed``).
+    ||sigma_n|| <= max_{k<=n} ||s_k|| over computed k.  The metadata is
+    that of ``_pbit_setup`` and ``convexity_ok``.
     """
     from . import fixed
     from .fixed import fixed_dot, fixed_mantissas, fixed_toeplitz
@@ -578,11 +580,8 @@ def summability_divergence(
         raise ParameterError(
             f"summability orders must be >= 0 and include one >= 8, got {n_list}"
         )
-    deg_f = n_list[-1]
-    phi_hat = phi_hat_series(pair, deg_f, precision_bits)
-    fhat, exp, fhat_bound = _fhat_fixed(f, deg_f, precision_bits)
+    fhat, exp, ps, pe, meta = _pbit_setup(f, pair, n_list[-1], precision_bits)
     fs, fe = fixed_mantissas(fixed.to_pbit(m, exp, precision_bits) for m in fhat)
-    ps, pe = fixed_mantissas(phi_hat.coeffs)
     # ||p||^2 is on the scale 2^(2 fe), ||f+||^2 on 2^(2 fe + 2 pe)
     low = 2 * fe + min(0, 2 * pe)
     shift_p, shift_plus = 2 * fe - low, 2 * fe + 2 * pe - low
@@ -611,10 +610,6 @@ def summability_divergence(
         and rows[-1][1] > next(ls for n, ls, _ in rows if n >= 8)
         and rows[-1][2] > next(lg for n, _, lg in rows if n >= 8)
     )
-    meta = _base_metadata(precision_bits)
-    meta["bits_required"] = required_bits_for_degree(pair, deg_f)
-    meta["series_error_bound"] = phi_hat.error_bound
-    meta["fhat_error_bound"] = fhat_bound
     meta["convexity_ok"] = convex_ok
     return ExperimentReport(
         name="summability",

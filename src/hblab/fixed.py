@@ -136,24 +136,16 @@ def exp_fixed(x: int, prec: int) -> tuple:
 def expm1_fixed(x: int, prec: int) -> int:
     """(e^(x 2^-prec) - 1) 2^prec within 2 units, for x <= 0.
 
-    For |x 2^-prec| < 2^-10 the Taylor series of expm1 runs directly at
-    q = prec + g bits (K <= q terms, each within 3 units, 3K + 2 < 2^g),
-    so a small result keeps its relative precision and the caller adds
-    bits for it; otherwise ``exp_fixed`` at q, less one, whose 2 units and
-    the floor of its shift stay below one unit at prec before the last
-    floor.
+    ``exp_fixed`` at q = prec + g bits, less one.  For every x <= 0 its n
+    is at most 0, so e^x 2^q = (y + d) 2^n, |d| <= 2, is placed by a right
+    shift: its 2 units shrink by 2^n and the shift floors once, within
+    3 units at q, and 1 = 2^q exactly.  3 < 2^g leaves below one unit at
+    prec before the last floor.  The bound is absolute: a small |x| gives
+    a small result with fewer significant bits, and the caller adds the
+    bits it lacks (Brent & Zimmermann, 4.3).
     """
     g = _guard(prec)
     q = prec + g
-    if abs(x) < 1 << max(prec - 10, 0):
-        y = x << g
-        term = total = y
-        k = 2
-        while term:
-            term = ((term * y) >> q) // k
-            total += term
-            k += 1
-        return total >> g
     y, n = exp_fixed(x << g, q)
     return (floor_shift(y, n) - (1 << q)) >> g
 

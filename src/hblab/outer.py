@@ -17,9 +17,10 @@ This module imports ``hblab.logscalar`` and the leaf ``hblab.errors``,
 whose three errors it re-exports.  The growth checks and the quadrature
 oracle live in ``hblab.growth``, which only ``verify-outer``, ``construct``
 with ``power_m`` "auto", the growth scan and the demos run: the first
-access to one of their public names here (``growth_log_ratio``,
+access here to one of their public names, those that the package's
+``hblab._EXPORTS`` maps to ``growth`` (``growth_log_ratio``,
 ``verify_growth_bound``, ``choose_power_m``, ``growth_bound_scan``,
-``poisson_quad_crosscheck`` and their record classes) loads it (PEP 562)
+``poisson_quad_crosscheck`` and their record classes), loads it (PEP 562)
 and binds the name in this module, where a tracer that rebinds module
 attributes finds it.
 """
@@ -340,22 +341,10 @@ def log_phi_radial(ld_x: float, params: ConstructionParams) -> float:
     return 2.0 * m * val
 
 
-# the public names of hblab.growth, loaded on first access
-_GROWTH_NAMES = frozenset(
-    (
-        "GrowthCheckRecord",
-        "GrowthScanRow",
-        "choose_power_m",
-        "growth_bound_scan",
-        "growth_log_ratio",
-        "poisson_quad_crosscheck",
-        "verify_growth_bound",
-    )
-)
-
-
 def __getattr__(name):
-    if name not in _GROWTH_NAMES:
+    from . import _EXPORTS
+
+    if _EXPORTS.get(name) != "growth":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import growth
 

@@ -38,8 +38,11 @@ def fmt_number(x) -> str:
 class ExperimentReport(Record):
     """Rows of one experiment plus enough metadata to reproduce them.
 
-    Unlike the other records it may be assigned to, and so has no hash;
-    ``params`` and ``metadata`` default to fresh empty dicts."""
+    A builder sets ``precision_bits`` and its own keys; the provenance,
+    ``code_version`` and ``config_hash``, is added when the report is
+    written (``hblab.cli.write_report``), so a report built in memory has
+    neither.  Unlike the other records it may be assigned to, and so has
+    no hash; ``params`` and ``metadata`` default to fresh empty dicts."""
 
     # rows: a list of tuples aligned with columns
     __slots__ = ("name", "columns", "rows", "params", "metadata", "passed")

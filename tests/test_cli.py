@@ -265,6 +265,32 @@ def test_construct_auto_power_that_succeeds(tmp_path, runner, monkeypatch):
     assert doc["config_hash"] == report["metadata"]["config_hash"]
 
 
+def test_construct_inconsistency_exits_3(tmp_path, runner, monkeypatch):
+    """A failed b/a == phi check of ``build_pair`` is a construction
+    inconsistency: exit 3 with the check's message, and no pair.json."""
+    import hblab.pair
+
+    monkeypatch.setattr(hblab.pair, "_CHECK_TOL", 0.0)
+    res = runner.invoke(main, ["construct", "--out", str(tmp_path)])
+    assert res.exit_code == EXIT_CONSTRUCTION
+    assert "construction inconsistency: b/a == phi check failed" in res.output
+    assert not (tmp_path / "pair.json").exists()
+
+
+def test_output_dir_that_is_a_file_exits_config(tmp_path, runner):
+    """An output_dir that names an existing file is a config error, exit 2,
+    before any work, for ``construct`` and for a verb that reads pair.json;
+    the file is left as it was."""
+    target = tmp_path / "taken"
+    target.write_text("not a directory\n")
+    message = f"config error: output_dir {str(target)!r} exists and is not a directory"
+    for verb in ("construct", "divergence"):
+        res = runner.invoke(main, [verb, "--out", str(target)])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert message in res.output
+    assert target.read_text() == "not a directory\n"
+
+
 def test_construct_deterministic(tmp_path, runner):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -360,6 +386,7 @@ def test_sarason_and_summability(workdir, runner, tmp_path):
         ("construct", {"n_terms": True}),
         ("construct", {"power_m": "two"}),
         ("norm-crosscheck", {"formats": []}),
+        ("norm-crosscheck", {"formats": ["xml"]}),
         ("construct", {"n_terms": 200, "power_m": "auto"}),
         ("sarason", {"precision_bits": -5}),
         ("summability", {"precision_bits": 0}),
@@ -414,6 +441,27 @@ def test_format_selection(workdir, runner):
     assert res.exit_code == EXIT_OK
     assert (workdir / "norm_crosscheck.csv").exists()
     assert not (workdir / "norm_crosscheck.json").exists()
+
+
+def test_every_written_file_records_its_provenance(tmp_path, runner):
+    """pair.json and every JSON report of the six verbs record the code
+    version, and one config gives them all one config hash."""
+    from hblab.reports import CODE_VERSION
+
+    cfg = write_config(tmp_path, j_max=64, summability_n_list=[0, 2, 8, 16])
+    out = tmp_path / "out"
+    for verb in VERBS:
+        runner.invoke(main, [verb, "--config", cfg, "--out", str(out)])
+    docs = {p.stem: json.loads(p.read_text()) for p in out.glob("*.json")}
+    assert sorted(docs) == [
+        "divergence", "envelope", "norm_crosscheck", "pair", "sarason", "summability",
+        "verify_outer",
+    ]
+    stamps = {
+        (meta["code_version"], meta["config_hash"])
+        for meta in (doc if name == "pair" else doc["metadata"] for name, doc in docs.items())
+    }
+    assert len(stamps) == 1 and stamps.pop()[0] == CODE_VERSION
 
 
 def test_reports_deterministic(workdir, runner, tmp_path):

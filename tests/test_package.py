@@ -165,6 +165,34 @@ def test_cli_has_one_path_from_argv_to_exit_code():
     assert not functions & {"run_command", "_experiment"}
 
 
+def test_one_copy_of_the_provenance_and_the_growth_names():
+    """Only ``reports``, which defines it, ``cli``, whose writer stamps it,
+    and the package's ``__init__`` name ``CODE_VERSION``.  ``outer`` spells
+    no growth name, and resolves each name that ``hblab._EXPORTS`` maps to
+    ``growth`` to that module's object, and no other name."""
+    import hblab.growth as growth
+    import hblab.outer as outer
+
+    root = Path(hblab.__file__).parent
+    naming = set()
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            fields = {getattr(node, f, None) for f in ("id", "attr", "name", "asname", "value")}
+            if "CODE_VERSION" in fields:
+                naming.add(path.stem)
+    assert naming == {"reports", "cli", "__init__"}
+    names = {name for name, home in hblab._EXPORTS.items() if home == "growth"}
+    assert {"growth_bound_scan", "growth_log_ratio", "poisson_quad_crosscheck"} <= names
+    tree = ast.parse((root / "outer.py").read_text())
+    literals = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    assert not literals & names
+    for name in sorted(names):
+        assert getattr(outer, name) is getattr(growth, name), name
+    for name in ("build_pair", "no_such_name"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(outer, name)
+
+
 @pytest.mark.parametrize(
     "args, kwargs, message",
     [
