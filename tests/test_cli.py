@@ -386,11 +386,11 @@ def test_sarason_and_summability(workdir, runner, tmp_path):
         ("construct", {"n_terms": True}),
         ("construct", {"power_m": "two"}),
         ("norm-crosscheck", {"formats": []}),
-        ("norm-crosscheck", {"formats": ["xml"]}),
         ("construct", {"n_terms": 200, "power_m": "auto"}),
         ("sarason", {"precision_bits": -5}),
         ("summability", {"precision_bits": 0}),
         ("sarason", {"precision_bits": 23}),
+        ("norm-crosscheck", {"formats": ["xml"]}),
     ],
 )
 def test_out_of_range_sizes_exit_config(workdir, runner, verb, overrides):
