@@ -102,8 +102,11 @@ def load_config(config_path, overrides: dict) -> dict:
     if bad:
         raise ConfigError(f"unsupported formats: {', '.join(bad)}")
     out = Path(cfg["output_dir"])
-    if out.exists() and not out.is_dir():
-        raise ConfigError(f"output_dir {str(out)!r} exists and is not a directory")
+    # a verb makes output_dir with its parents: the nearest that exists must be a directory
+    base = next(path for path in (out, *out.parents) if path.exists())
+    if not base.is_dir():
+        under = "" if base == out else f" is under {str(base)!r}, which"
+        raise ConfigError(f"output_dir {str(out)!r}{under} exists and is not a directory")
     return cfg
 
 

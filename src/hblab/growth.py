@@ -11,10 +11,10 @@ evaluator against Poisson quadrature (``poisson_quad_crosscheck``).
 Only ``verify-outer``, ``construct`` with ``power_m`` "auto", the growth
 scan and the demos run this code, so ``hblab.outer`` loads it on first
 access to one of its names (PEP 562) and every other verb never compiles
-it.  Calls to ``growth_log_ratio``, ``log_Phi_halfplane`` and
-``log_sum_signed`` go through the attributes of ``hblab.outer`` and
-``hblab.logscalar``, where a tracer that rebinds module attributes finds
-them.
+it.  Calls to ``growth_log_ratio``, ``log_Phi_halfplane``,
+``log_sum_signed`` and ``sum_settles`` go through the attributes of
+``hblab.outer`` and ``hblab.logscalar``, where a tracer or a test that
+rebinds module attributes finds them.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .errors import GrowthBoundError
 from .logscalar import LogScalar, log1p_exp, log_add_exp, log_diff_exp
 from .outer import (
     _LN2,
+    _LN6,
     _LNPI,
     ConstructionParams,
     Sequences,
@@ -45,11 +46,6 @@ def _log_radius_complement(params: ConstructionParams, n: int, s: float) -> floa
     x = -s * (1.0 - ratio)
     # x = -1 only at s = 1 once ratio <= 2^-54; there 1 - r = delta_{n+1}
     return ld_n1 if x == -1.0 else ld_n + math.log1p(x)
-
-
-# exp(x) is 0.0 in doubles below -745.14; the rest is room for the rounding
-# of the term bound and of the terms themselves
-_UNDERFLOW_GAP = 747.0
 
 
 def _growth_logs(params: ConstructionParams, n: int, s: float) -> tuple:
@@ -76,6 +72,14 @@ def _growth_logs(params: ConstructionParams, n: int, s: float) -> tuple:
     return log_u + log_v, log_umv
 
 
+_LN3 = math.log(3.0)
+
+# the least whole number of nats with e**-gap below 2^-53, half the gap
+# above 1.0: growth_log_ratio tests a rest only this far below m and below
+# the rest it tested last
+_SETTLE_GAP = 37.0
+
+
 def growth_log_ratio(
     params: ConstructionParams,
     n: int,
@@ -92,12 +96,12 @@ def growth_log_ratio(
     so it stays accurate when u - v is hundreds of orders of magnitude
     below u, and at indices n where u, v, t underflow floats.  Interval k
     adds (eps_k/(pi t_k)) (atan(3t_k/u) - atan(3t_k/v) - atan(2t_k/u) +
-    atan(2t_k/v)), read from the table of ``_log_t_eps``; the terms are
-    summed as (sign, log) pairs.  At s = 1 from n = 623 on (at the default
+    atan(2t_k/v)), from the row of ``_log_t_eps``; the terms are summed as
+    (sign, log) pairs.  At s = 1 from n = 623 on (at the default
     exponents), where delta_{n+1}/delta_n <= 2^-54, log(1 - r) is
     log delta_{n+1} exactly.  The result is a signed LogScalar (phase 0 or pi).
 
-    Only the terms that can reach the sum are evaluated.  Since
+    Only the terms that can change the sum are evaluated.  Since
     log1p_exp(x) >= max(0, x), log_diff_exp(a, b) <= a and
     0 <= atan x <= x, term k has log magnitude at most
 
@@ -105,19 +109,22 @@ def growth_log_ratio(
             <= c + D_k,   c = log(u - v) - log pi - log 2,
 
     with D_k the prefix maximum of log eps_j - 2 log t_j over j <= k (the
-    third column of the shared table).  The terms are taken from k =
-    n_terms down, keeping the largest log magnitude m seen so far, and the
-    walk stops at the first k with c + D_k < m - 747.  Every term j <= k is
-    then so small that exp(log|term_j| - m) is exactly 0.0 in doubles
-    (they underflow below -745.14), so neither the maximum nor the
-    correctly rounded fsum inside ``log_sum_signed`` can change: the
-    result is bit for bit that of the sum of all n_terms terms.
-
-    Most evaluated terms lie deep in the small-angle branch, where the loop
-    skips three calls that are exact no-ops in doubles: log1p_exp(x) is x
-    for x > 36 (see ``log1p_exp``), and -expm1(d) rounds to 1.0 for
-    d < -37.43, so log_diff_exp(a, b) is a for b - a < -40.  With the per-k
-    sums added in the term formula's order, every term keeps its bits.
+    third column of the table).  The terms are taken from k = n_terms
+    down, keeping the largest log magnitude m seen so far.  Before term k,
+    top = c + D_k + log k + 1 bounds the log of the k terms left, summed in
+    magnitude as ``log_sum_signed`` scales them: the one nat is room for
+    the rounding of the terms and of their scaled doubles.  Once
+    top < m - 37, no term left reaches m, and ``logscalar.sum_settles``
+    asks whether the fsum inside ``log_sum_signed`` rounds alike with the
+    rest at +e**(top - m) and at -e**(top - m).  If it does, rounding is
+    monotone, so any rest leaves the result bit for bit that of the sum of
+    all n_terms terms, and the walk stops.  37 is the least whole number of
+    nats with e**-37 < 2^-53, half the gap above 1.0: a larger rest moves
+    every scaled sum in [1, 2), and the leading term alone scales to 1, so
+    no test is tried sooner.  Unequal ends (a sum near a rounding boundary,
+    or cancelled far below 1) retry once top has fallen another 37 nats;
+    once e**(top - m) underflows to 0.0 (below -745.14) the ends are equal,
+    so a call makes at most 20 unequal tests.
     """
     if not (0.0 <= s <= 1.0):
         raise ValueError("s must lie in [0, 1]")
@@ -128,38 +135,39 @@ def growth_log_ratio(
     c = log_umv - _LNPI - _LN2
     table = _log_t_eps(params, nt)
     terms = []  # (sign, log|term|)
-    append = terms.append
-    m = floor = -math.inf  # the largest log|term| so far, and m - 747
+    m, tried = -math.inf, math.inf  # the largest log|term| so far; the last top tested
     for k in range(nt, 0, -1):
-        lt, _, d_k, a3, a2, b3, b2, n6, e = table[k]
-        if c + d_k < floor:
-            break
-        # log(1 + 9 t^2/(u v)) >= log(1 + 4 t^2/(u v)); log1p_exp(x) is x past 36
-        l3, l2 = a3 - log_uv, a2 - log_uv
-        if l2 <= 36.0:
-            l3, l2 = log1p_exp(l3), log1p_exp(l2)
-        la3 = b3 + log_umv - l3 - log_uv
+        lt, _, d_k, e = table[k]
+        top = c + d_k + math.log(k) + 1.0
+        if top < min(m, tried) - _SETTLE_GAP:
+            if logscalar.sum_settles(terms, m, top):
+                break
+            tried = top
+        l3 = log1p_exp(2.0 * _LN3 + 2.0 * lt - log_uv)  # log(1 + 9 t^2/(u v))
+        l2 = log1p_exp(2.0 * _LN2 + 2.0 * lt - log_uv)  # log(1 + 4 t^2/(u v))
+        la3 = _LN3 + lt + log_umv - l3 - log_uv
         if la3 > -18.0:
             # atan arguments comfortably inside float range; the 3:2 ratio
             # of the arguments keeps the subtraction well conditioned
-            bracket = math.atan(math.exp(b2 + log_umv - l2 - log_uv)) - math.atan(math.exp(la3))
+            la2 = _LN2 + lt + log_umv - l2 - log_uv
+            bracket = math.atan(math.exp(la2)) - math.atan(math.exp(la3))
             if bracket == 0.0:
                 continue
             sign, lb = (1 if bracket > 0 else -1), math.log(abs(bracket))
         else:
             # atan(x) = x to better than double precision; the bracket is
             # (u-v) t (6 t^2 - u v) / ((u v + 9 t^2)(u v + 4 t^2))
+            n6 = _LN6 + 2.0 * lt
             if n6 > log_uv:
-                sign, lnum = 1, n6 if log_uv - n6 < -40.0 else log_diff_exp(n6, log_uv)
+                sign, lnum = 1, log_diff_exp(n6, log_uv)
             elif n6 < log_uv:
-                sign, lnum = -1, log_uv if n6 - log_uv < -40.0 else log_diff_exp(log_uv, n6)
+                sign, lnum = -1, log_diff_exp(log_uv, n6)
             else:
                 continue
             lb = log_umv + lt + lnum - (log_uv + l3) - (log_uv + l2)
         lm = e + lb
-        append((sign, lm))
-        if lm > m:
-            m, floor = lm, lm - _UNDERFLOW_GAP
+        terms.append((sign, lm))
+        m = max(m, lm)
     return logscalar.log_sum_signed(terms)
 
 

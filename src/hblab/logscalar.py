@@ -7,6 +7,8 @@ reached.  A positive quantity is carried as its natural log, a plain float
 Only a signed sum needs more: ``log_sum_signed`` returns a
 :class:`LogScalar`, the pair (log|x|, arg x) of a real x, whose phase is 0
 for x >= 0 and pi for x < 0.  Exact zero is log_mag = -inf with phase 0.
+``sum_settles`` tells a caller that walks its terms when more of them can
+no longer change that sum.
 """
 
 from __future__ import annotations
@@ -109,9 +111,27 @@ def log_sum_signed(terms: Sequence[tuple]) -> LogScalar:
     acc = math.fsum(s * math.exp(lm - m) for s, lm in terms)
     if acc == 0.0:
         return LogScalar(NEG_INF)
-    if acc > 0:
-        return LogScalar(m + math.log(acc))
-    return LogScalar(m + math.log(-acc), math.pi)
+    return LogScalar(m + math.log(abs(acc)), 0.0 if acc > 0 else math.pi)
+
+
+def sum_settles(terms: Sequence[tuple], m: float, log_rest: float) -> bool:
+    """Whether any more terms whose scaled doubles sum to at most
+    e**(log_rest - m) in magnitude leave ``log_sum_signed(terms)`` bit for
+    bit as it is, where m is the largest log_mag of ``terms`` and no more
+    term reaches it.
+
+    ``log_sum_signed`` rounds the exact sum of the scaled doubles
+    s e**(log_mag - m) once (``math.fsum``, Shewchuk's exact sum).
+    Rounding is monotone, so when that sum rounds alike with
+    +e**(log_rest - m) and with -e**(log_rest - m) appended, every exact sum
+    between the two ends rounds to the same double, the sum without a rest
+    among them (Ziv's rounding test).  A bound whose scaled double
+    underflows to 0.0 always settles.  The caller's bound must cover the
+    rounding of the rest's scaled doubles.
+    """
+    scaled = [s * math.exp(lm - m) for s, lm in terms]
+    rest = math.exp(log_rest - m)
+    return math.fsum(scaled + [rest]) == math.fsum(scaled + [-rest])
 
 
 def log1p_exp(x: float) -> float:

@@ -37,7 +37,6 @@ from .errors import GrowthBoundError, ParameterError, PrecisionExhausted  # noqa
 from .logscalar import clog1p, log1p_exp, log_sum_exp
 
 _LN2 = math.log(2.0)
-_LN3 = math.log(3.0)
 _LN6 = math.log(6.0)
 _LNPI = math.log(math.pi)
 
@@ -123,26 +122,23 @@ _LOG_T_EPS: dict = {}
 
 
 def _log_t_eps(params: ConstructionParams, n: int) -> tuple:
-    """Rows (log t_k, log eps_k, D_k, ...) to k >= n, with the prefix
-    maximum D_k = max_{j <= k} (log eps_j - 2 log t_j) that bounds the
-    terms of ``growth_log_ratio`` from interval k down, then their per-k
-    sums 2 log 3 + 2 log t_k, 2 log 2 + 2 log t_k, log 3 + log t_k, log 2 +
-    log t_k, log 6 + 2 log t_k and log eps_k - log t_k - log pi.  Each
-    depends on k and the exponents alone, so the radial evaluators share the
-    table of the most recent (alpha, beta); a longer one, or another
-    pair's, replaces it whole, never in part."""
+    """Rows (log t_k, log eps_k, D_k, log eps_k - log t_k - log pi) to
+    k >= n: the prefix maximum D_k = max_{j <= k} (log eps_j - 2 log t_j)
+    bounds the terms of ``growth_log_ratio`` from interval k down, and
+    log(eps_k/(pi t_k)) weighs interval k's arctangents in both radial
+    evaluators.  Each is a fact of k and the exponents alone, so the radial
+    evaluators share the table of the most recent (alpha, beta); a longer
+    one, or another pair's, replaces it whole, never in part."""
     global _LOG_T_EPS
     key = (params.alpha, params.beta)
-    table = _LOG_T_EPS.get(key, ((math.nan, math.nan, -math.inf),))
+    table = _LOG_T_EPS.get(key, ((math.nan, math.nan, -math.inf, math.nan),))
     if len(table) <= n:
         rows = []
         d_max = table[-1][2]
         for k in range(len(table), n + 1):
             lt, le = log_t(params, k), log_eps(params, k)
             d_max = max(d_max, le - 2.0 * lt)
-            lt2 = 2.0 * lt
-            rows.append((lt, le, d_max, 2.0 * _LN3 + lt2, 2.0 * _LN2 + lt2, _LN3 + lt, _LN2 + lt,
-                         _LN6 + lt2, le - lt - _LNPI))
+            rows.append((lt, le, d_max, le - lt - _LNPI))
         table = table + tuple(rows)
         _LOG_T_EPS = {key: table}
     return table
@@ -320,7 +316,7 @@ def half_plane_log_modulus_radial(log_y: float, params: ConstructionParams) -> f
     """
     n = params.n_terms
     return log_sum_exp(
-        row[8] + _log_atan_diff(row[0] - log_y) for row in _log_t_eps(params, n)[1 : n + 1]
+        row[3] + _log_atan_diff(row[0] - log_y) for row in _log_t_eps(params, n)[1 : n + 1]
     )
 
 

@@ -278,16 +278,22 @@ def test_construct_inconsistency_exits_3(tmp_path, runner, monkeypatch):
 
 
 def test_output_dir_that_is_a_file_exits_config(tmp_path, runner):
-    """An output_dir that names an existing file is a config error, exit 2,
-    before any work, for ``construct`` and for a verb that reads pair.json;
-    the file is left as it was."""
+    """An output_dir that names an existing file, or a path under one
+    (FILE/sub, which no verb could make), is a config error, exit 2, before
+    any work, for ``construct`` and for a verb that reads pair.json; the
+    file is left as it was."""
     target = tmp_path / "taken"
     target.write_text("not a directory\n")
-    message = f"config error: output_dir {str(target)!r} exists and is not a directory"
-    for verb in ("construct", "divergence"):
-        res = runner.invoke(main, [verb, "--out", str(target)])
-        assert res.exit_code == EXIT_CONFIG, res.output
-        assert message in res.output
+    sub = target / "sub"
+    cases = [
+        (target, f"config error: output_dir {str(target)!r} exists and is not a directory"),
+        (sub, f"output_dir {str(sub)!r} is under {str(target)!r}, which exists and is not a"),
+    ]
+    for out, message in cases:
+        for verb in ("construct", "divergence"):
+            res = runner.invoke(main, [verb, "--out", str(out)])
+            assert res.exit_code == EXIT_CONFIG, res.output
+            assert message in res.output
     assert target.read_text() == "not a directory\n"
 
 

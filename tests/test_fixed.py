@@ -75,10 +75,11 @@ def test_exp_within_two_units(W, x):
 )
 @example(W=441, x=-1e-12)  # log(1 - w) of a node next to 0
 @example(W=441, x=-22.627416997969522)  # log(1 - w_8) = -8^1.5
-@example(W=64, x=-0.0009765625)  # the switch to exp_fixed, 2^-10
+@example(W=64, x=-0.0009765625)  # 2^-10 and the float above: small results
 @example(W=64, x=-0.0009765624999999999)
 def test_expm1_within_two_units(W, x):
-    """expm1 on x <= 0: the Taylor route below 2^-10, exp_fixed above."""
+    """expm1 on x <= 0, ``exp_fixed`` less one, within 2 units absolute: a
+    small |x| gives a small result with fewer significant bits."""
     prec = 2 * W
     xf, exact = argument(x, prec)
     with mp.workprec(prec + 64):

@@ -16,6 +16,7 @@ from hblab.logscalar import (
     log_diff_exp,
     log_sum_exp,
     log_sum_signed,
+    sum_settles,
 )
 
 
@@ -174,11 +175,12 @@ def test_log1p_exp_reference(x):
 
 
 def test_deep_term_float_identities():
-    """The two identities that let ``growth_log_ratio`` skip three calls per
-    deep small-angle term, pinned against this platform's libm: x + e**-x
-    is x for every x > 36 (so ``log1p_exp`` returns x there), and
-    -expm1(d) is 1.0 for d < -37.43 (so log_diff_exp(a, b) is a for
-    b - a < -40).  A libm that broke either would move the growth rows."""
+    """The two identities of the deep small-angle terms of
+    ``growth_log_ratio``, pinned against this platform's libm: x + e**-x
+    is x for every x > 36 (so ``log1p_exp`` returns x there, and that is
+    its correctly rounded value), and -expm1(d) is 1.0 for d < -37.43 (so
+    log_diff_exp(a, b) is a for b - a < -40).  A libm that broke the first
+    would make the shortcut of ``log1p_exp`` inexact."""
     sweep = [36.0 + i / 64.0 for i in range(1, 64 * 64)]
     for x in [math.nextafter(36.0, math.inf), 36.5, 1e3, 1e300, *sweep]:
         assert x + math.exp(-x) == x
@@ -189,6 +191,23 @@ def test_deep_term_float_identities():
         d = -40.0 - i / 16.0
         assert -math.expm1(d) == 1.0
         assert log_diff_exp(1.5, 1.5 + d) == 1.5
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_sum_settles_checks_both_ends(sign):
+    """At 1.0 the gap below, 2^-53, is half the gap above, 2^-52.  A rest r
+    between the two half gaps, 2^-54 < r < 2^-53, leaves 1 + r at 1.0 but
+    takes 1 - r to 1 - 2^-53, so it must not settle; a rest below 2^-54
+    leaves both ends at 1.0 and settles.  -1.0 mirrors both, so a test of
+    one end alone fails at 1.0 or at -1.0."""
+    one = [(sign, 0.0)]
+    assert not sum_settles(one, 0.0, math.log(1.5 * 2.0**-54))
+    assert sum_settles(one, 0.0, math.log(0.5 * 2.0**-54))
+    # a sum cancelled to 0.0 settles only once the rest underflows
+    cancelled = [(sign, 0.0), (-sign, 0.0)]
+    assert not sum_settles(cancelled, 0.0, -744.0)
+    assert sum_settles(cancelled, 0.0, -746.0)
+    assert log_sum_signed(cancelled).is_zero
 
 
 def test_log_diff_exp():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hblab import growth, outer
+from hblab import growth, logscalar, outer
 from hblab.logscalar import LogScalar, log1p_exp, log_diff_exp, log_sum_signed
 from hblab.outer import (
     ConstructionParams,
@@ -448,11 +448,14 @@ class _CountedTable(tuple):
     "alpha, beta", [(1.2, 1.5), (1.1, 1.3), (1.3, 1.6), (1.2, 1.9), (1.05, 1.1)]
 )
 def test_growth_ratio_pruning_is_exact(alpha, beta, monkeypatch):
-    """``growth_log_ratio`` skips the terms that cannot reach the sum; the
-    result must equal, bit for bit, ``log_sum_signed`` of all n_terms
+    """``growth_log_ratio`` stops once the terms left cannot change the sum;
+    the result must equal, bit for bit, ``log_sum_signed`` of all n_terms
     reference terms.  Each term must lie under its bound U_k, and at n = 697
-    fewer than the 700 table rows must be read, so the pruning is really
-    exercised (at (1.2, 1.5) it keeps 23 of 203 terms at n = 200)."""
+    fewer than the 700 table rows must be read, so the stopping rule is
+    really exercised (at (1.2, 1.5) it evaluates 5 of 203 terms at
+    n = 200).  The rows n = 140 and 182 hold the worst cancellation of the
+    250-row scan at (1.2, 1.5): sum |t_k| / |sum t_k| is 1.7e4 at
+    (140, 0.75) and 1.2e4 at (182, 1), both at n_terms = n + 3."""
     p = ConstructionParams(alpha, beta, power_m=1)
     log_t_eps = outer._log_t_eps
     read = []
@@ -462,7 +465,7 @@ def test_growth_ratio_pruning_is_exact(alpha, beta, monkeypatch):
         return read[-1]
 
     monkeypatch.setattr(growth, "_log_t_eps", counted)
-    for n in sorted(set(range(1, 61)) | set(range(17, 701, 17))):
+    for n in sorted(set(range(1, 61)) | set(range(17, 701, 17)) | {140, 182}):
         for nt in (8, n + 3):
             table = log_t_eps(p, nt)
             for i in range(9):
@@ -501,8 +504,7 @@ def _assert_kernel_matches_reference(p, n, s, nt):
 )
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_growth_kernel_matches_reference(alpha, beta, n, s, nt_pick):
-    """The term loop of ``growth_log_ratio``, with its per-k sums read from
-    the table and its skipped ``log1p_exp``/``log_diff_exp`` calls, gives
+    """The term loop of ``growth_log_ratio``, with its settle test, gives
     the ratio of the written-out reference terms bit for bit, across the
     (alpha, beta) box of the parameter-family checks, past n = 623 (where
     s = 1 takes log delta_{n+1}), and at n_terms 1, 2, 8, n, n + 3 and
@@ -511,6 +513,24 @@ def test_growth_kernel_matches_reference(alpha, beta, n, s, nt_pick):
     p = ConstructionParams(alpha, beta, power_m=1)
     nt = nt_pick if nt_pick in (1, 2, 8) else n + nt_pick
     _assert_kernel_matches_reference(p, n, s, nt)
+
+
+def test_growth_ratio_retries_an_unsettled_sum(monkeypatch):
+    """A settle test that says no lets the walk go on, and the next test
+    comes only 37 nats further down; the ratio is still, bit for bit, the
+    sum of all n_terms reference terms.  ``growth_log_ratio`` reads
+    ``sum_settles`` from ``hblab.logscalar``, so it is patched there."""
+    p = ConstructionParams(1.2, 1.5, power_m=1)
+    settles = logscalar.sum_settles
+    tops = []
+
+    def no_at_first(terms, m, log_rest):
+        tops.append(log_rest)
+        return len(tops) > 1 and settles(terms, m, log_rest)
+
+    monkeypatch.setattr(logscalar, "sum_settles", no_at_first)
+    _assert_kernel_matches_reference(p, 200, 0.5, 203)
+    assert len(tops) >= 2 and tops[1] < tops[0] - 37.0
 
 
 def test_log_t_eps_keeps_one_table():
@@ -547,8 +567,9 @@ def test_growth_kernel_branch_edges(edge, monkeypatch):
     bit for bit, on both sides of each edge: x2 = 2 log 2 + 2 log t_k -
     log(u v) at 36, where ``log1p_exp`` turns into the identity;
     log(u v) - (log 6 + 2 log t_k) at -40 and at 40 in the small-angle
-    branch, where ``log_diff_exp`` is skipped; and la3 at -18 (itself
-    included), where the atan bracket gives way to the small-angle form.
+    branch, where -expm1 inside ``log_diff_exp`` rounds to 1.0; and la3 at
+    -18 (itself included), where the atan bracket gives way to the
+    small-angle form.
     The pair (log(u v), log(u - v)) is set directly, with interval k = 5
     on the edge."""
     p = ConstructionParams(1.2, 1.5, power_m=1)
