@@ -8,9 +8,9 @@ name, fills the fields left out from ``_defaults``, stores each field with
 normalizes its fields (storing a changed value with ``_set`` again); too
 many values, a missing field, an unknown keyword or a field given twice
 raise TypeError.  Plain assignment raises.  The base also gives field-wise
-equality and hash, the ``Name(field=value, ...)`` repr, and ``_replace``,
-a copy with some fields replaced that runs the constructor, and so
-``__post_init__``, again.
+equality and hash, the ``Name(field=value, ...)`` repr, ``_asdict``, the
+fields by name and in order, and ``_replace``, a copy with some fields
+replaced that runs the constructor, and so ``__post_init__``, again.
 """
 
 _set = object.__setattr__
@@ -61,7 +61,7 @@ class Record:
         return hash(self._key())
 
     def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        fields = ", ".join(f"{f}={v!r}" for f, v in self._asdict().items())
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -70,5 +70,9 @@ class Record:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def _asdict(self) -> dict:
+        """{field: value} for every field, in order."""
+        return {f: getattr(self, f) for f in self.__slots__}
+
     def _replace(self, **changes):
-        return type(self)(**({f: getattr(self, f) for f in self.__slots__} | changes))
+        return type(self)(**(self._asdict() | changes))

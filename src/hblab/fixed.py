@@ -50,30 +50,19 @@ def _guard(prec: int) -> int:
     return (16 * prec + 1024).bit_length()
 
 
-def _atan_inv(n: int, q: int) -> int:
-    """atan(1/n) 2^q within 2K + 2 units, K the number of terms (at most
-    q / (2 log2 n) + 1): each power and term is one floor (the powers stay
-    within 1.05 units, each term within 2), and the alternating tail after
-    the last nonzero power is below 1.05 units."""
+def _arc_inv(n: int, q: int, sign: int) -> int:
+    """atan(1/n) 2^q for sign -1, atanh(1/n) 2^q for sign 1: the series
+    sum_k sign^k n^-(2k+1) / (2k + 1), within 2K + 2 units, K the number
+    of terms (at most q / (2 log2 n) + 1).  Each power and term is one
+    floor (the powers stay within 1.05 units, each term within 2), and the
+    tail after the last nonzero power is below 1.05 units when the terms
+    alternate and below 1.2 units when they do not."""
     power = (1 << q) // n
     total, k, n2 = power, 1, n * n
     while power:
         power //= n2
         term = power // (2 * k + 1)
-        total += -term if k & 1 else term
-        k += 1
-    return total
-
-
-def _atanh_inv(n: int, q: int) -> int:
-    """atanh(1/n) 2^q within 2K + 2 units, K the number of terms (at most
-    q / (2 log2 n) + 1): positive terms, each within 2 units, and a tail
-    after the last nonzero power below 1.2 units."""
-    power = (1 << q) // n
-    total, k, n2 = power, 1, n * n
-    while power:
-        power //= n2
-        total += power // (2 * k + 1)
+        total += -term if sign < 0 and k & 1 else term
         k += 1
     return total
 
@@ -85,7 +74,7 @@ def pi_fixed(prec: int) -> int:
     < 2^g units there, below one unit after the shift, which floors."""
     g = _guard(prec)
     q = prec + g
-    return (16 * _atan_inv(5, q) - 4 * _atan_inv(239, q)) >> g
+    return (16 * _arc_inv(5, q, -1) - 4 * _arc_inv(239, q, -1)) >> g
 
 
 @functools.lru_cache(maxsize=32)
@@ -94,7 +83,23 @@ def ln2_fixed(prec: int) -> int:
     2 (2 K_3 + 2) < 2 (prec + g) + 8 < 2^g units there, below one unit
     after the shift, which floors."""
     g = _guard(prec)
-    return (2 * _atanh_inv(3, prec + g)) >> g
+    return (2 * _arc_inv(3, prec + g, 1)) >> g
+
+
+def _taylor_terms(y: int, q: int):
+    """(k, term_k) for k = 1, 2, ... up to the first zero term, which it
+    yields too, with term_0 = 2^q and
+    term_k = floor(floor(term_(k-1) y / 2^q) / k): the Taylor terms of
+    e^(y 2^-q) at fixed point q.  Each is two floors from the one before,
+    so where |y 2^-q| <= 1/2, as at both callers, each is within 4 units of
+    its exact value for this y, and there are at most q.  ``exp_fixed``
+    sums them all; ``cos_sin_fixed`` takes them by the parity and sign of
+    k."""
+    term, k = 1 << q, 1
+    while term:
+        term = ((term * y) >> q) // k
+        yield k, term
+        k += 1
 
 
 def exp_fixed(x: int, prec: int) -> tuple:
@@ -121,13 +126,7 @@ def exp_fixed(x: int, prec: int) -> tuple:
     g += -(prec + g) % 32
     q = prec + g
     r = (x << g) - n * ln2_fixed(q)
-    y = r >> s
-    term = total = 1 << q
-    k = 1
-    while term:
-        term = ((term * y) >> q) // k
-        total += term
-        k += 1
+    total = (1 << q) + sum(term for _, term in _taylor_terms(r >> s, q))
     for _ in range(s):
         total = (total * total) >> q
     return total >> g, n
@@ -165,17 +164,12 @@ def cos_sin_fixed(x: int, prec: int) -> tuple:
     s = max(2, math.isqrt(prec) // 2)
     g = 2 * s + 2 + (4 * prec + 4 * 256 + 4).bit_length()
     q = prec + g
-    y = (x << g) >> s
-    one = 1 << q
-    term, c, sn = one, one, 0
-    k = 1
-    while term:
-        term = ((term * y) >> q) // k
+    c, sn = 1 << q, 0
+    for k, term in _taylor_terms((x << g) >> s, q):
         if k & 1:
             sn += -term if k & 2 else term
         else:
             c += -term if k & 2 else term
-        k += 1
     for _ in range(s):
         c, sn = (c * c - sn * sn) >> q, (c * sn) >> (q - 1)
     return c >> g, sn >> g
@@ -287,9 +281,12 @@ def log10(x: "PBit", bits: int) -> float:
 class PBit:
     """A real number man 2^exp, its mantissa made odd (normalized) on
     construction, as hblab's P-bit routes return it: exact, ordered and
-    hashable as the rational it is, and ``float`` rounds it to nearest,
-    ties to even.  It has no arithmetic: hblab's P-bit routes read
-    (man, exp) and sum integers.
+    hashable as the rational it is.  ``float`` rounds it as mpmath does:
+    to 53 bits, to nearest with ties to even, which is the nearest double
+    down to 2^-1022; below that the 53-bit value is rounded again, to the
+    subnormal grid, so ``float(PBit(2**59 + 1, -1134))`` is 0.0 where the
+    nearest double is 5e-324.  No report floats a subnormal PBit.  It has
+    no arithmetic: hblab's P-bit routes read (man, exp) and sum integers.
 
     ``_mpf_`` is the raw tuple (sign, mantissa, exponent, bit count) of
     the same value, the interchange form of mpmath, which therefore

@@ -158,12 +158,10 @@ def growth_log_ratio(
             # atan(x) = x to better than double precision; the bracket is
             # (u-v) t (6 t^2 - u v) / ((u v + 9 t^2)(u v + 4 t^2))
             n6 = _LN6 + 2.0 * lt
-            if n6 > log_uv:
+            if n6 >= log_uv:  # a tie gives lnum = -inf, a term that adds 0.0
                 sign, lnum = 1, log_diff_exp(n6, log_uv)
-            elif n6 < log_uv:
-                sign, lnum = -1, log_diff_exp(log_uv, n6)
             else:
-                continue
+                sign, lnum = -1, log_diff_exp(log_uv, n6)
             lb = log_umv + lt + lnum - (log_uv + l3) - (log_uv + l2)
         lm = e + lb
         terms.append((sign, lm))

@@ -71,14 +71,9 @@ class ConstructionParams(Record):
 
 
 def _params_dict(params: ConstructionParams) -> dict:
-    """The construction parameters as a report records them."""
-    return {
-        "alpha": params.alpha,
-        "beta": params.beta,
-        "n_terms": params.n_terms,
-        "power_m": params.power_m,
-        "n_check": params.n_check,
-    }
+    """The construction parameters as a report records them: every field
+    but ``precision_bits``, which each report states in its metadata."""
+    return {f: v for f, v in params._asdict().items() if f != "precision_bits"}
 
 
 # -- log-domain scalar sequences ------------------------------------------

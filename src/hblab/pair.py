@@ -156,7 +156,10 @@ def phi_step_modulus(seq: Sequences) -> StepModulus:
         theta2 = 2.0 * math.atan(3.0 * t)
         if not (0.0 < theta1 < theta2 < math.pi):
             raise ValueError(f"arc {k} fails to land in (0, pi)")
-        h = m * math.exp(seq.log_eps[k] - math.log(t))
+        try:
+            h = m * math.exp(seq.log_eps[k] - math.log(t))
+        except OverflowError:  # an m beyond float range
+            h = math.inf
         if not math.isfinite(h):
             raise ParameterError(f"step height overflows at k={k}; reduce power_m")
         cells.append(Cell(theta1, theta2, h))
@@ -219,13 +222,10 @@ class Pair(Record):
         53 bits and P-bit numbers (``fixed.PBit``) above; the tame pair's
         series are 53-bit floats."""
         if self.tag == "tame":
-            from .series import TaylorSeries
-
-            if precision_bits > 53:
-                raise ValueError("the tame pair carries 53-bit float series only")
-            a = TaylorSeries((0.5, -0.5) + (0.0,) * max(0, degree - 1))
-            b = TaylorSeries((0.5, 0.5) + (0.0,) * max(0, degree - 1))
-            return self._replace(a_series=a.truncate(degree), b_series=b.truncate(degree))
+            return self._replace(
+                a_series=_tame_series((0.5, -0.5), 0.0, degree, precision_bits),
+                b_series=_tame_series((0.5, 0.5), 0.0, degree, precision_bits),
+            )
         from .taylor import outer_series
 
         return self._replace(
@@ -240,14 +240,21 @@ class Pair(Record):
         numbers above, or (1, 2, 2, ...) for the tame pair's (1+z)/(1-z),
         which carries 53-bit floats only."""
         if self.tag == "tame":
-            from .series import TaylorSeries
-
-            if precision_bits > 53:
-                raise ValueError("the tame pair carries 53-bit float series only")
-            return TaylorSeries((1.0,) + (2.0,) * degree)
+            return _tame_series((1.0,), 2.0, degree, precision_bits)
         from .taylor import outer_series
 
         return outer_series(self.phi_modulus, degree, precision_bits)
+
+
+def _tame_series(head: tuple, fill: float, degree: int, precision_bits: int) -> TaylorSeries:
+    """A closed-form series of the tame pair to ``degree``: ``head``, then
+    ``fill`` on; ValueError above 53 bits, since the tame pair carries
+    53-bit float series only."""
+    from .series import TaylorSeries
+
+    if precision_bits > 53:
+        raise ValueError("the tame pair carries 53-bit float series only")
+    return TaylorSeries((head + (fill,) * degree)[: degree + 1])
 
 
 def tame_pair(degree: int = 64) -> Pair:
@@ -334,12 +341,8 @@ def pair_to_json(pair: Pair, extra: Optional[dict] = None) -> str:
         "params": None
         if pair.params is None
         else {
-            "alpha": repr(pair.params.alpha),
-            "beta": repr(pair.params.beta),
-            "n_terms": pair.params.n_terms,
-            "power_m": pair.params.power_m,
-            "precision_bits": pair.params.precision_bits,
-            "n_check": pair.params.n_check,
+            name: repr(value) if isinstance(value, float) else value
+            for name, value in pair.params._asdict().items()
         },
         "a_modulus": _mod_to_obj(pair.a_modulus),
         "b_modulus": _mod_to_obj(pair.b_modulus),

@@ -1,4 +1,5 @@
-"""The defs of a package that no entry point reaches, by a profile hook.
+"""What of a package its runs leave out: defs by entry point, statements
+by test.
 
     python tests/reach.py [DIR]
 
@@ -10,15 +11,29 @@ docstring and decorators included, then their total.  A def is reached
 when a frame of its code object starts: a call, or a generator resumed.
 Lambdas and comprehensions are not defs and are left out; so are the help
 and error paths of the CLI, which no entry point takes.
+
+    python tests/reach.py --statements [DIR] [-- PYTEST_ARG ...]
+
+runs Tier-1 (pytest from the repository root, with the arguments after
+``--``, ``--deselect`` for one) in this process under ``sys.settrace``,
+tracing lines only in frames of the modules directly in DIR, and prints
+each statement that no test executed, then their total.  Docstrings are not
+statements here.  A simple statement is executed when any of its lines
+runs, a compound one when its header does (decorators included); a
+``global`` or ``nonlocal`` runs no line, so it is always listed.  Code that
+a test runs in a subprocess (the CLI in a fresh process, the import
+probes) is not traced, so what only such a test runs is listed too.
 """
 
 import ast
 import contextlib
 import io
 import json
+import os
 import runpy
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -82,7 +97,6 @@ def defs(path) -> list:
     each ``*.py`` directly in a directory, nested defs and methods
     included; the first line is that of the first decorator, as in the
     code object."""
-    path = Path(path)
     found = []
 
     def walk(node, file, prefix):
@@ -96,7 +110,7 @@ def defs(path) -> list:
             else:
                 walk(child, file, prefix)
 
-    for file in sorted(path.glob("*.py")) if path.is_dir() else [path]:
+    for file in _modules(path):
         walk(ast.parse(file.read_text()), str(file.resolve()), "")
     return found
 
@@ -133,9 +147,108 @@ def unreached(path, entry_points) -> list:
     return [d for d in defs(path) if (d[0], d[2]) not in seen]
 
 
+def _modules(path) -> list:
+    """A file, or each ``*.py`` directly in a directory."""
+    path = Path(path)
+    return sorted(path.glob("*.py")) if path.is_dir() else [path]
+
+
+def statements(path) -> list:
+    """(file, first line, last line, text of the first line) of every
+    statement of ``_modules(path)`` but the docstrings, in file and line
+    order: a simple statement spans its lines, a compound one its header,
+    from its first decorator to the line before its body."""
+    found = []
+    for file in _modules(path):
+        source = file.read_text()
+        text = source.splitlines()
+        tree = ast.parse(source)
+        docstrings = {
+            id(node.body[0])
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.body
+            and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)
+            and isinstance(node.body[0].value.value, str)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.stmt) or id(node) in docstrings:
+                continue
+            first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
+            body = getattr(node, "body", None)
+            last = max(node.lineno, body[0].lineno - 1) if body else node.end_lineno
+            found.append((str(file.resolve()), first, last, text[first - 1].strip()))
+    return sorted(found)
+
+
+def executed(files, run) -> set:
+    """(file, line) of every line that ran in a frame of one of ``files``
+    (resolved paths) while ``run()`` ran, in this thread or in a thread it
+    started; the trace functions in place before are put back."""
+    seen, verdicts = set(), {}
+
+    def lines(frame, event, arg):
+        if event == "line":
+            seen.add((verdicts[frame.f_code.co_filename], frame.f_lineno))
+        return lines
+
+    def calls(frame, event, arg):
+        name = frame.f_code.co_filename
+        if name not in verdicts:
+            resolved = str(Path(name).resolve())
+            verdicts[name] = resolved if resolved in files else None
+        return lines if verdicts[name] else None
+
+    before, before_threads = sys.gettrace(), threading.gettrace()
+    threading.settrace(calls)
+    sys.settrace(calls)
+    try:
+        run()
+    finally:
+        sys.settrace(before)
+        threading.settrace(before_threads)
+    return seen
+
+
+def unexecuted(path, run) -> list:
+    """The statements of ``path`` (as ``statements`` gives them) none of
+    whose lines ran while ``run()`` ran."""
+    found = statements(path)
+    seen = executed({file for file, *_ in found}, run)
+    return [s for s in found if not any((s[0], line) in seen for line in range(s[1], s[2] + 1))]
+
+
+def _tier1(args):
+    """A run of Tier-1 in this process, as its command runs it: pytest from
+    the repository root, with src on PYTHONPATH."""
+
+    def run():
+        import pytest
+
+        os.chdir(ROOT)
+        os.environ["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+        )
+        pytest.main(["-q", "--continue-on-collection-errors", *args])
+
+    return run
+
+
 def main(argv) -> None:
     sys.path.insert(0, str(ROOT / "src"))
+    split = argv.index("--") if "--" in argv else len(argv)
+    argv, pytest_args = argv[:split], argv[split + 1 :]
+    statement_mode = argv[:1] == ["--statements"]
+    argv = argv[statement_mode:]
     path = Path(argv[0]) if argv else ROOT / "src" / "hblab"
+    if statement_mode:
+        gaps = unexecuted(path, _tier1(pytest_args))
+        for file, first, _, text in gaps:
+            print(f"{Path(file).name}:{first}: {text}")
+        print(f"{len(gaps)} statements of {path} no test executed in this process")
+        print("(what a test runs in a subprocess is not traced)")
+        return
     gaps = unreached(path, ENTRY_POINTS)
     for file, name, _, lines in gaps:
         print(f"{lines:6d}  {Path(file).name}: {name}")

@@ -277,6 +277,17 @@ def test_construct_inconsistency_exits_3(tmp_path, runner, monkeypatch):
     assert not (tmp_path / "pair.json").exists()
 
 
+def test_construct_power_beyond_float_range_exits_config(tmp_path, runner):
+    """A power_m of 10**310, an int that no float holds, is a config
+    error: exit 2 with the step-height guard's message, and no pair.json,
+    not a construction inconsistency from the int's conversion."""
+    cfg = write_config(tmp_path, power_m=10**310)
+    res = runner.invoke(main, ["construct", "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert "config error: step height overflows at k=1; reduce power_m" in res.output
+    assert not (tmp_path / "pair.json").exists()
+
+
 def test_output_dir_that_is_a_file_exits_config(tmp_path, runner):
     """An output_dir that names an existing file, or a path under one
     (FILE/sub, which no verb could make), is a config error, exit 2, before

@@ -538,6 +538,27 @@ def test_sarason_series_failure(pair, combo):
     assert rep.passed is True
 
 
+def test_sarason_series_failure_flags_a_non_positive_sum(pair, combo, monkeypatch):
+    """A partial sum at or below zero has no log10: its row is NaN and the
+    report fails, though the last sum still exceeds the half-way one.  The
+    set-up is patched so that phi-hat's first mantissa pulls every partial
+    sum below zero and leaves their increments as they were."""
+    setup = experiments._pbit_setup
+
+    def shifted(*args):
+        fhat, exp, phis, phi_exp, meta = setup(*args)
+        assert fhat[0] > 0
+        total = sum(abs(x * y) for x, y in zip(fhat, phis))
+        return fhat, exp, [phis[0] - total // fhat[0] - 1, *phis[1:]], phi_exp, meta
+
+    monkeypatch.setattr(experiments, "_pbit_setup", shifted)
+    rep = sarason_series_failure(64, combo, pair, precision_bits=200)
+    assert [row[0] for row in rep.rows] == [1, 2, 4, 8, 16, 32, 64]
+    assert all(math.isnan(row[1]) for row in rep.rows)
+    assert float(rep.metadata["ratio_full_to_half"]) < 1.0  # S_64 > S_32, both negative
+    assert rep.passed is False
+
+
 def test_summability_divergence(pair, combo):
     rep = summability_divergence([0, 2, 8, 16, 24], combo, pair, precision_bits=200)
     assert rep.columns == ("n", "log10_sn_norm", "log10_sigman_norm")

@@ -177,6 +177,17 @@ def test_log10_is_mpmaths(man, exp, bits):
         assert fixed.log10(x, bits) == float(mp.log10(x))
 
 
+def test_quotient_and_log10_reject_their_poles():
+    """A zero divisor raises ZeroDivisionError with ``quotient``'s own
+    message (the integer division behind it would raise one of its own),
+    and log10 of a non-positive number ValueError (``decimal`` would
+    signal InvalidOperation)."""
+    with pytest.raises(ZeroDivisionError, match="quotient by zero"):
+        fixed.quotient(PBit(3, -2), 0, 53)
+    with pytest.raises(ValueError, match="log10 of a non-positive number"):
+        fixed.log10(PBit(-1, 0), 64)
+
+
 def test_pbit_is_an_mpf_to_mpmath():
     """mpmath takes a PBit as the mpf of the same value, in its
     constructors, functions, arithmetic with an mpf and comparisons, and

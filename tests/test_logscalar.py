@@ -210,6 +210,14 @@ def test_sum_settles_checks_both_ends(sign):
     assert log_sum_signed(cancelled).is_zero
 
 
+def test_log_add_exp_with_an_exact_zero():
+    """-inf is an exact zero: added to x it gives x, and to itself -inf,
+    where the difference of the two infinities would be NaN."""
+    for x in (-745.5, -1.0, 0.0, 3.25, 1e300):
+        assert log_add_exp(x, NEG_INF) == log_add_exp(NEG_INF, x) == x
+    assert log_add_exp(NEG_INF, NEG_INF) == NEG_INF
+
+
 def test_log_diff_exp():
     assert log_diff_exp(math.log(5.0), math.log(2.0)) == pytest.approx(math.log(3.0))
     assert log_diff_exp(1.0, 1.0) == NEG_INF

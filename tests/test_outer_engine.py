@@ -98,6 +98,31 @@ def test_power_validation():
         p._replace(power_m=0)
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"n_terms": 1}, "n_terms must be at least 2"),
+        ({"n_check": 0}, "n_check must satisfy"),
+        ({"n_check": 8}, "n_check must satisfy"),
+        ({"precision_bits": 23}, "precision_bits must be at least 24"),
+    ],
+)
+def test_size_validation(fields, message):
+    """n_terms below 2, n_check outside 1..n_terms - 1 and fewer than 24
+    bits are each rejected by their own check (n_terms = 1 would fail the
+    n_check check too, so the message tells the two apart)."""
+    with pytest.raises(ParameterError, match=message):
+        ConstructionParams(1.2, 1.5, power_m=1, **fields)
+
+
+def test_sequences_reject_w_that_rounds_to_one():
+    """At (1.7, 1.8), delta_8 = exp(-8**1.8) = 4.6e-19 lies below half an
+    ulp of 1, so w_8 rounds to 1.0 and the sequence check rejects w at
+    index 7, though (N + 1)**beta = 52 is far inside float range."""
+    with pytest.raises(ParameterError, match=r"w must be strictly increasing in \(0,1\) at index 7"):
+        make_sequences(ConstructionParams(1.7, 1.8, n_terms=8, power_m=1))
+
+
 def test_n_terms_overflow_guard():
     with pytest.raises(ParameterError):
         make_sequences(ConstructionParams(1.2, 1.5, n_terms=100, n_check=5))
@@ -125,6 +150,17 @@ def test_log_t_underflow_regime():
     # beyond float range log t falls back to log delta (relative error ~ d)
     assert log_t(p, 200) == pytest.approx(log_delta(p, 200))
     assert log_t(p, 3) == pytest.approx(math.log(T3), rel=1e-13)
+
+
+def test_rho_condition_and_disk_reject_points_outside(seq):
+    """The tail ratio needs 1 <= n < n_terms (at n = 0 it would divide by
+    rho_0 = 0 and return inf), and the disk function |z| < 1 (at z = 1 the
+    Cayley image is 0, where the half-plane evaluator raises a message of
+    its own)."""
+    with pytest.raises(ValueError, match="need 1 <= n < n_terms"):
+        check_rho_condition(seq, 0)
+    with pytest.raises(ValueError, match=r"log_phi_disk requires \|z\| < 1"):
+        log_phi_disk(1.0, seq)
 
 
 def test_rho_ratio_table(seq):
@@ -533,6 +569,56 @@ def test_growth_ratio_retries_an_unsettled_sum(monkeypatch):
     assert len(tops) >= 2 and tops[1] < tops[0] - 37.0
 
 
+def test_growth_kernel_exact_tie(monkeypatch):
+    """Where 6 t_k^2 = u v exactly, interval k adds nothing: its
+    small-angle numerator log_diff_exp(log 6 + 2 log t_k, log(u v)) is
+    -inf, a term whose scaled double is 0.0, and the ratio is, bit for
+    bit, ``log_sum_signed`` of the other reference terms (the reference
+    drops the tied one).  The pair (log(u v), log(u - v)) is set directly,
+    with interval k = 5 on the tie and inside the small-angle branch."""
+    p = ConstructionParams(1.2, 1.5, power_m=1)
+    nt, k = 10, 5
+    lt = outer._log_t_eps(p, nt)[k][0]
+    log_uv = _LN6 + 2.0 * lt
+    log_umv = 0.5 * log_uv - 30.0
+    assert _growth_term(lt, 0.0, log_uv, log_umv) is None
+    monkeypatch.setattr(growth, "_growth_logs", lambda *_: (log_uv, log_umv))
+    _assert_kernel_matches_reference(p, 7, 0.5, nt)
+
+
+def test_growth_ratio_settle_bound_covers_every_term_left(monkeypatch):
+    """The settle test's bound on the terms left, top = c + D_k + log k + 1,
+    must cover k terms, not one.  A synthetic table (every row at one
+    log t, so each term is a third of its bound c + log eps_k - 2 log t)
+    holds a leading term A, a term B that brings the scaled sum to
+    delta = 10 x below the midpoint 1 + 2^-53, and 20 terms of x = e**-45
+    each.  Their 20 x cross the midpoint, so the scaled sum is 1 + 2^-52,
+    where that of A and B alone is 1.0.  The bound here reads 163 x and
+    does not settle; without its log k + 1 it would read 3 x, settle at
+    once and return the sum of A and B."""
+    p = ConstructionParams(1.2, 1.5, power_m=1)
+    lt, log_uv, log_umv, k_rest = -30.0, -100.0, -60.0, 20
+    # the term of a row is its log eps plus this shift
+    shift = _growth_term(lt, 0.0, log_uv, log_umv)[1]
+    le_a = 0.3 - shift  # the leading term's log near 0.3, where an ulp of 1 shows
+    le_b = le_a + math.log(2.0**-53 - 10.0 * math.exp(-45.0))
+    les = [le_a - 45.0] * k_rest + [le_b, le_a]
+    table, d_max = [(math.nan, math.nan, -math.inf, math.nan)], -math.inf
+    for le in les:
+        d_max = max(d_max, le - 2.0 * lt)
+        table.append((lt, le, d_max, le - lt - _LNPI))
+    nt = len(les)
+    monkeypatch.setattr(growth, "_log_t_eps", lambda params, n: tuple(table))
+    monkeypatch.setattr(growth, "_growth_logs", lambda *_: (log_uv, log_umv))
+    every = [_growth_term(lt, le, log_uv, log_umv) for le in les]
+    assert all(t is not None and t[0] == 1 for t in every)
+    want, m = log_sum_signed(every), every[-1][1]
+    assert log_sum_signed(every[-2:]).log_mag == m  # A and B scale to 1.0
+    assert want.log_mag == m + math.log(1.0 + 2.0**-52)  # all of them to 1 + 2^-52
+    got = growth_log_ratio(p, 7, 0.5, n_terms=nt)
+    assert (got.log_mag, got.phase) == (want.log_mag, want.phase)
+
+
 def test_log_t_eps_keeps_one_table():
     """A sweep over 50 (alpha, beta) leaves one table, that of the last
     pair, and a pair met again gets the rows it had before."""
@@ -645,8 +731,20 @@ def test_verify_growth_bound_order_slack_threshold(seq, monkeypatch, shift, rais
         assert len(verify_growth_bound(2, 9, seq)) == 9
 
 
+def test_verify_growth_bound_u_minus_v_floor(seq):
+    """u - v >= (w_1 / 2) delta_{n+1} is checked at every sample with
+    s < 1.  At n = 2 it holds with a factor 17.4 to spare at s = 0, so a
+    w_1 raised twentyfold puts the floor above u - v there, and the check
+    raises."""
+    raised = seq._replace(w=(seq.w[0], 20.0 * seq.w[1]) + seq.w[2:])
+    with pytest.raises(AssertionError, match="u - v lower bound violated at n=2, s=0.0"):
+        verify_growth_bound(2, 9, raised)
+
+
 def test_growth_ratio_and_scan_validation(params):
-    """Inputs without an interval, a term or a grid raise ValueError."""
+    """Inputs without an interval, a term or a grid raise ValueError; the
+    power search's one-sample grid is caught by its sampler's own check,
+    not by the empty ``min`` that would follow."""
     for n, nt in ((0, 8), (-2, 8), (1, 0), (1, -1)):
         with pytest.raises(ValueError):
             growth_log_ratio(params, n, 0.5, n_terms=nt)
@@ -655,6 +753,8 @@ def test_growth_ratio_and_scan_validation(params):
             growth_bound_scan(params, 1, 2, samples=samples)
     with pytest.raises(ValueError):
         growth_bound_scan(params, 0, 2)
+    with pytest.raises(ValueError, match="need at least two radius samples, got 1"):
+        choose_power_m(params, r_samples=1)
 
 
 def test_choose_power_m_reports_all_intervals(params):

@@ -233,6 +233,16 @@ def test_build_pair_tolerance_threshold(params, monkeypatch, delta, raises):
         assert build_pair(params).tag == "constructed"
 
 
+def test_build_pair_power_beyond_float_range(params):
+    """A power m that no float holds (10**310) meets the step-height
+    guard, a ParameterError, rather than the OverflowError of the int's
+    conversion to float."""
+    from hblab.outer import ParameterError
+
+    with pytest.raises(ParameterError, match="step height overflows at k=1; reduce power_m"):
+        build_pair(params._replace(power_m=10**310))
+
+
 def test_tame_pair_series():
     t = tame_pair(degree=8)
     assert t.a_series.coeffs[:2] == (0.5, -0.5)
